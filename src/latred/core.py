@@ -249,7 +249,8 @@ def apply_column_op(basis, gram, transform, j: int, k: int, c: int) -> None:
     """Elementary column operation: column j -= c * column k.
 
     The Gram matrix and transform record, when given, are updated exactly
-    alongside the basis; pass None to skip either.  The operation has unit
+    alongside the basis; pass None to skip either.  Every updated entry is
+    checked against the signed 128-bit range.  The operation has unit
     determinant, so tracked transforms stay unimodular.
     """
     if j == k:
@@ -291,6 +292,10 @@ def apply_column_op(basis, gram, transform, j: int, k: int, c: int) -> None:
         uk = transform.cols[k]
         for r in range(transform.n):
             uj[r] -= c * uk[r]
+        if max(uj) > INT128_MAX or min(uj) < INT128_MIN:
+            raise OverflowError(
+                f"transform column {j} exceeds the signed 128-bit range"
+            )
 
 
 def apply_transform(basis: Basis, transform: TransformRecord) -> Basis:

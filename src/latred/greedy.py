@@ -253,6 +253,10 @@ def apply_pivot(state: GreedyState, k: int, coeffs: PivotCoefficients) -> None:
             uj = ucols[j]
             for r in range(len(uj)):
                 uj[r] -= cj * uk[r]
+            if max(uj) > INT128_MAX or min(uj) < INT128_MIN:
+                raise OverflowError(
+                    f"transform column {j} exceeds the signed 128-bit range"
+                )
     update_gram(state.gram, coeffs)
     state.iteration += 1
 

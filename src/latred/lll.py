@@ -2,7 +2,12 @@
 
 The basis columns and accumulated transform stay exact integers; only the
 orthogonalized vectors and their projection coefficients are floating
-point.  Accuracy comes from two measures: every orthogonalization is
+point.  The float side works on whole arrays: a float mirror of the basis
+(``GSState.fcols``) is converted from the integer columns once and then
+kept in step with them (columns swapped with every swap, a column
+re-converted after size reduction changes it), and each Gram-Schmidt pass
+projects a column off all earlier b* at once with two matrix-vector
+products.  Accuracy comes from two measures: every orthogonalization is
 repeated until no component moves by more than a unit in the last place
 (plus one extra round once that holds), and on every swap the two affected
 orthogonal vectors are recomputed from scratch instead of patched.  That
@@ -31,6 +36,10 @@ RANK_FLOOR = 1e-30
 
 _ULP = 2.0 ** -52
 
+# nint_float(x) == 0 exactly when |x| < this.  It is one step below 1/2
+# because 0.5 - 2**-54 plus 0.5 rounds up to 1.0, so nint_float gives 1.
+_ROUNDS_TO_ZERO = 0.5 - 2.0 ** -54
+
 
 @dataclass(frozen=True)
 class LLLConfig:
@@ -46,45 +55,52 @@ class LLLConfig:
 
 @dataclass
 class GSState:
-    """Floating Gram-Schmidt data: b* columns, mu coefficients, norms."""
+    """Floating Gram-Schmidt data for a basis: b*, mu, norms, float columns.
+
+    fcols mirrors the integer basis, column k being the exact integer
+    column k rounded to doubles; whoever changes a basis column updates
+    its mirror column.  The b* columns come from reorthogonalized
+    classical Gram-Schmidt in matrix form: each pass projects b_k off
+    b*_0..b*_{k-1} together, repeated until stable.
+    """
 
     bstar: np.ndarray            # (m, n), column k is b*_k
     mu: np.ndarray               # (n, n) lower triangular, unit diagonal
     norms_sq: np.ndarray         # (n,), squared norms of b*
+    fcols: np.ndarray            # (m, n), float mirror of the basis columns
     dependent: list[int] = field(default_factory=list)
 
 
-def _float_col(basis: Basis, j: int) -> np.ndarray:
-    return np.array(basis.cols[j], dtype=float)
-
-
-def _orthogonalize_column(state: GSState, basis: Basis, k: int,
-                          config: LLLConfig) -> None:
+def _orthogonalize_column(state: GSState, k: int, config: LLLConfig) -> None:
     """Project column k off b*_0..b*_{k-1}, repeating until stable.
 
     A pass is converged when every component changed by at most one ulp of
     its magnitude; one additional pass then runs, and the total number of
-    passes never exceeds reorth_cap.
+    passes never exceeds reorth_cap.  Earlier columns with a zero b* get a
+    zero coefficient.
     """
-    b = _float_col(basis, k)
+    b = state.fcols[:, k].copy()
     norm0 = float(b @ b)
-    state.mu[k, :] = 0.0
-    state.mu[k, k] = 1.0
+    mu_k = state.mu[k]
+    mu_k[:] = 0.0
+    mu_k[k] = 1.0
+    bstar = state.bstar[:, :k]
+    norms = state.norms_sq[:k]
+    # A dependent column has b* == 0, so a unit denominator masks it to t_j = 0.
+    denom = np.where(norms > 0.0, norms, 1.0)
+    last = config.reorth_cap - 1
     converged = False
-    for _ in range(config.reorth_cap):
-        prev = b.copy()
-        for j in range(k):
-            nj = state.norms_sq[j]
-            if nj <= 0.0:
-                continue
-            t = float(b @ state.bstar[:, j]) / nj
-            state.mu[k, j] += t
-            b -= t * state.bstar[:, j]
-        if converged:
+    abs_b = np.abs(b)
+    for i in range(config.reorth_cap):
+        t = (b @ bstar) / denom
+        mu_k[:k] += t
+        prev, abs_prev = b, abs_b
+        b = b - bstar @ t
+        if converged or i == last:
             break
-        change = np.abs(b - prev)
-        tol = _ULP * np.maximum(np.abs(prev), np.abs(b))
-        converged = bool(np.all(change <= tol))
+        abs_b = np.abs(b)
+        tol = _ULP * np.maximum(abs_prev, abs_b)
+        converged = bool((np.abs(b - prev) <= tol).all())
     nk = float(b @ b)
     if norm0 == 0.0 or nk < RANK_FLOOR * norm0:
         state.bstar[:, k] = 0.0
@@ -108,23 +124,33 @@ def orthogonalize(basis: Basis, config: LLLConfig | None = None) -> GSState:
         bstar=np.zeros((m, n)),
         mu=np.zeros((n, n)),
         norms_sq=np.zeros(n),
+        fcols=np.array(basis.cols, dtype=float).T,
     )
     for k in range(n):
-        _orthogonalize_column(state, basis, k, cfg)
+        _orthogonalize_column(state, k, cfg)
     return state
 
 
 def size_reduce(state: GSState, basis: Basis, k: int,
                 transform: TransformRecord | None = None) -> None:
-    """Make |mu[k][j]| <= 1/2 for all j < k via integer column operations."""
+    """Make |mu[k][j]| <= 1/2 for all j < k via integer column operations.
+
+    Returns at once when every coefficient rounds to zero.  Otherwise
+    column k changes, and its float mirror is re-converted from the
+    integer column.
+    """
+    mu_k = state.mu[k]
+    if (np.abs(mu_k[:k]) < _ROUNDS_TO_ZERO).all():
+        return
     for j in range(k - 1, -1, -1):
-        c = nint_float(float(state.mu[k, j]))
+        c = nint_float(float(mu_k[j]))
         if c == 0:
             continue
         apply_column_op(basis, None, transform, k, j, c)
         # b* is unchanged; only row k of mu moves.
-        state.mu[k, :j] -= c * state.mu[j, :j]
-        state.mu[k, j] -= c
+        mu_k[:j] -= c * state.mu[j, :j]
+        mu_k[j] -= c
+    state.fcols[:, k] = np.array(basis.cols[k], dtype=float)
 
 
 def lovasz_ok(state: GSState, k: int, delta: float) -> bool:
@@ -136,21 +162,19 @@ def lovasz_ok(state: GSState, k: int, delta: float) -> bool:
     return delta * prev <= float(state.norms_sq[k]) + mu * mu * prev
 
 
-def _recompute_after_swap(state: GSState, basis: Basis, k: int,
-                          config: LLLConfig) -> None:
+def _recompute_after_swap(state: GSState, k: int, config: LLLConfig) -> None:
     """Rebuild b*_{k-1}, b*_k from scratch and the mu entries that read them."""
     before = len(state.dependent)
     for idx in (k - 1, k):
-        _orthogonalize_column(state, basis, idx, config)
+        _orthogonalize_column(state, idx, config)
     if len(state.dependent) > before:
         raise ValueError(
             f"rank deficiency detected at column {state.dependent[-1]} after swap"
         )
-    n = basis.n
-    for i in range(k + 1, n):
-        ai = _float_col(basis, i)
-        for j in (k - 1, k):
-            state.mu[i, j] = float(ai @ state.bstar[:, j]) / state.norms_sq[j]
+    pair = slice(k - 1, k + 1)
+    state.mu[k + 1:, pair] = (
+        (state.fcols[:, k + 1:].T @ state.bstar[:, pair]) / state.norms_sq[pair]
+    )
 
 
 def lll_reduce(basis: Basis, config: LLLConfig | None = None, *,
@@ -182,7 +206,8 @@ def lll_reduce(basis: Basis, config: LLLConfig | None = None, *,
             work.swap_columns(k - 1, k)
             if transform is not None:
                 transform.swap_columns(k - 1, k)
-            _recompute_after_swap(state, work, k, cfg)
+            state.fcols[:, [k - 1, k]] = state.fcols[:, [k, k - 1]]
+            _recompute_after_swap(state, k, cfg)
             swaps += 1
             k = max(k - 1, 1)
     return ReductionResult(

@@ -172,6 +172,12 @@ class TestApplyColumnOp:
             assert apply_transform(original, u) == basis
             assert abs(det_small(u.to_rows())) == 1
 
+    def test_transform_overflow_names_column(self):
+        basis = Basis.identity(2)
+        u = TransformRecord([[1, INT128_MAX], [0, 1]])
+        with pytest.raises(OverflowError, match="transform column 1"):
+            apply_column_op(basis, None, u, 1, 0, -1)
+
 
 class TestDeterminant:
     def test_identity(self):

@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from latred.core import Basis, GramMatrix, apply_transform, det_small, gram_compute
+from latred.core import (
+    INT128_MAX,
+    Basis,
+    GramMatrix,
+    TransformRecord,
+    apply_transform,
+    det_small,
+    gram_compute,
+)
 from latred.greedy import (
     GreedyState,
     ReduceConfig,
@@ -106,6 +114,13 @@ class TestApplyPivot:
             k, coeffs, _ = select_pivot(state.gram, 2.0)
             apply_pivot(state, k, coeffs)
             assert state.gram == gram_compute(basis)
+
+    def test_transform_overflow_names_column(self):
+        basis = Basis([[1, 0], [10, 1]])
+        u = TransformRecord([[1, INT128_MAX // 10 + 1], [0, 1]])
+        state = GreedyState(basis, gram_compute(basis), u)
+        with pytest.raises(OverflowError, match="transform column 1"):
+            apply_pivot(state, 0, coefficients_for_pivot(state.gram, 0))
 
 
 class TestReduce:

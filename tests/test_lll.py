@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from latred.core import Basis, apply_transform, det_small, summarize_columns
+from latred.genlat import ExampleSpec, gen_example, random_permutation
+import latred.lll as lll_module
 from latred.lll import (
     LLLConfig,
     lll_reduce,
@@ -34,6 +36,27 @@ def orthogonality_residual(state, n):
             dot = float(state.bstar[:, j] @ state.bstar[:, k])
             worst = max(worst, abs(dot) / denom)
     return worst
+
+
+def loop_orthogonalize(cols):
+    """Reference Gram-Schmidt: one dot product per (k, j), applied in turn."""
+    a = np.array(cols, dtype=float).T
+    m, n = a.shape
+    bstar = np.zeros((m, n))
+    mu = np.eye(n)
+    for k in range(n):
+        b = a[:, k].copy()
+        for _ in range(2):
+            for j in range(k):
+                t = float(b @ bstar[:, j]) / float(bstar[:, j] @ bstar[:, j])
+                mu[k, j] += t
+                b -= t * bstar[:, j]
+        bstar[:, k] = b
+    return bstar, mu
+
+
+def mirror_matches(state, basis):
+    return np.array_equal(state.fcols, np.array(basis.cols, dtype=float).T)
 
 
 def check_postconditions(basis, delta, mu_tol=1e-9):
@@ -74,6 +97,37 @@ class TestOrthogonalize:
         if not state.dependent:
             assert orthogonality_residual(state, 64) <= 1e-12
 
+    def test_matches_loop_reference(self):
+        rng = random.Random(52)
+        for _ in range(10):
+            basis = random_square_basis(rng, 8, max_entry=100)
+            state = orthogonalize(basis)
+            bstar, mu = loop_orthogonalize(basis.cols)
+            scale = np.abs(bstar).max()
+            assert np.allclose(state.bstar, bstar, rtol=0, atol=1e-12 * scale)
+            assert np.allclose(state.mu, mu, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("middle", [[0, 0, 0, 0], [1, 3, -2, 0]])
+    def test_zero_or_dependent_middle_column_projects_to_nothing(self, middle):
+        # Column 2 is zero, or the sum of columns 0 and 1.
+        cols = [[1, 2, -1, 0], [0, 1, -1, 0], middle, [5, -1, 0, 3],
+                [2, 7, 1, -4]]
+        state = orthogonalize(Basis(cols))
+        assert state.dependent == [2]
+        assert state.norms_sq[2] == 0.0
+        assert not state.bstar[:, 2].any()
+        assert (state.mu[3:, 2] == 0.0).all()
+        assert orthogonality_residual(state, 5) <= 1e-12
+
+    def test_mirror_rounds_entries_near_2_60_like_numpy(self):
+        rng = random.Random(53)
+        cols = [[rng.choice((1, -1)) * ((1 << 60) + rng.randint(-999, 999))
+                 for _ in range(5)] for _ in range(4)]
+        assert any(int(float(x)) != x for col in cols for x in col)
+        state = orthogonalize(Basis(cols))
+        for j, col in enumerate(cols):
+            assert np.array_equal(state.fcols[:, j], np.array(col, dtype=float))
+
     def test_zero_column_flagged(self):
         basis = Basis([[1, 0], [0, 0]])
         state = orthogonalize(basis)
@@ -108,6 +162,22 @@ class TestSizeReduce:
         size_reduce(state, basis, 1)
         assert basis.cols[1] == [-1, 1]
         assert state.mu[1, 0] == pytest.approx(-0.5)
+
+    def test_mirror_follows_changed_column(self):
+        basis = Basis([[1, 0, 0], [7, 1, 0], [(1 << 60) + 1, 3, 1 << 60]])
+        state = orthogonalize(basis)
+        size_reduce(state, basis, 2)
+        assert basis.cols[2] != [(1 << 60) + 1, 3, 1 << 60]
+        assert mirror_matches(state, basis)
+
+    def test_just_below_half_still_rounds_like_the_loop(self):
+        # nint_float(0.5 - 2**-54) == 1, so this coefficient is not skipped.
+        basis = Basis([[1, 0], [0, 1]])
+        state = orthogonalize(basis)
+        state.mu[1, 0] = 0.5 - 2.0 ** -54
+        size_reduce(state, basis, 1)
+        assert basis.cols[1] == [-1, 1]
+        assert mirror_matches(state, basis)
 
 
 class TestLovasz:
@@ -184,6 +254,46 @@ class TestLLLReduce:
             best = shortest_vector_sq(basis.cols, 12)
             out_min = summarize_columns(res.basis).min_norm_sq
             assert math.sqrt(out_min) <= factor ** (n - 1) * math.sqrt(best) + 1e-9
+
+    # (swaps, frob_sq, min_sq) of the paper's permute -> LLL step at q = 8191.
+    # A change to the float path that moves one of these also moves the
+    # benchmark's exact-output digest.
+    GOLDEN = {
+        (2, 1): (43, 1260081, 92977),
+        (2, 2): (54, 1306779, 92798),
+        (4, 1): (416, 3150998, 158446),
+        (4, 2): (351, 2979106, 97114),
+        (8, 1): (3031, 10108562, 309327),
+        (8, 2): (3029, 9822085, 293286),
+    }
+
+    @pytest.mark.parametrize("ell,seed", sorted(GOLDEN))
+    def test_golden_exact_outputs_on_qary_examples(self, ell, seed):
+        basis = random_permutation(gen_example(ExampleSpec(8191, ell, seed)),
+                                   100 + seed)
+        res = lll_reduce(basis, track_transform=True)
+        after = res.after
+        assert (res.iterations_applied, after.frobenius_sq,
+                after.min_norm_sq) == self.GOLDEN[ell, seed]
+        assert apply_transform(basis, res.transform) == res.basis
+
+    def test_mirror_matches_basis_after_every_size_reduction_and_swap(
+            self, monkeypatch):
+        checked = []
+        real_size_reduce = lll_module.size_reduce
+
+        def checking_size_reduce(state, basis, k, transform=None):
+            # Entered after the initial orthogonalization or after a swap.
+            assert mirror_matches(state, basis)
+            real_size_reduce(state, basis, k, transform)
+            assert mirror_matches(state, basis)
+            checked.append(k)
+
+        monkeypatch.setattr(lll_module, "size_reduce", checking_size_reduce)
+        basis = random_permutation(gen_example(ExampleSpec(8191, 2, 3)), 5)
+        res = lll_reduce(basis)
+        assert res.iterations_applied > 0
+        assert len(checked) > res.iterations_applied
 
     def test_rank_deficiency_raises_with_column(self):
         basis = Basis([[1, 0], [2, 0], [0, 1]])
