@@ -8,16 +8,18 @@ from .core import (
     Basis,
     GramMatrix,
     NormSummary,
+    ReductionResult,
     TransformRecord,
+    UsageError,
     apply_column_op,
     apply_transform,
-    det_sign_small,
     det_small,
     gram_compute,
     is_unimodular,
     nint_float,
     nint_ratio,
     norm_summary,
+    pipeline,
     read_mat,
     summarize_columns,
     write_mat,
@@ -25,7 +27,6 @@ from .core import (
 from .greedy import (
     PivotCoefficients,
     ReduceConfig,
-    ReductionResult,
     apply_pivot,
     basis_score,
     coefficients_for_pivot,

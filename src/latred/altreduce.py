@@ -19,14 +19,15 @@ import numpy as np
 from .core import (
     Basis,
     GramMatrix,
+    ReductionResult,
     TransformRecord,
+    UsageError,
     apply_column_op,
     gram_compute,
     nint_float,
     norm_summary,
 )
 from .genlat import SplitMix64
-from .greedy import ReductionResult
 from .lll import RANK_FLOOR
 
 log = logging.getLogger(__name__)
@@ -43,11 +44,11 @@ class AltConfig:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
+            raise UsageError(f"variant must be one of {VARIANTS}")
         if not self.p > 0:
-            raise ValueError("p must be positive")
+            raise UsageError(f"p must be positive, got {self.p}")
         if self.iterations < 0:
-            raise ValueError("iterations must be nonnegative")
+            raise UsageError("iterations must be nonnegative")
 
 
 def random_combination_step(basis: Basis, gram: GramMatrix, j: int,
@@ -124,7 +125,7 @@ def mgs_pivot_reduce(basis: Basis, p: float = 2.0, *,
     dependent on the chosen pivots are skipped.
     """
     if not p > 0:
-        raise ValueError("p must be positive")
+        raise UsageError(f"p must be positive, got {p}")
     started = time.perf_counter()
     work = basis.copy()
     n = work.n

@@ -2,7 +2,10 @@
 
 All numerical work lives in the library modules; this file only parses
 flags, moves files, and maps failures to exit codes (0 ok, 1 input error,
-2 usage error, 3 numerical fault).
+2 usage error, 3 numerical fault).  Flag values are checked by the config
+objects they build, whose UsageError maps to exit 2; each command builds
+its configs before it touches a file.  Every --algo is a list of stages
+run through core.pipeline.
 """
 
 from __future__ import annotations
@@ -10,18 +13,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .altreduce import AltConfig, mgs_pivot_reduce, random_combination_reduce
 from .core import (
-    TransformRecord,
+    UsageError,
     apply_transform,
     is_unimodular,
+    pipeline,
     read_mat,
     write_mat,
 )
 from .genlat import ExampleSpec, gen_example
-from .greedy import ReduceConfig, ReductionResult, reduce as greedy_reduce
-from .harness import ExperimentConfig, aggregate_rows, run_experiment
+from .greedy import ReduceConfig, reduce as greedy_reduce
+from .harness import CSV_HEADER, ExperimentConfig, aggregate_rows, run_experiment
 from .lll import LLLConfig, lll_reduce
 
 DEFAULT_DELTA = 1.0 - 1e-15
@@ -91,85 +96,54 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gen(args) -> int:
-    if args.q < 3 or args.q % 2 == 0:
-        print(f"latred gen: --q must be odd and >= 3, got {args.q}",
-              file=sys.stderr)
-        return 2
-    if args.ell < 1:
-        print(f"latred gen: --ell must be positive, got {args.ell}",
-              file=sys.stderr)
-        return 2
     basis = gen_example(ExampleSpec(args.q, args.ell, args.seed))
     write_mat(basis, args.out)
     print(f"n={basis.n} {args.out}")
     return 0
 
 
-def _run_algo(args, basis) -> ReductionResult:
+def _stages(args):
+    """The stages of --algo, built from configs that check every flag.
+
+    A bad flag raises UsageError here, so cmd_reduce calls this before it
+    reads any file.  Reducers are looked up when a stage runs, so a
+    patched one is what runs.
+    """
     track = args.track_transform
-    if args.algo == "greedy":
-        cfg = ReduceConfig(p=args.p, p_schedule=args.p_schedule,
-                           score_mode=args.score)
-        return greedy_reduce(basis, cfg, track_transform=track)
-    if args.algo == "lll":
-        return lll_reduce(basis, LLLConfig(delta=args.delta),
-                          track_transform=track)
-    if args.algo == "lll+greedy":
-        first = lll_reduce(basis, LLLConfig(delta=args.delta),
-                           track_transform=track)
-        cfg = ReduceConfig(p=args.p, p_schedule=args.p_schedule,
-                           score_mode=args.score)
-        second = greedy_reduce(first.basis, cfg, track_transform=track)
-        transform = None
-        if track:
-            transform = _compose(first.transform, second.transform)
-        return ReductionResult(
-            basis=second.basis,
-            iterations_applied=second.iterations_applied,
-            before=first.before,
-            after=second.after,
-            seconds=first.seconds + second.seconds,
-            transform=transform,
-        )
-    if args.algo == "rand-comb":
-        iters = args.iters if args.iters is not None else 10 * basis.n
-        cfg = AltConfig(variant="random_combination", p=args.p,
-                        iterations=iters, seed=args.seed)
+    lll_cfg = LLLConfig(delta=args.delta)
+    greedy_cfg = ReduceConfig(p=args.p, p_schedule=args.p_schedule,
+                              score_mode=args.score)
+    alt_cfg = AltConfig(p=args.p, seed=args.seed,
+                        iterations=0 if args.iters is None else args.iters)
+
+    def lll(basis):
+        return lll_reduce(basis, lll_cfg, track_transform=track)
+
+    def greedy(basis):
+        return greedy_reduce(basis, greedy_cfg, track_transform=track)
+
+    def rand_comb(basis):
+        cfg = alt_cfg
+        if args.iters is None:
+            cfg = replace(alt_cfg, iterations=10 * basis.n)
         return random_combination_reduce(basis, cfg, track_transform=track)
-    return mgs_pivot_reduce(basis, args.p, track_transform=track)
 
+    def mgs(basis):
+        return mgs_pivot_reduce(basis, args.p, track_transform=track)
 
-def _compose(u_first: TransformRecord, u_second: TransformRecord) -> TransformRecord:
-    n = u_first.n
-    cols = []
-    for scol in u_second.cols:
-        col = [0] * n
-        for i, s in enumerate(scol):
-            if s == 0:
-                continue
-            fi = u_first.cols[i]
-            for r in range(n):
-                col[r] += s * fi[r]
-        cols.append(col)
-    return TransformRecord(cols)
-
-
-def _flag_error(message: str) -> int:
-    print(f"latred: {message}", file=sys.stderr)
-    return 2
+    return {
+        "greedy": (greedy,),
+        "lll": (lll,),
+        "lll+greedy": (lll, greedy),
+        "rand-comb": (rand_comb,),
+        "mgs": (mgs,),
+    }[args.algo]
 
 
 def cmd_reduce(args) -> int:
-    if not 0.25 < args.delta <= 1.0:
-        return _flag_error(f"--delta must lie in (1/4, 1], got {args.delta}")
-    if not args.p > 0:
-        return _flag_error(f"--p must be positive, got {args.p}")
-    if args.p_schedule is not None and any(p <= 0 for p in args.p_schedule):
-        return _flag_error("--p-schedule entries must be positive")
-    if args.iters is not None and args.iters < 0:
-        return _flag_error("--iters must be nonnegative")
+    stages = _stages(args)
     basis = read_mat(args.in_path)
-    result = _run_algo(args, basis)
+    result = pipeline(basis, stages)
     write_mat(result.basis, args.out)
     if args.report:
         report = {
@@ -203,14 +177,6 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.trials < 1:
-        return _flag_error("--trials must be at least 1")
-    if not 0.25 < args.delta <= 1.0:
-        return _flag_error(f"--delta must lie in (1/4, 1], got {args.delta}")
-    if not args.p > 0:
-        return _flag_error(f"--p must be positive, got {args.p}")
-    if args.q < 3 or args.q % 2 == 0:
-        return _flag_error(f"--q must be odd and >= 3, got {args.q}")
     if args.full_sweep:
         ells = _int_list(FULL_SWEEP_ELLS)
     elif args.ell_list is not None:
@@ -228,11 +194,7 @@ def cmd_bench(args) -> int:
         csv_path=args.csv,
     )
     records = run_experiment(config)
-    header = ["mode", "n", "q", "delta", "p", "stat",
-              "frob_sq_0", "frob_sq_lll", "frob_sq_ours",
-              "min_sq_0", "min_sq_lll", "min_sq_ours",
-              "secs_lll", "secs_ours", "iters_ours"]
-    print(" ".join(header))
+    print(CSV_HEADER.replace(",", " ").replace("trial", "stat"))
     for row in aggregate_rows(records):
         print(" ".join(row))
     print(f"wrote {len(records)} trial rows to {args.csv}")
@@ -244,6 +206,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"latred: {exc}", file=sys.stderr)
+        return 2
     except ArithmeticError as exc:
         print(f"latred: numerical fault: {exc}", file=sys.stderr)
         return 3

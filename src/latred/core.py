@@ -20,6 +20,10 @@ class MatFormatError(ValueError):
     """Raised when a ``.mat`` file is ill-formed or out of range."""
 
 
+class UsageError(ValueError):
+    """Raised by a config object for an option value it does not accept."""
+
+
 def _check_entries(rows) -> None:
     for row in rows:
         for x in row:
@@ -172,6 +176,23 @@ class NormSummary:
     min_norm_sq: int
 
 
+@dataclass
+class ReductionResult:
+    """Outcome shared by all reducers in this package.
+
+    stages holds each stage's own result when the result comes from
+    pipeline(); a single reducer leaves it empty.
+    """
+
+    basis: Basis
+    iterations_applied: int
+    before: NormSummary
+    after: NormSummary
+    seconds: float
+    transform: TransformRecord | None = None
+    stages: tuple[ReductionResult, ...] = ()
+
+
 def gram_compute(basis: Basis) -> GramMatrix:
     """Exact Gram matrix of the basis columns.
 
@@ -245,6 +266,14 @@ def summarize_columns(basis: Basis) -> NormSummary:
     return NormSummary(sum(norms), min(nonzero) if nonzero else 0)
 
 
+def _check_transform_column(col: list[int], j: int) -> None:
+    """Raise OverflowError naming column j if an entry leaves the 128-bit range."""
+    if max(col) > INT128_MAX or min(col) < INT128_MIN:
+        raise OverflowError(
+            f"transform column {j} exceeds the signed 128-bit range"
+        )
+
+
 def apply_column_op(basis, gram, transform, j: int, k: int, c: int) -> None:
     """Elementary column operation: column j -= c * column k.
 
@@ -292,10 +321,7 @@ def apply_column_op(basis, gram, transform, j: int, k: int, c: int) -> None:
         uk = transform.cols[k]
         for r in range(transform.n):
             uj[r] -= c * uk[r]
-        if max(uj) > INT128_MAX or min(uj) < INT128_MIN:
-            raise OverflowError(
-                f"transform column {j} exceeds the signed 128-bit range"
-            )
+        _check_transform_column(uj, j)
 
 
 def apply_transform(basis: Basis, transform: TransformRecord) -> Basis:
@@ -313,6 +339,47 @@ def apply_transform(basis: Basis, transform: TransformRecord) -> Basis:
                 col[r] += u * ai[r]
         cols.append(col)
     return Basis(cols)
+
+
+def pipeline(basis: Basis, stages) -> ReductionResult:
+    """Run reducers in order, each on the basis the previous one returned.
+
+    Every stage maps a basis to a ReductionResult.  The combined result
+    takes before from the first stage; basis, after and iterations_applied
+    from the last; seconds summed over all; and stages holds each stage's
+    own result.  Its transform is the product of the stage transforms when
+    every stage tracked one, else None; a single stage's transform is
+    passed through as is.  A product entry beyond the signed 128-bit range
+    raises OverflowError naming its column.
+    """
+    results = []
+    current = basis
+    for stage in stages:
+        res = stage(current)
+        results.append(res)
+        current = res.basis
+    transforms = [res.transform for res in results]
+    if None in transforms:
+        transform = None
+    elif len(transforms) == 1:
+        transform = transforms[0]
+    else:
+        product = Basis(transforms[0].cols)
+        for u in transforms[1:]:
+            product = apply_transform(product, u)
+        for j, col in enumerate(product.cols):
+            _check_transform_column(col, j)
+        transform = TransformRecord(product.cols)
+    first, last = results[0], results[-1]
+    return ReductionResult(
+        basis=last.basis,
+        iterations_applied=last.iterations_applied,
+        before=first.before,
+        after=last.after,
+        seconds=sum(res.seconds for res in results),
+        transform=transform,
+        stages=tuple(results),
+    )
 
 
 def det_small(rows: list[list[int]]) -> int:
@@ -342,12 +409,6 @@ def det_small(rows: list[list[int]]) -> int:
             arow[i] = 0
         prev = irow[i]
     return sign * a[n - 1][n - 1]
-
-
-def det_sign_small(rows: list[list[int]]) -> int:
-    """Sign of the exact determinant: -1, 0, or +1.  Test support, n <= 16."""
-    d = det_small(rows)
-    return (d > 0) - (d < 0)
 
 
 def is_unimodular(transform: TransformRecord) -> bool:

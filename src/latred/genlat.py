@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Basis
+from .core import Basis, UsageError
 
 _MASK64 = (1 << 64) - 1
 _TWO64 = 1 << 64
@@ -74,9 +74,9 @@ class ExampleSpec:
 
     def __post_init__(self):
         if self.q < 3 or self.q % 2 == 0:
-            raise ValueError(f"q must be odd and >= 3, got {self.q}")
+            raise UsageError(f"q must be odd and >= 3, got {self.q}")
         if self.ell < 1:
-            raise ValueError(f"ell must be positive, got {self.ell}")
+            raise UsageError(f"ell must be positive, got {self.ell}")
 
     @property
     def n(self) -> int:

@@ -24,8 +24,10 @@ from .core import (
     GramMatrix,
     INT128_MAX,
     INT128_MIN,
-    NormSummary,
+    ReductionResult,
     TransformRecord,
+    UsageError,
+    apply_column_op,
     gram_compute,
     nint_ratio,
     norm_summary,
@@ -54,17 +56,17 @@ class ReduceConfig:
 
     def __post_init__(self):
         if self.score_mode not in SCORE_MODES:
-            raise ValueError(f"score_mode must be one of {SCORE_MODES}")
+            raise UsageError(f"score_mode must be one of {SCORE_MODES}")
         if self.max_iterations is not None and self.max_iterations < 0:
-            raise ValueError("max_iterations must be nonnegative")
+            raise UsageError("max_iterations must be nonnegative")
         for p in self.schedule():
             if not p > 0:
-                raise ValueError(f"exponent must be positive, got {p}")
+                raise UsageError(f"exponent must be positive, got {p}")
 
     def schedule(self) -> tuple[float, ...]:
         if self.p_schedule is not None:
             if not self.p_schedule:
-                raise ValueError("p_schedule must be nonempty")
+                raise UsageError("p_schedule must be nonempty")
             return tuple(self.p_schedule)
         return (self.p,)
 
@@ -89,19 +91,6 @@ class GreedyState:
     gram: GramMatrix
     transform: TransformRecord | None = None
     iteration: int = 0
-    score: float = 0.0
-
-
-@dataclass
-class ReductionResult:
-    """Outcome shared by all reducers in this package."""
-
-    basis: Basis
-    iterations_applied: int
-    before: NormSummary
-    after: NormSummary
-    seconds: float
-    transform: TransformRecord | None = None
 
 
 def coefficients_for_pivot(gram: GramMatrix, k: int) -> PivotCoefficients:
@@ -232,31 +221,9 @@ def apply_pivot(state: GreedyState, k: int, coeffs: PivotCoefficients) -> None:
     Column updates cost O(mn); the Gram update costs O(n^2).  The
     coefficients must have been computed from the state's current Gram.
     """
-    c = coeffs.c
-    cols = state.basis.cols
-    ck = cols[k]
-    m = state.basis.m
-    ucols = state.transform.cols if state.transform is not None else None
-    uk = ucols[k] if ucols is not None else None
-    for j, cj in enumerate(c):
-        if cj == 0:
-            continue
-        colj = cols[j]
-        for r in range(m):
-            v = colj[r] - cj * ck[r]
-            if v > INT128_MAX or v < INT128_MIN:
-                raise OverflowError(
-                    f"basis entry ({r},{j}) exceeds the signed 128-bit range"
-                )
-            colj[r] = v
-        if ucols is not None:
-            uj = ucols[j]
-            for r in range(len(uj)):
-                uj[r] -= cj * uk[r]
-            if max(uj) > INT128_MAX or min(uj) < INT128_MIN:
-                raise OverflowError(
-                    f"transform column {j} exceeds the signed 128-bit range"
-                )
+    for j, cj in enumerate(coeffs.c):
+        if cj:
+            apply_column_op(state.basis, None, state.transform, j, k, cj)
     update_gram(state.gram, coeffs)
     state.iteration += 1
 
@@ -285,7 +252,6 @@ def reduce(basis: Basis, config: ReduceConfig | None = None, *,
     capped = False
     for p in cfg.schedule():
         current = basis_score(gram, p, cfg.score_mode)
-        state.score = current
         while not capped:
             k, coeffs, score = select_pivot(gram, p, cfg.score_mode)
             if not score < current:
@@ -293,7 +259,6 @@ def reduce(basis: Basis, config: ReduceConfig | None = None, *,
             apply_pivot(state, k, coeffs)
             applied += 1
             current = basis_score(gram, p, cfg.score_mode)
-            state.score = current
             if on_iteration is not None:
                 on_iteration(state)
             if cfg.max_iterations is not None and applied >= cfg.max_iterations:

@@ -1,10 +1,13 @@
 """Benchmark protocols and CSV reporting.
 
-Two protocols are provided.  "once" runs permute -> LLL -> greedy polish
-independently per trial on the same generated example.  "repeat" chains
-the same sequence, feeding each round's output into the next round's
-input.  Squared norms are recorded as exact integers; fractions are left
-to whoever reads the CSV so nothing is lost to rounding.
+Both protocols run the pipeline permute -> LLL -> greedy polish through
+core.pipeline.  "once" runs it independently per trial on the same
+generated example; "repeat" chains it, feeding each round's polished
+output into the next round's input.  ExperimentConfig builds and checks
+the example and stage configs once, when it is constructed, so a bad
+option raises UsageError before any trial runs.  Squared norms are
+recorded as exact integers; fractions are left to whoever reads the CSV
+so nothing is lost to rounding.
 """
 
 from __future__ import annotations
@@ -12,8 +15,9 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .core import NormSummary
+from .core import ReductionResult, UsageError, pipeline
 from .genlat import ExampleSpec, derive_seed, gen_example, random_permutation
 from .greedy import ReduceConfig, reduce as greedy_reduce
 from .lll import LLLConfig, lll_reduce
@@ -43,11 +47,31 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+            raise UsageError("trials must be at least 1")
         if not self.ell_list:
-            raise ValueError("ell_list must be nonempty")
+            raise UsageError("ell_list must be nonempty")
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+            raise UsageError(f"mode must be one of {MODES}")
+        # Building these checks q, each ell, delta and p_schedule now;
+        # inside a trial a bad value would only be logged as a failure.
+        self.example_specs
+        self.lll_config
+        self.reduce_config
+
+    @cached_property
+    def example_specs(self) -> tuple[ExampleSpec, ...]:
+        return tuple(
+            ExampleSpec(self.q, ell, derive_seed(self.seed, ell, 0))
+            for ell in self.ell_list
+        )
+
+    @cached_property
+    def lll_config(self) -> LLLConfig:
+        return LLLConfig(delta=self.delta)
+
+    @cached_property
+    def reduce_config(self) -> ReduceConfig:
+        return ReduceConfig(p_schedule=self.p_schedule)
 
 
 @dataclass(frozen=True)
@@ -76,19 +100,20 @@ def schedule_label(p_schedule) -> str:
     return ";".join(format(p, "g") for p in p_schedule)
 
 
-def _make_record(config: ExperimentConfig, mode: str, ell: int, trial: int,
-                 before: NormSummary, lll_res, ours_res) -> TrialRecord:
+def _make_record(config: ExperimentConfig, mode: str, n: int, trial: int,
+                 res: ReductionResult) -> TrialRecord:
+    lll_res, ours_res = res.stages
     return TrialRecord(
         mode=mode,
-        n=3 * ell,
+        n=n,
         q=config.q,
         delta=config.delta,
         p=schedule_label(config.p_schedule),
         trial=trial,
-        frob_sq_0=before.frobenius_sq,
+        frob_sq_0=res.before.frobenius_sq,
         frob_sq_lll=lll_res.after.frobenius_sq,
         frob_sq_ours=ours_res.after.frobenius_sq,
-        min_sq_0=before.min_norm_sq,
+        min_sq_0=res.before.min_norm_sq,
         min_sq_lll=lll_res.after.min_norm_sq,
         min_sq_ours=ours_res.after.min_norm_sq,
         secs_lll=lll_res.seconds,
@@ -97,12 +122,35 @@ def _make_record(config: ExperimentConfig, mode: str, ell: int, trial: int,
     )
 
 
-def _run_stage_pair(config: ExperimentConfig, basis):
-    lll_res = lll_reduce(basis, LLLConfig(delta=config.delta))
-    ours_res = greedy_reduce(
-        lll_res.basis, ReduceConfig(p_schedule=config.p_schedule)
+def _run_trials(config: ExperimentConfig, mode: str) -> list[TrialRecord]:
+    chained = mode == "repeat"
+    lll_cfg, greedy_cfg = config.lll_config, config.reduce_config
+    # Looked up at call time, so a patched lll_reduce or greedy_reduce
+    # (tests, tracing) is the one that runs.
+    stages = (
+        lambda basis: lll_reduce(basis, lll_cfg),
+        lambda basis: greedy_reduce(basis, greedy_cfg),
     )
-    return lll_res, ours_res
+    records = []
+    for spec in config.example_specs:
+        basis = gen_example(spec)
+        for trial in range(config.trials):
+            permuted = random_permutation(
+                basis, derive_seed(config.seed, spec.ell, trial + 1)
+            )
+            try:
+                res = pipeline(permuted, stages)
+            except (ArithmeticError, ValueError) as exc:
+                if chained:
+                    log.warning("round %d at n=%d failed: %s; chain stopped",
+                                trial, spec.n, exc)
+                    break
+                log.warning("trial %d at n=%d failed: %s", trial, spec.n, exc)
+                continue
+            records.append(_make_record(config, mode, spec.n, trial, res))
+            if chained:
+                basis = res.basis
+    return records
 
 
 def run_once(config: ExperimentConfig) -> list[TrialRecord]:
@@ -110,26 +158,7 @@ def run_once(config: ExperimentConfig) -> list[TrialRecord]:
 
     A failing trial is logged and dropped; the others still run.
     """
-    records = []
-    for ell in config.ell_list:
-        example = gen_example(
-            ExampleSpec(config.q, ell, derive_seed(config.seed, ell, 0))
-        )
-        for trial in range(config.trials):
-            permuted = random_permutation(
-                example, derive_seed(config.seed, ell, trial + 1)
-            )
-            try:
-                lll_res, ours_res = _run_stage_pair(config, permuted)
-            except (ArithmeticError, ValueError) as exc:
-                log.warning("trial %d at n=%d failed: %s", trial, 3 * ell, exc)
-                continue
-            records.append(
-                _make_record(
-                    config, "once", ell, trial, lll_res.before, lll_res, ours_res
-                )
-            )
-    return records
+    return _run_trials(config, "once")
 
 
 def run_repeatedly(config: ExperimentConfig) -> list[TrialRecord]:
@@ -140,31 +169,7 @@ def run_repeatedly(config: ExperimentConfig) -> list[TrialRecord]:
     failing round ends that chain (later rounds would need its output) but
     other sizes still run.
     """
-    records = []
-    for ell in config.ell_list:
-        basis = gen_example(
-            ExampleSpec(config.q, ell, derive_seed(config.seed, ell, 0))
-        )
-        for round_idx in range(config.trials):
-            permuted = random_permutation(
-                basis, derive_seed(config.seed, ell, round_idx + 1)
-            )
-            try:
-                lll_res, ours_res = _run_stage_pair(config, permuted)
-            except (ArithmeticError, ValueError) as exc:
-                log.warning(
-                    "round %d at n=%d failed: %s; chain stopped",
-                    round_idx, 3 * ell, exc,
-                )
-                break
-            records.append(
-                _make_record(
-                    config, "repeat", ell, round_idx, lll_res.before,
-                    lll_res, ours_res,
-                )
-            )
-            basis = ours_res.basis
-    return records
+    return _run_trials(config, "repeat")
 
 
 def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
@@ -198,6 +203,14 @@ def _mean_cell(values) -> str:
     return repr(float(mean))
 
 
+# (stat, cell of exact columns, value of seconds columns)
+_AGGREGATES = (
+    ("mean", _mean_cell, lambda values: sum(values) / len(values)),
+    ("min", lambda values: str(min(values)), min),
+    ("max", lambda values: str(max(values)), max),
+)
+
+
 def aggregate_rows(records) -> list[list[str]]:
     """mean/min/max rows per (mode, n) group, in first-appearance order."""
     groups: dict[tuple[str, int], list[TrialRecord]] = {}
@@ -207,22 +220,14 @@ def aggregate_rows(records) -> list[list[str]]:
     for (mode, n), group in groups.items():
         first = group[0]
         head = [mode, str(n), str(first.q), repr(first.delta), first.p]
-        ints = {f: [getattr(r, f) for r in group] for f in _INT_FIELDS}
-        secs = {f: [getattr(r, f) for r in group] for f in _SEC_FIELDS}
-        iters = [r.iters_ours for r in group]
-        mean_row = head + ["mean"]
-        mean_row += [_mean_cell(ints[f]) for f in _INT_FIELDS]
-        mean_row += [f"{sum(secs[f]) / len(group):.6f}" for f in _SEC_FIELDS]
-        mean_row.append(_mean_cell(iters))
-        min_row = head + ["min"]
-        min_row += [str(min(ints[f])) for f in _INT_FIELDS]
-        min_row += [f"{min(secs[f]):.6f}" for f in _SEC_FIELDS]
-        min_row.append(str(min(iters)))
-        max_row = head + ["max"]
-        max_row += [str(max(ints[f])) for f in _INT_FIELDS]
-        max_row += [f"{max(secs[f]):.6f}" for f in _SEC_FIELDS]
-        max_row.append(str(max(iters)))
-        rows.extend([mean_row, min_row, max_row])
+        values = {f: [getattr(r, f) for r in group]
+                  for f in (*_INT_FIELDS, *_SEC_FIELDS, "iters_ours")}
+        for stat, exact, secs in _AGGREGATES:
+            row = head + [stat]
+            row += [exact(values[f]) for f in _INT_FIELDS]
+            row += [f"{secs(values[f]):.6f}" for f in _SEC_FIELDS]
+            row.append(exact(values["iters_ours"]))
+            rows.append(row)
     return rows
 
 

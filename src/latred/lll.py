@@ -24,12 +24,13 @@ import numpy as np
 
 from .core import (
     Basis,
+    ReductionResult,
     TransformRecord,
+    UsageError,
     apply_column_op,
     nint_float,
     summarize_columns,
 )
-from .greedy import ReductionResult
 
 # Relative squared-norm floor under which a column counts as dependent.
 RANK_FLOOR = 1e-30
@@ -48,9 +49,9 @@ class LLLConfig:
 
     def __post_init__(self):
         if not 0.25 < self.delta <= 1.0:
-            raise ValueError(f"delta must lie in (1/4, 1], got {self.delta}")
+            raise UsageError(f"delta must lie in (1/4, 1], got {self.delta}")
         if self.reorth_cap < 2:
-            raise ValueError("reorth_cap must be at least 2")
+            raise UsageError("reorth_cap must be at least 2")
 
 
 @dataclass

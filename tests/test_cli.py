@@ -5,6 +5,7 @@ import pytest
 
 from latred.cli import main
 from latred.core import INT128_MAX, read_mat, write_mat, Basis
+from latred.harness import CSV_HEADER
 
 Q13 = 2**13 - 1
 
@@ -88,6 +89,18 @@ class TestReduce:
         assert data["unimodular"] is True
         assert data["transform_matches"] is True
 
+    def test_lll_plus_greedy_report_certifies_composed_transform(self, tmp_path):
+        src = tmp_path / "g.mat"
+        assert run_cli("gen", "--q", str(Q13), "--ell", "2", "--seed", "5",
+                       "--out", str(src)) == 0
+        report = tmp_path / "report.json"
+        assert run_cli("reduce", "--algo", "lll+greedy", "--in", str(src),
+                       "--out", str(tmp_path / "o.mat"), "--track-transform",
+                       "--report", str(report)) == 0
+        data = json.loads(report.read_text())
+        assert data["transform_matches"] is True
+        assert data["unimodular"] is True
+
     def test_all_algos_run(self, tmp_path):
         src = write_skewed(tmp_path / "in.mat")
         for algo in ("greedy", "lll", "lll+greedy", "rand-comb", "mgs"):
@@ -113,6 +126,11 @@ class TestReduce:
         assert run_cli("reduce", "--algo", "greedy", "--in", str(src),
                        "--out", str(tmp_path / "o.mat")) == 3
 
+    def test_bad_flag_exits_2_before_reading_input(self, tmp_path):
+        assert run_cli("reduce", "--algo", "greedy", "--p", "-1",
+                       "--in", str(tmp_path / "nope.mat"),
+                       "--out", str(tmp_path / "o.mat")) == 2
+
     def test_bad_delta_exits_2(self, tmp_path):
         src = write_skewed(tmp_path / "in.mat")
         assert run_cli("reduce", "--algo", "lll", "--delta", "0.1",
@@ -131,6 +149,12 @@ class TestBench:
         assert len(rows) == 1 + 6 + 6
         out = capsys.readouterr().out
         assert "mean" in out and str(path) in out
+
+    def test_stdout_header_follows_csv_header(self, tmp_path, capsys):
+        assert run_cli("bench", "--q", str(Q13), "--ell-list", "1",
+                       "--trials", "1", "--csv", str(tmp_path / "h.csv")) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first == CSV_HEADER.replace(",", " ").replace("trial", "stat")
 
     def test_repeat_mode_labels_rows(self, tmp_path):
         path = tmp_path / "r.csv"

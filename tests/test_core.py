@@ -8,16 +8,17 @@ from latred.core import (
     INT128_MAX,
     MatFormatError,
     NormSummary,
+    ReductionResult,
     TransformRecord,
     apply_column_op,
     apply_transform,
-    det_sign_small,
     det_small,
     gram_compute,
     is_unimodular,
     nint_float,
     nint_ratio,
     norm_summary,
+    pipeline,
     read_mat,
     write_mat,
 )
@@ -179,21 +180,45 @@ class TestApplyColumnOp:
             apply_column_op(basis, None, u, 1, 0, -1)
 
 
+def fixed_stage(transform):
+    """A stage that returns its input with the given transform attached."""
+    def stage(basis):
+        summary = NormSummary(0, 0)
+        return ReductionResult(basis, 0, summary, summary, 0.0, transform)
+    return stage
+
+
+class TestPipeline:
+    def test_composed_transform_overflow_names_column(self):
+        # Both factors are unimodular with entries near 2**64; column 0 of
+        # their product holds 2**128 + 1.
+        first = TransformRecord([[1, 0], [1 << 64, 1]])
+        second = TransformRecord([[1, 1 << 64], [0, 1]])
+        stages = (fixed_stage(first), fixed_stage(second))
+        with pytest.raises(OverflowError, match="transform column 0"):
+            pipeline(Basis.identity(2), stages)
+
+    def test_single_stage_passes_its_transform_through(self):
+        u = TransformRecord([[1, 0], [3, 1]])
+        res = pipeline(Basis.identity(2), (fixed_stage(u),))
+        assert res.transform is u
+        assert len(res.stages) == 1 and res.stages[0].transform is u
+
+
 class TestDeterminant:
     def test_identity(self):
-        assert det_sign_small([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 1
+        assert det_small([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 1
 
     def test_column_swap_flips_sign(self):
-        assert det_sign_small([[0, 1, 0], [1, 0, 0], [0, 0, 1]]) == -1
+        assert det_small([[0, 1, 0], [1, 0, 0], [0, 0, 1]]) == -1
 
     def test_magnitude_visible_to_caller(self):
         m = [[2, 0], [0, 2]]
-        assert det_sign_small(m) == 1
         assert det_small(m) == 4
         assert not is_unimodular(TransformRecord([[2, 0], [0, 2]]))
 
     def test_singular(self):
-        assert det_sign_small([[1, 2], [2, 4]]) == 0
+        assert det_small([[1, 2], [2, 4]]) == 0
 
     def test_matches_cofactor_expansion(self):
         rng = random.Random(303)

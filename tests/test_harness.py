@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+from latred.core import UsageError
 from latred.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -168,6 +169,16 @@ class TestConfig:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             small_config(mode="forever")
+
+    @pytest.mark.parametrize("overrides", [
+        {"delta": 0.1},
+        {"p_schedule": (0.0,)},
+        {"p_schedule": ()},
+        {"q": 8190},
+    ], ids=["delta", "zero-exponent", "empty-schedule", "even-q"])
+    def test_rejects_bad_stage_option_at_construction(self, overrides):
+        with pytest.raises(UsageError):
+            small_config(**overrides)
 
     def test_schedule_label(self):
         assert schedule_label((2.0,)) == "2"
