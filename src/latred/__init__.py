@@ -18,9 +18,9 @@ from .core import (
     is_unimodular,
     nint_float,
     nint_ratio,
-    norm_summary,
     pipeline,
     read_mat,
+    run_reducer,
     summarize_columns,
     write_mat,
 )

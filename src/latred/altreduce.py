@@ -11,7 +11,6 @@ projections and no swap condition.
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,8 @@ from .core import (
     apply_column_op,
     gram_compute,
     nint_float,
-    norm_summary,
+    projected_norm_sq,
+    run_reducer,
 )
 from .genlat import SplitMix64
 from .lll import RANK_FLOOR
@@ -90,25 +90,16 @@ def random_combination_reduce(basis: Basis, config: AltConfig | None = None, *,
     which is exactly why this variant is only a baseline.
     """
     cfg = config if config is not None else AltConfig()
-    started = time.perf_counter()
-    work = basis.copy()
-    gram = gram_compute(work)
-    transform = TransformRecord.identity(work.n) if track_transform else None
-    before = norm_summary(gram)
-    rng = SplitMix64(cfg.seed)
-    applied = 0
-    for _ in range(cfg.iterations):
-        j = rng.below(work.n)
-        if random_combination_step(work, gram, j, transform):
-            applied += 1
-    return ReductionResult(
-        basis=work,
-        iterations_applied=applied,
-        before=before,
-        after=norm_summary(gram),
-        seconds=time.perf_counter() - started,
-        transform=transform,
-    )
+
+    def body(work, transform):
+        gram = gram_compute(work)
+        rng = SplitMix64(cfg.seed)
+        return sum(
+            random_combination_step(work, gram, rng.below(work.n), transform)
+            for _ in range(cfg.iterations)
+        )
+
+    return run_reducer(basis, track_transform, body)
 
 
 def mgs_pivot_reduce(basis: Basis, p: float = 2.0, *,
@@ -126,61 +117,47 @@ def mgs_pivot_reduce(basis: Basis, p: float = 2.0, *,
     """
     if not p > 0:
         raise UsageError(f"p must be positive, got {p}")
-    started = time.perf_counter()
-    work = basis.copy()
-    n = work.n
-    gram = gram_compute(work)
-    transform = TransformRecord.identity(n) if track_transform else None
-    before = norm_summary(gram)
     half_p = p / 2.0
-    residual = list(range(n))
-    pivot_qs: list[np.ndarray] = []
-    chosen: list[int] = []
-    rounds = 0
-    while residual:
-        g = gram.g
-        best = None
-        for r in residual:
-            grr = g[r][r]
-            if grr == 0:
-                continue
-            q = np.array(work.cols[r], dtype=float)
-            for qprev in pivot_qs:
-                q -= (float(q @ qprev) / float(qprev @ qprev)) * qprev
-            qq = float(q @ q)
-            if qq < RANK_FLOOR * grr:
-                continue
-            score = sum(float(g[t][t]) ** half_p for t in chosen)
-            score += float(grr) ** half_p
-            cs = []
-            for s in residual:
-                if s == r:
+
+    def body(work, transform):
+        gram = gram_compute(work)
+        residual = list(range(work.n))
+        pivot_qs: list[np.ndarray] = []
+        chosen: list[int] = []
+        while residual:
+            g = gram.g
+            best = None
+            for r in residual:
+                grr = g[r][r]
+                if grr == 0:
                     continue
-                c = nint_float(float(np.array(work.cols[s], dtype=float) @ q) / qq)
-                cs.append((s, c))
-                inner = g[s][s] + c * c * grr - 2 * c * g[s][r]
-                if inner < 0:
-                    raise ArithmeticError(
-                        f"negative squared norm for column {s}: Gram corrupt"
-                    )
-                score += float(inner) ** half_p
-            if best is None or score < best[0]:
-                best = (score, r, q, cs)
-        if best is None:
-            break
-        _, r, q, cs = best
-        for s, c in cs:
-            if c:
-                apply_column_op(work, gram, transform, s, r, c)
-        residual.remove(r)
-        chosen.append(r)
-        pivot_qs.append(q)
-        rounds += 1
-    return ReductionResult(
-        basis=work,
-        iterations_applied=rounds,
-        before=before,
-        after=norm_summary(gram),
-        seconds=time.perf_counter() - started,
-        transform=transform,
-    )
+                q = np.array(work.cols[r], dtype=float)
+                for qprev in pivot_qs:
+                    q -= (float(q @ qprev) / float(qprev @ qprev)) * qprev
+                qq = float(q @ q)
+                if qq < RANK_FLOOR * grr:
+                    continue
+                score = sum(float(g[t][t]) ** half_p for t in chosen)
+                score += float(grr) ** half_p
+                cs = []
+                for s in residual:
+                    if s == r:
+                        continue
+                    fs = np.array(work.cols[s], dtype=float)
+                    c = nint_float(float(fs @ q) / qq)
+                    cs.append((s, c))
+                    score += float(projected_norm_sq(g, s, r, c, grr)) ** half_p
+                if best is None or score < best[0]:
+                    best = (score, r, q, cs)
+            if best is None:
+                break
+            _, r, q, cs = best
+            for s, c in cs:
+                if c:
+                    apply_column_op(work, gram, transform, s, r, c)
+            residual.remove(r)
+            chosen.append(r)
+            pivot_qs.append(q)
+        return len(chosen)
+
+    return run_reducer(basis, track_transform, body)

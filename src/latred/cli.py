@@ -27,9 +27,8 @@ from .core import (
 from .genlat import ExampleSpec, gen_example
 from .greedy import ReduceConfig, reduce as greedy_reduce
 from .harness import CSV_HEADER, ExperimentConfig, aggregate_rows, run_experiment
-from .lll import LLLConfig, lll_reduce
+from .lll import DEFAULT_DELTA, LLLConfig, lll_reduce
 
-DEFAULT_DELTA = 1.0 - 1e-15
 DEFAULT_ELLS = "2,4,8,16"
 FULL_SWEEP_ELLS = "2,4,8,16,32,64,128"
 
@@ -197,7 +196,12 @@ def cmd_bench(args) -> int:
     print(CSV_HEADER.replace(",", " ").replace("trial", "stat"))
     for row in aggregate_rows(records):
         print(" ".join(row))
-    print(f"wrote {len(records)} trial rows to {args.csv}")
+    # A failed trial is dropped from the CSV; the count makes that visible.
+    written = str(len(records))
+    expected = config.trials * len(config.ell_list)
+    if len(records) < expected:
+        written += f" of {expected}"
+    print(f"wrote {written} trial rows to {args.csv}")
     return 0
 
 

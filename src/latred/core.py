@@ -5,11 +5,17 @@ as plain Python integers so that all norm bookkeeping is exact.  Values are
 required to stay inside the signed 128-bit range; crossing it raises
 OverflowError rather than silently widening, since for the intended inputs
 a wider value always indicates a bug.
+
+Every reducer runs inside run_reducer, which owns the frame around its
+loop: the working copy of the input, the identity transform when one is
+tracked, the exact before/after norm summaries, the timing and the
+ReductionResult.  pipeline chains reducers.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 INT128_MAX = (1 << 127) - 1
@@ -72,7 +78,7 @@ class Basis:
         return [[col[r] for col in self.cols] for r in range(self.m)]
 
     def copy(self) -> "Basis":
-        dup = object.__new__(Basis)
+        dup = object.__new__(type(self))
         dup.m = self.m
         dup.cols = [list(col) for col in self.cols]
         return dup
@@ -81,10 +87,10 @@ class Basis:
         self.cols[j], self.cols[k] = self.cols[k], self.cols[j]
 
     def __eq__(self, other):
-        return isinstance(other, Basis) and self.cols == other.cols
+        return type(other) is type(self) and self.cols == other.cols
 
     def __repr__(self):
-        return f"Basis(m={self.m}, n={self.n})"
+        return f"{type(self).__name__}(m={self.m}, n={self.n})"
 
 
 class GramMatrix:
@@ -125,42 +131,20 @@ class GramMatrix:
         return f"GramMatrix(n={self.n})"
 
 
-class TransformRecord:
+class TransformRecord(Basis):
     """Accumulated column operations U, so original_basis . U = current basis.
 
-    Every operation applied to it is elementary (unit determinant), so U
-    stays unimodular and the lattice generated by the columns is preserved.
+    A square Basis.  Every operation applied to it is elementary (unit
+    determinant), so U stays unimodular and the lattice generated by the
+    columns is preserved.
     """
 
-    __slots__ = ("cols",)
+    __slots__ = ()
 
     def __init__(self, cols):
-        n = len(cols)
-        for col in cols:
-            if len(col) != n:
-                raise ValueError("transform must be square")
-        _check_entries(cols)
-        self.cols = [list(col) for col in cols]
-
-    @classmethod
-    def identity(cls, n: int) -> "TransformRecord":
-        return cls([[int(i == j) for i in range(n)] for j in range(n)])
-
-    @property
-    def n(self) -> int:
-        return len(self.cols)
-
-    def to_rows(self) -> list[list[int]]:
-        return [[col[r] for col in self.cols] for r in range(self.n)]
-
-    def copy(self) -> "TransformRecord":
-        return TransformRecord(self.cols)
-
-    def swap_columns(self, j: int, k: int) -> None:
-        self.cols[j], self.cols[k] = self.cols[k], self.cols[j]
-
-    def __eq__(self, other):
-        return isinstance(other, TransformRecord) and self.cols == other.cols
+        super().__init__(cols)
+        if self.m != self.n:
+            raise ValueError("transform must be square")
 
 
 @dataclass(frozen=True)
@@ -252,26 +236,44 @@ def nint_float(x: float) -> int:
     return math.ceil(x - 0.5)
 
 
-def norm_summary(gram: GramMatrix) -> NormSummary:
-    """Frobenius-squared and minimum nonzero squared column norm."""
-    diag = gram.diagonal()
-    nonzero = [d for d in diag if d > 0]
-    return NormSummary(sum(diag), min(nonzero) if nonzero else 0)
-
-
 def summarize_columns(basis: Basis) -> NormSummary:
-    """norm_summary without materializing the full Gram matrix."""
+    """Frobenius-squared and minimum nonzero squared column norm."""
     norms = column_norms_sq(basis)
     nonzero = [d for d in norms if d > 0]
     return NormSummary(sum(norms), min(nonzero) if nonzero else 0)
 
 
-def _check_transform_column(col: list[int], j: int) -> None:
+def projected_norm_sq(g, j: int, k: int, c: int, gkk: int) -> int:
+    """Exact squared norm of column j after subtracting c * column k.
+
+    g is the Gram matrix's entry list and gkk its diagonal entry g[k][k].
+    A negative value can only come from a Gram matrix that does not match
+    any basis, so it raises ArithmeticError.
+    """
+    v = g[j][j] + c * c * gkk - 2 * c * g[j][k]
+    if v < 0:
+        raise ArithmeticError(
+            f"negative squared norm for column {j} against pivot {k}: "
+            "Gram matrix is corrupt"
+        )
+    return v
+
+
+def _check_column(col: list[int], what: str, j: int) -> None:
     """Raise OverflowError naming column j if an entry leaves the 128-bit range."""
     if max(col) > INT128_MAX or min(col) < INT128_MIN:
         raise OverflowError(
-            f"transform column {j} exceeds the signed 128-bit range"
+            f"{what} column {j} exceeds the signed 128-bit range"
         )
+
+
+def _sub_column_multiple(cols, j: int, k: int, c: int, what: str) -> None:
+    """cols[j] -= c * cols[k] in place, then range-check the new column."""
+    cj = cols[j]
+    ck = cols[k]
+    for r in range(len(cj)):
+        cj[r] -= c * ck[r]
+    _check_column(cj, what, j)
 
 
 def apply_column_op(basis, gram, transform, j: int, k: int, c: int) -> None:
@@ -286,15 +288,7 @@ def apply_column_op(basis, gram, transform, j: int, k: int, c: int) -> None:
         raise ValueError("column indices must differ")
     if c == 0:
         return
-    cj = basis.cols[j]
-    ck = basis.cols[k]
-    for r in range(basis.m):
-        v = cj[r] - c * ck[r]
-        if v > INT128_MAX or v < INT128_MIN:
-            raise OverflowError(
-                f"basis entry ({r},{j}) exceeds the signed 128-bit range"
-            )
-        cj[r] = v
+    _sub_column_multiple(basis.cols, j, k, c, "basis")
     if gram is not None:
         g = gram.g
         gj = g[j]
@@ -317,15 +311,15 @@ def apply_column_op(basis, gram, transform, j: int, k: int, c: int) -> None:
             )
         gj[j] = new_jj
     if transform is not None:
-        uj = transform.cols[j]
-        uk = transform.cols[k]
-        for r in range(transform.n):
-            uj[r] -= c * uk[r]
-        _check_transform_column(uj, j)
+        _sub_column_multiple(transform.cols, j, k, c, "transform")
 
 
 def apply_transform(basis: Basis, transform: TransformRecord) -> Basis:
-    """Exact product basis . transform, for verifying tracked reductions."""
+    """Exact product basis . transform, of the same type as basis.
+
+    Used to verify tracked reductions and, with a transform as basis, to
+    compose transforms.
+    """
     if transform.n != basis.n:
         raise ValueError("transform dimension does not match basis")
     cols = []
@@ -338,7 +332,32 @@ def apply_transform(basis: Basis, transform: TransformRecord) -> Basis:
             for r in range(basis.m):
                 col[r] += u * ai[r]
         cols.append(col)
-    return Basis(cols)
+    return type(basis)(cols)
+
+
+def run_reducer(basis: Basis, track_transform: bool, body) -> ReductionResult:
+    """Run one reducer's loop on a copy of basis and report it.
+
+    body(work, transform) reduces work in place, applies every column
+    operation to transform too (an identity TransformRecord when
+    track_transform is set, else None), and returns its iteration count.
+    The input is never mutated; before and after are the exact column-norm
+    summaries of the input and the output, and seconds covers the whole
+    call.
+    """
+    started = time.perf_counter()
+    work = basis.copy()
+    transform = TransformRecord.identity(work.n) if track_transform else None
+    before = summarize_columns(work)
+    iterations = body(work, transform)
+    return ReductionResult(
+        basis=work,
+        iterations_applied=iterations,
+        before=before,
+        after=summarize_columns(work),
+        seconds=time.perf_counter() - started,
+        transform=transform,
+    )
 
 
 def pipeline(basis: Basis, stages) -> ReductionResult:
@@ -359,17 +378,13 @@ def pipeline(basis: Basis, stages) -> ReductionResult:
         results.append(res)
         current = res.basis
     transforms = [res.transform for res in results]
-    if None in transforms:
-        transform = None
-    elif len(transforms) == 1:
+    transform = None
+    if None not in transforms:
         transform = transforms[0]
-    else:
-        product = Basis(transforms[0].cols)
         for u in transforms[1:]:
-            product = apply_transform(product, u)
-        for j, col in enumerate(product.cols):
-            _check_transform_column(col, j)
-        transform = TransformRecord(product.cols)
+            transform = apply_transform(transform, u)
+            for j, col in enumerate(transform.cols):
+                _check_column(col, "transform", j)
     first, last = results[0], results[-1]
     return ReductionResult(
         basis=last.basis,

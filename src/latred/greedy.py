@@ -16,7 +16,6 @@ integer so the halting comparison is exact as well.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .core import (
@@ -30,7 +29,8 @@ from .core import (
     apply_column_op,
     gram_compute,
     nint_ratio,
-    norm_summary,
+    projected_norm_sq,
+    run_reducer,
 )
 
 SCORE_MODES = ("sum", "max")
@@ -112,17 +112,6 @@ def coefficients_for_pivot(gram: GramMatrix, k: int) -> PivotCoefficients:
     return PivotCoefficients(k, c)
 
 
-def _inner_sq(g, j: int, k: int, cj: int, gkk: int) -> int:
-    """Exact squared norm of column j after subtracting cj * column k."""
-    v = g[j][j] + cj * cj * gkk - 2 * cj * g[j][k]
-    if v < 0:
-        raise ArithmeticError(
-            f"negative squared norm for column {j} against pivot {k}: "
-            "Gram matrix is corrupt"
-        )
-    return v
-
-
 def pivot_score(gram: GramMatrix, coeffs: PivotCoefficients, p: float,
                 mode: str = "sum"):
     """Score of the basis that applying this pivot would produce.
@@ -139,7 +128,7 @@ def pivot_score(gram: GramMatrix, coeffs: PivotCoefficients, p: float,
         best = 0
         for j in range(n):
             cj = c[j]
-            v = _inner_sq(g, j, k, cj, gkk) if cj else g[j][j]
+            v = projected_norm_sq(g, j, k, cj, gkk) if cj else g[j][j]
             if v > best:
                 best = v
         return best
@@ -147,13 +136,13 @@ def pivot_score(gram: GramMatrix, coeffs: PivotCoefficients, p: float,
         total = 0
         for j in range(n):
             cj = c[j]
-            total += _inner_sq(g, j, k, cj, gkk) if cj else g[j][j]
+            total += projected_norm_sq(g, j, k, cj, gkk) if cj else g[j][j]
         return total
     half_p = p / 2.0
     total = 0.0
     for j in range(n):
         cj = c[j]
-        v = _inner_sq(g, j, k, cj, gkk) if cj else g[j][j]
+        v = projected_norm_sq(g, j, k, cj, gkk) if cj else g[j][j]
         total += float(v) ** half_p
     return total
 
@@ -238,38 +227,27 @@ def reduce(basis: Basis, config: ReduceConfig | None = None, *,
     with p = 2 the exact integer score drops by at least 1 per iteration
     and termination is guaranteed.
 
+    max_iterations, when set, caps the pivots applied over the whole
+    schedule; the budget is checked before each pivot is selected.
     on_iteration, when given, is called with the state after every applied
     pivot (used by the verification suites).
     """
     cfg = config if config is not None else ReduceConfig()
-    started = time.perf_counter()
-    work = basis.copy()
-    gram = gram_compute(work)
-    transform = TransformRecord.identity(work.n) if track_transform else None
-    state = GreedyState(work, gram, transform)
-    before = norm_summary(gram)
-    applied = 0
-    capped = False
-    for p in cfg.schedule():
-        current = basis_score(gram, p, cfg.score_mode)
-        while not capped:
-            k, coeffs, score = select_pivot(gram, p, cfg.score_mode)
-            if not score < current:
-                break
-            apply_pivot(state, k, coeffs)
-            applied += 1
-            current = basis_score(gram, p, cfg.score_mode)
-            if on_iteration is not None:
-                on_iteration(state)
-            if cfg.max_iterations is not None and applied >= cfg.max_iterations:
-                capped = True
-        if capped:
-            break
-    return ReductionResult(
-        basis=work,
-        iterations_applied=applied,
-        before=before,
-        after=norm_summary(gram),
-        seconds=time.perf_counter() - started,
-        transform=transform,
-    )
+    budget = cfg.max_iterations
+
+    def body(work, transform):
+        state = GreedyState(work, gram_compute(work), transform)
+        for p in cfg.schedule():
+            current = basis_score(state.gram, p, cfg.score_mode)
+            while budget is None or state.iteration < budget:
+                k, coeffs, score = select_pivot(state.gram, p, cfg.score_mode)
+                if not score < current:
+                    break
+                apply_pivot(state, k, coeffs)
+                # The pivot's score is the new basis's score, exactly.
+                current = score
+                if on_iteration is not None:
+                    on_iteration(state)
+        return state.iteration
+
+    return run_reducer(basis, track_transform, body)

@@ -20,7 +20,7 @@ from functools import cached_property
 from .core import ReductionResult, UsageError, pipeline
 from .genlat import ExampleSpec, derive_seed, gen_example, random_permutation
 from .greedy import ReduceConfig, reduce as greedy_reduce
-from .lll import LLLConfig, lll_reduce
+from .lll import DEFAULT_DELTA, LLLConfig, lll_reduce
 
 log = logging.getLogger(__name__)
 
@@ -38,7 +38,7 @@ CSV_HEADER = (
 class ExperimentConfig:
     q: int
     ell_list: tuple[int, ...]
-    delta: float = 1.0 - 1e-15
+    delta: float = DEFAULT_DELTA
     p_schedule: tuple[float, ...] = (2.0,)
     trials: int = 10
     mode: str = "once"

@@ -17,7 +17,6 @@ inputs built to break floating-point reducers.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +28,14 @@ from .core import (
     UsageError,
     apply_column_op,
     nint_float,
-    summarize_columns,
+    run_reducer,
 )
+
+# Default Lovasz parameter: as close to 1 as double precision allows.
+DEFAULT_DELTA = 1.0 - 1e-15
+
+# Most Gram-Schmidt passes per column orthogonalization.
+REORTH_CAP = 4
 
 # Relative squared-norm floor under which a column counts as dependent.
 RANK_FLOOR = 1e-30
@@ -44,14 +49,11 @@ _ROUNDS_TO_ZERO = 0.5 - 2.0 ** -54
 
 @dataclass(frozen=True)
 class LLLConfig:
-    delta: float = 1.0 - 1e-15
-    reorth_cap: int = 4
+    delta: float = DEFAULT_DELTA
 
     def __post_init__(self):
         if not 0.25 < self.delta <= 1.0:
             raise UsageError(f"delta must lie in (1/4, 1], got {self.delta}")
-        if self.reorth_cap < 2:
-            raise UsageError("reorth_cap must be at least 2")
 
 
 @dataclass
@@ -72,12 +74,12 @@ class GSState:
     dependent: list[int] = field(default_factory=list)
 
 
-def _orthogonalize_column(state: GSState, k: int, config: LLLConfig) -> None:
+def _orthogonalize_column(state: GSState, k: int) -> None:
     """Project column k off b*_0..b*_{k-1}, repeating until stable.
 
     A pass is converged when every component changed by at most one ulp of
     its magnitude; one additional pass then runs, and the total number of
-    passes never exceeds reorth_cap.  Earlier columns with a zero b* get a
+    passes never exceeds REORTH_CAP.  Earlier columns with a zero b* get a
     zero coefficient.
     """
     b = state.fcols[:, k].copy()
@@ -89,10 +91,10 @@ def _orthogonalize_column(state: GSState, k: int, config: LLLConfig) -> None:
     norms = state.norms_sq[:k]
     # A dependent column has b* == 0, so a unit denominator masks it to t_j = 0.
     denom = np.where(norms > 0.0, norms, 1.0)
-    last = config.reorth_cap - 1
+    last = REORTH_CAP - 1
     converged = False
     abs_b = np.abs(b)
-    for i in range(config.reorth_cap):
+    for i in range(REORTH_CAP):
         t = (b @ bstar) / denom
         mu_k[:k] += t
         prev, abs_prev = b, abs_b
@@ -113,13 +115,12 @@ def _orthogonalize_column(state: GSState, k: int, config: LLLConfig) -> None:
     state.norms_sq[k] = nk
 
 
-def orthogonalize(basis: Basis, config: LLLConfig | None = None) -> GSState:
+def orthogonalize(basis: Basis) -> GSState:
     """Re-orthogonalized classical Gram-Schmidt over all columns.
 
     Columns that come out (numerically) dependent, including zero columns,
     get a zero b* and are listed in the returned state's ``dependent``.
     """
-    cfg = config if config is not None else LLLConfig()
     m, n = basis.m, basis.n
     state = GSState(
         bstar=np.zeros((m, n)),
@@ -128,7 +129,7 @@ def orthogonalize(basis: Basis, config: LLLConfig | None = None) -> GSState:
         fcols=np.array(basis.cols, dtype=float).T,
     )
     for k in range(n):
-        _orthogonalize_column(state, k, cfg)
+        _orthogonalize_column(state, k)
     return state
 
 
@@ -163,11 +164,11 @@ def lovasz_ok(state: GSState, k: int, delta: float) -> bool:
     return delta * prev <= float(state.norms_sq[k]) + mu * mu * prev
 
 
-def _recompute_after_swap(state: GSState, k: int, config: LLLConfig) -> None:
+def _recompute_after_swap(state: GSState, k: int) -> None:
     """Rebuild b*_{k-1}, b*_k from scratch and the mu entries that read them."""
     before = len(state.dependent)
     for idx in (k - 1, k):
-        _orthogonalize_column(state, idx, config)
+        _orthogonalize_column(state, idx)
     if len(state.dependent) > before:
         raise ValueError(
             f"rank deficiency detected at column {state.dependent[-1]} after swap"
@@ -187,35 +188,28 @@ def lll_reduce(basis: Basis, config: LLLConfig | None = None, *,
     iterations_applied counts swaps.
     """
     cfg = config if config is not None else LLLConfig()
-    started = time.perf_counter()
-    work = basis.copy()
-    n = work.n
-    transform = TransformRecord.identity(n) if track_transform else None
-    before = summarize_columns(work)
-    state = orthogonalize(work, cfg)
-    if state.dependent:
-        raise ValueError(
-            f"rank deficiency detected at column {state.dependent[0]}"
-        )
-    swaps = 0
-    k = 1
-    while k < n:
-        size_reduce(state, work, k, transform)
-        if lovasz_ok(state, k, cfg.delta):
-            k += 1
-        else:
-            work.swap_columns(k - 1, k)
-            if transform is not None:
-                transform.swap_columns(k - 1, k)
-            state.fcols[:, [k - 1, k]] = state.fcols[:, [k, k - 1]]
-            _recompute_after_swap(state, k, cfg)
-            swaps += 1
-            k = max(k - 1, 1)
-    return ReductionResult(
-        basis=work,
-        iterations_applied=swaps,
-        before=before,
-        after=summarize_columns(work),
-        seconds=time.perf_counter() - started,
-        transform=transform,
-    )
+
+    def body(work, transform):
+        n = work.n
+        state = orthogonalize(work)
+        if state.dependent:
+            raise ValueError(
+                f"rank deficiency detected at column {state.dependent[0]}"
+            )
+        swaps = 0
+        k = 1
+        while k < n:
+            size_reduce(state, work, k, transform)
+            if lovasz_ok(state, k, cfg.delta):
+                k += 1
+            else:
+                work.swap_columns(k - 1, k)
+                if transform is not None:
+                    transform.swap_columns(k - 1, k)
+                state.fcols[:, [k - 1, k]] = state.fcols[:, [k, k - 1]]
+                _recompute_after_swap(state, k)
+                swaps += 1
+                k = max(k - 1, 1)
+        return swaps
+
+    return run_reducer(basis, track_transform, body)

@@ -150,6 +150,33 @@ class TestBench:
         out = capsys.readouterr().out
         assert "mean" in out and str(path) in out
 
+    def test_failed_trials_are_counted_in_stdout(self, tmp_path, capsys,
+                                                 monkeypatch):
+        import latred.harness as harness_mod
+
+        real = harness_mod.lll_reduce
+        calls = {"n": 0}
+
+        def flaky(basis, config):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise ArithmeticError("forced failure")
+            return real(basis, config)
+
+        monkeypatch.setattr(harness_mod, "lll_reduce", flaky)
+        path = tmp_path / "f.csv"
+        assert run_cli("bench", "--q", str(Q13), "--ell-list", "1,2",
+                       "--trials", "2", "--csv", str(path)) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == f"wrote 3 of 4 trial rows to {path}"
+
+    def test_no_failure_keeps_plain_count(self, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        assert run_cli("bench", "--q", str(Q13), "--ell-list", "1",
+                       "--trials", "2", "--csv", str(path)) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == f"wrote 2 trial rows to {path}"
+
     def test_stdout_header_follows_csv_header(self, tmp_path, capsys):
         assert run_cli("bench", "--q", str(Q13), "--ell-list", "1",
                        "--trials", "1", "--csv", str(tmp_path / "h.csv")) == 0

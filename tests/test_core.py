@@ -4,7 +4,6 @@ import pytest
 
 from latred.core import (
     Basis,
-    GramMatrix,
     INT128_MAX,
     MatFormatError,
     NormSummary,
@@ -17,9 +16,10 @@ from latred.core import (
     is_unimodular,
     nint_float,
     nint_ratio,
-    norm_summary,
     pipeline,
     read_mat,
+    run_reducer,
+    summarize_columns,
     write_mat,
 )
 
@@ -108,20 +108,19 @@ class TestNintFloat:
 
 class TestNormSummary:
     def test_identity(self):
-        g = gram_compute(Basis.identity(4))
-        assert norm_summary(g) == NormSummary(4, 1)
+        assert summarize_columns(Basis.identity(4)) == NormSummary(4, 1)
 
     def test_trace_and_min(self):
-        g = GramMatrix([[1, 10], [10, 101]])
-        assert norm_summary(g) == NormSummary(102, 1)
+        basis = Basis([[1, 0], [10, 1]])
+        assert summarize_columns(basis) == NormSummary(102, 1)
 
     def test_zero_column_excluded_from_min(self):
-        g = GramMatrix([[0, 0], [0, 9]])
-        assert norm_summary(g) == NormSummary(9, 9)
+        basis = Basis([[0, 0], [0, 3]])
+        assert summarize_columns(basis) == NormSummary(9, 9)
 
     def test_all_zero(self):
-        g = GramMatrix([[0, 0], [0, 0]])
-        assert norm_summary(g) == NormSummary(0, 0)
+        basis = Basis([[0, 0], [0, 0]])
+        assert summarize_columns(basis) == NormSummary(0, 0)
 
 
 class TestApplyColumnOp:
@@ -203,6 +202,58 @@ class TestPipeline:
         res = pipeline(Basis.identity(2), (fixed_stage(u),))
         assert res.transform is u
         assert len(res.stages) == 1 and res.stages[0].transform is u
+
+
+class TestTransformRecord:
+    def test_is_a_square_basis(self):
+        u = TransformRecord.identity(3)
+        assert isinstance(u, Basis)
+        assert (u.m, u.n) == (3, 3)
+        with pytest.raises(ValueError, match="square"):
+            TransformRecord([[1, 0, 0], [0, 1, 0]])
+
+    def test_copy_keeps_type_and_is_deep(self):
+        u = TransformRecord([[1, 0], [3, 1]])
+        dup = u.copy()
+        assert type(dup) is TransformRecord and dup == u
+        dup.cols[1][0] = 7
+        assert u.cols[1][0] == 3
+
+    def test_equality_is_type_strict(self):
+        assert TransformRecord.identity(2) != Basis.identity(2)
+        assert Basis.identity(2) != TransformRecord.identity(2)
+
+    def test_product_of_transforms_is_a_transform(self):
+        u = apply_transform(TransformRecord([[1, 0], [3, 1]]),
+                            TransformRecord([[1, 2], [0, 1]]))
+        assert u == TransformRecord([[7, 2], [3, 1]])
+
+
+class TestRunReducer:
+    def test_frame_around_body(self):
+        basis = Basis([[1, 0], [10, 1]])
+
+        def body(work, transform):
+            apply_column_op(work, None, transform, 1, 0, 10)
+            return 5
+
+        res = run_reducer(basis, True, body)
+        assert basis.cols == [[1, 0], [10, 1]]
+        assert res.basis.cols == [[1, 0], [0, 1]]
+        assert res.iterations_applied == 5
+        assert (res.before, res.after) == (NormSummary(102, 1), NormSummary(2, 1))
+        assert res.seconds >= 0.0 and res.stages == ()
+        assert apply_transform(basis, res.transform) == res.basis
+
+    def test_untracked_body_gets_no_transform(self):
+        seen = []
+
+        def body(work, transform):
+            seen.append(transform)
+            return 0
+
+        res = run_reducer(Basis.identity(2), False, body)
+        assert seen == [None] and res.transform is None
 
 
 class TestDeterminant:

@@ -206,6 +206,24 @@ class TestReduce:
         res = reduce(basis, ReduceConfig(max_iterations=1))
         assert res.iterations_applied == 1
 
+    def test_zero_max_iterations_applies_nothing(self):
+        basis = Basis([[1, 0], [10, 1]])
+        res = reduce(basis, ReduceConfig(max_iterations=0))
+        assert res.iterations_applied == 0
+        assert res.basis == basis
+
+    def test_pivot_score_is_next_basis_score(self):
+        # reduce() carries the chosen pivot's score forward as the score of
+        # the basis it produces; that must hold exactly in every mode.
+        rng = random.Random(38)
+        for p, mode in ((2.0, "sum"), (1.0, "sum"), (3.0, "sum"), (2.0, "max")):
+            for _ in range(20):
+                basis = random_basis(rng, max_dim=6, max_entry=40)
+                state = GreedyState(basis, gram_compute(basis))
+                k, coeffs, score = select_pivot(state.gram, p, mode)
+                apply_pivot(state, k, coeffs)
+                assert score == basis_score(state.gram, p, mode)
+
     def test_pivot_sequence_depends_only_on_gram(self):
         rng = random.Random(37)
         for _ in range(10):

@@ -307,7 +307,3 @@ class TestLLLConfig:
             LLLConfig(delta=0.25)
         with pytest.raises(ValueError):
             LLLConfig(delta=1.1)
-
-    def test_rejects_tiny_cap(self):
-        with pytest.raises(ValueError):
-            LLLConfig(reorth_cap=1)
