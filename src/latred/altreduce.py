@@ -22,6 +22,7 @@ from .core import (
     TransformRecord,
     UsageError,
     apply_column_op,
+    fold_sum,
     gram_compute,
     nint_float,
     projected_norm_sq,
@@ -112,8 +113,9 @@ def mgs_pivot_reduce(basis: Basis, p: float = 2.0, *,
     floating point, and subtracts the rounded projection onto that
     orthogonalized pivot from every remaining column (as an integer
     multiple of the pivot's basis column).  Squared norms for the scores
-    are exact; only the p/2 power is floating.  Columns that are zero or
-    dependent on the chosen pivots are skipped.
+    are exact; only the p/2 powers and their left-to-right sum are
+    floating.  Columns that are zero or dependent on the chosen pivots
+    are skipped.
     """
     if not p > 0:
         raise UsageError(f"p must be positive, got {p}")
@@ -126,27 +128,29 @@ def mgs_pivot_reduce(basis: Basis, p: float = 2.0, *,
         chosen: list[int] = []
         while residual:
             g = gram.g
+            fcols = {s: np.array(work.cols[s], dtype=float) for s in residual}
             best = None
             for r in residual:
                 grr = g[r][r]
                 if grr == 0:
                     continue
-                q = np.array(work.cols[r], dtype=float)
+                q = fcols[r].copy()
                 for qprev in pivot_qs:
                     q -= (float(q @ qprev) / float(qprev @ qprev)) * qprev
                 qq = float(q @ q)
                 if qq < RANK_FLOOR * grr:
                     continue
-                score = sum(float(g[t][t]) ** half_p for t in chosen)
-                score += float(grr) ** half_p
+                terms = [float(g[t][t]) ** half_p for t in chosen]
+                terms.append(float(grr) ** half_p)
                 cs = []
                 for s in residual:
                     if s == r:
                         continue
-                    fs = np.array(work.cols[s], dtype=float)
-                    c = nint_float(float(fs @ q) / qq)
+                    c = nint_float(float(fcols[s] @ q) / qq)
                     cs.append((s, c))
-                    score += float(projected_norm_sq(g, s, r, c, grr)) ** half_p
+                    terms.append(
+                        float(projected_norm_sq(g, s, r, c, grr)) ** half_p)
+                score = fold_sum(terms)
                 if best is None or score < best[0]:
                     best = (score, r, q, cs)
             if best is None:

@@ -15,8 +15,10 @@ ReductionResult.  pipeline chains reducers.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
+from functools import reduce
 
 INT128_MAX = (1 << 127) - 1
 INT128_MIN = -(1 << 127)
@@ -188,9 +190,7 @@ def gram_compute(basis: Basis) -> GramMatrix:
     for k in range(n):
         ak = cols[k]
         for j in range(k + 1):
-            s = 0
-            for x, y in zip(cols[j], ak):
-                s += x * y
+            s = sum(map(operator.mul, cols[j], ak))
             if s > INT128_MAX or s < INT128_MIN:
                 raise OverflowError(
                     f"Gram entry ({j},{k}) exceeds the signed 128-bit range"
@@ -206,9 +206,7 @@ def column_norms_sq(basis: Basis) -> list[int]:
     """Exact squared norm of every column (the Gram diagonal, cheaper)."""
     out = []
     for col in basis.cols:
-        s = 0
-        for x in col:
-            s += x * x
+        s = sum(map(operator.mul, col, col))
         if s > INT128_MAX:
             raise OverflowError("column norm exceeds the signed 128-bit range")
         out.append(s)
@@ -234,6 +232,16 @@ def nint_float(x: float) -> int:
     if x >= 0.0:
         return math.floor(x + 0.5)
     return math.ceil(x - 0.5)
+
+
+def fold_sum(values) -> float:
+    """Float sum of values added strictly left to right, starting at 0.0.
+
+    Built-in sum() compensates float rounding since Python 3.12, so its
+    result depends on the interpreter version.  Every floating score goes
+    through this fold instead, so scores and halting decisions do not.
+    """
+    return reduce(operator.add, values, 0.0)
 
 
 def summarize_columns(basis: Basis) -> NormSummary:

@@ -3,20 +3,33 @@
 Each iteration considers every column as a pivot, computes the rounded
 projection coefficient of every other column onto it, and scores the basis
 that projecting off that pivot would produce.  The pivot with the best
-score is applied to all columns at once, and the Gram matrix is updated in
-O(n^2) from its previous value instead of being recomputed.  Rounded
-projection never increases any column norm, so the scores decrease
-monotonically and the loop terminates at a (local) fixed point.
+score is applied to all columns at once.  Rounded projection never
+increases any column norm, so the scores decrease monotonically and the
+loop terminates at a (local) fixed point.
+
+Everything the next selection needs is updated from its previous value
+instead of being recomputed.  A pivot changes only the columns in its set
+S of nonzero coefficients, so the Gram matrix changes only in the rows and
+columns of S (update_gram, O(|S| n)).  Beside it a PivotTable keeps, for
+every candidate pivot k, the set S_k of columns its rounded projection
+would move and the exact change of each one's squared norm; after a pivot
+it rescans the candidates in S and re-tests only the entries in S of every
+other candidate, also O(|S| n).  Selection then costs O(n + sum of |S_k|)
+exact integer work for the default p = 2, and one O(n) list pass per
+candidate in the other modes.
 
 Scoring sums the p-th powers of the column norms.  The squared norms are
-always computed exactly in integers; only the p/2 power and the sum run in
-floating point, and for the default p = 2 the whole score stays an exact
-integer so the halting comparison is exact as well.
+always computed exactly in integers.  For the default p = 2 the whole score
+stays an exact integer, so the halting comparison is exact as well; other
+exponents take the p/2 power in floating point and add the terms strictly
+left to right (core.fold_sum), so a score does not depend on the Python
+version.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import count, repeat
 
 from .core import (
     Basis,
@@ -27,6 +40,7 @@ from .core import (
     TransformRecord,
     UsageError,
     apply_column_op,
+    fold_sum,
     gram_compute,
     nint_ratio,
     projected_norm_sq,
@@ -83,33 +97,116 @@ class PivotCoefficients:
     c: list[int]
 
 
+def _rounded(nums, dens) -> list[tuple[int, int]]:
+    """(i, c) for every i whose rounded ratio c = nint(nums[i] / dens[i])
+    is nonzero; a zero denominator (a zero pivot column) gives c = 0.
+
+    This is the coefficient rule: column j's coefficient onto pivot k is
+    nint(g[j][k] / g[k][k]).
+    """
+    # |x / d| < 1/2 rounds to zero; skip the division for those.
+    return [(i, nint_ratio(x, d)) for i, x, d in zip(count(), nums, dens)
+            if 0 < d <= 2 * abs(x)]
+
+
+def coefficients_for_pivot(gram: GramMatrix, k: int) -> PivotCoefficients:
+    """Rounded projection coefficients of every column onto column k."""
+    gk = gram.g[k]
+    c = [0] * gram.n
+    for j, cj in _rounded(gk, repeat(gk[k])):
+        c[j] = cj
+    c[k] = 0  # the pivot itself, whose ratio is 1
+    return PivotCoefficients(k, c)
+
+
+class PivotTable:
+    """What every candidate pivot would do, kept in step with one Gram matrix.
+
+    rows[k] maps each column j whose rounded coefficient c onto pivot k is
+    nonzero to the exact change, never positive, of column j's squared
+    norm when c times column k is subtracted from it; columns absent from
+    rows[k] keep their norm.  Building the table costs O(n^2); refresh()
+    keeps it in step after each pivot in O(|S| n).  A negative new norm
+    means the Gram matrix matches no basis and raises ArithmeticError.
+    """
+
+    __slots__ = ("gram", "rows")
+
+    def __init__(self, gram: GramMatrix):
+        self.gram = gram
+        self.rows = [self._scan(k) for k in range(gram.n)]
+
+    def _scan(self, k: int) -> dict[int, int]:
+        g = self.gram.g
+        gk = g[k]
+        gkk = gk[k]
+        return {j: projected_norm_sq(g, j, k, c, gkk) - g[j][j]
+                for j, c in _rounded(gk, repeat(gkk)) if j != k}
+
+    def refresh(self, coeffs: PivotCoefficients) -> None:
+        """Bring the table in step after update_gram(self.gram, coeffs).
+
+        Only the rows and columns of the moved set S changed, so every
+        candidate's entry for each column j in S is re-tested against the
+        new column j, and then every candidate in S is rescanned.
+        """
+        g = self.gram.g
+        rows = self.rows
+        moved = [j for j, cj in enumerate(coeffs.c) if cj]
+        diag = self.gram.diagonal()
+        for j in moved:
+            gj = g[j]
+            for row in rows:
+                row.pop(j, None)
+            for i, c in _rounded(gj, diag):
+                rows[i][j] = projected_norm_sq(g, j, i, c, diag[i]) - diag[j]
+        for i in moved:
+            rows[i] = self._scan(i)
+
+
 @dataclass
 class GreedyState:
-    """Mutable working set owned by one reduce() call."""
+    """Mutable working set owned by one reduce() call.
+
+    table is built from gram on construction and kept in step by
+    apply_pivot.
+    """
 
     basis: Basis
     gram: GramMatrix
     transform: TransformRecord | None = None
     iteration: int = 0
+    table: PivotTable = field(init=False)
+
+    def __post_init__(self):
+        self.table = PivotTable(self.gram)
 
 
-def coefficients_for_pivot(gram: GramMatrix, k: int) -> PivotCoefficients:
-    """Rounded projection coefficients of every column onto column k."""
-    g = gram.g
-    n = len(g)
-    gk = g[k]
-    gkk = gk[k]
-    c = [0] * n
-    if gkk == 0:
-        return PivotCoefficients(k, c)
-    for j in range(n):
-        if j == k:
-            continue
-        gjk = gk[j]
-        # |g_jk / g_kk| < 1/2 rounds to zero; skip the division for those.
-        if 2 * gjk >= gkk or -2 * gjk >= gkk:
-            c[j] = nint_ratio(gjk, gkk)
-    return PivotCoefficients(k, c)
+def _scorer(diag: list[int], p: float, mode: str):
+    """score(row): the score of the basis whose squared column norms are
+    diag changed by row's entries (column -> change of its squared norm).
+
+    sum mode sums the p-th powers of the column norms (an exact integer,
+    the trace plus the row's norm changes, when p == 2); max mode returns
+    the largest squared norm.
+    """
+    if mode == "sum" and p == 2.0:
+        trace = sum(diag)
+        return lambda row: trace + sum(row.values())
+    if mode == "max":
+        weight, total = (lambda v: v), max
+    else:
+        half_p = p / 2.0
+        weight, total = (lambda v: float(v) ** half_p), fold_sum
+    base = [weight(d) for d in diag]
+
+    def score(row):
+        terms = base.copy()
+        for j, dv in row.items():
+            terms[j] = weight(diag[j] + dv)
+        return total(terms)
+
+    return score
 
 
 def pivot_score(gram: GramMatrix, coeffs: PivotCoefficients, p: float,
@@ -120,100 +217,84 @@ def pivot_score(gram: GramMatrix, coeffs: PivotCoefficients, p: float,
     integer when p == 2); max mode returns the largest squared norm.
     """
     g = gram.g
-    n = len(g)
     k = coeffs.k
-    c = coeffs.c
     gkk = g[k][k]
-    if mode == "max":
-        best = 0
-        for j in range(n):
-            cj = c[j]
-            v = projected_norm_sq(g, j, k, cj, gkk) if cj else g[j][j]
-            if v > best:
-                best = v
-        return best
-    if p == 2.0:
-        total = 0
-        for j in range(n):
-            cj = c[j]
-            total += projected_norm_sq(g, j, k, cj, gkk) if cj else g[j][j]
-        return total
-    half_p = p / 2.0
-    total = 0.0
-    for j in range(n):
-        cj = c[j]
-        v = projected_norm_sq(g, j, k, cj, gkk) if cj else g[j][j]
-        total += float(v) ** half_p
-    return total
+    row = {j: projected_norm_sq(g, j, k, c, gkk) - g[j][j]
+           for j, c in enumerate(coeffs.c) if c}
+    return _scorer(gram.diagonal(), p, mode)(row)
 
 
 def basis_score(gram: GramMatrix, p: float, mode: str = "sum"):
     """Score of the basis as it stands (the do-nothing pivot)."""
-    diag = gram.diagonal()
-    if mode == "max":
-        return max(diag)
-    if p == 2.0:
-        return sum(diag)
-    half_p = p / 2.0
-    return sum(float(d) ** half_p for d in diag)
+    return _scorer(gram.diagonal(), p, mode)({})
 
 
-def select_pivot(gram: GramMatrix, p: float, mode: str = "sum"):
-    """Best pivot by exhaustive scan: (index, coefficients, score).
+def select_pivot(gram: GramMatrix, p: float, mode: str = "sum",
+                 table: PivotTable | None = None):
+    """Best pivot: (index, coefficients, score).
 
-    Ties go to the smallest index.  Total cost is O(n^2).
+    Every candidate is scored from table, which must be in step with gram;
+    without one a fresh PivotTable is built, at O(n^2).  Ties go to the
+    smallest index.  Scoring costs O(n + sum of |S_k|) for p = 2 in sum
+    mode and one O(n) list pass per candidate otherwise.
     """
-    best_k = 0
-    best_coeffs = None
-    best_score = None
-    for k in range(gram.n):
-        coeffs = coefficients_for_pivot(gram, k)
-        score = pivot_score(gram, coeffs, p, mode)
-        if best_score is None or score < best_score:
-            best_k, best_coeffs, best_score = k, coeffs, score
-    return best_k, best_coeffs, best_score
+    if table is None:
+        table = PivotTable(gram)
+    elif table.gram is not gram:
+        raise ValueError("pivot table belongs to another Gram matrix")
+    score = _scorer(gram.diagonal(), p, mode)
+    scores = [score(row) for row in table.rows]
+    k = min(range(len(scores)), key=scores.__getitem__)
+    return k, coefficients_for_pivot(gram, k), scores[k]
 
 
 def update_gram(gram: GramMatrix, coeffs: PivotCoefficients) -> None:
-    """Apply the pivot's effect to the Gram matrix in O(n^2).
+    """Apply the pivot's effect to the Gram matrix in O(|S| n).
 
-    Uses the bilinear identity for g'[j][l] after every column j has had
-    c[j] times the pivot column subtracted; only the upper triangle is
-    computed, the mirror entry is assigned alongside.
+    Subtracting c[j] times pivot column k from every column j changes only
+    the rows and columns of the set S of columns with c[j] != 0, by the
+    bilinear identity
+    g'[j][l] = g[j][l] - c[j] g[k][l] - c[l] g[k][j] + c[j] c[l] g[k][k].
+    Every new row is computed from the old matrix and range-checked entry
+    by entry before any is written; each is then mirrored into its column.
     """
     g = gram.g
-    n = len(g)
     k = coeffs.k
-    c = coeffs.c
-    gk_old = list(g[k])
-    gkk = gk_old[k]
-    for j in range(n):
-        cj = c[j]
-        gj = g[j]
-        gkj = gk_old[j]
-        for l in range(j, n):
-            cl = c[l]
-            if cj == 0 and cl == 0:
-                continue
-            v = gj[l] + cj * cl * gkk - cj * gk_old[l] - cl * gkj
-            if v > INT128_MAX or v < INT128_MIN:
-                raise OverflowError(
-                    f"Gram entry ({j},{l}) exceeds the signed 128-bit range"
-                )
-            gj[l] = v
-            g[l][j] = v
+    gk = g[k]
+    gkk = gk[k]
+    moved = [(j, cj) for j, cj in enumerate(coeffs.c) if cj]
+    new_rows = []
+    for j, cj in moved:
+        gkj = gk[j]
+        row = [a - cj * b for a, b in zip(g[j], gk)]
+        for l, cl in moved:
+            row[l] += cl * (cj * gkk - gkj)
+        if max(row) > INT128_MAX or min(row) < INT128_MIN:
+            l = next(l for l, v in enumerate(row)
+                     if v > INT128_MAX or v < INT128_MIN)
+            raise OverflowError(
+                f"Gram entry ({j},{l}) exceeds the signed 128-bit range"
+            )
+        new_rows.append((j, row))
+    for j, row in new_rows:
+        g[j] = row
+        for gl, v in zip(g, row):
+            gl[j] = v
 
 
 def apply_pivot(state: GreedyState, k: int, coeffs: PivotCoefficients) -> None:
-    """Project every column off the pivot and update Gram and transform.
+    """Project every column off the pivot and update Gram, table and transform.
 
-    Column updates cost O(mn); the Gram update costs O(n^2).  The
-    coefficients must have been computed from the state's current Gram.
+    With S the set of columns whose coefficient is nonzero, the column
+    updates cost O(|S| m), and the Gram update and the table refresh
+    O(|S| n) each.  The coefficients must have been computed from the
+    state's current Gram.
     """
     for j, cj in enumerate(coeffs.c):
         if cj:
             apply_column_op(state.basis, None, state.transform, j, k, cj)
     update_gram(state.gram, coeffs)
+    state.table.refresh(coeffs)
     state.iteration += 1
 
 
@@ -240,7 +321,8 @@ def reduce(basis: Basis, config: ReduceConfig | None = None, *,
         for p in cfg.schedule():
             current = basis_score(state.gram, p, cfg.score_mode)
             while budget is None or state.iteration < budget:
-                k, coeffs, score = select_pivot(state.gram, p, cfg.score_mode)
+                k, coeffs, score = select_pivot(state.gram, p, cfg.score_mode,
+                                               state.table)
                 if not score < current:
                     break
                 apply_pivot(state, k, coeffs)

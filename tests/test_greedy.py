@@ -9,10 +9,12 @@ from latred.core import (
     TransformRecord,
     apply_transform,
     det_small,
+    fold_sum,
     gram_compute,
 )
 from latred.greedy import (
     GreedyState,
+    PivotTable,
     ReduceConfig,
     apply_pivot,
     basis_score,
@@ -243,6 +245,145 @@ class TestReduce:
                 current = basis_score(gram, 2.0)
             assert replay == len(pivots)
             assert gram == gram_compute(reduce(basis).basis)
+
+
+def reference_select(gram, p, mode):
+    """Exhaustive pivot scan written out directly, independent of PivotTable."""
+    g = gram.g
+    n = gram.n
+    best = None
+    for k in range(n):
+        c = coefficients_for_pivot(gram, k).c
+        norms = [g[j][j] + c[j] * c[j] * g[k][k] - 2 * c[j] * g[j][k]
+                 for j in range(n)]
+        assert min(norms) >= 0
+        if mode == "max":
+            score = max(norms)
+        elif p == 2.0:
+            score = sum(norms)
+        else:
+            score = 0.0
+            for v in norms:
+                score += float(v) ** (p / 2.0)
+        if best is None or score < best[2]:
+            best = (k, c, score)
+    return best
+
+
+def dense_basis(rng, n=7, m=7):
+    # Column 0 is short and every other column is a large multiple of it
+    # plus noise, so the first pivot moves every other column.
+    cols = [[1] + [0] * (m - 1)]
+    for _ in range(n - 1):
+        a = rng.choice((-1, 1)) * rng.randint(3, 40)
+        cols.append([a] + [rng.randint(-2, 2) for _ in range(m - 1)])
+    return Basis(cols)
+
+
+def degenerate_basis(rng):
+    # Zero columns (g_kk = 0) and duplicate columns (ties, and zero
+    # columns once a duplicate is projected off its twin).
+    base = random_basis(rng, max_dim=5, max_entry=9).cols
+    cols = base + [list(base[0]), [0] * len(base[0])] + [list(base[-1])]
+    rng.shuffle(cols)
+    return Basis(cols)
+
+
+TABLE_INPUTS = (
+    [random_basis(random.Random(40 + i)) for i in range(12)]
+    + [dense_basis(random.Random(60 + i)) for i in range(6)]
+    + [degenerate_basis(random.Random(80 + i)) for i in range(12)]
+)
+TABLE_CONFIGS = (
+    ReduceConfig(p=2.0),
+    ReduceConfig(p=1.0),
+    ReduceConfig(p=3.0),
+    ReduceConfig(score_mode="max"),
+    ReduceConfig(p_schedule=(2.0, 1.0)),
+)
+
+
+class TestPivotTable:
+    @pytest.mark.parametrize("cfg", TABLE_CONFIGS)
+    def test_table_matches_fresh_selection_at_every_iteration(self, cfg):
+        iterations = 0
+
+        def check(state):
+            nonlocal iterations
+            iterations += 1
+            fresh = PivotTable(state.gram.copy())
+            assert state.table.rows == fresh.rows
+            mode = cfg.score_mode
+            for p in cfg.schedule():
+                k, coeffs, score = select_pivot(state.gram, p, mode,
+                                                state.table)
+                k0, coeffs0, score0 = select_pivot(state.gram.copy(), p, mode)
+                assert (k, coeffs.c, score) == (k0, coeffs0.c, score0)
+                assert (k, coeffs.c, score) == reference_select(state.gram,
+                                                                p, mode)
+
+        for basis in TABLE_INPUTS:
+            check(GreedyState(basis.copy(), gram_compute(basis)))
+            reduce(basis, cfg, on_iteration=check)
+        assert iterations > 2 * len(TABLE_INPUTS)
+
+    def test_dense_input_moves_every_other_column(self):
+        basis = dense_basis(random.Random(7))
+        k, coeffs, _ = select_pivot(gram_compute(basis), 2.0)
+        assert k == 0 and all(coeffs.c[1:])
+
+    def test_table_of_another_gram_is_rejected(self):
+        table = PivotTable(SKEWED.copy())
+        with pytest.raises(ValueError, match="another Gram"):
+            select_pivot(SKEWED, 2.0, "sum", table)
+
+    def test_sparse_update_gram_matches_recompute(self):
+        # Every candidate pivot, not only the best one, on dense, zero and
+        # duplicate columns.
+        for basis in TABLE_INPUTS:
+            gram = gram_compute(basis)
+            for k in range(basis.n):
+                coeffs = coefficients_for_pivot(gram, k)
+                moved = basis.copy()
+                for j, cj in enumerate(coeffs.c):
+                    moved.cols[j] = [a - cj * b for a, b in
+                                     zip(moved.cols[j], moved.cols[k])]
+                updated = gram.copy()
+                update_gram(updated, coeffs)
+                assert updated == gram_compute(moved)
+
+    def test_update_gram_overflow_names_entry_and_writes_nothing(self):
+        x = 1 << 64
+        gram = GramMatrix([[1, x, -x], [x, x * x + 1, 0], [-x, 0, x * x + 1]])
+        before = gram.copy()
+        with pytest.raises(OverflowError, match=r"Gram entry \(1,2\)"):
+            update_gram(gram, coefficients_for_pivot(gram, 0))
+        assert gram == before
+
+
+class TestFloatScores:
+    # 2**53 + 1.0 rounds back to 2**53, so adding 1.0 twice left to right
+    # gives 2**53, while the compensated sum() of Python 3.12+ gives
+    # 2**53 + 2.  With p = 1 the diagonal (2**106, 1, 1) has exactly these
+    # terms.
+    DIAG = GramMatrix([[1 << 106, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+    def test_fold_sum_adds_left_to_right(self):
+        assert fold_sum([2.0 ** 53, 1.0, 1.0]) == 2.0 ** 53
+        assert fold_sum([1.0, 1.0, 2.0 ** 53]) == 2.0 ** 53 + 2
+        assert fold_sum([]) == 0.0
+
+    def test_basis_score_is_the_left_to_right_fold(self):
+        assert basis_score(self.DIAG, 1.0) == 2.0 ** 53
+
+    def test_do_nothing_pivot_scores_like_the_basis(self):
+        # Pivot 0 moves nothing, so its score is the basis score, bit for
+        # bit; the halting test compares the two.
+        coeffs = coefficients_for_pivot(self.DIAG, 0)
+        assert not any(coeffs.c)
+        assert pivot_score(self.DIAG, coeffs, 1.0) == basis_score(self.DIAG, 1.0)
+        _, _, best = select_pivot(self.DIAG, 1.0)
+        assert not best < basis_score(self.DIAG, 1.0)
 
 
 class TestReduceConfig:
