@@ -18,6 +18,7 @@ import numpy as np
 from .core import (
     Basis,
     GramMatrix,
+    RANK_FLOOR,
     ReductionResult,
     TransformRecord,
     UsageError,
@@ -29,7 +30,6 @@ from .core import (
     run_reducer,
 )
 from .genlat import SplitMix64
-from .lll import RANK_FLOOR
 
 log = logging.getLogger(__name__)
 

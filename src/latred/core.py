@@ -6,6 +6,14 @@ required to stay inside the signed 128-bit range; crossing it raises
 OverflowError rather than silently widening, since for the intended inputs
 a wider value always indicates a bug.
 
+The bulk products gram_compute and apply_transform run as numpy int64
+products only when a bound checked from the input proves every partial sum
+fits int64: m * M**2 < 2**63 for the inner products of length-m columns
+with largest |entry| M, and n * M_B * M_U < 2**63 for the product of a
+basis and an n x n transform.  Any other input takes the exact Python-int
+path with its 128-bit range checks.  Results always come back as Python
+ints.
+
 Every reducer runs inside run_reducer, which owns the frame around its
 loop: the working copy of the input, the identity transform when one is
 tracked, the exact before/after norm summaries, the timing and the
@@ -20,8 +28,19 @@ import time
 from dataclasses import dataclass
 from functools import reduce
 
+import numpy as np
+
 INT128_MAX = (1 << 127) - 1
 INT128_MIN = -(1 << 127)
+
+# An int64 product of sums of at most t terms, each factor pair bounded by
+# M_a and M_b, is exact when t * M_a * M_b < _INT64_LIMIT: every partial sum
+# then fits int64, so every result also lies inside the 128-bit range.
+_INT64_LIMIT = 1 << 63
+
+# Relative squared-norm floor under which a float residual counts as a
+# dependent column (LLL's Gram-Schmidt and mgs's projections).
+RANK_FLOOR = 1e-30
 
 
 class MatFormatError(ValueError):
@@ -79,11 +98,16 @@ class Basis:
     def to_rows(self) -> list[list[int]]:
         return [[col[r] for col in self.cols] for r in range(self.m)]
 
-    def copy(self) -> "Basis":
-        dup = object.__new__(type(self))
-        dup.m = self.m
-        dup.cols = [list(col) for col in self.cols]
+    @classmethod
+    def _trusted(cls, m: int, cols) -> "Basis":
+        """Wrap columns built by this module without re-validating them."""
+        dup = object.__new__(cls)
+        dup.m = m
+        dup.cols = cols
         return dup
+
+    def copy(self) -> "Basis":
+        return self._trusted(self.m, [list(col) for col in self.cols])
 
     def swap_columns(self, j: int, k: int) -> None:
         self.cols[j], self.cols[k] = self.cols[k], self.cols[j]
@@ -179,11 +203,31 @@ class ReductionResult:
     stages: tuple[ReductionResult, ...] = ()
 
 
+def _int64_cols(cols):
+    """cols as an int64 array, one row per column, and its largest |entry|.
+
+    The bound is a Python int.  Returns None when some entry does not fit
+    int64; the caller then takes its exact Python-int path.
+    """
+    try:
+        a = np.array(cols, dtype=np.int64)
+    except OverflowError:
+        return None
+    # Not np.abs: in int64, abs(-2**63) is -2**63.
+    return a, max(int(a.max()), -int(a.min()))
+
+
 def gram_compute(basis: Basis) -> GramMatrix:
     """Exact Gram matrix of the basis columns.
 
-    Only the upper triangle is computed; the rest is mirrored from symmetry.
+    On the exact path only the upper triangle is computed; the rest is
+    mirrored from symmetry.
     """
+    out = object.__new__(GramMatrix)
+    packed = _int64_cols(basis.cols)
+    if packed and basis.m * packed[1] * packed[1] < _INT64_LIMIT:
+        out.g = np.matmul(packed[0], packed[0].T).tolist()
+        return out
     cols = basis.cols
     n = len(cols)
     g = [[0] * n for _ in range(n)]
@@ -197,13 +241,14 @@ def gram_compute(basis: Basis) -> GramMatrix:
                 )
             g[j][k] = s
             g[k][j] = s
-    out = object.__new__(GramMatrix)
     out.g = g
     return out
 
 
 def column_norms_sq(basis: Basis) -> list[int]:
     """Exact squared norm of every column (the Gram diagonal, cheaper)."""
+    # No int64 route: converting the columns costs as much as this O(n m)
+    # loop, so only the O(n**2 m) products gain from one.
     out = []
     for col in basis.cols:
         s = sum(map(operator.mul, col, col))
@@ -326,21 +371,26 @@ def apply_transform(basis: Basis, transform: TransformRecord) -> Basis:
     """Exact product basis . transform, of the same type as basis.
 
     Used to verify tracked reductions and, with a transform as basis, to
-    compose transforms.
+    compose transforms.  Entries are not range-checked.
     """
     if transform.n != basis.n:
         raise ValueError("transform dimension does not match basis")
-    cols = []
-    for ucol in transform.cols:
-        col = [0] * basis.m
-        for i, u in enumerate(ucol):
-            if u == 0:
-                continue
-            ai = basis.cols[i]
-            for r in range(basis.m):
-                col[r] += u * ai[r]
-        cols.append(col)
-    return type(basis)(cols)
+    packed_b = _int64_cols(basis.cols)
+    packed_u = packed_b and _int64_cols(transform.cols)
+    if packed_u and basis.n * packed_b[1] * packed_u[1] < _INT64_LIMIT:
+        cols = np.matmul(packed_u[0], packed_b[0]).tolist()
+    else:
+        cols = []
+        for ucol in transform.cols:
+            col = [0] * basis.m
+            for i, u in enumerate(ucol):
+                if u == 0:
+                    continue
+                ai = basis.cols[i]
+                for r in range(basis.m):
+                    col[r] += u * ai[r]
+            cols.append(col)
+    return basis._trusted(basis.m, cols)
 
 
 def run_reducer(basis: Basis, track_transform: bool, body) -> ReductionResult:

@@ -23,6 +23,7 @@ import numpy as np
 
 from .core import (
     Basis,
+    RANK_FLOOR,
     ReductionResult,
     TransformRecord,
     UsageError,
@@ -36,9 +37,6 @@ DEFAULT_DELTA = 1.0 - 1e-15
 
 # Most Gram-Schmidt passes per column orthogonalization.
 REORTH_CAP = 4
-
-# Relative squared-norm floor under which a column counts as dependent.
-RANK_FLOOR = 1e-30
 
 _ULP = 2.0 ** -52
 

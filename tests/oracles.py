@@ -20,6 +20,15 @@ def gram_oracle(cols):
     ]
 
 
+def product_oracle(basis_cols, u_cols):
+    """Columns of basis . U by the plain triple loop."""
+    m = len(basis_cols[0])
+    return [
+        [sum(basis_cols[i][r] * ucol[i] for i in range(len(ucol))) for r in range(m)]
+        for ucol in u_cols
+    ]
+
+
 def det_cofactor(rows):
     """Determinant by cofactor expansion (exponential; tiny n only)."""
     n = len(rows)

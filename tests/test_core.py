@@ -1,7 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
+from latred import core
 from latred.core import (
     Basis,
     INT128_MAX,
@@ -11,6 +13,7 @@ from latred.core import (
     TransformRecord,
     apply_column_op,
     apply_transform,
+    column_norms_sq,
     det_small,
     gram_compute,
     is_unimodular,
@@ -23,7 +26,7 @@ from latred.core import (
     write_mat,
 )
 
-from oracles import det_cofactor, gram_oracle
+from oracles import det_cofactor, gram_oracle, product_oracle
 
 
 def random_basis(rng, max_dim=8, max_entry=50):
@@ -57,6 +60,143 @@ class TestGramCompute:
         basis = Basis([[big, big], [big, big]])
         with pytest.raises(OverflowError, match=r"\(0,0\)"):
             gram_compute(basis)
+
+
+class MatmulCounter:
+    """Stands in for numpy inside core and counts the int64 products."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b):
+        self.calls += 1
+        return np.matmul(a, b)
+
+
+def bounded_cols(rng, n, m, bound):
+    """n random columns of length m with entries in [-bound, bound].
+
+    Column 0 is the worst case, every entry equal to bound, so its inner
+    products reach m * bound**2; the last column holds -bound.
+    """
+    cols = [[rng.randint(-bound, bound) for _ in range(m)] for _ in range(n)]
+    cols[0] = [bound] * m
+    cols[-1][0] = -bound
+    return cols
+
+
+def assert_all_int(rows):
+    assert all(type(x) is int for row in rows for x in row)
+
+
+class TestInt64Route:
+    """The bulk products agree with the exact references on either route.
+
+    The int64 route is taken only when the bound is strictly below 2**63;
+    at 2**63 the worst-case column would wrap in int64, so equality with
+    the references also shows that the exact path ran.
+    """
+
+    # m * bound**2 is exactly 2**63 in the first two cases; in the third,
+    # bound - 1 is the largest one-row bound below 2**63.
+    @pytest.mark.parametrize(
+        "m, bound", [(2, 1 << 31), (8, 1 << 30), (1, 3037000500)])
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    def test_gram_and_norms_around_the_bound(self, monkeypatch, m, bound,
+                                             step):
+        bound += step
+        below = m * bound * bound < 1 << 63
+        assert below == (step < 0)
+        cols = bounded_cols(random.Random(m * 10 + step), 5, m, bound)
+        counter = MatmulCounter()
+        monkeypatch.setattr(core, "np", counter)
+        gram = gram_compute(Basis(cols)).g
+        norms = column_norms_sq(Basis(cols))
+        assert gram == gram_oracle(cols)
+        assert norms == [gram_oracle(cols)[j][j] for j in range(5)]
+        assert_all_int(gram)
+        assert_all_int([norms])
+        assert counter.calls == (1 if below else 0)
+
+    @pytest.mark.parametrize(
+        "n, bound_b, bound_u", [(2, 1 << 31, 1 << 31), (4, 1 << 40, 1 << 21)])
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    def test_transform_product_around_the_bound(self, monkeypatch, n,
+                                                bound_b, bound_u, step):
+        assert n * bound_b * bound_u == 1 << 63
+        bound_u += step
+        rng = random.Random(n * 10 + step)
+        basis_cols = bounded_cols(rng, n, 3, bound_b)
+        u_cols = bounded_cols(rng, n, n, bound_u)
+        counter = MatmulCounter()
+        monkeypatch.setattr(core, "np", counter)
+        out = apply_transform(Basis(basis_cols), TransformRecord(u_cols))
+        assert type(out) is Basis and out.m == 3
+        assert out.cols == product_oracle(basis_cols, u_cols)
+        assert_all_int(out.cols)
+        assert counter.calls == (1 if step < 0 else 0)
+
+    def test_most_negative_int64_entry(self):
+        # In int64, abs(-2**63) is -2**63: a bound taken that way would
+        # pass and wrap (-2**63)**2 to 0.
+        cols = [[-1 << 63, 1], [1, 1]]
+        assert core._int64_cols(cols)[1] == 1 << 63
+        basis = Basis(cols)
+        assert gram_compute(basis).g[0][0] == (1 << 126) + 1
+        assert gram_compute(basis).g == gram_oracle(cols)
+        assert column_norms_sq(basis) == [(1 << 126) + 1, 2]
+        u_cols = [[-1, 0], [0, 1]]
+        out = apply_transform(basis, TransformRecord(u_cols))
+        assert out.cols == product_oracle(cols, u_cols)
+        assert out.cols == [[1 << 63, -1], [1, 1]]
+
+    def test_entries_past_int64(self):
+        rng = random.Random(7)
+        for big in (1 << 63, -(1 << 63) - 1, (1 << 63) + 12345, 1 << 80):
+            assert core._int64_cols([[1, big]]) is None
+            cols = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
+            cols[1][2] = big
+            basis = Basis(cols)
+            if abs(big) < 1 << 64:
+                gram = gram_compute(basis).g
+                assert gram == gram_oracle(cols)
+                assert column_norms_sq(basis) == [gram[j][j]
+                                                  for j in range(3)]
+            u_cols = [[1, 0, 0], [2, 1, 0], [-3, 0, 1]]
+            out = apply_transform(basis, TransformRecord(u_cols))
+            assert out.cols == product_oracle(cols, u_cols)
+            assert_all_int(out.cols)
+            out = apply_transform(Basis.identity(3), TransformRecord(cols))
+            assert type(out) is Basis and out.cols == cols
+
+    def test_one_row_and_zero_columns(self):
+        for cols in ([[0], [3], [0], [-2]], [[0], [0]]):
+            basis = Basis(cols)
+            gram = gram_compute(basis).g
+            assert gram == gram_oracle(cols)
+            assert_all_int(gram)
+            assert column_norms_sq(basis) == [c[0] * c[0] for c in cols]
+            n = len(cols)
+            u_cols = [[j - i for i in range(n)] for j in range(n)]
+            out = apply_transform(basis, TransformRecord(u_cols))
+            assert out.cols == product_oracle(cols, u_cols)
+            assert_all_int(out.cols)
+
+    def test_random_products_match_references(self):
+        rng = random.Random(303)
+        for _ in range(40):
+            entry = rng.choice((3, 1 << 20, 1 << 40))
+            basis = random_basis(rng, max_entry=entry)
+            u_cols = [[rng.randint(-5, 5) for _ in range(basis.n)]
+                      for _ in range(basis.n)]
+            out = apply_transform(basis, TransformRecord(u_cols))
+            assert out.cols == product_oracle(basis.cols, u_cols)
+            assert column_norms_sq(basis) == [
+                gram_oracle(basis.cols)[j][j] for j in range(basis.n)
+            ]
 
 
 class TestNintRatio:
@@ -193,6 +333,15 @@ class TestPipeline:
         # their product holds 2**128 + 1.
         first = TransformRecord([[1, 0], [1 << 64, 1]])
         second = TransformRecord([[1, 1 << 64], [0, 1]])
+        stages = (fixed_stage(first), fixed_stage(second))
+        with pytest.raises(OverflowError, match="transform column 0"):
+            pipeline(Basis.identity(2), stages)
+
+    def test_composed_int64_transforms_overflow_names_column(self):
+        # Every entry fits int64, but entry 0 of the product's column 0 is
+        # 2 * 2**126 = 2**127, one past the signed 128-bit range.
+        first = TransformRecord([[-1 << 63, 0], [-1 << 63, 1]])
+        second = TransformRecord([[-1 << 63, -1 << 63], [0, 1]])
         stages = (fixed_stage(first), fixed_stage(second))
         with pytest.raises(OverflowError, match="transform column 0"):
             pipeline(Basis.identity(2), stages)
