@@ -25,16 +25,14 @@ from .core import (
     write_mat,
 )
 from .greedy import (
-    PivotCoefficients,
     ReduceConfig,
     apply_pivot,
     basis_score,
     coefficients_for_pivot,
-    pivot_score,
     reduce,
     select_pivot,
 )
-from .lll import GSState, LLLConfig, lll_reduce, lovasz_ok, orthogonalize, size_reduce
+from .lll import LLLConfig, lll_reduce, lovasz_ok, orthogonalize, size_reduce
 from .altreduce import (
     AltConfig,
     mgs_pivot_reduce,

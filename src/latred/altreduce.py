@@ -28,6 +28,7 @@ from .core import (
     nint_float,
     projected_norm_sq,
     run_reducer,
+    update_gram,
 )
 from .genlat import SplitMix64
 
@@ -115,11 +116,11 @@ def mgs_pivot_reduce(basis: Basis, p: float = 2.0, *,
     multiple of the pivot's basis column).  Squared norms for the scores
     are exact; only the p/2 powers and their left-to-right sum are
     floating.  Columns that are zero or dependent on the chosen pivots
-    are skipped.
+    are skipped.  The Gram matrix is updated once per round, by one
+    update_gram call for the chosen pivot's moves.
     """
-    if not p > 0:
-        raise UsageError(f"p must be positive, got {p}")
-    half_p = p / 2.0
+    cfg = AltConfig(variant="mgs_pivot", p=p)  # checks p
+    half_p = cfg.p / 2.0
 
     def body(work, transform):
         gram = gram_compute(work)
@@ -142,23 +143,24 @@ def mgs_pivot_reduce(basis: Basis, p: float = 2.0, *,
                     continue
                 terms = [float(g[t][t]) ** half_p for t in chosen]
                 terms.append(float(grr) ** half_p)
-                cs = []
+                moves = []
                 for s in residual:
                     if s == r:
                         continue
                     c = nint_float(float(fcols[s] @ q) / qq)
-                    cs.append((s, c))
+                    if c:
+                        moves.append((s, c))
                     terms.append(
                         float(projected_norm_sq(g, s, r, c, grr)) ** half_p)
                 score = fold_sum(terms)
                 if best is None or score < best[0]:
-                    best = (score, r, q, cs)
+                    best = (score, r, q, moves)
             if best is None:
                 break
-            _, r, q, cs = best
-            for s, c in cs:
-                if c:
-                    apply_column_op(work, gram, transform, s, r, c)
+            _, r, q, moves = best
+            for s, c in moves:
+                apply_column_op(work, None, transform, s, r, c)
+            update_gram(gram, r, moves)
             residual.remove(r)
             chosen.append(r)
             pivot_qs.append(q)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .altreduce import AltConfig, mgs_pivot_reduce, random_combination_reduce
 from .core import (
@@ -147,24 +147,15 @@ def cmd_reduce(args) -> int:
     if args.report:
         report = {
             "algo": args.algo,
-            "before": {
-                "frobenius_sq": result.before.frobenius_sq,
-                "min_norm_sq": result.before.min_norm_sq,
-            },
-            "after": {
-                "frobenius_sq": result.after.frobenius_sq,
-                "min_norm_sq": result.after.min_norm_sq,
-            },
+            "before": asdict(result.before),
+            "after": asdict(result.after),
             "iterations": result.iterations_applied,
             "seconds": result.seconds,
         }
         if result.transform is not None:
             matches = apply_transform(basis, result.transform) == result.basis
             report["transform_matches"] = matches
-            if basis.n <= 16:
-                report["unimodular"] = is_unimodular(result.transform)
-            else:
-                report["unimodular"] = None
+            report["unimodular"] = is_unimodular(result.transform)
         with open(args.report, "w", encoding="ascii") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")

@@ -14,6 +14,11 @@ basis and an n x n transform.  Any other input takes the exact Python-int
 path with its 128-bit range checks.  Results always come back as Python
 ints.
 
+A column operation moves one column; a pivot k moves a sparse list of
+columns, the (j, c) pairs of column j -= c * column k.  update_gram is the
+one exact Gram update for both: it rewrites only the moved rows and
+columns and writes nothing when an entry would leave the 128-bit range.
+
 Every reducer runs inside run_reducer, which owns the frame around its
 loop: the working copy of the input, the identity transform when one is
 tracked, the exact before/after norm summaries, the timing and the
@@ -37,6 +42,9 @@ INT128_MIN = -(1 << 127)
 # M_a and M_b, is exact when t * M_a * M_b < _INT64_LIMIT: every partial sum
 # then fits int64, so every result also lies inside the 128-bit range.
 _INT64_LIMIT = 1 << 63
+
+# Largest n for which det_small, and so is_unimodular, gives an answer.
+_DET_MAX_N = 16
 
 # Relative squared-norm floor under which a float residual counts as a
 # dependent column (LLL's Gram-Schmidt and mgs's projections).
@@ -329,13 +337,48 @@ def _sub_column_multiple(cols, j: int, k: int, c: int, what: str) -> None:
     _check_column(cj, what, j)
 
 
+def update_gram(gram: GramMatrix, k: int, moves) -> None:
+    """Update the Gram matrix for a pivot k and its moves, in O(|S| n).
+
+    moves lists (j, c) pairs, c != 0 and j != k, for the column operations
+    column j -= c * column k, and S is the set of their columns.  Only the
+    rows and columns of S change, by the bilinear identity
+    g'[j][l] = g[j][l] - c[j] g[k][l] - c[l] g[k][j] + c[j] c[l] g[k][k]
+    (c[l] = 0 for l outside S).  Every new row is computed from the old
+    matrix and range-checked before any is written, so on OverflowError,
+    which names the first bad entry, the matrix is unchanged.  This is the
+    one exact Gram update: apply_column_op, the greedy polish and mgs all
+    go through it.
+    """
+    g = gram.g
+    gk = g[k]
+    gkk = gk[k]
+    new_rows = []
+    for j, cj in moves:
+        gkj = gk[j]
+        row = [a - cj * b for a, b in zip(g[j], gk)]
+        for l, cl in moves:
+            row[l] += cl * (cj * gkk - gkj)
+        if max(row) > INT128_MAX or min(row) < INT128_MIN:
+            l = next(l for l, v in enumerate(row)
+                     if v > INT128_MAX or v < INT128_MIN)
+            raise OverflowError(
+                f"Gram entry ({j},{l}) exceeds the signed 128-bit range"
+            )
+        new_rows.append((j, row))
+    for j, row in new_rows:
+        g[j] = row
+        for gl, v in zip(g, row):
+            gl[j] = v
+
+
 def apply_column_op(basis, gram, transform, j: int, k: int, c: int) -> None:
     """Elementary column operation: column j -= c * column k.
 
-    The Gram matrix and transform record, when given, are updated exactly
-    alongside the basis; pass None to skip either.  Every updated entry is
-    checked against the signed 128-bit range.  The operation has unit
-    determinant, so tracked transforms stay unimodular.
+    The Gram matrix (through update_gram) and transform record, when given,
+    are updated exactly alongside the basis; pass None to skip either.
+    Every updated entry is checked against the signed 128-bit range.  The
+    operation has unit determinant, so tracked transforms stay unimodular.
     """
     if j == k:
         raise ValueError("column indices must differ")
@@ -343,26 +386,7 @@ def apply_column_op(basis, gram, transform, j: int, k: int, c: int) -> None:
         return
     _sub_column_multiple(basis.cols, j, k, c, "basis")
     if gram is not None:
-        g = gram.g
-        gj = g[j]
-        gk = g[k]
-        # New diagonal uses pre-update cross terms; compute before mutating.
-        new_jj = gj[j] - 2 * c * gk[j] + c * c * gk[k]
-        for i in range(len(g)):
-            if i == j:
-                continue
-            v = gj[i] - c * gk[i]
-            if v > INT128_MAX or v < INT128_MIN:
-                raise OverflowError(
-                    f"Gram entry ({j},{i}) exceeds the signed 128-bit range"
-                )
-            gj[i] = v
-            g[i][j] = v
-        if new_jj > INT128_MAX or new_jj < INT128_MIN:
-            raise OverflowError(
-                f"Gram entry ({j},{j}) exceeds the signed 128-bit range"
-            )
-        gj[j] = new_jj
+        update_gram(gram, k, ((j, c),))
     if transform is not None:
         _sub_column_multiple(transform.cols, j, k, c, "transform")
 
@@ -458,8 +482,8 @@ def pipeline(basis: Basis, stages) -> ReductionResult:
 def det_small(rows: list[list[int]]) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination, n <= 16."""
     n = len(rows)
-    if n > 16:
-        raise ValueError("det_small is limited to n <= 16")
+    if n > _DET_MAX_N:
+        raise ValueError(f"det_small is limited to n <= {_DET_MAX_N}")
     for row in rows:
         if len(row) != n:
             raise ValueError("matrix must be square")
@@ -484,8 +508,13 @@ def det_small(rows: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def is_unimodular(transform: TransformRecord) -> bool:
-    """Exact |det| == 1 check for tracked transforms, n <= 16."""
+def is_unimodular(transform: TransformRecord) -> bool | None:
+    """Exact |det| == 1 check for tracked transforms.
+
+    Returns None for n > 16, where det_small gives no certificate.
+    """
+    if transform.n > _DET_MAX_N:
+        return None
     return abs(det_small(transform.to_rows())) == 1
 
 

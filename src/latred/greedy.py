@@ -3,20 +3,22 @@
 Each iteration considers every column as a pivot, computes the rounded
 projection coefficient of every other column onto it, and scores the basis
 that projecting off that pivot would produce.  The pivot with the best
-score is applied to all columns at once.  Rounded projection never
+score is applied to all columns at once.  A pivot is its index k and its
+moves, the sparse list of (j, c) pairs with c != 0 and j != k, each the
+column operation column j -= c * column k.  Rounded projection never
 increases any column norm, so the scores decrease monotonically and the
 loop terminates at a (local) fixed point.
 
 Everything the next selection needs is updated from its previous value
-instead of being recomputed.  A pivot changes only the columns in its set
-S of nonzero coefficients, so the Gram matrix changes only in the rows and
-columns of S (update_gram, O(|S| n)).  Beside it a PivotTable keeps, for
-every candidate pivot k, the set S_k of columns its rounded projection
-would move and the exact change of each one's squared norm; after a pivot
-it rescans the candidates in S and re-tests only the entries in S of every
-other candidate, also O(|S| n).  Selection then costs O(n + sum of |S_k|)
-exact integer work for the default p = 2, and one O(n) list pass per
-candidate in the other modes.
+instead of being recomputed.  A pivot changes only the set S of columns it
+moves, so the Gram matrix changes only in the rows and columns of S; the
+update is core.update_gram, the one exact Gram update, in O(|S| n).
+Beside it a PivotTable keeps, for every candidate pivot k, the set S_k of
+columns its rounded projection would move and the exact change of each
+one's squared norm; after a pivot it rescans the candidates in S and
+re-tests only the entries in S of every other candidate, also O(|S| n).
+Selection then costs O(n + sum of |S_k|) exact integer work for the
+default p = 2, and one O(n) list pass per candidate in the other modes.
 
 Scoring sums the p-th powers of the column norms.  The squared norms are
 always computed exactly in integers.  For the default p = 2 the whole score
@@ -34,8 +36,6 @@ from itertools import count, repeat
 from .core import (
     Basis,
     GramMatrix,
-    INT128_MAX,
-    INT128_MIN,
     ReductionResult,
     TransformRecord,
     UsageError,
@@ -45,6 +45,7 @@ from .core import (
     nint_ratio,
     projected_norm_sq,
     run_reducer,
+    update_gram,
 )
 
 SCORE_MODES = ("sum", "max")
@@ -85,18 +86,6 @@ class ReduceConfig:
         return (self.p,)
 
 
-@dataclass
-class PivotCoefficients:
-    """Rounded projection coefficients c for one candidate pivot k.
-
-    c[k] is always 0; for the other columns c[j] is the integer nearest to
-    g[j][k] / g[k][k], or 0 when the pivot column is zero.
-    """
-
-    k: int
-    c: list[int]
-
-
 def _rounded(nums, dens) -> list[tuple[int, int]]:
     """(i, c) for every i whose rounded ratio c = nint(nums[i] / dens[i])
     is nonzero; a zero denominator (a zero pivot column) gives c = 0.
@@ -109,14 +98,15 @@ def _rounded(nums, dens) -> list[tuple[int, int]]:
             if 0 < d <= 2 * abs(x)]
 
 
-def coefficients_for_pivot(gram: GramMatrix, k: int) -> PivotCoefficients:
-    """Rounded projection coefficients of every column onto column k."""
+def coefficients_for_pivot(gram: GramMatrix, k: int) -> list[tuple[int, int]]:
+    """Moves of pivot k: (j, c) for every column j != k whose rounded
+    projection coefficient c onto column k is nonzero, in increasing j.
+
+    A zero pivot column moves nothing.
+    """
     gk = gram.g[k]
-    c = [0] * gram.n
-    for j, cj in _rounded(gk, repeat(gk[k])):
-        c[j] = cj
-    c[k] = 0  # the pivot itself, whose ratio is 1
-    return PivotCoefficients(k, c)
+    # The pivot itself, whose ratio is 1, is not a move.
+    return [(j, c) for j, c in _rounded(gk, repeat(gk[k])) if j != k]
 
 
 class PivotTable:
@@ -138,13 +128,12 @@ class PivotTable:
 
     def _scan(self, k: int) -> dict[int, int]:
         g = self.gram.g
-        gk = g[k]
-        gkk = gk[k]
+        gkk = g[k][k]
         return {j: projected_norm_sq(g, j, k, c, gkk) - g[j][j]
-                for j, c in _rounded(gk, repeat(gkk)) if j != k}
+                for j, c in coefficients_for_pivot(self.gram, k)}
 
-    def refresh(self, coeffs: PivotCoefficients) -> None:
-        """Bring the table in step after update_gram(self.gram, coeffs).
+    def refresh(self, moves) -> None:
+        """Bring the table in step after update_gram(self.gram, k, moves).
 
         Only the rows and columns of the moved set S changed, so every
         candidate's entry for each column j in S is re-tested against the
@@ -152,15 +141,14 @@ class PivotTable:
         """
         g = self.gram.g
         rows = self.rows
-        moved = [j for j, cj in enumerate(coeffs.c) if cj]
         diag = self.gram.diagonal()
-        for j in moved:
+        for j, _ in moves:
             gj = g[j]
             for row in rows:
                 row.pop(j, None)
             for i, c in _rounded(gj, diag):
                 rows[i][j] = projected_norm_sq(g, j, i, c, diag[i]) - diag[j]
-        for i in moved:
+        for i, _ in moves:
             rows[i] = self._scan(i)
 
 
@@ -209,21 +197,6 @@ def _scorer(diag: list[int], p: float, mode: str):
     return score
 
 
-def pivot_score(gram: GramMatrix, coeffs: PivotCoefficients, p: float,
-                mode: str = "sum"):
-    """Score of the basis that applying this pivot would produce.
-
-    sum mode returns the sum of p-th powers of the column norms (an exact
-    integer when p == 2); max mode returns the largest squared norm.
-    """
-    g = gram.g
-    k = coeffs.k
-    gkk = g[k][k]
-    row = {j: projected_norm_sq(g, j, k, c, gkk) - g[j][j]
-           for j, c in enumerate(coeffs.c) if c}
-    return _scorer(gram.diagonal(), p, mode)(row)
-
-
 def basis_score(gram: GramMatrix, p: float, mode: str = "sum"):
     """Score of the basis as it stands (the do-nothing pivot)."""
     return _scorer(gram.diagonal(), p, mode)({})
@@ -231,8 +204,10 @@ def basis_score(gram: GramMatrix, p: float, mode: str = "sum"):
 
 def select_pivot(gram: GramMatrix, p: float, mode: str = "sum",
                  table: PivotTable | None = None):
-    """Best pivot: (index, coefficients, score).
+    """Best pivot: (k, moves, score).
 
+    moves is coefficients_for_pivot(gram, k), ready for apply_pivot, and
+    score is the score of the basis that applying the pivot would produce.
     Every candidate is scored from table, which must be in step with gram;
     without one a fresh PivotTable is built, at O(n^2).  Ties go to the
     smallest index.  Scoring costs O(n + sum of |S_k|) for p = 2 in sum
@@ -248,53 +223,17 @@ def select_pivot(gram: GramMatrix, p: float, mode: str = "sum",
     return k, coefficients_for_pivot(gram, k), scores[k]
 
 
-def update_gram(gram: GramMatrix, coeffs: PivotCoefficients) -> None:
-    """Apply the pivot's effect to the Gram matrix in O(|S| n).
+def apply_pivot(state: GreedyState, k: int, moves) -> None:
+    """Apply pivot k's moves to basis and transform, then Gram and table.
 
-    Subtracting c[j] times pivot column k from every column j changes only
-    the rows and columns of the set S of columns with c[j] != 0, by the
-    bilinear identity
-    g'[j][l] = g[j][l] - c[j] g[k][l] - c[l] g[k][j] + c[j] c[l] g[k][k].
-    Every new row is computed from the old matrix and range-checked entry
-    by entry before any is written; each is then mirrored into its column.
+    With S the set of moved columns, the column updates cost O(|S| m), and
+    the Gram update (update_gram) and the table refresh O(|S| n) each.
+    The moves must have been computed from the state's current Gram.
     """
-    g = gram.g
-    k = coeffs.k
-    gk = g[k]
-    gkk = gk[k]
-    moved = [(j, cj) for j, cj in enumerate(coeffs.c) if cj]
-    new_rows = []
-    for j, cj in moved:
-        gkj = gk[j]
-        row = [a - cj * b for a, b in zip(g[j], gk)]
-        for l, cl in moved:
-            row[l] += cl * (cj * gkk - gkj)
-        if max(row) > INT128_MAX or min(row) < INT128_MIN:
-            l = next(l for l, v in enumerate(row)
-                     if v > INT128_MAX or v < INT128_MIN)
-            raise OverflowError(
-                f"Gram entry ({j},{l}) exceeds the signed 128-bit range"
-            )
-        new_rows.append((j, row))
-    for j, row in new_rows:
-        g[j] = row
-        for gl, v in zip(g, row):
-            gl[j] = v
-
-
-def apply_pivot(state: GreedyState, k: int, coeffs: PivotCoefficients) -> None:
-    """Project every column off the pivot and update Gram, table and transform.
-
-    With S the set of columns whose coefficient is nonzero, the column
-    updates cost O(|S| m), and the Gram update and the table refresh
-    O(|S| n) each.  The coefficients must have been computed from the
-    state's current Gram.
-    """
-    for j, cj in enumerate(coeffs.c):
-        if cj:
-            apply_column_op(state.basis, None, state.transform, j, k, cj)
-    update_gram(state.gram, coeffs)
-    state.table.refresh(coeffs)
+    for j, c in moves:
+        apply_column_op(state.basis, None, state.transform, j, k, c)
+    update_gram(state.gram, k, moves)
+    state.table.refresh(moves)
     state.iteration += 1
 
 
@@ -321,11 +260,11 @@ def reduce(basis: Basis, config: ReduceConfig | None = None, *,
         for p in cfg.schedule():
             current = basis_score(state.gram, p, cfg.score_mode)
             while budget is None or state.iteration < budget:
-                k, coeffs, score = select_pivot(state.gram, p, cfg.score_mode,
-                                               state.table)
+                k, moves, score = select_pivot(state.gram, p, cfg.score_mode,
+                                              state.table)
                 if not score < current:
                     break
-                apply_pivot(state, k, coeffs)
+                apply_pivot(state, k, moves)
                 # The pivot's score is the new basis's score, exactly.
                 current = score
                 if on_iteration is not None:

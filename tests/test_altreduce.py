@@ -11,6 +11,7 @@ from latred.altreduce import (
 )
 from latred.core import (
     Basis,
+    UsageError,
     apply_transform,
     column_norms_sq,
     det_small,
@@ -113,6 +114,10 @@ class TestMgsPivotReduce:
         basis = Basis([[1, 7], [0, 0], [0, 3]])
         res = mgs_pivot_reduce(basis)
         assert res.basis.cols[1] == [0, 0]
+
+    def test_rejects_nonpositive_p(self):
+        with pytest.raises(UsageError, match="p must be positive, got -1.0"):
+            mgs_pivot_reduce(Basis.identity(2), -1.0)
 
     def test_projection_steps_rarely_increase_norms(self):
         # Rounded coefficients against the orthogonalized pivot normally

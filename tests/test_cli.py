@@ -101,6 +101,21 @@ class TestReduce:
         assert data["transform_matches"] is True
         assert data["unimodular"] is True
 
+    def test_report_leaves_unimodular_null_above_n16(self, tmp_path):
+        cols = Basis.identity(18).cols
+        cols[1][0] = 10
+        src = tmp_path / "in.mat"
+        write_mat(Basis(cols), src)
+        report = tmp_path / "report.json"
+        assert run_cli("reduce", "--algo", "greedy", "--in", str(src),
+                       "--out", str(tmp_path / "o.mat"), "--track-transform",
+                       "--report", str(report)) == 0
+        text = report.read_text()
+        assert '  "unimodular": null\n' in text
+        data = json.loads(text)
+        assert data["transform_matches"] is True
+        assert data["iterations"] == 1
+
     def test_all_algos_run(self, tmp_path):
         src = write_skewed(tmp_path / "in.mat")
         for algo in ("greedy", "lll", "lll+greedy", "rand-comb", "mgs"):

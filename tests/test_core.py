@@ -318,6 +318,18 @@ class TestApplyColumnOp:
         with pytest.raises(OverflowError, match="transform column 1"):
             apply_column_op(basis, None, u, 1, 0, -1)
 
+    def test_gram_overflow_names_entry_and_writes_nothing(self):
+        # Column 1 becomes (3 * 2**62, 1, 0): its squared norm leaves the
+        # range, while the other new entries of row 1 fit and must not be
+        # written either.
+        x = 1 << 62
+        basis = Basis([[1, 0, 0], [x, 1, 0], [1, 0, 1]])
+        gram = gram_compute(basis)
+        before = gram.copy()
+        with pytest.raises(OverflowError, match=r"Gram entry \(1,1\)"):
+            apply_column_op(basis, gram, None, 1, 0, -2 * x)
+        assert gram == before
+
 
 def fixed_stage(transform):
     """A stage that returns its input with the given transform attached."""
@@ -430,6 +442,10 @@ class TestDeterminant:
     def test_rejects_large_n(self):
         with pytest.raises(ValueError):
             det_small([[0] * 17 for _ in range(17)])
+
+    def test_unimodular_answers_up_to_n16_and_none_above(self):
+        assert is_unimodular(TransformRecord.identity(16)) is True
+        assert is_unimodular(TransformRecord.identity(17)) is None
 
 
 class TestMatFormat:

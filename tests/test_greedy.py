@@ -11,6 +11,7 @@ from latred.core import (
     det_small,
     fold_sum,
     gram_compute,
+    nint_ratio,
 )
 from latred.greedy import (
     GreedyState,
@@ -19,7 +20,6 @@ from latred.greedy import (
     apply_pivot,
     basis_score,
     coefficients_for_pivot,
-    pivot_score,
     reduce,
     select_pivot,
     update_gram,
@@ -37,16 +37,14 @@ def random_basis(rng, max_dim=8, max_entry=50):
 
 class TestCoefficients:
     def test_skewed_pivot_zero(self):
-        coeffs = coefficients_for_pivot(SKEWED, 0)
-        assert coeffs.c == [0, 10]
+        assert coefficients_for_pivot(SKEWED, 0) == [(1, 10)]
 
     def test_skewed_pivot_one(self):
-        coeffs = coefficients_for_pivot(SKEWED, 1)
-        assert coeffs.c == [0, 0]  # nint(10/101) == 0
+        assert coefficients_for_pivot(SKEWED, 1) == []  # nint(10/101) == 0
 
     def test_zero_pivot_column(self):
         g = GramMatrix([[0, 0], [0, 5]])
-        assert coefficients_for_pivot(g, 0).c == [0, 0]
+        assert coefficients_for_pivot(g, 0) == []
 
     def test_own_entry_always_zero(self):
         rng = random.Random(11)
@@ -54,33 +52,45 @@ class TestCoefficients:
             basis = random_basis(rng)
             gram = gram_compute(basis)
             for k in range(gram.n):
-                assert coefficients_for_pivot(gram, k).c[k] == 0
+                # Every other column with a nonzero nint(g_jk / g_kk), in
+                # order, and never the pivot itself.
+                g = gram.g
+                gkk = g[k][k]
+                ratios = [(j, nint_ratio(g[j][k], gkk) if gkk else 0)
+                          for j in range(gram.n) if j != k]
+                assert coefficients_for_pivot(gram, k) == [
+                    (j, c) for j, c in ratios if c]
 
 
 class TestPivotScore:
     def test_sum_mode_skewed(self):
-        assert pivot_score(SKEWED, coefficients_for_pivot(SKEWED, 0), 2.0) == 2
-        assert pivot_score(SKEWED, coefficients_for_pivot(SKEWED, 1), 2.0) == 102
+        # Pivot 0 takes column 1's squared norm from 101 to 1; pivot 1
+        # moves nothing.  The trace is 102, so they score 2 and 102.
+        assert PivotTable(SKEWED).rows == [{1: -100}, {}]
+        k, _, score = select_pivot(SKEWED, 2.0)
+        assert (k, score) == (0, 2)
+        assert basis_score(SKEWED, 2.0) == 102  # pivot 1's score
 
     def test_max_mode_skewed(self):
-        score = pivot_score(SKEWED, coefficients_for_pivot(SKEWED, 0), 2.0, "max")
-        assert score == 1
+        k, _, score = select_pivot(SKEWED, 2.0, "max")
+        assert (k, score) == (0, 1)
 
     def test_sum_mode_is_exact_int_for_p2(self):
-        assert isinstance(pivot_score(SKEWED, coefficients_for_pivot(SKEWED, 0), 2.0), int)
+        assert isinstance(select_pivot(SKEWED, 2.0)[2], int)
 
     def test_corrupt_gram_raises(self):
         bad = GramMatrix([[1, 10], [10, 4]])  # not a real Gram matrix
-        coeffs = coefficients_for_pivot(bad, 1)
         with pytest.raises(ArithmeticError, match="corrupt"):
-            pivot_score(bad, coeffs, 2.0)
+            PivotTable(bad)
+        with pytest.raises(ArithmeticError, match="corrupt"):
+            select_pivot(bad, 2.0)
 
 
 class TestSelectPivot:
     def test_prefers_big_improvement(self):
-        k, coeffs, score = select_pivot(SKEWED, 2.0)
+        k, moves, score = select_pivot(SKEWED, 2.0)
         assert (k, score) == (0, 2)
-        assert coeffs.c == [0, 10]
+        assert moves == [(1, 10)]
 
     def test_tie_break_smallest_index(self):
         g = gram_compute(Basis.identity(3))
@@ -89,9 +99,9 @@ class TestSelectPivot:
 
     def test_degenerate_column_ties_to_front(self):
         g = GramMatrix([[0, 0], [0, 5]])
-        k, coeffs, score = select_pivot(g, 2.0)
+        k, moves, score = select_pivot(g, 2.0)
         assert (k, score) == (0, 5)
-        assert coeffs.c == [0, 0]
+        assert moves == []
 
 
 class TestApplyPivot:
@@ -113,8 +123,8 @@ class TestApplyPivot:
         for _ in range(100):
             basis = random_basis(rng, max_dim=5, max_entry=30)
             state = GreedyState(basis, gram_compute(basis))
-            k, coeffs, _ = select_pivot(state.gram, 2.0)
-            apply_pivot(state, k, coeffs)
+            k, moves, _ = select_pivot(state.gram, 2.0)
+            apply_pivot(state, k, moves)
             assert state.gram == gram_compute(basis)
 
     def test_transform_overflow_names_column(self):
@@ -222,8 +232,8 @@ class TestReduce:
             for _ in range(20):
                 basis = random_basis(rng, max_dim=6, max_entry=40)
                 state = GreedyState(basis, gram_compute(basis))
-                k, coeffs, score = select_pivot(state.gram, p, mode)
-                apply_pivot(state, k, coeffs)
+                k, moves, score = select_pivot(state.gram, p, mode)
+                apply_pivot(state, k, moves)
                 assert score == basis_score(state.gram, p, mode)
 
     def test_pivot_sequence_depends_only_on_gram(self):
@@ -237,10 +247,10 @@ class TestReduce:
             replay = 0
             current = basis_score(gram, 2.0)
             while True:
-                k, coeffs, score = select_pivot(gram, 2.0)
+                k, moves, score = select_pivot(gram, 2.0)
                 if not score < current:
                     break
-                update_gram(gram, coeffs)
+                update_gram(gram, k, moves)
                 replay += 1
                 current = basis_score(gram, 2.0)
             assert replay == len(pivots)
@@ -253,7 +263,10 @@ def reference_select(gram, p, mode):
     n = gram.n
     best = None
     for k in range(n):
-        c = coefficients_for_pivot(gram, k).c
+        moves = coefficients_for_pivot(gram, k)
+        c = [0] * n
+        for j, cj in moves:
+            c[j] = cj
         norms = [g[j][j] + c[j] * c[j] * g[k][k] - 2 * c[j] * g[j][k]
                  for j in range(n)]
         assert min(norms) >= 0
@@ -266,7 +279,7 @@ def reference_select(gram, p, mode):
             for v in norms:
                 score += float(v) ** (p / 2.0)
         if best is None or score < best[2]:
-            best = (k, c, score)
+            best = (k, moves, score)
     return best
 
 
@@ -315,12 +328,9 @@ class TestPivotTable:
             assert state.table.rows == fresh.rows
             mode = cfg.score_mode
             for p in cfg.schedule():
-                k, coeffs, score = select_pivot(state.gram, p, mode,
-                                                state.table)
-                k0, coeffs0, score0 = select_pivot(state.gram.copy(), p, mode)
-                assert (k, coeffs.c, score) == (k0, coeffs0.c, score0)
-                assert (k, coeffs.c, score) == reference_select(state.gram,
-                                                                p, mode)
+                got = select_pivot(state.gram, p, mode, state.table)
+                assert got == select_pivot(state.gram.copy(), p, mode)
+                assert got == reference_select(state.gram, p, mode)
 
         for basis in TABLE_INPUTS:
             check(GreedyState(basis.copy(), gram_compute(basis)))
@@ -329,8 +339,9 @@ class TestPivotTable:
 
     def test_dense_input_moves_every_other_column(self):
         basis = dense_basis(random.Random(7))
-        k, coeffs, _ = select_pivot(gram_compute(basis), 2.0)
-        assert k == 0 and all(coeffs.c[1:])
+        k, moves, _ = select_pivot(gram_compute(basis), 2.0)
+        assert k == 0
+        assert [j for j, _ in moves] == list(range(1, basis.n))
 
     def test_table_of_another_gram_is_rejected(self):
         table = PivotTable(SKEWED.copy())
@@ -343,13 +354,13 @@ class TestPivotTable:
         for basis in TABLE_INPUTS:
             gram = gram_compute(basis)
             for k in range(basis.n):
-                coeffs = coefficients_for_pivot(gram, k)
+                moves = coefficients_for_pivot(gram, k)
                 moved = basis.copy()
-                for j, cj in enumerate(coeffs.c):
+                for j, cj in moves:
                     moved.cols[j] = [a - cj * b for a, b in
                                      zip(moved.cols[j], moved.cols[k])]
                 updated = gram.copy()
-                update_gram(updated, coeffs)
+                update_gram(updated, k, moves)
                 assert updated == gram_compute(moved)
 
     def test_update_gram_overflow_names_entry_and_writes_nothing(self):
@@ -357,7 +368,7 @@ class TestPivotTable:
         gram = GramMatrix([[1, x, -x], [x, x * x + 1, 0], [-x, 0, x * x + 1]])
         before = gram.copy()
         with pytest.raises(OverflowError, match=r"Gram entry \(1,2\)"):
-            update_gram(gram, coefficients_for_pivot(gram, 0))
+            update_gram(gram, 0, coefficients_for_pivot(gram, 0))
         assert gram == before
 
 
@@ -379,11 +390,9 @@ class TestFloatScores:
     def test_do_nothing_pivot_scores_like_the_basis(self):
         # Pivot 0 moves nothing, so its score is the basis score, bit for
         # bit; the halting test compares the two.
-        coeffs = coefficients_for_pivot(self.DIAG, 0)
-        assert not any(coeffs.c)
-        assert pivot_score(self.DIAG, coeffs, 1.0) == basis_score(self.DIAG, 1.0)
-        _, _, best = select_pivot(self.DIAG, 1.0)
-        assert not best < basis_score(self.DIAG, 1.0)
+        k, moves, best = select_pivot(self.DIAG, 1.0)
+        assert (k, moves) == (0, [])
+        assert best == basis_score(self.DIAG, 1.0)
 
 
 class TestReduceConfig:
