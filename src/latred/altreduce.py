@@ -64,9 +64,9 @@ def random_combination_step(basis: Basis, gram: GramMatrix, j: int,
     """
     n = basis.n
     others = [i for i in range(n) if i != j]
-    g = gram.g
-    sub = np.array([[float(g[a][b]) for b in others] for a in others])
-    rhs = np.array([float(g[a][j]) for a in others])
+    fg = np.array(gram.g, dtype=float)
+    sub = fg[np.ix_(others, others)]
+    rhs = fg[others, j]
     try:
         coeffs = np.linalg.solve(sub, rhs)
     except np.linalg.LinAlgError:

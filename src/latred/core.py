@@ -328,13 +328,12 @@ def _check_column(col: list[int], what: str, j: int) -> None:
         )
 
 
-def _sub_column_multiple(cols, j: int, k: int, c: int, what: str) -> None:
-    """cols[j] -= c * cols[k] in place, then range-check the new column."""
+def _sub_column_multiple(cols, j: int, k: int, c: int) -> None:
+    """cols[j] -= c * cols[k] in place."""
     cj = cols[j]
     ck = cols[k]
     for r in range(len(cj)):
         cj[r] -= c * ck[r]
-    _check_column(cj, what, j)
 
 
 def update_gram(gram: GramMatrix, k: int, moves) -> None:
@@ -378,17 +377,30 @@ def apply_column_op(basis, gram, transform, j: int, k: int, c: int) -> None:
     The Gram matrix (through update_gram) and transform record, when given,
     are updated exactly alongside the basis; pass None to skip either.
     Every updated entry is checked against the signed 128-bit range.  The
-    operation has unit determinant, so tracked transforms stay unimodular.
+    operation is all or nothing: on OverflowError the basis, the Gram
+    matrix and the transform are all unchanged.  It has unit determinant,
+    so tracked transforms stay unimodular.
     """
     if j == k:
         raise ValueError("column indices must differ")
     if c == 0:
         return
-    _sub_column_multiple(basis.cols, j, k, c, "basis")
-    if gram is not None:
-        update_gram(gram, k, ((j, c),))
+    # Columns move in place, which is cheaper than building new ones; on
+    # overflow they are moved back, which exact integers undo exactly.
+    _sub_column_multiple(basis.cols, j, k, c)
     if transform is not None:
-        _sub_column_multiple(transform.cols, j, k, c, "transform")
+        _sub_column_multiple(transform.cols, j, k, c)
+    try:
+        _check_column(basis.cols[j], "basis", j)
+        if transform is not None:
+            _check_column(transform.cols[j], "transform", j)
+        if gram is not None:
+            update_gram(gram, k, ((j, c),))
+    except OverflowError:
+        _sub_column_multiple(basis.cols, j, k, -c)
+        if transform is not None:
+            _sub_column_multiple(transform.cols, j, k, -c)
+        raise
 
 
 def apply_transform(basis: Basis, transform: TransformRecord) -> Basis:

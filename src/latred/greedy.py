@@ -228,11 +228,20 @@ def apply_pivot(state: GreedyState, k: int, moves) -> None:
 
     With S the set of moved columns, the column updates cost O(|S| m), and
     the Gram update (update_gram) and the table refresh O(|S| n) each.
-    The moves must have been computed from the state's current Gram.
+    The moves must have been computed from the state's current Gram.  On
+    OverflowError the moves already applied are undone, so the state is
+    unchanged.
     """
-    for j, c in moves:
-        apply_column_op(state.basis, None, state.transform, j, k, c)
-    update_gram(state.gram, k, moves)
+    applied = []
+    try:
+        for j, c in moves:
+            apply_column_op(state.basis, None, state.transform, j, k, c)
+            applied.append((j, c))
+        update_gram(state.gram, k, moves)
+    except OverflowError:
+        for j, c in applied:
+            apply_column_op(state.basis, None, state.transform, j, k, -c)
+        raise
     state.table.refresh(moves)
     state.iteration += 1
 

@@ -7,12 +7,13 @@ point.  The float side works on whole arrays: a float mirror of the basis
 kept in step with them (columns swapped with every swap, a column
 re-converted after size reduction changes it), and each Gram-Schmidt pass
 projects a column off all earlier b* at once with two matrix-vector
-products.  Accuracy comes from two measures: every orthogonalization is
-repeated until no component moves by more than a unit in the last place
-(plus one extra round once that holds), and on every swap the two affected
-orthogonal vectors are recomputed from scratch instead of patched.  That
-is enough for the random bases of interest here, not for adversarial
-inputs built to break floating-point reducers.
+products.  Accuracy comes from two measures: every orthogonalization runs
+exactly two such passes, classical Gram-Schmidt with one
+reorthogonalization (CGS2: "twice is enough", Kahan-Parlett; Giraud,
+Langou & Rozloznik 2005), and on every swap the two affected orthogonal
+vectors are recomputed from scratch instead of patched.  That is enough
+for the random bases of interest here, not for adversarial inputs built to
+break floating-point reducers.
 """
 
 from __future__ import annotations
@@ -35,11 +36,6 @@ from .core import (
 # Default Lovasz parameter: as close to 1 as double precision allows.
 DEFAULT_DELTA = 1.0 - 1e-15
 
-# Most Gram-Schmidt passes per column orthogonalization.
-REORTH_CAP = 4
-
-_ULP = 2.0 ** -52
-
 # nint_float(x) == 0 exactly when |x| < this.  It is one step below 1/2
 # because 0.5 - 2**-54 plus 0.5 rounds up to 1.0, so nint_float gives 1.
 _ROUNDS_TO_ZERO = 0.5 - 2.0 ** -54
@@ -60,9 +56,9 @@ class GSState:
 
     fcols mirrors the integer basis, column k being the exact integer
     column k rounded to doubles; whoever changes a basis column updates
-    its mirror column.  The b* columns come from reorthogonalized
-    classical Gram-Schmidt in matrix form: each pass projects b_k off
-    b*_0..b*_{k-1} together, repeated until stable.
+    its mirror column.  The b* columns come from classical Gram-Schmidt
+    with one reorthogonalization (CGS2) in matrix form: each of the two
+    passes projects b_k off b*_0..b*_{k-1} together.
     """
 
     bstar: np.ndarray            # (m, n), column k is b*_k
@@ -73,35 +69,25 @@ class GSState:
 
 
 def _orthogonalize_column(state: GSState, k: int) -> None:
-    """Project column k off b*_0..b*_{k-1}, repeating until stable.
+    """Project column k off b*_0..b*_{k-1} in exactly two passes (CGS2).
 
-    A pass is converged when every component changed by at most one ulp of
-    its magnitude; one additional pass then runs, and the total number of
-    passes never exceeds REORTH_CAP.  Earlier columns with a zero b* get a
-    zero coefficient.
+    Each pass takes two matrix-vector products, and mu[k][:k] is the sum
+    of the two passes' coefficients.  The second pass removes what
+    rounding left of the first; for a column that is not numerically
+    dependent that gives orthogonality to working precision ("twice is
+    enough").  Earlier columns with a zero b* get a zero coefficient.
     """
     b = state.fcols[:, k].copy()
     norm0 = float(b @ b)
-    mu_k = state.mu[k]
-    mu_k[:] = 0.0
-    mu_k[k] = 1.0
     bstar = state.bstar[:, :k]
     norms = state.norms_sq[:k]
     # A dependent column has b* == 0, so a unit denominator masks it to t_j = 0.
     denom = np.where(norms > 0.0, norms, 1.0)
-    last = REORTH_CAP - 1
-    converged = False
-    abs_b = np.abs(b)
-    for i in range(REORTH_CAP):
-        t = (b @ bstar) / denom
-        mu_k[:k] += t
-        prev, abs_prev = b, abs_b
-        b = b - bstar @ t
-        if converged or i == last:
-            break
-        abs_b = np.abs(b)
-        tol = _ULP * np.maximum(abs_prev, abs_b)
-        converged = bool((np.abs(b - prev) <= tol).all())
+    t = (b @ bstar) / denom
+    b = b - bstar @ t
+    t2 = (b @ bstar) / denom
+    b = b - bstar @ t2
+    state.mu[k, :k] = t + t2
     nk = float(b @ b)
     if norm0 == 0.0 or nk < RANK_FLOOR * norm0:
         state.bstar[:, k] = 0.0
@@ -114,7 +100,7 @@ def _orthogonalize_column(state: GSState, k: int) -> None:
 
 
 def orthogonalize(basis: Basis) -> GSState:
-    """Re-orthogonalized classical Gram-Schmidt over all columns.
+    """Two-pass classical Gram-Schmidt (CGS2) over all columns.
 
     Columns that come out (numerically) dependent, including zero columns,
     get a zero b* and are listed in the returned state's ``dependent``.
@@ -122,7 +108,7 @@ def orthogonalize(basis: Basis) -> GSState:
     m, n = basis.m, basis.n
     state = GSState(
         bstar=np.zeros((m, n)),
-        mu=np.zeros((n, n)),
+        mu=np.eye(n),
         norms_sq=np.zeros(n),
         fcols=np.array(basis.cols, dtype=float).T,
     )

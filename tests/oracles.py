@@ -54,6 +54,20 @@ def _dot_frac(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
+def exact_gram_schmidt(cols):
+    """Orthogonalized vectors b* and coefficients mu, in exact rationals."""
+    n = len(cols)
+    star = []
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        v = [Fraction(x) for x in cols[i]]
+        for j in range(i):
+            mu[i][j] = Fraction(_dot_frac(cols[i], star[j])) / _dot_frac(star[j], star[j])
+            v = [a - mu[i][j] * b for a, b in zip(v, star[j])]
+        star.append(v)
+    return star, mu
+
+
 def exact_lll(cols, delta):
     """Textbook LLL in exact rational arithmetic.
 
@@ -63,31 +77,19 @@ def exact_lll(cols, delta):
     basis = [[int(x) for x in col] for col in cols]
     n = len(basis)
     d = Fraction(delta)
-
-    def gs():
-        star = []
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            v = [Fraction(x) for x in basis[i]]
-            for j in range(i):
-                mu[i][j] = Fraction(_dot_frac(basis[i], star[j])) / _dot_frac(star[j], star[j])
-                v = [a - mu[i][j] * b for a, b in zip(v, star[j])]
-            star.append(v)
-        return star, mu
-
-    star, mu = gs()
+    star, mu = exact_gram_schmidt(basis)
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
             c = _nint_frac(mu[k][j])
             if c != 0:
                 basis[k] = [a - c * b for a, b in zip(basis[k], basis[j])]
-                star, mu = gs()
+                star, mu = exact_gram_schmidt(basis)
         if _dot_frac(star[k], star[k]) >= (d - mu[k][k - 1] ** 2) * _dot_frac(star[k - 1], star[k - 1]):
             k += 1
         else:
             basis[k - 1], basis[k] = basis[k], basis[k - 1]
-            star, mu = gs()
+            star, mu = exact_gram_schmidt(basis)
             k = max(k - 1, 1)
     return basis
 

@@ -330,6 +330,26 @@ class TestApplyColumnOp:
             apply_column_op(basis, gram, None, 1, 0, -2 * x)
         assert gram == before
 
+    def test_overflow_leaves_basis_gram_and_transform_unchanged(self):
+        # The basis and transform columns fit; the Gram entry (1,1) does
+        # not, so nothing may move.
+        basis = Basis([[1, 0, 0], [1 << 62, 1, 0], [1, 0, 1]])
+        gram = gram_compute(basis)
+        u = TransformRecord.identity(3)
+        before = (basis.copy(), gram.copy(), u.copy())
+        with pytest.raises(OverflowError, match=r"Gram entry \(1,1\)"):
+            apply_column_op(basis, gram, u, 1, 0, -(1 << 63))
+        assert (basis, gram, u) == before
+
+    def test_transform_overflow_leaves_basis_and_gram_unchanged(self):
+        basis = Basis([[1, 0], [10, 1]])
+        gram = gram_compute(basis)
+        u = TransformRecord([[1, INT128_MAX], [0, 1]])
+        before = (basis.copy(), gram.copy(), u.copy())
+        with pytest.raises(OverflowError, match="transform column 1"):
+            apply_column_op(basis, gram, u, 1, 0, -1)
+        assert (basis, gram, u) == before
+
 
 def fixed_stage(transform):
     """A stage that returns its input with the given transform attached."""

@@ -134,6 +134,25 @@ class TestApplyPivot:
         with pytest.raises(OverflowError, match="transform column 1"):
             apply_pivot(state, 0, coefficients_for_pivot(state.gram, 0))
 
+    def test_gram_overflow_leaves_state_unchanged(self):
+        basis = Basis([[1, 0, 0], [1 << 62, 1, 0], [1, 0, 1]])
+        u = TransformRecord.identity(3)
+        state = GreedyState(basis, gram_compute(basis), u)
+        before = (basis.copy(), state.gram.copy(), u.copy())
+        with pytest.raises(OverflowError, match=r"Gram entry \(1,1\)"):
+            apply_pivot(state, 0, [(1, -(1 << 63))])
+        assert (basis, state.gram, u) == before
+
+    def test_transform_overflow_undoes_earlier_moves(self):
+        # The move of column 1 succeeds; the one of column 2 overflows.
+        basis = Basis.identity(3)
+        u = TransformRecord([[1, 0, INT128_MAX], [0, 1, 0], [0, 0, 1]])
+        state = GreedyState(basis, gram_compute(basis), u)
+        before = (basis.copy(), state.gram.copy(), u.copy())
+        with pytest.raises(OverflowError, match="transform column 2"):
+            apply_pivot(state, 0, [(1, 1), (2, -1)])
+        assert (basis, state.gram, u) == before
+
 
 class TestReduce:
     def test_skewed_pair_one_iteration(self):

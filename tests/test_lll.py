@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from latred.lll import (
     size_reduce,
 )
 
-from oracles import exact_lll, shortest_vector_sq
+from oracles import exact_gram_schmidt, exact_lll, shortest_vector_sq
 
 
 def random_square_basis(rng, n, max_entry=20):
@@ -96,6 +98,26 @@ class TestOrthogonalize:
         state = orthogonalize(Basis(cols))
         if not state.dependent:
             assert orthogonality_residual(state, 64) <= 1e-12
+
+    def test_two_passes_accurate_on_nearly_parallel_columns(self):
+        # Every column is one vector with entries near 2**30 plus a
+        # perturbation of at most 1000 per entry, so all b*_j past the
+        # first are about 10**6 times shorter than the columns.
+        rng = random.Random(54)
+        for _ in range(5):
+            v = [rng.choice((1, -1)) * ((1 << 30) + rng.randint(-1000, 1000))
+                 for _ in range(8)]
+            cols = [[x + rng.randint(-1000, 1000) for x in v]
+                    for _ in range(8)]
+            state = orthogonalize(Basis(cols))
+            assert not state.dependent
+            assert orthogonality_residual(state, 8) <= 1e-12
+            _, mu = exact_gram_schmidt(cols)
+            for k in range(8):
+                for j in range(k):
+                    err = abs(Fraction(float(state.mu[k, j])) - mu[k][j])
+                    # Relative to |mu|, or absolute for |mu| < 1.
+                    assert err <= 1e-8 * max(abs(mu[k][j]), 1)
 
     def test_matches_loop_reference(self):
         rng = random.Random(52)
@@ -255,16 +277,24 @@ class TestLLLReduce:
             out_min = summarize_columns(res.basis).min_norm_sq
             assert math.sqrt(out_min) <= factor ** (n - 1) * math.sqrt(best) + 1e-9
 
-    # (swaps, frob_sq, min_sq) of the paper's permute -> LLL step at q = 8191.
-    # A change to the float path that moves one of these also moves the
-    # benchmark's exact-output digest.
+    # (swaps, frob_sq, min_sq, sha256 of the output basis and transform
+    # columns) of the paper's permute -> LLL step at q = 8191.
+    # A change to the float path that moves one of the first three also
+    # moves the benchmark's exact-output digest; the hash catches a change
+    # that moves any output entry.
     GOLDEN = {
-        (2, 1): (43, 1260081, 92977),
-        (2, 2): (54, 1306779, 92798),
-        (4, 1): (416, 3150998, 158446),
-        (4, 2): (351, 2979106, 97114),
-        (8, 1): (3031, 10108562, 309327),
-        (8, 2): (3029, 9822085, 293286),
+        (2, 1): (43, 1260081, 92977,
+                 "a9972aa113710829a8739a200508a14dc87a832901c24b3c6126f7e51b1b1fca"),
+        (2, 2): (54, 1306779, 92798,
+                 "64a7c01445cd67650f2b07eb62f2c6a807dc44725fe337bfef0455b2372819ec"),
+        (4, 1): (416, 3150998, 158446,
+                 "fdd377c40ea641a3ac74afed6a6e99c8eb3f00d74b86298c802e9039a8b45043"),
+        (4, 2): (351, 2979106, 97114,
+                 "ff9eec4394337cbeec170acbca7f07ecf3c733c12ffa5ad01b484a0e06c1f854"),
+        (8, 1): (3031, 10108562, 309327,
+                 "f8a2dbc59e2c9d7a492f99d8009c307336c31aa9a66100a87faee092d50dd37c"),
+        (8, 2): (3029, 9822085, 293286,
+                 "436ad63a913d8047157ad7644020e0b2c4926172f5acfcede7203d0aa85d6684"),
     }
 
     @pytest.mark.parametrize("ell,seed", sorted(GOLDEN))
@@ -273,8 +303,9 @@ class TestLLLReduce:
                                    100 + seed)
         res = lll_reduce(basis, track_transform=True)
         after = res.after
-        assert (res.iterations_applied, after.frobenius_sq,
-                after.min_norm_sq) == self.GOLDEN[ell, seed]
+        columns = repr((res.basis.cols, res.transform.cols)).encode()
+        assert (res.iterations_applied, after.frobenius_sq, after.min_norm_sq,
+                hashlib.sha256(columns).hexdigest()) == self.GOLDEN[ell, seed]
         assert apply_transform(basis, res.transform) == res.basis
 
     def test_mirror_matches_basis_after_every_size_reduction_and_swap(
