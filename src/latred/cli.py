@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 from .altreduce import AltConfig, mgs_pivot_reduce, random_combination_reduce
 from .core import (
@@ -26,11 +26,8 @@ from .core import (
 )
 from .genlat import ExampleSpec, gen_example
 from .greedy import ReduceConfig, reduce as greedy_reduce
-from .harness import CSV_HEADER, ExperimentConfig, aggregate_rows, run_experiment
+from .harness import CSV_HEADER, ExperimentConfig, emit_csv, run_experiment
 from .lll import DEFAULT_DELTA, LLLConfig, lll_reduce
-
-DEFAULT_ELLS = "2,4,8,16"
-FULL_SWEEP_ELLS = "2,4,8,16,32,64,128"
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -68,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     red.add_argument("--in", dest="in_path", required=True)
     red.add_argument("--out", required=True)
     red.add_argument("--p", type=float, default=2.0)
-    red.add_argument("--p-schedule", type=_float_list, default=None)
+    red.add_argument("--p-schedule", type=_float_list, default=None,
+                     help="greedy exponents, run in order (overrides --p)")
     red.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     red.add_argument("--score", choices=["sum", "max"], default="sum")
     red.add_argument("--iters", type=int, default=None,
@@ -80,9 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="run the benchmark protocol")
     bench.add_argument("--q", type=int, required=True)
-    bench.add_argument("--ell-list", type=_int_list, default=None)
-    bench.add_argument("--full-sweep", action="store_true",
-                       help="use ell up to 128 (slow)")
+    bench.add_argument("--ell-list", type=_int_list, default=(2, 4, 8, 16))
     bench.add_argument("--trials", type=int, default=10)
     bench.add_argument("--mode", choices=["once", "repeat"], default="once")
     bench.add_argument("--delta", type=float, default=DEFAULT_DELTA)
@@ -110,10 +106,13 @@ def _stages(args):
     """
     track = args.track_transform
     lll_cfg = LLLConfig(delta=args.delta)
-    greedy_cfg = ReduceConfig(p=args.p, p_schedule=args.p_schedule,
-                              score_mode=args.score)
-    alt_cfg = AltConfig(p=args.p, seed=args.seed,
-                        iterations=0 if args.iters is None else args.iters)
+    # Built from --p even under --p-schedule, so a bad --p exits 2 for
+    # every --algo, mgs included.
+    greedy_cfg = ReduceConfig(p_schedule=(args.p,), score_mode=args.score)
+    if args.p_schedule is not None:
+        greedy_cfg = ReduceConfig(p_schedule=args.p_schedule,
+                                  score_mode=args.score)
+    alt_cfg = AltConfig(iterations=args.iters, seed=args.seed)
 
     def lll(basis):
         return lll_reduce(basis, lll_cfg, track_transform=track)
@@ -122,10 +121,7 @@ def _stages(args):
         return greedy_reduce(basis, greedy_cfg, track_transform=track)
 
     def rand_comb(basis):
-        cfg = alt_cfg
-        if args.iters is None:
-            cfg = replace(alt_cfg, iterations=10 * basis.n)
-        return random_combination_reduce(basis, cfg, track_transform=track)
+        return random_combination_reduce(basis, alt_cfg, track_transform=track)
 
     def mgs(basis):
         return mgs_pivot_reduce(basis, args.p, track_transform=track)
@@ -167,25 +163,19 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.full_sweep:
-        ells = _int_list(FULL_SWEEP_ELLS)
-    elif args.ell_list is not None:
-        ells = args.ell_list
-    else:
-        ells = _int_list(DEFAULT_ELLS)
     config = ExperimentConfig(
         q=args.q,
-        ell_list=ells,
+        ell_list=args.ell_list,
         delta=args.delta,
         p_schedule=(args.p,),
         trials=args.trials,
         mode=args.mode,
         seed=args.seed,
-        csv_path=args.csv,
     )
     records = run_experiment(config)
+    aggregates = emit_csv(records, args.csv)
     print(CSV_HEADER.replace(",", " ").replace("trial", "stat"))
-    for row in aggregate_rows(records):
+    for row in aggregates:
         print(" ".join(row))
     # A failed trial is dropped from the CSV; the count makes that visible.
     written = str(len(records))

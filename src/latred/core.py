@@ -100,9 +100,6 @@ class Basis:
     def n(self) -> int:
         return len(self.cols)
 
-    def col(self, j: int) -> list[int]:
-        return self.cols[j]
-
     def to_rows(self) -> list[list[int]]:
         return [[col[r] for col in self.cols] for r in range(self.m)]
 
@@ -463,7 +460,8 @@ def pipeline(basis: Basis, stages) -> ReductionResult:
     own result.  Its transform is the product of the stage transforms when
     every stage tracked one, else None; a single stage's transform is
     passed through as is.  A product entry beyond the signed 128-bit range
-    raises OverflowError naming its column.
+    raises OverflowError naming its column, and an empty stages raises
+    ValueError.
     """
     results = []
     current = basis
@@ -471,6 +469,8 @@ def pipeline(basis: Basis, stages) -> ReductionResult:
         res = stage(current)
         results.append(res)
         current = res.basis
+    if not results:
+        raise ValueError("pipeline needs at least one stage")
     transforms = [res.transform for res in results]
     transform = None
     if None not in transforms:

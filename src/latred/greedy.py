@@ -55,17 +55,15 @@ SCORE_MODES = ("sum", "max")
 class ReduceConfig:
     """Options for reduce().
 
-    p_schedule, when given, lists exponents that are each run to
-    convergence in order (the usual choice is starting at 2 and finishing
-    at a smaller p); otherwise the single exponent p is used.  score_mode
-    "max" replaces the sum of p-th powers with the maximum squared norm;
-    it is a heuristic with no termination guarantee of its own beyond the
-    same strict-descent halting rule, and in practice tends to shorten
-    only the longest vectors.
+    p_schedule lists the exponents that are each run to convergence in
+    order (the usual choice is starting at 2 and finishing at a smaller p).
+    score_mode "max" replaces the sum of p-th powers with the maximum
+    squared norm; it is a heuristic with no termination guarantee of its
+    own beyond the same strict-descent halting rule, and in practice tends
+    to shorten only the longest vectors.
     """
 
-    p: float = 2.0
-    p_schedule: tuple[float, ...] | None = None
+    p_schedule: tuple[float, ...] = (2.0,)
     score_mode: str = "sum"
     max_iterations: int | None = None
 
@@ -74,16 +72,11 @@ class ReduceConfig:
             raise UsageError(f"score_mode must be one of {SCORE_MODES}")
         if self.max_iterations is not None and self.max_iterations < 0:
             raise UsageError("max_iterations must be nonnegative")
-        for p in self.schedule():
+        if not self.p_schedule:
+            raise UsageError("p_schedule must be nonempty")
+        for p in self.p_schedule:
             if not p > 0:
                 raise UsageError(f"exponent must be positive, got {p}")
-
-    def schedule(self) -> tuple[float, ...]:
-        if self.p_schedule is not None:
-            if not self.p_schedule:
-                raise UsageError("p_schedule must be nonempty")
-            return tuple(self.p_schedule)
-        return (self.p,)
 
 
 def _rounded(nums, dens) -> list[tuple[int, int]]:
@@ -266,7 +259,7 @@ def reduce(basis: Basis, config: ReduceConfig | None = None, *,
 
     def body(work, transform):
         state = GreedyState(work, gram_compute(work), transform)
-        for p in cfg.schedule():
+        for p in cfg.p_schedule:
             current = basis_score(state.gram, p, cfg.score_mode)
             while budget is None or state.iteration < budget:
                 k, moves, score = select_pivot(state.gram, p, cfg.score_mode,

@@ -13,7 +13,7 @@ so nothing is lost to rounding.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 
@@ -26,13 +26,6 @@ log = logging.getLogger(__name__)
 
 MODES = ("once", "repeat")
 
-CSV_HEADER = (
-    "mode,n,q,delta,p,trial,"
-    "frob_sq_0,frob_sq_lll,frob_sq_ours,"
-    "min_sq_0,min_sq_lll,min_sq_ours,"
-    "secs_lll,secs_ours,iters_ours"
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -43,7 +36,6 @@ class ExperimentConfig:
     trials: int = 10
     mode: str = "once"
     seed: int = 0
-    csv_path: str | None = None
 
     def __post_init__(self):
         if self.trials < 1:
@@ -76,7 +68,13 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One permute -> LLL -> greedy pass, squared norms kept exact."""
+    """One permute -> LLL -> greedy pass, squared norms kept exact.
+
+    The fields are the bench CSV's columns, in order.  The fields before
+    trial name the group a trial belongs to; aggregate rows put their stat
+    (mean, min, max) in the trial column.  Float fields are measured
+    seconds; every int field after trial is exact.
+    """
 
     mode: str
     n: int
@@ -93,6 +91,9 @@ class TrialRecord:
     secs_lll: float
     secs_ours: float
     iters_ours: int
+
+
+CSV_HEADER = ",".join(f.name for f in fields(TrialRecord))
 
 
 def schedule_label(p_schedule) -> str:
@@ -174,73 +175,72 @@ def run_repeatedly(config: ExperimentConfig) -> list[TrialRecord]:
 
 def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
     runner = run_once if config.mode == "once" else run_repeatedly
-    records = runner(config)
-    if config.csv_path is not None:
-        emit_csv(records, config.csv_path)
-    return records
+    return runner(config)
 
 
-_INT_FIELDS = (
-    "frob_sq_0", "frob_sq_lll", "frob_sq_ours",
-    "min_sq_0", "min_sq_lll", "min_sq_ours",
-)
-_SEC_FIELDS = ("secs_lll", "secs_ours")
+def _split(rec: TrialRecord) -> tuple[list, list]:
+    """The record's values before its trial field and after it."""
+    names = [f.name for f in fields(rec)]
+    values = [getattr(rec, name) for name in names]
+    cut = names.index("trial")
+    return values[:cut], values[cut + 1:]
 
 
-def _record_cells(rec: TrialRecord) -> list[str]:
-    cells = [rec.mode, str(rec.n), str(rec.q), repr(rec.delta), rec.p,
-             str(rec.trial)]
-    cells.extend(str(getattr(rec, f)) for f in _INT_FIELDS)
-    cells.extend(f"{getattr(rec, f):.6f}" for f in _SEC_FIELDS)
-    cells.append(str(rec.iters_ours))
-    return cells
+def _mean(values):
+    total = sum(values)
+    if isinstance(total, float):
+        return total / len(values)
+    return Fraction(total, len(values))
 
 
-def _mean_cell(values) -> str:
-    mean = Fraction(sum(values), len(values))
-    if mean.denominator == 1:
-        return str(mean.numerator)
-    return repr(float(mean))
+def _row(group, stat, measured) -> list[str]:
+    """The CSV cells of one trial or aggregate row.
 
+    Measured seconds get 6 decimals.  An exact value prints in full, and
+    an exact mean that is not an integer as its nearest float.
+    """
+    def cell(value) -> str:
+        if isinstance(value, float):
+            return f"{value:.6f}"
+        if isinstance(value, Fraction) and value.denominator != 1:
+            return repr(float(value))
+        return str(value)
 
-# (stat, cell of exact columns, value of seconds columns)
-_AGGREGATES = (
-    ("mean", _mean_cell, lambda values: sum(values) / len(values)),
-    ("min", lambda values: str(min(values)), min),
-    ("max", lambda values: str(max(values)), max),
-)
+    return [*map(str, group), str(stat), *map(cell, measured)]
 
 
 def aggregate_rows(records) -> list[list[str]]:
-    """mean/min/max rows per (mode, n) group, in first-appearance order."""
-    groups: dict[tuple[str, int], list[TrialRecord]] = {}
+    """mean/min/max rows per group, in first-appearance order.
+
+    A group is the values before the trial field; in one run that is one
+    (mode, n).
+    """
+    groups: dict[tuple, list[list]] = {}
     for rec in records:
-        groups.setdefault((rec.mode, rec.n), []).append(rec)
+        group, measured = _split(rec)
+        groups.setdefault(tuple(group), []).append(measured)
     rows = []
-    for (mode, n), group in groups.items():
-        first = group[0]
-        head = [mode, str(n), str(first.q), repr(first.delta), first.p]
-        values = {f: [getattr(r, f) for r in group]
-                  for f in (*_INT_FIELDS, *_SEC_FIELDS, "iters_ours")}
-        for stat, exact, secs in _AGGREGATES:
-            row = head + [stat]
-            row += [exact(values[f]) for f in _INT_FIELDS]
-            row += [f"{secs(values[f]):.6f}" for f in _SEC_FIELDS]
-            row.append(exact(values["iters_ours"]))
-            rows.append(row)
+    for group, measured in groups.items():
+        columns = list(zip(*measured))
+        for stat, agg in (("mean", _mean), ("min", min), ("max", max)):
+            rows.append(_row(group, stat, map(agg, columns)))
     return rows
 
 
-def emit_csv(records, path) -> None:
-    """Write trial rows then per-(mode, n) aggregate rows.
+def emit_csv(records, path) -> list[list[str]]:
+    """Write trial rows then aggregate rows; return the aggregate rows.
 
     Integer columns are exact decimal; seconds use 6 decimal places.
     """
+    aggregates = aggregate_rows(records)
     lines = [CSV_HEADER]
-    lines.extend(",".join(_record_cells(r)) for r in records)
-    lines.extend(",".join(row) for row in aggregate_rows(records))
+    for rec in records:
+        group, measured = _split(rec)
+        lines.append(",".join(_row(group, rec.trial, measured)))
+    lines.extend(",".join(row) for row in aggregates)
     try:
         with open(path, "w", encoding="ascii") as fh:
             fh.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise OSError(f"could not write CSV to {path}: {exc}") from exc
+    return aggregates

@@ -74,8 +74,8 @@ def n24_trials():
     for t in N24_SEEDS:
         permuted = random_permutation(example, derive_seed(2024, 8, t + 1))
         lll_res = lll_reduce(permuted, LLLConfig(delta=DELTA))
-        polish = greedy_reduce(lll_res.basis, ReduceConfig(p=2.0))
-        alone = greedy_reduce(permuted, ReduceConfig(p=2.0))
+        polish = greedy_reduce(lll_res.basis, ReduceConfig(p_schedule=(2.0,)))
+        alone = greedy_reduce(permuted, ReduceConfig(p_schedule=(2.0,)))
         randcomb = random_combination_reduce(
             permuted, AltConfig(iterations=10 * permuted.n, seed=t)
         )

@@ -143,7 +143,3 @@ class TestAltConfig:
     def test_rejects_negative_iterations(self):
         with pytest.raises(ValueError):
             AltConfig(iterations=-1)
-
-    def test_rejects_nonpositive_p(self):
-        with pytest.raises(ValueError):
-            AltConfig(p=0.0)

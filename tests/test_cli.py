@@ -5,6 +5,8 @@ import pytest
 
 from latred.cli import main
 from latred.core import INT128_MAX, read_mat, write_mat, Basis
+from latred.genlat import ExampleSpec, gen_example, random_permutation
+from latred.greedy import ReduceConfig, reduce
 from latred.harness import CSV_HEADER
 
 Q13 = 2**13 - 1
@@ -143,6 +145,35 @@ class TestReduce:
 
     def test_bad_flag_exits_2_before_reading_input(self, tmp_path):
         assert run_cli("reduce", "--algo", "greedy", "--p", "-1",
+                       "--in", str(tmp_path / "nope.mat"),
+                       "--out", str(tmp_path / "o.mat")) == 2
+
+    @pytest.mark.parametrize("flags, schedule, ignored", [
+        (["--p", "1", "--p-schedule", "2,1"], (2.0, 1.0), (1.0,)),
+        (["--p", "1"], (1.0,), (2.0,)),
+    ], ids=["schedule-overrides-p", "p"])
+    def test_exponent_flags_set_the_schedule(self, tmp_path, flags, schedule,
+                                             ignored):
+        basis = random_permutation(gen_example(ExampleSpec(Q13, 2, 0)), 0)
+        src = tmp_path / "in.mat"
+        write_mat(basis, src)
+        out = tmp_path / "out.mat"
+        assert run_cli("reduce", "--algo", "greedy", *flags, "--in", str(src),
+                       "--out", str(out)) == 0
+        want = reduce(basis, ReduceConfig(p_schedule=schedule)).basis
+        assert read_mat(out) == want
+        # The schedule a dropped flag would leave polishes this input
+        # differently, so the test tells the two apart.
+        assert want != reduce(basis, ReduceConfig(p_schedule=ignored)).basis
+
+    @pytest.mark.parametrize("flags", [
+        ["--p-schedule", ","],
+        ["--p-schedule", "2,0"],
+        ["--algo", "mgs", "--p", "-1", "--p-schedule", "2"],
+    ], ids=["empty-schedule", "zero-exponent", "mgs-bad-p"])
+    def test_bad_exponent_exits_2_before_reading_input(self, tmp_path, flags):
+        algo = [] if "--algo" in flags else ["--algo", "greedy"]
+        assert run_cli("reduce", *algo, *flags,
                        "--in", str(tmp_path / "nope.mat"),
                        "--out", str(tmp_path / "o.mat")) == 2
 

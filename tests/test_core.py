@@ -384,6 +384,10 @@ class TestPipeline:
         assert res.transform is u
         assert len(res.stages) == 1 and res.stages[0].transform is u
 
+    def test_no_stages_is_a_value_error(self):
+        with pytest.raises(ValueError, match="at least one stage"):
+            pipeline(Basis.identity(2), ())
+
 
 class TestTransformRecord:
     def test_is_a_square_basis(self):

@@ -220,7 +220,7 @@ class TestReduce:
     def test_p_schedule_runs_each_exponent(self):
         rng = random.Random(35)
         basis = random_basis(rng, max_dim=6, max_entry=40)
-        res2 = reduce(basis, ReduceConfig(p=2.0))
+        res2 = reduce(basis, ReduceConfig(p_schedule=(2.0,)))
         res21 = reduce(basis, ReduceConfig(p_schedule=(2.0, 1.0)))
         # The p=1 stage may only shrink things further.
         assert res21.after.frobenius_sq <= res2.after.frobenius_sq
@@ -327,9 +327,9 @@ TABLE_INPUTS = (
     + [degenerate_basis(random.Random(80 + i)) for i in range(12)]
 )
 TABLE_CONFIGS = (
-    ReduceConfig(p=2.0),
-    ReduceConfig(p=1.0),
-    ReduceConfig(p=3.0),
+    ReduceConfig(p_schedule=(2.0,)),
+    ReduceConfig(p_schedule=(1.0,)),
+    ReduceConfig(p_schedule=(3.0,)),
     ReduceConfig(score_mode="max"),
     ReduceConfig(p_schedule=(2.0, 1.0)),
 )
@@ -346,7 +346,7 @@ class TestPivotTable:
             fresh = PivotTable(state.gram.copy())
             assert state.table.rows == fresh.rows
             mode = cfg.score_mode
-            for p in cfg.schedule():
+            for p in cfg.p_schedule:
                 got = select_pivot(state.gram, p, mode, state.table)
                 assert got == select_pivot(state.gram.copy(), p, mode)
                 assert got == reference_select(state.gram, p, mode)
@@ -421,6 +421,6 @@ class TestReduceConfig:
 
     def test_rejects_nonpositive_exponent(self):
         with pytest.raises(ValueError):
-            ReduceConfig(p=0.0)
+            ReduceConfig(p_schedule=(0.0,))
         with pytest.raises(ValueError):
             ReduceConfig(p_schedule=(2.0, -1.0))

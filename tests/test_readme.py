@@ -1,5 +1,10 @@
 import re
+import shlex
 from pathlib import Path
+
+import pytest
+
+from latred.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -15,3 +20,30 @@ def test_library_example_runs(capsys):
     assert namespace["result"].basis.cols == [[1, 0], [0, 1]]
     assert len(namespace["result"].stages) == 2
     assert "True" in capsys.readouterr().out
+
+
+def cli_section():
+    text = README.read_text(encoding="utf-8")
+    return text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_cli_commands_run(tmp_path, monkeypatch):
+    # One command per block, run in order, so reduce reads what gen wrote.
+    blocks = re.findall(r"```sh\n(.*?)```", cli_section(), re.S)
+    assert len(blocks) == 3
+    monkeypatch.chdir(tmp_path)
+    for block in blocks:
+        argv = shlex.split(block.replace("\\\n", " "))
+        assert argv[0] == "latred"
+        assert main(argv[1:]) == 0, argv
+    assert (tmp_path / "results.csv").exists()
+
+
+def test_cli_section_names_only_existing_flags(capsys):
+    helps = []
+    for command in ("gen", "reduce", "bench"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        helps.append(capsys.readouterr().out)
+    for flag in set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", cli_section())):
+        assert any(re.search(rf"{flag}\b(?!-)", h) for h in helps), flag
