@@ -4,7 +4,8 @@ All numerical work lives in the library modules; this file only parses
 flags, moves files, and maps failures to exit codes (0 ok, 1 input error,
 2 usage error, 3 numerical fault).  Flag values are checked by the config
 objects they build, whose UsageError maps to exit 2; each command builds
-its configs before it touches a file.  Every --algo is a list of stages
+its configs before it touches a file.  A reduce flag that the chosen --algo
+never reads is a usage error too.  Every --algo is a list of stages
 run through core.pipeline.
 """
 
@@ -28,6 +29,16 @@ from .genlat import ExampleSpec, gen_example
 from .greedy import ReduceConfig, reduce as greedy_reduce
 from .harness import CSV_HEADER, ExperimentConfig, emit_csv, run_experiment
 from .lll import DEFAULT_DELTA, LLLConfig, lll_reduce
+
+# reduce's flags that only some --algo values read: (flag, dest, those
+# values).  Each defaults to None, so a given flag can be told apart.
+_READ_ONLY_BY = (
+    ("--p-schedule", "p_schedule", ("greedy", "lll+greedy")),
+    ("--score", "score", ("greedy", "lll+greedy")),
+    ("--delta", "delta", ("lll", "lll+greedy")),
+    ("--iters", "iters", ("rand-comb",)),
+    ("--seed", "seed", ("rand-comb",)),
+)
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -67,11 +78,11 @@ def build_parser() -> argparse.ArgumentParser:
     red.add_argument("--p", type=float, default=2.0)
     red.add_argument("--p-schedule", type=_float_list, default=None,
                      help="greedy exponents, run in order (overrides --p)")
-    red.add_argument("--delta", type=float, default=DEFAULT_DELTA)
-    red.add_argument("--score", choices=["sum", "max"], default="sum")
+    red.add_argument("--delta", type=float, default=None)
+    red.add_argument("--score", choices=["sum", "max"], default=None)
     red.add_argument("--iters", type=int, default=None,
                      help="step budget for rand-comb (default 10*n)")
-    red.add_argument("--seed", type=int, default=0)
+    red.add_argument("--seed", type=int, default=None)
     red.add_argument("--track-transform", action="store_true")
     red.add_argument("--report", default=None)
     red.set_defaults(func=cmd_reduce)
@@ -100,19 +111,29 @@ def cmd_gen(args) -> int:
 def _stages(args):
     """The stages of --algo, built from configs that check every flag.
 
-    A bad flag raises UsageError here, so cmd_reduce calls this before it
-    reads any file.  Reducers are looked up when a stage runs, so a
+    A bad flag, or one that --algo never reads, raises UsageError here, so
+    cmd_reduce calls this before it reads any file.  A flag left out takes
+    its config's default.  Reducers are looked up when a stage runs, so a
     patched one is what runs.
     """
+    unread = [flag for flag, dest, algos in _READ_ONLY_BY
+              if getattr(args, dest) is not None and args.algo not in algos]
+    if unread:
+        raise UsageError(f"--algo {args.algo} does not read "
+                         + ", ".join(unread))
+
+    def given(**values):
+        return {key: v for key, v in values.items() if v is not None}
+
     track = args.track_transform
-    lll_cfg = LLLConfig(delta=args.delta)
+    lll_cfg = LLLConfig(**given(delta=args.delta))
     # Built from --p even under --p-schedule, so a bad --p exits 2 for
     # every --algo, mgs included.
-    greedy_cfg = ReduceConfig(p_schedule=(args.p,), score_mode=args.score)
+    score = given(score_mode=args.score)
+    greedy_cfg = ReduceConfig(p_schedule=(args.p,), **score)
     if args.p_schedule is not None:
-        greedy_cfg = ReduceConfig(p_schedule=args.p_schedule,
-                                  score_mode=args.score)
-    alt_cfg = AltConfig(iterations=args.iters, seed=args.seed)
+        greedy_cfg = ReduceConfig(p_schedule=args.p_schedule, **score)
+    alt_cfg = AltConfig(**given(iterations=args.iters, seed=args.seed))
 
     def lll(basis):
         return lll_reduce(basis, lll_cfg, track_transform=track)

@@ -12,7 +12,9 @@ fits int64: m * M**2 < 2**63 for the inner products of length-m columns
 with largest |entry| M, and n * M_B * M_U < 2**63 for the product of a
 basis and an n x n transform.  Any other input takes the exact Python-int
 path with its 128-bit range checks.  Results always come back as Python
-ints.
+ints.  IntRows applies the same rule to a run of column operations (LLL's
+size reduction): its rows stay int64 while a per-row bound proves each
+operation exact, and are Python ints, range-checked, from then on.
 
 A column operation moves one column; a pivot k moves a sparse list of
 columns, the (j, c) pairs of column j -= c * column k.  update_gram is the
@@ -114,9 +116,6 @@ class Basis:
     def copy(self) -> "Basis":
         return self._trusted(self.m, [list(col) for col in self.cols])
 
-    def swap_columns(self, j: int, k: int) -> None:
-        self.cols[j], self.cols[k] = self.cols[k], self.cols[j]
-
     def __eq__(self, other):
         return type(other) is type(self) and self.cols == other.cols
 
@@ -208,6 +207,12 @@ class ReductionResult:
     stages: tuple[ReductionResult, ...] = ()
 
 
+def _max_abs(a) -> int:
+    """Largest |entry| of an int64 array, as a Python int."""
+    # Not np.abs: in int64, abs(-2**63) is -2**63.
+    return max(int(a.max()), -int(a.min()))
+
+
 def _int64_cols(cols):
     """cols as an int64 array, one row per column, and its largest |entry|.
 
@@ -218,8 +223,7 @@ def _int64_cols(cols):
         a = np.array(cols, dtype=np.int64)
     except OverflowError:
         return None
-    # Not np.abs: in int64, abs(-2**63) is -2**63.
-    return a, max(int(a.max()), -int(a.min()))
+    return a, _max_abs(a)
 
 
 def gram_compute(basis: Basis) -> GramMatrix:
@@ -331,6 +335,71 @@ def _sub_column_multiple(cols, j: int, k: int, c: int) -> None:
     ck = cols[k]
     for r in range(len(cj)):
         cj[r] -= c * ck[r]
+
+
+class IntRows:
+    """Integer columns as numpy rows, for repeated column operations.
+
+    rows[j] is column j.  The rows are int64 while bounds, one Python int
+    per row at least as large as the row's largest |entry|, prove that
+    every operation is exact: rows[k] -= c * rows[j] is done in int64 only
+    when bounds[k] + |c| * bounds[j] < 2**63.  When that test fails, the
+    two rows' bounds are measured again; when it still fails, every row
+    becomes dtype=object (Python ints, exact at any size) for good, and
+    bounds is None.  On that path each operation is checked against the
+    signed 128-bit range and raises OverflowError naming the column, with
+    the rows unchanged.
+    """
+
+    __slots__ = ("rows", "bounds", "what")
+
+    def __init__(self, cols, what: str):
+        packed = _int64_cols(cols)
+        if packed is None:
+            self.rows = list(np.array(cols, dtype=object))
+            self.bounds = None
+        else:
+            self.rows = list(packed[0])
+            self.bounds = [packed[1]] * len(cols)
+        self.what = what
+
+    def _int64_bound(self, k: int, j: int, c: int) -> int | None:
+        """Bound of rows[k] - c * rows[j] when it is exact in int64, else None."""
+        bounds = self.bounds
+        b = bounds[k] + abs(c) * bounds[j]
+        if b < _INT64_LIMIT:
+            return b
+        bounds[k] = _max_abs(self.rows[k])
+        bounds[j] = _max_abs(self.rows[j])
+        b = bounds[k] + abs(c) * bounds[j]
+        if b < _INT64_LIMIT:
+            return b
+        self.rows = [row.astype(object) for row in self.rows]
+        self.bounds = None
+        return None
+
+    def sub_multiple(self, k: int, j: int, c: int) -> None:
+        """rows[k] -= c * rows[j], exactly."""
+        if self.bounds is not None:
+            b = self._int64_bound(k, j, c)
+            if b is not None:
+                self.rows[k] -= c * self.rows[j]
+                self.bounds[k] = b
+                return
+        row = self.rows[k] - c * self.rows[j]
+        _check_column(row, self.what, k)
+        self.rows[k] = row
+
+    def swap(self, j: int, k: int) -> None:
+        rows = self.rows
+        rows[j], rows[k] = rows[k], rows[j]
+        if self.bounds is not None:
+            bounds = self.bounds
+            bounds[j], bounds[k] = bounds[k], bounds[j]
+
+    def tolist(self) -> list[list[int]]:
+        """The columns as lists of Python ints."""
+        return [row.tolist() for row in self.rows]
 
 
 def update_gram(gram: GramMatrix, k: int, moves) -> None:

@@ -2,18 +2,26 @@
 
 The basis columns and accumulated transform stay exact integers; only the
 orthogonalized vectors and their projection coefficients are floating
-point.  The float side works on whole arrays: a float mirror of the basis
-(``GSState.fcols``) is converted from the integer columns once and then
-kept in step with them (columns swapped with every swap, a column
-re-converted after size reduction changes it), and each Gram-Schmidt pass
-projects a column off all earlier b* at once with two matrix-vector
-products.  Accuracy comes from two measures: every orthogonalization runs
-exactly two such passes, classical Gram-Schmidt with one
-reorthogonalization (CGS2: "twice is enough", Kahan-Parlett; Giraud,
-Langou & Rozloznik 2005), and on every swap the two affected orthogonal
-vectors are recomputed from scratch instead of patched.  That is enough
-for the random bases of interest here, not for adversarial inputs built to
-break floating-point reducers.
+point.  While it runs, lll_reduce keeps the integer columns as numpy rows
+(core.IntRows), int64 while a bound proves every size-reduction step exact
+and Python ints from then on, and writes them back to the basis and the
+transform once at the end.  The float side works on whole arrays: a float
+mirror of the basis (``GSState.fcols``) is converted from the integer
+columns once and then kept in step with them (columns swapped with every
+swap, a column cast again from its integer row after size reduction
+changes it), and each Gram-Schmidt pass projects a column off all earlier
+b* at once with two matrix-vector products.  Accuracy comes from two
+measures: every orthogonalization runs exactly two such passes, classical
+Gram-Schmidt with one reorthogonalization (CGS2: "twice is enough",
+Kahan-Parlett; Giraud, Langou & Rozloznik 2005), and on every swap the two
+affected orthogonal vectors are recomputed from scratch instead of
+patched.  That is enough for the random bases of interest here, not for
+adversarial inputs built to break floating-point reducers.
+
+The loop makes at most 100 * n**2 * max(1, bits) swaps, bits being the bit
+length of the input's largest |entry|.  The package's q-ary examples take
+about 7 * n**2 swaps; one more than the cap raises ArithmeticError naming
+it, so a float fault that keeps swapping fails instead of running forever.
 """
 
 from __future__ import annotations
@@ -24,17 +32,19 @@ import numpy as np
 
 from .core import (
     Basis,
+    IntRows,
     RANK_FLOOR,
     ReductionResult,
-    TransformRecord,
     UsageError,
-    apply_column_op,
     nint_float,
     run_reducer,
 )
 
 # Default Lovasz parameter: as close to 1 as double precision allows.
 DEFAULT_DELTA = 1.0 - 1e-15
+
+# Swaps allowed per n**2 and per bit of the input's largest |entry|.
+_SWAP_CAP_FACTOR = 100
 
 # nint_float(x) == 0 exactly when |x| < this.  It is one step below 1/2
 # because 0.5 - 2**-54 plus 0.5 rounds up to 1.0, so nint_float gives 1.
@@ -65,6 +75,7 @@ class GSState:
     mu: np.ndarray               # (n, n) lower triangular, unit diagonal
     norms_sq: np.ndarray         # (n,), squared norms of b*
     fcols: np.ndarray            # (m, n), float mirror of the basis columns
+    denoms: np.ndarray           # (n,), norms_sq with each 0 replaced by 1
     dependent: list[int] = field(default_factory=list)
 
 
@@ -80,9 +91,8 @@ def _orthogonalize_column(state: GSState, k: int) -> None:
     b = state.fcols[:, k].copy()
     norm0 = float(b @ b)
     bstar = state.bstar[:, :k]
-    norms = state.norms_sq[:k]
     # A dependent column has b* == 0, so a unit denominator masks it to t_j = 0.
-    denom = np.where(norms > 0.0, norms, 1.0)
+    denom = state.denoms[:k]
     t = (b @ bstar) / denom
     b = b - bstar @ t
     t2 = (b @ bstar) / denom
@@ -92,11 +102,13 @@ def _orthogonalize_column(state: GSState, k: int) -> None:
     if norm0 == 0.0 or nk < RANK_FLOOR * norm0:
         state.bstar[:, k] = 0.0
         state.norms_sq[k] = 0.0
+        state.denoms[k] = 1.0
         if k not in state.dependent:
             state.dependent.append(k)
         return
     state.bstar[:, k] = b
     state.norms_sq[k] = nk
+    state.denoms[k] = nk
 
 
 def orthogonalize(basis: Basis) -> GSState:
@@ -111,19 +123,21 @@ def orthogonalize(basis: Basis) -> GSState:
         mu=np.eye(n),
         norms_sq=np.zeros(n),
         fcols=np.array(basis.cols, dtype=float).T,
+        denoms=np.ones(n),
     )
     for k in range(n):
         _orthogonalize_column(state, k)
     return state
 
 
-def size_reduce(state: GSState, basis: Basis, k: int,
-                transform: TransformRecord | None = None) -> None:
+def size_reduce(state: GSState, rows: IntRows, k: int,
+                transform: IntRows | None = None) -> None:
     """Make |mu[k][j]| <= 1/2 for all j < k via integer column operations.
 
-    Returns at once when every coefficient rounds to zero.  Otherwise
-    column k changes, and its float mirror is re-converted from the
-    integer column.
+    rows holds the basis columns and transform, when given, the transform
+    columns.  Returns at once when every coefficient rounds to zero.
+    Otherwise column k changes, and its float mirror is cast again from
+    the integer row.
     """
     mu_k = state.mu[k]
     if (np.abs(mu_k[:k]) < _ROUNDS_TO_ZERO).all():
@@ -132,11 +146,13 @@ def size_reduce(state: GSState, basis: Basis, k: int,
         c = nint_float(float(mu_k[j]))
         if c == 0:
             continue
-        apply_column_op(basis, None, transform, k, j, c)
+        rows.sub_multiple(k, j, c)
+        if transform is not None:
+            transform.sub_multiple(k, j, c)
         # b* is unchanged; only row k of mu moves.
         mu_k[:j] -= c * state.mu[j, :j]
         mu_k[j] -= c
-    state.fcols[:, k] = np.array(basis.cols[k], dtype=float)
+    state.fcols[:, k] = rows.rows[k]
 
 
 def lovasz_ok(state: GSState, k: int, delta: float) -> bool:
@@ -168,8 +184,10 @@ def lll_reduce(basis: Basis, config: LLLConfig | None = None, *,
     """Classical LLL with recompute-on-swap.
 
     Requires linearly independent columns; a column whose orthogonal part
-    falls under the rank floor raises ValueError naming it.
-    iterations_applied counts swaps.
+    falls under the rank floor raises ValueError naming it.  A basis or
+    transform entry leaving the signed 128-bit range raises OverflowError
+    naming its column, and a run past the swap cap (see the module
+    docstring) raises ArithmeticError.  iterations_applied counts swaps.
     """
     cfg = config if config is not None else LLLConfig()
 
@@ -180,20 +198,35 @@ def lll_reduce(basis: Basis, config: LLLConfig | None = None, *,
             raise ValueError(
                 f"rank deficiency detected at column {state.dependent[0]}"
             )
+        rows = IntRows(work.cols, "basis")
+        urows = None if transform is None else IntRows(transform.cols,
+                                                       "transform")
+        bits = max(max(map(abs, col)) for col in work.cols).bit_length()
+        cap = _SWAP_CAP_FACTOR * n * n * max(1, bits)
+        fcols = state.fcols
         swaps = 0
         k = 1
         while k < n:
-            size_reduce(state, work, k, transform)
+            size_reduce(state, rows, k, urows)
             if lovasz_ok(state, k, cfg.delta):
                 k += 1
-            else:
-                work.swap_columns(k - 1, k)
-                if transform is not None:
-                    transform.swap_columns(k - 1, k)
-                state.fcols[:, [k - 1, k]] = state.fcols[:, [k, k - 1]]
-                _recompute_after_swap(state, k)
-                swaps += 1
-                k = max(k - 1, 1)
+                continue
+            if swaps == cap:
+                raise ArithmeticError(
+                    f"LLL did not finish within its cap of {cap} swaps"
+                )
+            rows.swap(k - 1, k)
+            if urows is not None:
+                urows.swap(k - 1, k)
+            prev = fcols[:, k - 1].copy()
+            fcols[:, k - 1] = fcols[:, k]
+            fcols[:, k] = prev
+            _recompute_after_swap(state, k)
+            swaps += 1
+            k = max(k - 1, 1)
+        work.cols = rows.tolist()
+        if urows is not None:
+            transform.cols = urows.tolist()
         return swaps
 
     return run_reducer(basis, track_transform, body)

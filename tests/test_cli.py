@@ -122,8 +122,26 @@ class TestReduce:
         src = write_skewed(tmp_path / "in.mat")
         for algo in ("greedy", "lll", "lll+greedy", "rand-comb", "mgs"):
             out = tmp_path / f"{algo}.mat"
+            seed = ["--seed", "4"] if algo == "rand-comb" else []
             assert run_cli("reduce", "--algo", algo, "--in", src,
-                           "--out", str(out), "--seed", "4") == 0
+                           "--out", str(out), *seed) == 0
+
+    @pytest.mark.parametrize("algo, flags, flag", [
+        ("mgs", ["--delta", "0.3", "--iters", "5", "--score", "max"],
+         "--score, --delta, --iters"),
+        ("mgs", ["--p-schedule", "1"], "--p-schedule"),
+        ("rand-comb", ["--score", "sum"], "--score"),
+        ("greedy", ["--delta", "0.75"], "--delta"),
+        ("lll", ["--iters", "5"], "--iters"),
+        ("lll+greedy", ["--seed", "1"], "--seed"),
+    ])
+    def test_unread_flag_exits_2_before_reading_input(self, tmp_path, capsys,
+                                                      algo, flags, flag):
+        assert run_cli("reduce", "--algo", algo, *flags,
+                       "--in", str(tmp_path / "nope.mat"),
+                       "--out", str(tmp_path / "o.mat")) == 2
+        err = capsys.readouterr().err
+        assert f"--algo {algo} does not read {flag}" in err
 
     def test_missing_input_exits_1(self, tmp_path):
         assert run_cli("reduce", "--algo", "greedy", "--in",
@@ -169,7 +187,7 @@ class TestReduce:
     @pytest.mark.parametrize("flags", [
         ["--p-schedule", ","],
         ["--p-schedule", "2,0"],
-        ["--algo", "mgs", "--p", "-1", "--p-schedule", "2"],
+        ["--algo", "mgs", "--p", "-1"],
     ], ids=["empty-schedule", "zero-exponent", "mgs-bad-p"])
     def test_bad_exponent_exits_2_before_reading_input(self, tmp_path, flags):
         algo = [] if "--algo" in flags else ["--algo", "greedy"]

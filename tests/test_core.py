@@ -7,6 +7,7 @@ from latred import core
 from latred.core import (
     Basis,
     INT128_MAX,
+    IntRows,
     MatFormatError,
     NormSummary,
     ReductionResult,
@@ -349,6 +350,46 @@ class TestApplyColumnOp:
         with pytest.raises(OverflowError, match="transform column 1"):
             apply_column_op(basis, gram, u, 1, 0, -1)
         assert (basis, gram, u) == before
+
+
+class TestIntRows:
+    @pytest.mark.parametrize("entry, widens", [
+        (3, False), (1 << 62, True), (1 << 70, True)])
+    def test_random_operations_match_python_ints(self, entry, widens):
+        rng = random.Random(entry.bit_length())
+        cols = [[rng.randint(-entry, entry) for _ in range(4)]
+                for _ in range(5)]
+        rows = IntRows(cols, "basis")
+        for _ in range(20):
+            j, k = rng.sample(range(5), 2)
+            c = rng.randint(-3, 3)
+            rows.sub_multiple(k, j, c)
+            cols[k] = [a - c * b for a, b in zip(cols[k], cols[j])]
+            if rng.random() < 0.3:
+                rows.swap(j, k)
+                cols[j], cols[k] = cols[k], cols[j]
+        assert rows.tolist() == cols
+        assert_all_int(rows.tolist())
+        assert (rows.bounds is None) == widens
+
+    def test_bound_is_measured_again_before_widening(self):
+        rows = IntRows([[1 << 61, 0], [0, 1]], "basis")
+        # The bound 2**61 + 3 * 2**61 reaches 2**63; measured, row 1's
+        # largest |entry| is 1, so the step stays int64.
+        rows.sub_multiple(1, 0, 3)
+        assert rows.bounds is not None
+        # Measured bounds 3 * 2**61 + 2**61 reach 2**63: Python ints.
+        rows.sub_multiple(1, 0, 1)
+        assert rows.bounds is None
+        assert rows.tolist() == [[1 << 61, 0], [-1 << 63, 1]]
+
+    def test_overflow_names_column_and_leaves_rows_unchanged(self):
+        cols = [[1, 0], [INT128_MAX, 0]]
+        rows = IntRows(cols, "basis")
+        with pytest.raises(OverflowError,
+                           match="basis column 1 exceeds the signed 128-bit"):
+            rows.sub_multiple(1, 0, -1)
+        assert rows.tolist() == cols
 
 
 def fixed_stage(transform):

@@ -6,7 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from latred.core import Basis, apply_transform, det_small, summarize_columns
+from latred.core import (
+    Basis,
+    IntRows,
+    apply_transform,
+    det_small,
+    summarize_columns,
+)
 from latred.genlat import ExampleSpec, gen_example, random_permutation
 import latred.lll as lll_module
 from latred.lll import (
@@ -57,8 +63,18 @@ def loop_orthogonalize(cols):
     return bstar, mu
 
 
-def mirror_matches(state, basis):
-    return np.array_equal(state.fcols, np.array(basis.cols, dtype=float).T)
+def mirror_matches(state, rows):
+    return np.array_equal(state.fcols, np.array(rows.tolist(), dtype=float).T)
+
+
+def reduce_column(basis, k, mu_k=None):
+    """Size-reduce column k of basis; returns the state and the integer rows."""
+    state = orthogonalize(basis)
+    if mu_k is not None:
+        state.mu[k, :k] = mu_k
+    rows = IntRows(basis.cols, "basis")
+    size_reduce(state, rows, k)
+    return state, rows
 
 
 def check_postconditions(basis, delta, mu_tol=1e-9):
@@ -164,42 +180,34 @@ class TestOrthogonalize:
 
 class TestSizeReduce:
     def test_clears_large_mu(self):
-        basis = Basis([[1, 0], [10, 1]])
-        state = orthogonalize(basis)
-        size_reduce(state, basis, 1)
-        assert basis.cols[1] == [0, 1]
+        state, rows = reduce_column(Basis([[1, 0], [10, 1]]), 1)
+        assert rows.tolist()[1] == [0, 1]
         assert state.mu[1, 0] == pytest.approx(0.0)
 
     def test_noop_when_already_reduced(self):
         basis = Basis([[5, 1], [2, -3]])  # mu[1][0] = 7/26, inside [-1/2, 1/2]
-        state = orthogonalize(basis)
-        before = [list(c) for c in basis.cols]
-        size_reduce(state, basis, 1)
-        assert basis.cols == before
+        _, rows = reduce_column(basis, 1)
+        assert rows.tolist() == basis.cols
 
     def test_exact_half_rounds_away_from_zero(self):
         basis = Basis([[2, 0], [1, 1]])  # mu[1][0] == 1/2 exactly
-        state = orthogonalize(basis)
-        assert state.mu[1, 0] == pytest.approx(0.5)
-        size_reduce(state, basis, 1)
-        assert basis.cols[1] == [-1, 1]
+        assert orthogonalize(basis).mu[1, 0] == pytest.approx(0.5)
+        state, rows = reduce_column(basis, 1)
+        assert rows.tolist()[1] == [-1, 1]
         assert state.mu[1, 0] == pytest.approx(-0.5)
 
     def test_mirror_follows_changed_column(self):
         basis = Basis([[1, 0, 0], [7, 1, 0], [(1 << 60) + 1, 3, 1 << 60]])
-        state = orthogonalize(basis)
-        size_reduce(state, basis, 2)
-        assert basis.cols[2] != [(1 << 60) + 1, 3, 1 << 60]
-        assert mirror_matches(state, basis)
+        state, rows = reduce_column(basis, 2)
+        assert rows.tolist()[2] != [(1 << 60) + 1, 3, 1 << 60]
+        assert mirror_matches(state, rows)
 
     def test_just_below_half_still_rounds_like_the_loop(self):
         # nint_float(0.5 - 2**-54) == 1, so this coefficient is not skipped.
-        basis = Basis([[1, 0], [0, 1]])
-        state = orthogonalize(basis)
-        state.mu[1, 0] = 0.5 - 2.0 ** -54
-        size_reduce(state, basis, 1)
-        assert basis.cols[1] == [-1, 1]
-        assert mirror_matches(state, basis)
+        state, rows = reduce_column(Basis([[1, 0], [0, 1]]), 1,
+                                    mu_k=0.5 - 2.0 ** -54)
+        assert rows.tolist()[1] == [-1, 1]
+        assert mirror_matches(state, rows)
 
 
 class TestLovasz:
@@ -313,18 +321,61 @@ class TestLLLReduce:
         checked = []
         real_size_reduce = lll_module.size_reduce
 
-        def checking_size_reduce(state, basis, k, transform=None):
+        def checking_size_reduce(state, rows, k, transform=None):
             # Entered after the initial orthogonalization or after a swap.
-            assert mirror_matches(state, basis)
-            real_size_reduce(state, basis, k, transform)
-            assert mirror_matches(state, basis)
+            assert mirror_matches(state, rows)
+            real_size_reduce(state, rows, k, transform)
+            assert mirror_matches(state, rows)
             checked.append(k)
 
         monkeypatch.setattr(lll_module, "size_reduce", checking_size_reduce)
         basis = random_permutation(gen_example(ExampleSpec(8191, 2, 3)), 5)
-        res = lll_reduce(basis)
+        res = lll_reduce(basis, track_transform=True)
         assert res.iterations_applied > 0
         assert len(checked) > res.iterations_applied
+        assert apply_transform(basis, res.transform) == res.basis
+
+    def test_rows_cross_from_int64_to_python_ints_mid_run(self, monkeypatch):
+        # Entries between 2**61 and 2**62 fit int64, but a size-reduction
+        # step whose bound reaches 2**63 moves every row to Python ints.
+        dtypes = []
+        real_size_reduce = lll_module.size_reduce
+
+        def spying_size_reduce(state, rows, k, transform=None):
+            dtypes.append(rows.rows[0].dtype)
+            real_size_reduce(state, rows, k, transform)
+            dtypes.append(rows.rows[0].dtype)
+
+        monkeypatch.setattr(lll_module, "size_reduce", spying_size_reduce)
+        rng = random.Random(65)
+        crossed = 0
+        for _ in range(20):
+            n = rng.randint(2, 5)
+            cols = [[rng.choice((1, -1)) * rng.randint(1 << 61, 1 << 62)
+                     for _ in range(5)] for _ in range(n)]
+            dtypes.clear()
+            res = lll_reduce(Basis(cols), LLLConfig(delta=0.75),
+                             track_transform=True)
+            assert res.basis.cols == exact_lll(cols, 0.75)
+            assert apply_transform(Basis(cols), res.transform) == res.basis
+            assert dtypes[0] == np.int64
+            crossed += dtypes[-1] == object
+        assert crossed >= 5
+
+    def test_transform_beyond_128_bits_raises(self):
+        # The basis reduces to the identity, while transform column 3
+        # becomes (-X**3, X**2, -X, 1) with X**3 = 2**129.
+        x = 1 << 43
+        cols = [[1, 0, 0, 0], [x, 1, 0, 0], [0, x, 1, 0], [0, 0, x, 1]]
+        with pytest.raises(OverflowError, match="transform column 3 exceeds"):
+            lll_reduce(Basis(cols), track_transform=True)
+        assert lll_reduce(Basis(cols)).basis == Basis.identity(4)
+
+    def test_swap_cap_stops_a_run_that_never_ends(self, monkeypatch):
+        # n = 3 and entries of bit length 1: the cap is 100 * 9 * 1 swaps.
+        monkeypatch.setattr(lll_module, "lovasz_ok", lambda *args: False)
+        with pytest.raises(ArithmeticError, match="cap of 900 swaps"):
+            lll_reduce(Basis.identity(3))
 
     def test_rank_deficiency_raises_with_column(self):
         basis = Basis([[1, 0], [2, 0], [0, 1]])
