@@ -7,6 +7,7 @@ generation, and a reproducible benchmark harness.
 from .core import (
     Basis,
     GramMatrix,
+    IntRows,
     NormSummary,
     ReductionResult,
     TransformRecord,

@@ -18,17 +18,17 @@ import numpy as np
 from .core import (
     Basis,
     GramMatrix,
+    IntRows,
     RANK_FLOOR,
     ReductionResult,
-    TransformRecord,
     UsageError,
     apply_column_op,
+    apply_moves,
     fold_sum,
     gram_compute,
     nint_float,
     projected_norm_sq,
     run_reducer,
-    update_gram,
 )
 from .genlat import SplitMix64
 
@@ -53,17 +53,18 @@ class AltConfig:
             raise UsageError("iterations must be nonnegative")
 
 
-def random_combination_step(basis: Basis, gram: GramMatrix, j: int,
-                            transform: TransformRecord | None = None) -> bool:
+def random_combination_step(rows: IntRows, gram: GramMatrix, j: int,
+                            transform: IntRows | None = None) -> bool:
     """Subtract from column j the rounded best combination of the others.
 
-    The real-valued coefficients come from the normal equations over the
+    rows holds the basis columns and transform, when given, the transform
+    columns; each nonzero coefficient is one apply_column_op.  The
+    real-valued coefficients come from the normal equations over the
     Gram submatrix without row/column j, solved in floating point (any
     float error below 1/2 disappears in the rounding).  Returns whether
     anything changed; a singular system is skipped with a warning.
     """
-    n = basis.n
-    others = [i for i in range(n) if i != j]
+    others = [i for i in range(gram.n) if i != j]
     fg = np.array(gram.g, dtype=float)
     sub = fg[np.ix_(others, others)]
     rhs = fg[others, j]
@@ -79,7 +80,7 @@ def random_combination_step(basis: Basis, gram: GramMatrix, j: int,
     for idx, k in enumerate(others):
         c = nint_float(float(coeffs[idx]))
         if c:
-            apply_column_op(basis, gram, transform, j, k, c)
+            apply_column_op(rows, gram, transform, j, k, c)
             changed = True
     return changed
 
@@ -94,12 +95,12 @@ def random_combination_reduce(basis: Basis, config: AltConfig | None = None, *,
     """
     cfg = config if config is not None else AltConfig()
 
-    def body(work, transform):
-        gram = gram_compute(work)
+    def body(rows, transform):
+        gram = gram_compute(basis)
         rng = SplitMix64(cfg.seed)
-        steps = 10 * work.n if cfg.iterations is None else cfg.iterations
+        steps = 10 * basis.n if cfg.iterations is None else cfg.iterations
         return sum(
-            random_combination_step(work, gram, rng.below(work.n), transform)
+            random_combination_step(rows, gram, rng.below(basis.n), transform)
             for _ in range(steps)
         )
 
@@ -118,21 +119,21 @@ def mgs_pivot_reduce(basis: Basis, p: float = 2.0, *,
     multiple of the pivot's basis column).  Squared norms for the scores
     are exact; only the p/2 powers and their left-to-right sum are
     floating.  Columns that are zero or dependent on the chosen pivots
-    are skipped.  The Gram matrix is updated once per round, by one
-    update_gram call for the chosen pivot's moves.
+    are skipped.  Each round's moves go to the basis, the transform and
+    the Gram matrix in one apply_moves call.
     """
     if not p > 0:
         raise UsageError(f"p must be positive, got {p}")
     half_p = p / 2.0
 
-    def body(work, transform):
-        gram = gram_compute(work)
-        residual = list(range(work.n))
+    def body(rows, transform):
+        gram = gram_compute(basis)
+        residual = list(range(basis.n))
         pivot_qs: list[np.ndarray] = []
         chosen: list[int] = []
         while residual:
             g = gram.g
-            fcols = {s: np.array(work.cols[s], dtype=float) for s in residual}
+            fcols = {s: rows.rows[s].astype(float) for s in residual}
             best = None
             for r in residual:
                 grr = g[r][r]
@@ -161,9 +162,7 @@ def mgs_pivot_reduce(basis: Basis, p: float = 2.0, *,
             if best is None:
                 break
             _, r, q, moves = best
-            for s, c in moves:
-                apply_column_op(work, None, transform, s, r, c)
-            update_gram(gram, r, moves)
+            apply_moves(rows, gram, transform, r, moves)
             residual.remove(r)
             chosen.append(r)
             pivot_qs.append(q)

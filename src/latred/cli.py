@@ -33,6 +33,7 @@ from .lll import DEFAULT_DELTA, LLLConfig, lll_reduce
 # reduce's flags that only some --algo values read: (flag, dest, those
 # values).  Each defaults to None, so a given flag can be told apart.
 _READ_ONLY_BY = (
+    ("--p", "p", ("greedy", "lll+greedy", "mgs")),
     ("--p-schedule", "p_schedule", ("greedy", "lll+greedy")),
     ("--score", "score", ("greedy", "lll+greedy")),
     ("--delta", "delta", ("lll", "lll+greedy")),
@@ -75,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     red.add_argument("--in", dest="in_path", required=True)
     red.add_argument("--out", required=True)
-    red.add_argument("--p", type=float, default=2.0)
+    red.add_argument("--p", type=float, default=None)
     red.add_argument("--p-schedule", type=_float_list, default=None,
                      help="greedy exponents, run in order (overrides --p)")
     red.add_argument("--delta", type=float, default=None)
@@ -127,10 +128,11 @@ def _stages(args):
 
     track = args.track_transform
     lll_cfg = LLLConfig(**given(delta=args.delta))
-    # Built from --p even under --p-schedule, so a bad --p exits 2 for
-    # every --algo, mgs included.
+    # Built from a given --p even under --p-schedule, which overrides it,
+    # so a bad --p exits 2 here, mgs included.
     score = given(score_mode=args.score)
-    greedy_cfg = ReduceConfig(p_schedule=(args.p,), **score)
+    p_schedule = None if args.p is None else (args.p,)
+    greedy_cfg = ReduceConfig(**given(p_schedule=p_schedule), **score)
     if args.p_schedule is not None:
         greedy_cfg = ReduceConfig(p_schedule=args.p_schedule, **score)
     alt_cfg = AltConfig(**given(iterations=args.iters, seed=args.seed))
@@ -145,7 +147,8 @@ def _stages(args):
         return random_combination_reduce(basis, alt_cfg, track_transform=track)
 
     def mgs(basis):
-        return mgs_pivot_reduce(basis, args.p, track_transform=track)
+        return mgs_pivot_reduce(basis, **given(p=args.p),
+                                track_transform=track)
 
     return {
         "greedy": (greedy,),

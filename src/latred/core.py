@@ -12,19 +12,24 @@ fits int64: m * M**2 < 2**63 for the inner products of length-m columns
 with largest |entry| M, and n * M_B * M_U < 2**63 for the product of a
 basis and an n x n transform.  Any other input takes the exact Python-int
 path with its 128-bit range checks.  Results always come back as Python
-ints.  IntRows applies the same rule to a run of column operations (LLL's
-size reduction): its rows stay int64 while a per-row bound proves each
-operation exact, and are Python ints, range-checked, from then on.
+ints.  IntRows, the one store every reducer changes columns in, applies
+the same rule to a run of column operations: its rows stay int64 while a
+per-row bound proves each operation exact, and are Python ints,
+range-checked, from then on.
 
 A column operation moves one column; a pivot k moves a sparse list of
-columns, the (j, c) pairs of column j -= c * column k.  update_gram is the
-one exact Gram update for both: it rewrites only the moved rows and
-columns and writes nothing when an entry would leave the 128-bit range.
+columns, the (j, c) pairs of column j -= c * column k.  apply_moves
+applies a pivot to the basis rows, the transform rows and the Gram matrix
+(update_gram, the one exact Gram update, which rewrites only the moved
+rows and columns) all or nothing: every new value is computed and
+range-checked before any is written, so nothing is ever undone.  LLL's
+size reduction takes the same two phases on one store, one move at a time.
 
 Every reducer runs inside run_reducer, which owns the frame around its
-loop: the working copy of the input, the identity transform when one is
-tracked, the exact before/after norm summaries, the timing and the
-ReductionResult.  pipeline chains reducers.
+loop: the IntRows of the input's columns and of the identity transform
+when one is tracked, the one write-back into the result, the exact
+before/after norm summaries, the timing and the ReductionResult.
+pipeline chains reducers.
 """
 
 from __future__ import annotations
@@ -329,26 +334,22 @@ def _check_column(col: list[int], what: str, j: int) -> None:
         )
 
 
-def _sub_column_multiple(cols, j: int, k: int, c: int) -> None:
-    """cols[j] -= c * cols[k] in place."""
-    cj = cols[j]
-    ck = cols[k]
-    for r in range(len(cj)):
-        cj[r] -= c * ck[r]
-
-
 class IntRows:
     """Integer columns as numpy rows, for repeated column operations.
 
     rows[j] is column j.  The rows are int64 while bounds, one Python int
     per row at least as large as the row's largest |entry|, prove that
-    every operation is exact: rows[k] -= c * rows[j] is done in int64 only
-    when bounds[k] + |c| * bounds[j] < 2**63.  When that test fails, the
-    two rows' bounds are measured again; when it still fails, every row
-    becomes dtype=object (Python ints, exact at any size) for good, and
-    bounds is None.  On that path each operation is checked against the
-    signed 128-bit range and raises OverflowError naming the column, with
-    the rows unchanged.
+    every operation is exact: rows[j] - c * rows[k] is done in int64 only
+    when |c| < 2**63 and bounds[j] + |c| * bounds[k] < 2**63.  When that
+    test fails, the two rows' bounds are measured again; when it still
+    fails, every row becomes dtype=object (Python ints, exact at any size)
+    for good, and bounds is None.  On that path each operation is checked
+    against the signed 128-bit range and raises OverflowError naming the
+    column, with the rows unchanged.
+
+    Operations go in two phases, so that apply_moves can check every
+    store before it writes any: moved computes a pivot's operations and
+    writes no row, and put writes them and cannot fail.
     """
 
     __slots__ = ("rows", "bounds", "what")
@@ -363,32 +364,57 @@ class IntRows:
             self.bounds = [packed[1]] * len(cols)
         self.what = what
 
-    def _int64_bound(self, k: int, j: int, c: int) -> int | None:
-        """Bound of rows[k] - c * rows[j] when it is exact in int64, else None."""
+    def _int64_bound(self, j: int, k: int, c: int) -> int | None:
+        """Bound of rows[j] - c * rows[k] when it is exact in int64, else None.
+
+        None also means every row has become dtype=object.
+        """
         bounds = self.bounds
-        b = bounds[k] + abs(c) * bounds[j]
-        if b < _INT64_LIMIT:
-            return b
-        bounds[k] = _max_abs(self.rows[k])
-        bounds[j] = _max_abs(self.rows[j])
-        b = bounds[k] + abs(c) * bounds[j]
-        if b < _INT64_LIMIT:
-            return b
+        a = abs(c)
+        # c itself must fit int64, even against a zero row.
+        if a < _INT64_LIMIT:
+            b = bounds[j] + a * bounds[k]
+            if b < _INT64_LIMIT:
+                return b
+            bounds[j] = _max_abs(self.rows[j])
+            bounds[k] = _max_abs(self.rows[k])
+            b = bounds[j] + a * bounds[k]
+            if b < _INT64_LIMIT:
+                return b
         self.rows = [row.astype(object) for row in self.rows]
         self.bounds = None
         return None
 
-    def sub_multiple(self, k: int, j: int, c: int) -> None:
-        """rows[k] -= c * rows[j], exactly."""
+    def moved(self, k: int, moves) -> list:
+        """(j, rows[j] - c * rows[k], bound) for every (j, c) in moves.
+
+        Writes no row; put writes the result.  When the rows widen to
+        Python ints partway through the list, every move is computed
+        again from the widened rows, so int64 and Python-int rows never
+        mix.  A column past the 128-bit range raises OverflowError naming
+        it.
+        """
         if self.bounds is not None:
-            b = self._int64_bound(k, j, c)
+            out = []
+            for j, c in moves:
+                b = self._int64_bound(j, k, c)
+                if b is None:
+                    break
+                out.append((j, self.rows[j] - c * self.rows[k], b))
+            else:
+                return out
+        rows = self.rows
+        out = [(j, rows[j] - c * rows[k], None) for j, c in moves]
+        for j, row, _ in out:
+            _check_column(row, self.what, j)
+        return out
+
+    def put(self, new) -> None:
+        """Write the rows, and their bounds, that moved computed."""
+        for j, row, b in new:
+            self.rows[j] = row
             if b is not None:
-                self.rows[k] -= c * self.rows[j]
-                self.bounds[k] = b
-                return
-        row = self.rows[k] - c * self.rows[j]
-        _check_column(row, self.what, k)
-        self.rows[k] = row
+                self.bounds[j] = b
 
     def swap(self, j: int, k: int) -> None:
         rows = self.rows
@@ -405,15 +431,15 @@ class IntRows:
 def update_gram(gram: GramMatrix, k: int, moves) -> None:
     """Update the Gram matrix for a pivot k and its moves, in O(|S| n).
 
-    moves lists (j, c) pairs, c != 0 and j != k, for the column operations
+    moves lists (j, c) pairs, j != k, for the column operations
     column j -= c * column k, and S is the set of their columns.  Only the
     rows and columns of S change, by the bilinear identity
     g'[j][l] = g[j][l] - c[j] g[k][l] - c[l] g[k][j] + c[j] c[l] g[k][k]
     (c[l] = 0 for l outside S).  Every new row is computed from the old
     matrix and range-checked before any is written, so on OverflowError,
     which names the first bad entry, the matrix is unchanged.  This is the
-    one exact Gram update: apply_column_op, the greedy polish and mgs all
-    go through it.
+    one exact Gram update: apply_moves, and with it apply_column_op, the
+    greedy polish and mgs, goes through it.
     """
     g = gram.g
     gk = g[k]
@@ -437,36 +463,36 @@ def update_gram(gram: GramMatrix, k: int, moves) -> None:
             gl[j] = v
 
 
-def apply_column_op(basis, gram, transform, j: int, k: int, c: int) -> None:
+def apply_moves(rows: IntRows, gram, transform, k: int, moves) -> None:
+    """Apply pivot k: column j -= c * column k for every (j, c) in moves.
+
+    rows holds the basis columns; the Gram matrix and the transform rows,
+    when given, are updated exactly alongside; pass None to skip either.
+    The new basis columns, the new transform columns and the new Gram
+    rows (update_gram) are computed and range-checked in that order, and
+    only then written, so the update is all or nothing: on OverflowError,
+    which names the first bad column or entry, no value has changed
+    (rows may have widened to Python ints, which keeps every value).
+    """
+    stores = [(store, store.moved(k, moves))
+              for store in (rows, transform) if store is not None]
+    if gram is not None:
+        update_gram(gram, k, moves)
+    for store, new in stores:
+        store.put(new)
+
+
+def apply_column_op(rows: IntRows, gram, transform, j: int, k: int,
+                    c: int) -> None:
     """Elementary column operation: column j -= c * column k.
 
-    The Gram matrix (through update_gram) and transform record, when given,
-    are updated exactly alongside the basis; pass None to skip either.
-    Every updated entry is checked against the signed 128-bit range.  The
-    operation is all or nothing: on OverflowError the basis, the Gram
-    matrix and the transform are all unchanged.  It has unit determinant,
-    so tracked transforms stay unimodular.
+    apply_moves with the one move (j, c), so it is all or nothing too;
+    c == 0 changes nothing.  It has unit determinant, so tracked
+    transforms stay unimodular.
     """
     if j == k:
         raise ValueError("column indices must differ")
-    if c == 0:
-        return
-    # Columns move in place, which is cheaper than building new ones; on
-    # overflow they are moved back, which exact integers undo exactly.
-    _sub_column_multiple(basis.cols, j, k, c)
-    if transform is not None:
-        _sub_column_multiple(transform.cols, j, k, c)
-    try:
-        _check_column(basis.cols[j], "basis", j)
-        if transform is not None:
-            _check_column(transform.cols[j], "transform", j)
-        if gram is not None:
-            update_gram(gram, k, ((j, c),))
-    except OverflowError:
-        _sub_column_multiple(basis.cols, j, k, -c)
-        if transform is not None:
-            _sub_column_multiple(transform.cols, j, k, -c)
-        raise
+    apply_moves(rows, gram, transform, k, ((j, c),))
 
 
 def apply_transform(basis: Basis, transform: TransformRecord) -> Basis:
@@ -496,25 +522,31 @@ def apply_transform(basis: Basis, transform: TransformRecord) -> Basis:
 
 
 def run_reducer(basis: Basis, track_transform: bool, body) -> ReductionResult:
-    """Run one reducer's loop on a copy of basis and report it.
+    """Run one reducer's loop on the columns of basis and report it.
 
-    body(work, transform) reduces work in place, applies every column
-    operation to transform too (an identity TransformRecord when
-    track_transform is set, else None), and returns its iteration count.
-    The input is never mutated; before and after are the exact column-norm
-    summaries of the input and the output, and seconds covers the whole
-    call.
+    body(rows, transform) reduces rows, an IntRows of the basis columns,
+    in place, applies every column operation to transform too (an IntRows
+    of the identity when track_transform is set, else None), and returns
+    its iteration count.  It reads any starting data (Gram matrix,
+    Gram-Schmidt, entry sizes) from basis, which is never mutated.  The
+    rows are written back once, into the result's basis and
+    TransformRecord; before and after are the exact column-norm summaries
+    of the input and the output, and seconds covers the whole call.
     """
     started = time.perf_counter()
-    work = basis.copy()
-    transform = TransformRecord.identity(work.n) if track_transform else None
-    before = summarize_columns(work)
-    iterations = body(work, transform)
+    before = summarize_columns(basis)
+    rows = IntRows(basis.cols, "basis")
+    urows = (IntRows(np.eye(basis.n, dtype=np.int64), "transform")
+             if track_transform else None)
+    iterations = body(rows, urows)
+    out = basis._trusted(basis.m, rows.tolist())
+    transform = (TransformRecord._trusted(basis.n, urows.tolist())
+                 if track_transform else None)
     return ReductionResult(
-        basis=work,
+        basis=out,
         iterations_applied=iterations,
         before=before,
-        after=summarize_columns(work),
+        after=summarize_columns(out),
         seconds=time.perf_counter() - started,
         transform=transform,
     )

@@ -19,6 +19,10 @@ one's squared norm; after a pivot it rescans the candidates in S and
 re-tests only the entries in S of every other candidate, also O(|S| n).
 Selection then costs O(n + sum of |S_k|) exact integer work for the
 default p = 2, and one O(n) list pass per candidate in the other modes.
+The basis and transform columns are the core.IntRows that run_reducer
+hands every reducer; a pivot reaches them, and the Gram matrix, through
+one core.apply_moves call, which writes nothing when any new entry would
+leave the signed 128-bit range.
 
 Scoring sums the p-th powers of the column norms.  The squared norms are
 always computed exactly in integers.  For the default p = 2 the whole score
@@ -36,16 +40,16 @@ from itertools import count, repeat
 from .core import (
     Basis,
     GramMatrix,
+    IntRows,
     ReductionResult,
-    TransformRecord,
     UsageError,
-    apply_column_op,
+    apply_moves,
     fold_sum,
     gram_compute,
     nint_ratio,
     projected_norm_sq,
     run_reducer,
-    update_gram,
+    update_gram,  # noqa: F401 -- the benchmark traces greedy.update_gram
 )
 
 SCORE_MODES = ("sum", "max")
@@ -149,13 +153,13 @@ class PivotTable:
 class GreedyState:
     """Mutable working set owned by one reduce() call.
 
-    table is built from gram on construction and kept in step by
-    apply_pivot.
+    rows and transform hold the basis and transform columns.  table is
+    built from gram on construction and kept in step by apply_pivot.
     """
 
-    basis: Basis
+    rows: IntRows
     gram: GramMatrix
-    transform: TransformRecord | None = None
+    transform: IntRows | None = None
     iteration: int = 0
     table: PivotTable = field(init=False)
 
@@ -217,24 +221,15 @@ def select_pivot(gram: GramMatrix, p: float, mode: str = "sum",
 
 
 def apply_pivot(state: GreedyState, k: int, moves) -> None:
-    """Apply pivot k's moves to basis and transform, then Gram and table.
+    """Apply pivot k's moves to basis, transform and Gram, then the table.
 
     With S the set of moved columns, the column updates cost O(|S| m), and
     the Gram update (update_gram) and the table refresh O(|S| n) each.
-    The moves must have been computed from the state's current Gram.  On
-    OverflowError the moves already applied are undone, so the state is
-    unchanged.
+    The moves must have been computed from the state's current Gram.  The
+    columns and the Gram matrix move through one core.apply_moves call,
+    so on OverflowError the state is unchanged.
     """
-    applied = []
-    try:
-        for j, c in moves:
-            apply_column_op(state.basis, None, state.transform, j, k, c)
-            applied.append((j, c))
-        update_gram(state.gram, k, moves)
-    except OverflowError:
-        for j, c in applied:
-            apply_column_op(state.basis, None, state.transform, j, k, -c)
-        raise
+    apply_moves(state.rows, state.gram, state.transform, k, moves)
     state.table.refresh(moves)
     state.iteration += 1
 
@@ -257,8 +252,8 @@ def reduce(basis: Basis, config: ReduceConfig | None = None, *,
     cfg = config if config is not None else ReduceConfig()
     budget = cfg.max_iterations
 
-    def body(work, transform):
-        state = GreedyState(work, gram_compute(work), transform)
+    def body(rows, transform):
+        state = GreedyState(rows, gram_compute(basis), transform)
         for p in cfg.p_schedule:
             current = basis_score(state.gram, p, cfg.score_mode)
             while budget is None or state.iteration < budget:

@@ -1,22 +1,25 @@
 """LLL baseline with double-precision Gram-Schmidt.
 
-The basis columns and accumulated transform stay exact integers; only the
-orthogonalized vectors and their projection coefficients are floating
-point.  While it runs, lll_reduce keeps the integer columns as numpy rows
-(core.IntRows), int64 while a bound proves every size-reduction step exact
-and Python ints from then on, and writes them back to the basis and the
-transform once at the end.  The float side works on whole arrays: a float
-mirror of the basis (``GSState.fcols``) is converted from the integer
-columns once and then kept in step with them (columns swapped with every
-swap, a column cast again from its integer row after size reduction
-changes it), and each Gram-Schmidt pass projects a column off all earlier
-b* at once with two matrix-vector products.  Accuracy comes from two
-measures: every orthogonalization runs exactly two such passes, classical
-Gram-Schmidt with one reorthogonalization (CGS2: "twice is enough",
-Kahan-Parlett; Giraud, Langou & Rozloznik 2005), and on every swap the two
-affected orthogonal vectors are recomputed from scratch instead of
-patched.  That is enough for the random bases of interest here, not for
-adversarial inputs built to break floating-point reducers.
+The basis columns and accumulated transform stay exact integers; only
+the orthogonalized vectors and their projection coefficients are
+floating point.  The integer columns are the numpy rows (core.IntRows)
+that core.run_reducer hands every reducer, int64 while a bound proves
+every size-reduction step exact and Python ints from then on;
+run_reducer writes them back to the basis and the transform once at the
+end.  Size reduction changes them one column operation at a time
+(IntRows.moved, then put), and a swap swaps two rows.  The float side
+works on whole arrays: a float mirror of the basis (``GSState.fcols``)
+is converted from the integer columns once and then kept in step with
+them (columns swapped with every swap, a column cast again from its
+integer row after size reduction changes it), and each Gram-Schmidt pass
+projects a column off all earlier b* at once with two matrix-vector
+products.  Accuracy comes from two measures: every orthogonalization
+runs exactly two such passes, classical Gram-Schmidt with one
+reorthogonalization (CGS2: "twice is enough", Kahan-Parlett; Giraud,
+Langou & Rozloznik 2005), and on every swap the two affected orthogonal
+vectors are recomputed from scratch instead of patched.  That is enough
+for the random bases of interest here, not for adversarial inputs built
+to break floating-point reducers.
 
 The loop makes at most 100 * n**2 * max(1, bits) swaps, bits being the bit
 length of the input's largest |entry|.  The package's q-ary examples take
@@ -146,9 +149,10 @@ def size_reduce(state: GSState, rows: IntRows, k: int,
         c = nint_float(float(mu_k[j]))
         if c == 0:
             continue
-        rows.sub_multiple(k, j, c)
+        move = ((k, c),)
+        rows.put(rows.moved(j, move))
         if transform is not None:
-            transform.sub_multiple(k, j, c)
+            transform.put(transform.moved(j, move))
         # b* is unchanged; only row k of mu moves.
         mu_k[:j] -= c * state.mu[j, :j]
         mu_k[j] -= c
@@ -191,17 +195,14 @@ def lll_reduce(basis: Basis, config: LLLConfig | None = None, *,
     """
     cfg = config if config is not None else LLLConfig()
 
-    def body(work, transform):
-        n = work.n
-        state = orthogonalize(work)
+    def body(rows, urows):
+        n = basis.n
+        state = orthogonalize(basis)
         if state.dependent:
             raise ValueError(
                 f"rank deficiency detected at column {state.dependent[0]}"
             )
-        rows = IntRows(work.cols, "basis")
-        urows = None if transform is None else IntRows(transform.cols,
-                                                       "transform")
-        bits = max(max(map(abs, col)) for col in work.cols).bit_length()
+        bits = max(max(map(abs, col)) for col in basis.cols).bit_length()
         cap = _SWAP_CAP_FACTOR * n * n * max(1, bits)
         fcols = state.fcols
         swaps = 0
@@ -224,9 +225,6 @@ def lll_reduce(basis: Basis, config: LLLConfig | None = None, *,
             _recompute_after_swap(state, k)
             swaps += 1
             k = max(k - 1, 1)
-        work.cols = rows.tolist()
-        if urows is not None:
-            transform.cols = urows.tolist()
         return swaps
 
     return run_reducer(basis, track_transform, body)

@@ -15,6 +15,7 @@ from latred.altreduce import AltConfig, mgs_pivot_reduce, random_combination_red
 from latred.cli import main as cli_main
 from latred.core import (
     Basis,
+    IntRows,
     apply_transform,
     det_small,
     gram_compute,
@@ -147,7 +148,7 @@ def test_criterion_3_gram_matches_recompute():
         def watch(state):
             nonlocal mismatches, iterations
             iterations += 1
-            if state.gram != gram_compute(state.basis):
+            if state.gram != gram_compute(Basis(state.rows.tolist())):
                 mismatches += 1
 
         greedy_reduce(basis, on_iteration=watch)
@@ -268,12 +269,12 @@ def test_criterion_9_alternatives_no_better_than_lll(n24_trials):
         if gram.g[0][0] == 0:
             continue
         cases += 1
-        via_step = basis.copy()
+        via_step = IntRows(basis.cols, "basis")
         random_combination_step(via_step, gram.copy(), 1)
-        via_greedy = basis.copy()
-        state = GreedyState(via_greedy, gram_compute(via_greedy))
+        via_greedy = IntRows(basis.cols, "basis")
+        state = GreedyState(via_greedy, gram_compute(basis))
         apply_pivot(state, 0, coefficients_for_pivot(state.gram, 0))
-        if via_step.cols[1] != via_greedy.cols[1]:
+        if via_step.tolist()[1] != via_greedy.tolist()[1]:
             mismatches += 1
 
     report(9, "alternative reducers no better than LLL; n=2 coincidence",

@@ -11,7 +11,10 @@ from latred.altreduce import (
 )
 from latred.core import (
     Basis,
+    IntRows,
+    TransformRecord,
     UsageError,
+    apply_moves,
     apply_transform,
     column_norms_sq,
     det_small,
@@ -25,6 +28,10 @@ def random_basis(rng, n, max_entry=40):
                   for _ in range(n)])
 
 
+def basis_rows(basis):
+    return IntRows(basis.cols, "basis")
+
+
 class TestRandomCombinationStep:
     def test_two_columns_matches_greedy_pivot(self):
         rng = random.Random(70)
@@ -33,36 +40,38 @@ class TestRandomCombinationStep:
             gram = gram_compute(basis)
             if gram.g[0][0] == 0:
                 continue
-            via_step = basis.copy()
+            via_step = basis_rows(basis)
             random_combination_step(via_step, gram.copy(), 1)
-            via_greedy = basis.copy()
-            state = GreedyState(via_greedy, gram_compute(via_greedy))
+            via_greedy = basis_rows(basis)
+            state = GreedyState(via_greedy, gram_compute(basis))
             apply_pivot(state, 0, coefficients_for_pivot(state.gram, 0))
             # Greedy's pivot 0 only moves column 1 here, same as the step.
-            assert via_step.cols[1] == via_greedy.cols[1]
+            assert via_step.tolist()[1] == via_greedy.tolist()[1]
 
     def test_orthogonal_column_unchanged(self):
         basis = Basis([[2, 0, 0], [0, 3, 0], [0, 0, 5]])
-        gram = gram_compute(basis)
-        changed = random_combination_step(basis, gram, 2)
+        rows = basis_rows(basis)
+        changed = random_combination_step(rows, gram_compute(basis), 2)
         assert not changed
-        assert basis.cols[2] == [0, 0, 5]
+        assert rows.tolist()[2] == [0, 0, 5]
 
     def test_diagonal_normal_equations(self):
         basis = Basis([[1, 0, 0], [0, 1, 0], [5, 7, 1]])
+        rows = basis_rows(basis)
         gram = gram_compute(basis)
-        random_combination_step(basis, gram, 2)
-        assert basis.cols[2] == [0, 0, 1]
-        assert gram == gram_compute(basis)
+        random_combination_step(rows, gram, 2)
+        assert rows.tolist()[2] == [0, 0, 1]
+        assert gram == gram_compute(Basis(rows.tolist()))
 
     def test_singular_system_skipped(self, caplog):
         basis = Basis([[1, 0], [2, 0], [0, 1]])  # columns 0,1 dependent
+        rows = basis_rows(basis)
         gram = gram_compute(basis)
         before = [list(c) for c in basis.cols]
         with caplog.at_level(logging.WARNING):
-            changed = random_combination_step(basis, gram, 2)
+            changed = random_combination_step(rows, gram, 2)
         assert not changed
-        assert basis.cols == before
+        assert rows.tolist() == before
         assert any("skipped" in r.message for r in caplog.records)
 
 
@@ -114,6 +123,19 @@ class TestMgsPivotReduce:
         basis = Basis([[1, 7], [0, 0], [0, 3]])
         res = mgs_pivot_reduce(basis)
         assert res.basis.cols[1] == [0, 0]
+
+    def test_round_overflow_in_second_move_writes_nothing(self):
+        # The apply_moves call of one mgs round, pivot 0, on basis rows
+        # held as Python ints (entry 2**63).  Column 1's move fits; column
+        # 2 would reach 2**127, so no row, transform or Gram entry moves.
+        basis = Basis([[1, 0, 0], [0, 1, 0], [1 << 63, 0, 1]])
+        rows = IntRows(basis.cols, "basis")
+        gram = gram_compute(basis)
+        u = IntRows(TransformRecord.identity(3).cols, "transform")
+        before = (rows.tolist(), gram.copy(), u.tolist())
+        with pytest.raises(OverflowError, match="basis column 2"):
+            apply_moves(rows, gram, u, 0, [(1, 1), (2, (1 << 63) - (1 << 127))])
+        assert (rows.tolist(), gram, u.tolist()) == before
 
     def test_rejects_nonpositive_p(self):
         with pytest.raises(UsageError, match="p must be positive, got -1.0"):

@@ -134,6 +134,8 @@ class TestReduce:
         ("greedy", ["--delta", "0.75"], "--delta"),
         ("lll", ["--iters", "5"], "--iters"),
         ("lll+greedy", ["--seed", "1"], "--seed"),
+        ("lll", ["--p", "7"], "--p"),
+        ("rand-comb", ["--p", "7"], "--p"),
     ])
     def test_unread_flag_exits_2_before_reading_input(self, tmp_path, capsys,
                                                       algo, flags, flag):

@@ -13,6 +13,7 @@ from latred.core import (
     ReductionResult,
     TransformRecord,
     apply_column_op,
+    apply_moves,
     apply_transform,
     column_norms_sq,
     det_small,
@@ -264,58 +265,69 @@ class TestNormSummary:
         assert summarize_columns(basis) == NormSummary(0, 0)
 
 
+def basis_rows(basis):
+    return IntRows(basis.cols, "basis")
+
+
+def transform_rows(u):
+    return IntRows(u.cols, "transform")
+
+
 class TestApplyColumnOp:
     def test_clears_skewed_column(self):
-        basis = Basis([[1, 0], [10, 1]])
-        gram = gram_compute(basis)
-        u = TransformRecord.identity(2)
+        basis = basis_rows(Basis([[1, 0], [10, 1]]))
+        gram = gram_compute(Basis(basis.tolist()))
+        u = transform_rows(TransformRecord.identity(2))
         apply_column_op(basis, gram, u, 1, 0, 10)
-        assert basis.cols == [[1, 0], [0, 1]]
-        assert gram == gram_compute(basis)
+        assert basis.tolist() == [[1, 0], [0, 1]]
+        assert gram == gram_compute(Basis(basis.tolist()))
         assert gram.g == [[1, 0], [0, 1]]
-        assert apply_transform(Basis([[1, 0], [10, 1]]), u) == basis
+        assert (apply_transform(Basis([[1, 0], [10, 1]]),
+                                TransformRecord(u.tolist()))
+                == Basis(basis.tolist()))
 
     def test_zero_coefficient_is_noop(self):
-        basis = Basis([[1, 2], [3, 4]])
-        gram = gram_compute(basis)
-        before_cols = [list(c) for c in basis.cols]
+        basis = basis_rows(Basis([[1, 2], [3, 4]]))
+        gram = gram_compute(Basis(basis.tolist()))
+        before_cols = basis.tolist()
         apply_column_op(basis, gram, None, 0, 1, 0)
-        assert basis.cols == before_cols
+        assert basis.tolist() == before_cols
 
     def test_negative_coefficient_keeps_unit_determinant(self):
-        basis = Basis.identity(2)
-        u = TransformRecord.identity(2)
+        basis = basis_rows(Basis.identity(2))
+        u = transform_rows(TransformRecord.identity(2))
         apply_column_op(basis, None, u, 0, 1, -1)
-        assert basis.cols[0] == [1, 1]
-        assert det_small(u.to_rows()) == 1
+        assert basis.tolist()[0] == [1, 1]
+        assert det_small(TransformRecord(u.tolist()).to_rows()) == 1
 
     def test_rejects_equal_indices(self):
-        basis = Basis.identity(2)
+        basis = basis_rows(Basis.identity(2))
         with pytest.raises(ValueError):
             apply_column_op(basis, None, None, 1, 1, 3)
 
     def test_random_sequences_keep_gram_and_transform_consistent(self):
         rng = random.Random(202)
         for _ in range(30):
-            basis = random_basis(rng, max_dim=6, max_entry=20)
-            if basis.n < 2:
+            original = random_basis(rng, max_dim=6, max_entry=20)
+            if original.n < 2:
                 continue
-            original = basis.copy()
-            gram = gram_compute(basis)
-            u = TransformRecord.identity(basis.n)
+            basis = basis_rows(original)
+            gram = gram_compute(original)
+            u = transform_rows(TransformRecord.identity(original.n))
             for _ in range(25):
-                j = rng.randrange(basis.n)
-                k = rng.randrange(basis.n)
+                j = rng.randrange(original.n)
+                k = rng.randrange(original.n)
                 if j == k:
                     continue
                 apply_column_op(basis, gram, u, j, k, rng.randint(-4, 4))
-            assert gram == gram_compute(basis)
-            assert apply_transform(original, u) == basis
-            assert abs(det_small(u.to_rows())) == 1
+            assert gram == gram_compute(Basis(basis.tolist()))
+            assert (apply_transform(original, TransformRecord(u.tolist()))
+                    == Basis(basis.tolist()))
+            assert abs(det_small(TransformRecord(u.tolist()).to_rows())) == 1
 
     def test_transform_overflow_names_column(self):
-        basis = Basis.identity(2)
-        u = TransformRecord([[1, INT128_MAX], [0, 1]])
+        basis = basis_rows(Basis.identity(2))
+        u = transform_rows(TransformRecord([[1, INT128_MAX], [0, 1]]))
         with pytest.raises(OverflowError, match="transform column 1"):
             apply_column_op(basis, None, u, 1, 0, -1)
 
@@ -324,8 +336,8 @@ class TestApplyColumnOp:
         # range, while the other new entries of row 1 fit and must not be
         # written either.
         x = 1 << 62
-        basis = Basis([[1, 0, 0], [x, 1, 0], [1, 0, 1]])
-        gram = gram_compute(basis)
+        basis = basis_rows(Basis([[1, 0, 0], [x, 1, 0], [1, 0, 1]]))
+        gram = gram_compute(Basis(basis.tolist()))
         before = gram.copy()
         with pytest.raises(OverflowError, match=r"Gram entry \(1,1\)"):
             apply_column_op(basis, gram, None, 1, 0, -2 * x)
@@ -334,22 +346,36 @@ class TestApplyColumnOp:
     def test_overflow_leaves_basis_gram_and_transform_unchanged(self):
         # The basis and transform columns fit; the Gram entry (1,1) does
         # not, so nothing may move.
-        basis = Basis([[1, 0, 0], [1 << 62, 1, 0], [1, 0, 1]])
-        gram = gram_compute(basis)
-        u = TransformRecord.identity(3)
-        before = (basis.copy(), gram.copy(), u.copy())
+        basis = basis_rows(Basis([[1, 0, 0], [1 << 62, 1, 0], [1, 0, 1]]))
+        gram = gram_compute(Basis(basis.tolist()))
+        u = transform_rows(TransformRecord.identity(3))
+        before = (basis.tolist(), gram.copy(), u.tolist())
         with pytest.raises(OverflowError, match=r"Gram entry \(1,1\)"):
             apply_column_op(basis, gram, u, 1, 0, -(1 << 63))
-        assert (basis, gram, u) == before
+        assert (basis.tolist(), gram, u.tolist()) == before
 
     def test_transform_overflow_leaves_basis_and_gram_unchanged(self):
-        basis = Basis([[1, 0], [10, 1]])
-        gram = gram_compute(basis)
-        u = TransformRecord([[1, INT128_MAX], [0, 1]])
-        before = (basis.copy(), gram.copy(), u.copy())
+        basis = basis_rows(Basis([[1, 0], [10, 1]]))
+        gram = gram_compute(Basis(basis.tolist()))
+        u = transform_rows(TransformRecord([[1, INT128_MAX], [0, 1]]))
+        before = (basis.tolist(), gram.copy(), u.tolist())
         with pytest.raises(OverflowError, match="transform column 1"):
             apply_column_op(basis, gram, u, 1, 0, -1)
-        assert (basis, gram, u) == before
+        assert (basis.tolist(), gram, u.tolist()) == before
+
+    def test_huge_coefficient_against_a_zero_column(self):
+        # c = 2**64 does not fit int64, but column 0 is zero, so column 1
+        # must come back unchanged rather than fail in numpy.
+        basis = basis_rows(Basis([[0, 0], [1, 1]]))
+        gram = gram_compute(Basis(basis.tolist()))
+        apply_column_op(basis, gram, None, 1, 0, 1 << 64)
+        assert basis.tolist() == [[0, 0], [1, 1]]
+        assert gram == gram_compute(Basis(basis.tolist()))
+
+
+def sub_multiple(rows, k, j, c):
+    """rows[k] -= c * rows[j], as LLL's size reduction does it."""
+    rows.put(rows.moved(j, ((k, c),)))
 
 
 class TestIntRows:
@@ -363,7 +389,7 @@ class TestIntRows:
         for _ in range(20):
             j, k = rng.sample(range(5), 2)
             c = rng.randint(-3, 3)
-            rows.sub_multiple(k, j, c)
+            sub_multiple(rows, k, j, c)
             cols[k] = [a - c * b for a, b in zip(cols[k], cols[j])]
             if rng.random() < 0.3:
                 rows.swap(j, k)
@@ -376,19 +402,41 @@ class TestIntRows:
         rows = IntRows([[1 << 61, 0], [0, 1]], "basis")
         # The bound 2**61 + 3 * 2**61 reaches 2**63; measured, row 1's
         # largest |entry| is 1, so the step stays int64.
-        rows.sub_multiple(1, 0, 3)
+        sub_multiple(rows, 1, 0, 3)
         assert rows.bounds is not None
         # Measured bounds 3 * 2**61 + 2**61 reach 2**63: Python ints.
-        rows.sub_multiple(1, 0, 1)
+        sub_multiple(rows, 1, 0, 1)
         assert rows.bounds is None
         assert rows.tolist() == [[1 << 61, 0], [-1 << 63, 1]]
+
+    def test_coefficient_past_int64_against_a_zero_row(self):
+        # The re-measured bound of a zero row passes whatever c is, but
+        # c = 2**64 itself does not fit int64.
+        rows = IntRows([[0, 0], [1, 1]], "basis")
+        sub_multiple(rows, 1, 0, 1 << 64)
+        assert rows.tolist() == [[0, 0], [1, 1]]
+        assert_all_int(rows.tolist())
+
+    def test_pivot_widening_partway_recomputes_every_move(self):
+        # Move 1 is exact in int64; move 2's bound reaches 2**63, so every
+        # row becomes Python ints and move 1 is computed again from them.
+        cols = [[1, 1], [0, 1], [-1 << 62, 0]]
+        rows = IntRows(cols, "basis")
+        moves = [(1, 2), (2, (1 << 62) + 1)]
+        apply_moves(rows, None, None, 0, moves)
+        for j, c in moves:
+            cols[j] = [a - c * b for a, b in zip(cols[j], cols[0])]
+        assert rows.tolist() == cols
+        assert cols[2][0] < -(1 << 63)
+        assert all(row.dtype == object for row in rows.rows)
+        assert rows.bounds is None
 
     def test_overflow_names_column_and_leaves_rows_unchanged(self):
         cols = [[1, 0], [INT128_MAX, 0]]
         rows = IntRows(cols, "basis")
         with pytest.raises(OverflowError,
                            match="basis column 1 exceeds the signed 128-bit"):
-            rows.sub_multiple(1, 0, -1)
+            sub_multiple(rows, 1, 0, -1)
         assert rows.tolist() == cols
 
 

@@ -6,6 +6,7 @@ from latred.core import (
     INT128_MAX,
     Basis,
     GramMatrix,
+    IntRows,
     TransformRecord,
     apply_transform,
     det_small,
@@ -104,54 +105,72 @@ class TestSelectPivot:
         assert moves == []
 
 
+def greedy_state(basis, u=None):
+    """A GreedyState on the columns of basis and, when given, of u."""
+    rows = IntRows(basis.cols, "basis")
+    urows = None if u is None else IntRows(u.cols, "transform")
+    return GreedyState(rows, gram_compute(basis), urows)
+
+
+def snapshot(state):
+    return (state.rows.tolist(), state.gram.copy(), state.transform.tolist())
+
+
 class TestApplyPivot:
     def test_skewed_becomes_identity(self):
-        basis = Basis([[1, 0], [10, 1]])
-        state = GreedyState(basis, gram_compute(basis))
+        state = greedy_state(Basis([[1, 0], [10, 1]]))
         apply_pivot(state, 0, coefficients_for_pivot(state.gram, 0))
-        assert basis.cols == [[1, 0], [0, 1]]
-        assert state.gram == gram_compute(basis)
+        assert state.rows.tolist() == [[1, 0], [0, 1]]
+        assert state.gram == gram_compute(Basis(state.rows.tolist()))
 
     def test_zero_coefficients_change_nothing(self):
-        basis = Basis.identity(3)
-        state = GreedyState(basis, gram_compute(basis))
+        state = greedy_state(Basis.identity(3))
         apply_pivot(state, 1, coefficients_for_pivot(state.gram, 1))
-        assert basis == Basis.identity(3)
+        assert Basis(state.rows.tolist()) == Basis.identity(3)
 
     def test_gram_matches_recompute_on_random_bases(self):
         rng = random.Random(21)
         for _ in range(100):
-            basis = random_basis(rng, max_dim=5, max_entry=30)
-            state = GreedyState(basis, gram_compute(basis))
+            state = greedy_state(random_basis(rng, max_dim=5, max_entry=30))
             k, moves, _ = select_pivot(state.gram, 2.0)
             apply_pivot(state, k, moves)
-            assert state.gram == gram_compute(basis)
+            assert state.gram == gram_compute(Basis(state.rows.tolist()))
 
     def test_transform_overflow_names_column(self):
-        basis = Basis([[1, 0], [10, 1]])
         u = TransformRecord([[1, INT128_MAX // 10 + 1], [0, 1]])
-        state = GreedyState(basis, gram_compute(basis), u)
+        state = greedy_state(Basis([[1, 0], [10, 1]]), u)
         with pytest.raises(OverflowError, match="transform column 1"):
             apply_pivot(state, 0, coefficients_for_pivot(state.gram, 0))
 
     def test_gram_overflow_leaves_state_unchanged(self):
-        basis = Basis([[1, 0, 0], [1 << 62, 1, 0], [1, 0, 1]])
-        u = TransformRecord.identity(3)
-        state = GreedyState(basis, gram_compute(basis), u)
-        before = (basis.copy(), state.gram.copy(), u.copy())
+        state = greedy_state(Basis([[1, 0, 0], [1 << 62, 1, 0], [1, 0, 1]]),
+                             TransformRecord.identity(3))
+        before = snapshot(state)
         with pytest.raises(OverflowError, match=r"Gram entry \(1,1\)"):
             apply_pivot(state, 0, [(1, -(1 << 63))])
-        assert (basis, state.gram, u) == before
+        assert snapshot(state) == before
 
     def test_transform_overflow_undoes_earlier_moves(self):
-        # The move of column 1 succeeds; the one of column 2 overflows.
-        basis = Basis.identity(3)
+        # The move of column 1 fits; the one of column 2 overflows, so
+        # neither may be written.
         u = TransformRecord([[1, 0, INT128_MAX], [0, 1, 0], [0, 0, 1]])
-        state = GreedyState(basis, gram_compute(basis), u)
-        before = (basis.copy(), state.gram.copy(), u.copy())
+        state = greedy_state(Basis.identity(3), u)
+        before = snapshot(state)
         with pytest.raises(OverflowError, match="transform column 2"):
             apply_pivot(state, 0, [(1, 1), (2, -1)])
-        assert (basis, state.gram, u) == before
+        assert snapshot(state) == before
+
+    def test_python_int_basis_overflow_in_second_move(self):
+        # Entry 2**63 puts the basis rows on Python ints from the start.
+        # The move of column 1 fits; column 2 would reach 2**127.
+        basis = Basis([[1, 0, 0], [0, 1, 0], [1 << 63, 0, 1]])
+        state = greedy_state(basis, TransformRecord.identity(3))
+        assert state.rows.bounds is None
+        before = snapshot(state)
+        with pytest.raises(OverflowError, match="basis column 2"):
+            apply_pivot(state, 0, [(1, 1), (2, (1 << 63) - (1 << 127))])
+        assert snapshot(state) == before
+        assert state.iteration == 0
 
 
 class TestReduce:
@@ -249,8 +268,8 @@ class TestReduce:
         rng = random.Random(38)
         for p, mode in ((2.0, "sum"), (1.0, "sum"), (3.0, "sum"), (2.0, "max")):
             for _ in range(20):
-                basis = random_basis(rng, max_dim=6, max_entry=40)
-                state = GreedyState(basis, gram_compute(basis))
+                state = greedy_state(random_basis(rng, max_dim=6,
+                                                  max_entry=40))
                 k, moves, score = select_pivot(state.gram, p, mode)
                 apply_pivot(state, k, moves)
                 assert score == basis_score(state.gram, p, mode)
@@ -352,7 +371,7 @@ class TestPivotTable:
                 assert got == reference_select(state.gram, p, mode)
 
         for basis in TABLE_INPUTS:
-            check(GreedyState(basis.copy(), gram_compute(basis)))
+            check(greedy_state(basis))
             reduce(basis, cfg, on_iteration=check)
         assert iterations > 2 * len(TABLE_INPUTS)
 

@@ -1,0 +1,110 @@
+"""Exact outputs of the greedy polish, mgs and rand-comb on fixed inputs.
+
+Each GOLDEN entry is (iterations, frob_sq, min_sq, sha256 of the output
+basis and transform columns) of one tracked reducer on one input.  The
+hash moves when any output entry moves, so a change to a column kernel,
+the Gram update or a coefficient rule that alters a single integer shows
+here.  The "wide" input has entries past int64, so its basis columns run
+on Python ints from the first operation.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from latred.altreduce import AltConfig, mgs_pivot_reduce, random_combination_reduce
+from latred.core import Basis, apply_transform
+from latred.genlat import ExampleSpec, gen_example, random_permutation
+from latred.greedy import ReduceConfig, reduce as greedy_reduce
+
+
+def scrambled(n, seed):
+    """Entries in [-3, 3], then 2n random +-1 column additions."""
+    rng = random.Random(seed)
+    cols = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    for _ in range(2 * n):
+        j, k = rng.sample(range(n), 2)
+        s = rng.choice((-1, 1))
+        cols[j] = [a + s * b for a, b in zip(cols[j], cols[k])]
+    return Basis(cols)
+
+
+def wide(seed):
+    """n = 6 small columns; columns 0 and 3 get 2**63 + r added to entry 0."""
+    rng = random.Random(seed)
+    cols = [[rng.randint(-3, 3) for _ in range(6)] for _ in range(6)]
+    for j in (0, 3):
+        cols[j][0] += (1 << 63) + rng.randint(-50, 50)
+    return Basis(cols)
+
+
+INPUTS = {
+    "scrambled-40": lambda: scrambled(40, 11),
+    "qary-48": lambda: random_permutation(gen_example(ExampleSpec(8191, 16, 3)),
+                                          7),
+    "wide-6": lambda: wide(0),
+}
+
+REDUCERS = {
+    "greedy-2,1": lambda b: greedy_reduce(
+        b, ReduceConfig(p_schedule=(2.0, 1.0)), track_transform=True),
+    "greedy-max": lambda b: greedy_reduce(
+        b, ReduceConfig(score_mode="max"), track_transform=True),
+    "mgs-2": lambda b: mgs_pivot_reduce(b, 2.0, track_transform=True),
+    "rand-comb": lambda b: random_combination_reduce(
+        b, AltConfig(seed=9), track_transform=True),
+}
+
+GOLDEN = {
+    ("greedy-2,1", "scrambled-40"): (
+        49, 9396, 111,
+        "80a198709f25e2fb4bab746cf66b966f92a533a16cee6bc5d4cc3d4c1f63298c"),
+    ("greedy-2,1", "qary-48"): (
+        9, 4784980432, 67092481,
+        "6248d3158cd6b14dbd305714cd8833161661a1895f5132a5feac686cb9cc44c0"),
+    ("greedy-2,1", "wide-6"): (
+        118, 921963183584351413309910518742546707, 11,
+        "6790edafb91096a52d152f9a01fa689b9e0eddff299693c5af278ef573b87e80"),
+    ("greedy-max", "scrambled-40"): (
+        22, 16778, 141,
+        "0c7668cc8b457870e51a57241e37f8c68975c83e64e32b6e997424a18bc18f3a"),
+    ("greedy-max", "qary-48"): (
+        1, 4916216421, 67092481,
+        "a607453c1863a06304280fc4598be7ba243ce7923aef1f2d6043c4fbd056820c"),
+    ("greedy-max", "wide-6"): (
+        175, 921963183584351413309910518742546711, 11,
+        "b856b2b1c663e1ee435a190c07e79ebe449d0117718ad852c175d3d1d029c814"),
+    ("mgs-2", "scrambled-40"): (
+        40, 20131, 141,
+        "3168aca9591ef13fdaafb3842f6468da91ff77f3fe2ab7c4c81d338ffa32f501"),
+    ("mgs-2", "qary-48"): (
+        48, 6235781507, 67092481,
+        "f824989d78f74d56863070193ea2c5f6950af3547f247ee6cd65a3bdc3cfe332"),
+    ("mgs-2", "wide-6"): (
+        6, 85070591730234615773609931489394295290, 11,
+        "fb61d3459e3970a8ba7268a6d905ffbede7a0874eff2d2f457da9ad1db23586c"),
+    ("rand-comb", "scrambled-40"): (
+        115, 244044, 120,
+        "0889ccdbb5336cc735d62d3c1eca95536f8b4573755276035b77fac260f77e15"),
+    ("rand-comb", "qary-48"): (
+        285, 1752305472890, 808831130,
+        "1df63933b906d45d7105d392466de14d0b5553f12ab428acfd6215abf07ac7bd"),
+    ("rand-comb", "wide-6"): (
+        14, 921963183584351413309910518742546725, 11,
+        "bad0b4ae34b7a6b2d3b09cc3c9a30bf91ce3682c08a2e3a122de1da6d6526c33"),
+}
+
+
+def outcome(reducer, name):
+    basis = INPUTS[name]()
+    res = REDUCERS[reducer](basis)
+    assert apply_transform(basis, res.transform) == res.basis
+    columns = repr((res.basis.cols, res.transform.cols)).encode()
+    return (res.iterations_applied, res.after.frobenius_sq,
+            res.after.min_norm_sq, hashlib.sha256(columns).hexdigest())
+
+
+@pytest.mark.parametrize("reducer,name", sorted(GOLDEN))
+def test_golden_exact_outputs(reducer, name):
+    assert outcome(reducer, name) == GOLDEN[reducer, name]
