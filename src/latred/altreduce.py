@@ -6,6 +6,14 @@ result.  random_combination re-centers one random column against the best
 real-coefficient combination of all the others (rounded to integers, which
 is usually too coarse).  mgs_pivot is pivoted Gram-Schmidt with rounded
 projections and no swap condition.
+
+Both keep their exact state in the shared IntRows and GramMatrix and
+round only the coefficients that can round to a nonzero integer
+(ROUNDS_TO_ZERO).  An mgs round scores every candidate pivot from one
+matrix product over the residual columns instead of one dot product per
+pair.  Its integer outputs matched the per-pair loop on every input
+checked, but the batched products may round differently in the last
+bit, so its intermediate floats are not promised bit for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from .core import (
     GramMatrix,
     IntRows,
     RANK_FLOOR,
+    ROUNDS_TO_ZERO,
     ReductionResult,
     UsageError,
     apply_column_op,
@@ -61,13 +70,14 @@ def random_combination_step(rows: IntRows, gram: GramMatrix, j: int,
     columns; each nonzero coefficient is one apply_column_op.  The
     real-valued coefficients come from the normal equations over the
     Gram submatrix without row/column j, solved in floating point (any
-    float error below 1/2 disappears in the rounding).  Returns whether
-    anything changed; a singular system is skipped with a warning.
+    float error below 1/2 disappears in the rounding); coefficients of
+    magnitude under ROUNDS_TO_ZERO are dropped without rounding each one.
+    Returns whether anything changed; a singular system is skipped with a
+    warning.
     """
-    others = [i for i in range(gram.n) if i != j]
     fg = np.array(gram.g, dtype=float)
-    sub = fg[np.ix_(others, others)]
-    rhs = fg[others, j]
+    sub = np.delete(np.delete(fg, j, 0), j, 1)
+    rhs = np.delete(fg[:, j], j)
     try:
         coeffs = np.linalg.solve(sub, rhs)
     except np.linalg.LinAlgError:
@@ -77,11 +87,11 @@ def random_combination_step(rows: IntRows, gram: GramMatrix, j: int,
         log.warning("non-finite coefficients for column %d; step skipped", j)
         return False
     changed = False
-    for idx, k in enumerate(others):
-        c = nint_float(float(coeffs[idx]))
-        if c:
-            apply_column_op(rows, gram, transform, j, k, c)
-            changed = True
+    for idx in np.flatnonzero(np.abs(coeffs) >= ROUNDS_TO_ZERO).tolist():
+        k = idx + (idx >= j)  # index of the column coeffs[idx] belongs to
+        apply_column_op(rows, gram, transform, j, k,
+                        nint_float(float(coeffs[idx])))
+        changed = True
     return changed
 
 
@@ -113,14 +123,25 @@ def mgs_pivot_reduce(basis: Basis, p: float = 2.0, *,
 
     Each round scores every residual column by the sum of p-th powers of
     the norms the basis would have after projecting the others off it,
-    picks the best, orthogonalizes it against the previous pivots in
-    floating point, and subtracts the rounded projection onto that
-    orthogonalized pivot from every remaining column (as an integer
-    multiple of the pivot's basis column).  Squared norms for the scores
-    are exact; only the p/2 powers and their left-to-right sum are
-    floating.  Columns that are zero or dependent on the chosen pivots
-    are skipped.  Each round's moves go to the basis, the transform and
-    the Gram matrix in one apply_moves call.
+    picks the best, and subtracts the rounded projection onto that
+    pivot's floating orthogonalization from every remaining column (as
+    an integer multiple of the pivot's basis column).  Columns that are
+    zero or dependent on the chosen pivots are skipped; the first of
+    equal scores wins.  Each round's moves go to the basis, the
+    transform and the Gram matrix in one apply_moves call.
+
+    A round is whole-array work on the R residual columns as float rows
+    F: Q is F orthogonalized against each earlier pivot in turn, and
+    X = F Q^T / |Q|^2 holds every coefficient of a column onto a
+    candidate, so no temporary exceeds an R x m or R x R float array.
+    Only coefficients x with |x| >= ROUNDS_TO_ZERO are rounded, and the
+    squared norms they give are exact; every other column keeps its
+    squared norm g[s][s].  Only the p/2 powers and their sum are
+    floating, folded left to right: chosen pivots, the candidate, then
+    the other residual columns in order.  The batched products can
+    differ in the last bit from one dot product per pair; the exact
+    outputs matched the per-pair loop on every input checked, but the
+    floats are not promised bit for bit.
     """
     if not p > 0:
         raise UsageError(f"p must be positive, got {p}")
@@ -129,43 +150,48 @@ def mgs_pivot_reduce(basis: Basis, p: float = 2.0, *,
     def body(rows, transform):
         gram = gram_compute(basis)
         residual = list(range(basis.n))
-        pivot_qs: list[np.ndarray] = []
-        chosen: list[int] = []
+        pivots: list[tuple[np.ndarray, float]] = []
+        # fold_sum of the chosen pivots' terms in choice order; no move
+        # ever targets a chosen column, so its term never changes.
+        chosen_sum = 0.0
         while residual:
             g = gram.g
-            fcols = {s: rows.rows[s].astype(float) for s in residual}
+            f = np.array([rows.rows[s] for s in residual], dtype=float)
+            q = f.copy()
+            for qp, qpqp in pivots:
+                q -= np.outer((q @ qp) / qpqp, qp)
+            qq = np.einsum("ij,ij->i", q, q)
+            # Zero rows are never candidates; 1.0 keeps the division quiet.
+            x = (f @ q.T) / np.where(qq > 0.0, qq, 1.0)
+            large = np.abs(x) >= ROUNDS_TO_ZERO
+            # Column s's term when its coefficient rounds to zero.
+            kept = [float(g[s][s]) ** half_p for s in residual]
             best = None
-            for r in residual:
+            for ri, r in enumerate(residual):
                 grr = g[r][r]
-                if grr == 0:
+                if grr == 0 or qq[ri] < RANK_FLOOR * grr:
                     continue
-                q = fcols[r].copy()
-                for qprev in pivot_qs:
-                    q -= (float(q @ qprev) / float(qprev @ qprev)) * qprev
-                qq = float(q @ q)
-                if qq < RANK_FLOOR * grr:
-                    continue
-                terms = [float(g[t][t]) ** half_p for t in chosen]
-                terms.append(float(grr) ** half_p)
+                terms = kept.copy()
                 moves = []
-                for s in residual:
-                    if s == r:
+                for i in np.flatnonzero(large[:, ri]).tolist():
+                    if i == ri:
                         continue
-                    c = nint_float(float(fcols[s] @ q) / qq)
-                    if c:
-                        moves.append((s, c))
-                    terms.append(
-                        float(projected_norm_sq(g, s, r, c, grr)) ** half_p)
-                score = fold_sum(terms)
+                    s = residual[i]
+                    c = nint_float(float(x[i, ri]))
+                    moves.append((s, c))
+                    terms[i] = float(projected_norm_sq(g, s, r, c, grr)) ** half_p
+                del terms[ri]
+                score = fold_sum([chosen_sum, kept[ri], *terms])
                 if best is None or score < best[0]:
-                    best = (score, r, q, moves)
+                    best = (score, ri, moves)
             if best is None:
                 break
-            _, r, q, moves = best
+            _, ri, moves = best
+            r = residual.pop(ri)
             apply_moves(rows, gram, transform, r, moves)
-            residual.remove(r)
-            chosen.append(r)
-            pivot_qs.append(q)
-        return len(chosen)
+            chosen_sum += kept[ri]
+            qp = q[ri].copy()
+            pivots.append((qp, float(qp @ qp)))
+        return basis.n - len(residual)
 
     return run_reducer(basis, track_transform, body)

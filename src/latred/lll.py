@@ -37,6 +37,7 @@ from .core import (
     Basis,
     IntRows,
     RANK_FLOOR,
+    ROUNDS_TO_ZERO,
     ReductionResult,
     UsageError,
     nint_float,
@@ -48,11 +49,6 @@ DEFAULT_DELTA = 1.0 - 1e-15
 
 # Swaps allowed per n**2 and per bit of the input's largest |entry|.
 _SWAP_CAP_FACTOR = 100
-
-# nint_float(x) == 0 exactly when |x| < this.  It is one step below 1/2
-# because 0.5 - 2**-54 plus 0.5 rounds up to 1.0, so nint_float gives 1.
-_ROUNDS_TO_ZERO = 0.5 - 2.0 ** -54
-
 
 @dataclass(frozen=True)
 class LLLConfig:
@@ -143,7 +139,7 @@ def size_reduce(state: GSState, rows: IntRows, k: int,
     the integer row.
     """
     mu_k = state.mu[k]
-    if (np.abs(mu_k[:k]) < _ROUNDS_TO_ZERO).all():
+    if (np.abs(mu_k[:k]) < ROUNDS_TO_ZERO).all():
         return
     for j in range(k - 1, -1, -1):
         c = nint_float(float(mu_k[j]))

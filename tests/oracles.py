@@ -5,6 +5,7 @@ exact rational LLL, exhaustive enumeration) and deliberately shares no
 code path with the package under test.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -105,3 +106,56 @@ def shortest_vector_sq(cols, bound):
     norms = (vecs * vecs).sum(axis=1)
     nonzero = norms[(coeffs != 0).any(axis=1)]
     return int(nonzero.min())
+
+
+def mgs_per_pair(cols, p):
+    """Pivoted Gram-Schmidt with rounded projections, one dot per pair.
+
+    The plain loop that mgs_pivot_reduce batches: (pivots chosen, final
+    columns).  Every candidate r is orthogonalized against the earlier
+    pivots one at a time, every coefficient is one float dot product
+    rounded half away from zero, and the score folds the p/2 powers of
+    the exact squared norms left to right: chosen pivots, r, then the
+    other residual columns in order.  Ties go to the first candidate.
+    """
+    cols = [list(col) for col in cols]
+    half = p / 2.0
+    residual = list(range(len(cols)))
+    chosen, pivots = [], []
+    while residual:
+        g = gram_oracle(cols)
+        best = None
+        for r in residual:
+            grr = g[r][r]
+            if grr == 0:
+                continue
+            q = np.array(cols[r], dtype=float)
+            for qp in pivots:
+                q -= (float(q @ qp) / float(qp @ qp)) * qp
+            qq = float(q @ q)
+            if qq < 1e-30 * grr:
+                continue
+            score = 0.0
+            for t in chosen:
+                score += float(g[t][t]) ** half
+            score += float(grr) ** half
+            moves = []
+            for s in residual:
+                if s == r:
+                    continue
+                x = float(np.array(cols[s], dtype=float) @ q) / qq
+                c = math.floor(x + 0.5) if x >= 0 else math.ceil(x - 0.5)
+                if c:
+                    moves.append((s, c))
+                score += float(g[s][s] - 2 * c * g[s][r] + c * c * grr) ** half
+            if best is None or score < best[0]:
+                best = (score, r, q, moves)
+        if best is None:
+            break
+        _, r, q, moves = best
+        for s, c in moves:
+            cols[s] = [a - c * b for a, b in zip(cols[s], cols[r])]
+        residual.remove(r)
+        chosen.append(r)
+        pivots.append(q)
+    return len(chosen), cols

@@ -1,5 +1,6 @@
 import logging
 import random
+import warnings
 
 import pytest
 
@@ -21,6 +22,8 @@ from latred.core import (
     gram_compute,
 )
 from latred.greedy import GreedyState, apply_pivot, coefficients_for_pivot
+
+from oracles import mgs_per_pair
 
 
 def random_basis(rng, n, max_entry=40):
@@ -123,6 +126,29 @@ class TestMgsPivotReduce:
         basis = Basis([[1, 7], [0, 0], [0, 3]])
         res = mgs_pivot_reduce(basis)
         assert res.basis.cols[1] == [0, 0]
+
+    def test_matches_per_pair_reference(self):
+        rng = random.Random(75)
+        for n in (2, 3, 5, 8, 12):
+            for trial in range(4):
+                cols = random_basis(rng, n, max_entry=5 + 10 * trial).cols
+                if trial == 3:
+                    cols[1] = [2 * x for x in cols[0]]
+                    cols[-1] = [0] * n
+                basis = Basis(cols)
+                for p in (1.0, 2.0, 3.0):
+                    res = mgs_pivot_reduce(basis, p)
+                    assert ((res.iterations_applied, res.basis.cols)
+                            == mgs_per_pair(basis.cols, p))
+
+    def test_zero_and_dependent_candidates_emit_no_warning(self):
+        basis = Basis([[0, 0], [1, 1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = mgs_pivot_reduce(basis, track_transform=True)
+        assert res.basis == basis
+        assert res.transform.cols == [[1, 0], [0, 1]]
+        assert res.iterations_applied == 1
 
     def test_round_overflow_in_second_move_writes_nothing(self):
         # The apply_moves call of one mgs round, pivot 0, on basis rows

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -10,6 +11,7 @@ from latred.core import (
     IntRows,
     MatFormatError,
     NormSummary,
+    ROUNDS_TO_ZERO,
     ReductionResult,
     TransformRecord,
     apply_column_op,
@@ -246,6 +248,16 @@ class TestNintFloat:
         assert nint_float(2.5) == 3
         assert nint_float(0.49999) == 0
         assert nint_float(-10.0) == -10
+
+    def test_rounds_to_zero_threshold(self):
+        t = ROUNDS_TO_ZERO
+        below, above = math.nextafter(t, 0.0), math.nextafter(t, 1.0)
+        assert above == 0.5
+        for x in (0.0, 1e-300, 0.25, below, t, above):
+            for v in (x, -x):
+                assert (nint_float(v) == 0) == (abs(v) < t), v
+        assert nint_float(below) == 0 and nint_float(-below) == 0
+        assert nint_float(t) == 1 and nint_float(-t) == -1
 
 
 class TestNormSummary:

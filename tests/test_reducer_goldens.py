@@ -5,11 +5,14 @@ basis and transform columns) of one tracked reducer on one input.  The
 hash moves when any output entry moves, so a change to a column kernel,
 the Gram update or a coefficient rule that alters a single integer shows
 here.  The "wide" input has entries past int64, so its basis columns run
-on Python ints from the first operation.
+on Python ints from the first operation.  The "dependent" input has a
+doubled and a zero column, so mgs skips candidates and rand-comb meets
+singular normal equations.
 """
 
 import hashlib
 import random
+import warnings
 
 import pytest
 
@@ -39,11 +42,20 @@ def wide(seed):
     return Basis(cols)
 
 
+def dependent(seed):
+    """scrambled n = 10, then column 1 = 2 * column 0 and column 4 zero."""
+    cols = scrambled(10, seed).cols
+    cols[1] = [2 * x for x in cols[0]]
+    cols[4] = [0] * 10
+    return Basis(cols)
+
+
 INPUTS = {
     "scrambled-40": lambda: scrambled(40, 11),
     "qary-48": lambda: random_permutation(gen_example(ExampleSpec(8191, 16, 3)),
                                           7),
     "wide-6": lambda: wide(0),
+    "dependent-10": lambda: dependent(3),
 }
 
 REDUCERS = {
@@ -52,6 +64,7 @@ REDUCERS = {
     "greedy-max": lambda b: greedy_reduce(
         b, ReduceConfig(score_mode="max"), track_transform=True),
     "mgs-2": lambda b: mgs_pivot_reduce(b, 2.0, track_transform=True),
+    "mgs-1": lambda b: mgs_pivot_reduce(b, 1.0, track_transform=True),
     "rand-comb": lambda b: random_combination_reduce(
         b, AltConfig(seed=9), track_transform=True),
 }
@@ -84,6 +97,18 @@ GOLDEN = {
     ("mgs-2", "wide-6"): (
         6, 85070591730234615773609931489394295290, 11,
         "fb61d3459e3970a8ba7268a6d905ffbede7a0874eff2d2f457da9ad1db23586c"),
+    ("mgs-2", "dependent-10"): (
+        8, 657, 32,
+        "ded62f9a31e4d7f717828d143a25d8f8a53b7ddb9841702579909d4c0b3f3d2c"),
+    ("mgs-1", "scrambled-40"): (
+        40, 19018, 135,
+        "b9e29af05c07830fd66ce11287ae5d5d1bc5bea8525c607affa37cf9b5a25267"),
+    ("mgs-1", "qary-48"): (
+        48, 6060993758, 67092481,
+        "9ae173399fdbd03dc38a16b6d7ca11f35fe5a273129dda4fb9e8483787ab0e9b"),
+    ("mgs-1", "dependent-10"): (
+        8, 663, 32,
+        "4fe878ceb2000f01c3f7d01f9b17d52c2a79cfa1e79468533c84c59d19dce09c"),
     ("rand-comb", "scrambled-40"): (
         115, 244044, 120,
         "0889ccdbb5336cc735d62d3c1eca95536f8b4573755276035b77fac260f77e15"),
@@ -93,6 +118,9 @@ GOLDEN = {
     ("rand-comb", "wide-6"): (
         14, 921963183584351413309910518742546725, 11,
         "bad0b4ae34b7a6b2d3b09cc3c9a30bf91ce3682c08a2e3a122de1da6d6526c33"),
+    ("rand-comb", "dependent-10"): (
+        0, 2051, 36,
+        "9c040d5fda8a272f12246daf2e1be80f9e95bfe2e32f95e93bfab6e1d3795bf7"),
 }
 
 
@@ -108,3 +136,12 @@ def outcome(reducer, name):
 @pytest.mark.parametrize("reducer,name", sorted(GOLDEN))
 def test_golden_exact_outputs(reducer, name):
     assert outcome(reducer, name) == GOLDEN[reducer, name]
+
+
+@pytest.mark.parametrize("reducer", ["mgs-1", "mgs-2"])
+def test_dependent_candidates_emit_no_warning(reducer):
+    # A zero column and a doubled one give mgs zero residual rows.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = outcome(reducer, "dependent-10")
+    assert got == GOLDEN[reducer, "dependent-10"]
