@@ -9,7 +9,9 @@ projections and no swap condition.
 
 Both keep their exact state in the shared IntRows and GramMatrix and
 round only the coefficients that can round to a nonzero integer
-(ROUNDS_TO_ZERO).  An mgs round scores every candidate pivot from one
+(ROUNDS_TO_ZERO).  A tracked transform rides along in the rows with no
+code here; the float reads (mgs's residual rows) take the basis part
+only.  An mgs round scores every candidate pivot from one
 matrix product over the residual columns instead of one dot product per
 pair.  Its integer outputs matched the per-pair loop on every input
 checked, but the batched products may round differently in the last
@@ -62,22 +64,26 @@ class AltConfig:
             raise UsageError("iterations must be nonnegative")
 
 
-def random_combination_step(rows: IntRows, gram: GramMatrix, j: int,
-                            transform: IntRows | None = None) -> bool:
+def random_combination_step(rows: IntRows, gram: GramMatrix, j: int) -> bool:
     """Subtract from column j the rounded best combination of the others.
 
-    rows holds the basis columns and transform, when given, the transform
-    columns; each nonzero coefficient is one apply_column_op.  The
-    real-valued coefficients come from the normal equations over the
-    Gram submatrix without row/column j, solved in floating point (any
-    float error below 1/2 disappears in the rounding); coefficients of
-    magnitude under ROUNDS_TO_ZERO are dropped without rounding each one.
-    Returns whether anything changed; a singular system is skipped with a
-    warning.
+    Each nonzero coefficient is one apply_column_op.  The real-valued
+    coefficients come from the normal equations over the Gram submatrix
+    of the other nonzero columns, solved in floating point (any float
+    error below 1/2 disappears in the rounding); a zero column would make
+    that system singular and has nothing to contribute, so it is left
+    out.  Coefficients of magnitude under ROUNDS_TO_ZERO are dropped
+    without rounding each one.  Returns whether anything changed; a
+    system that is still singular (dependent nonzero columns) is skipped
+    with a warning.
     """
     fg = np.array(gram.g, dtype=float)
-    sub = np.delete(np.delete(fg, j, 0), j, 1)
-    rhs = np.delete(fg[:, j], j)
+    # Column j and every zero column stay out of the system.
+    keep = fg.diagonal() != 0.0
+    keep[j] = False
+    others = np.flatnonzero(keep)
+    sub = fg.take(others, 0).take(others, 1)
+    rhs = fg[others, j]
     try:
         coeffs = np.linalg.solve(sub, rhs)
     except np.linalg.LinAlgError:
@@ -88,8 +94,7 @@ def random_combination_step(rows: IntRows, gram: GramMatrix, j: int,
         return False
     changed = False
     for idx in np.flatnonzero(np.abs(coeffs) >= ROUNDS_TO_ZERO).tolist():
-        k = idx + (idx >= j)  # index of the column coeffs[idx] belongs to
-        apply_column_op(rows, gram, transform, j, k,
+        apply_column_op(rows, gram, j, int(others[idx]),
                         nint_float(float(coeffs[idx])))
         changed = True
     return changed
@@ -105,12 +110,12 @@ def random_combination_reduce(basis: Basis, config: AltConfig | None = None, *,
     """
     cfg = config if config is not None else AltConfig()
 
-    def body(rows, transform):
+    def body(rows):
         gram = gram_compute(basis)
         rng = SplitMix64(cfg.seed)
         steps = 10 * basis.n if cfg.iterations is None else cfg.iterations
         return sum(
-            random_combination_step(rows, gram, rng.below(basis.n), transform)
+            random_combination_step(rows, gram, rng.below(basis.n))
             for _ in range(steps)
         )
 
@@ -127,8 +132,8 @@ def mgs_pivot_reduce(basis: Basis, p: float = 2.0, *,
     pivot's floating orthogonalization from every remaining column (as
     an integer multiple of the pivot's basis column).  Columns that are
     zero or dependent on the chosen pivots are skipped; the first of
-    equal scores wins.  Each round's moves go to the basis, the
-    transform and the Gram matrix in one apply_moves call.
+    equal scores wins.  Each round's moves go to the columns and the
+    Gram matrix in one apply_moves call.
 
     A round is whole-array work on the R residual columns as float rows
     F: Q is F orthogonalized against each earlier pivot in turn, and
@@ -147,8 +152,9 @@ def mgs_pivot_reduce(basis: Basis, p: float = 2.0, *,
         raise UsageError(f"p must be positive, got {p}")
     half_p = p / 2.0
 
-    def body(rows, transform):
+    def body(rows):
         gram = gram_compute(basis)
+        m = basis.m
         residual = list(range(basis.n))
         pivots: list[tuple[np.ndarray, float]] = []
         # fold_sum of the chosen pivots' terms in choice order; no move
@@ -156,7 +162,7 @@ def mgs_pivot_reduce(basis: Basis, p: float = 2.0, *,
         chosen_sum = 0.0
         while residual:
             g = gram.g
-            f = np.array([rows.rows[s] for s in residual], dtype=float)
+            f = np.array([rows.rows[s][:m] for s in residual], dtype=float)
             q = f.copy()
             for qp, qpqp in pivots:
                 q -= np.outer((q @ qp) / qpqp, qp)
@@ -188,7 +194,7 @@ def mgs_pivot_reduce(basis: Basis, p: float = 2.0, *,
                 break
             _, ri, moves = best
             r = residual.pop(ri)
-            apply_moves(rows, gram, transform, r, moves)
+            apply_moves(rows, gram, r, moves)
             chosen_sum += kept[ri]
             qp = q[ri].copy()
             pivots.append((qp, float(qp @ qp)))

@@ -18,18 +18,23 @@ per-row bound proves each operation exact, and are Python ints,
 range-checked, from then on.
 
 A column operation moves one column; a pivot k moves a sparse list of
-columns, the (j, c) pairs of column j -= c * column k.  apply_moves
-applies a pivot to the basis rows, the transform rows and the Gram matrix
-(update_gram, the one exact Gram update, which rewrites only the moved
-rows and columns) all or nothing: every new value is computed and
-range-checked before any is written, so nothing is ever undone.  LLL's
-size reduction takes the same two phases on one store, one move at a time.
+columns, the (j, c) pairs of column j -= c * column k.  A tracked
+transform U (input . U = output) needs no store of its own: row j of
+IntRows holds basis column j followed by transform column j, so the same
+row operation that changes [b_j] changes [b_j; u_j], a swap swaps both,
+and one int64 bound covers the whole row.  apply_moves applies a pivot
+to the rows and the Gram matrix (update_gram, the one exact Gram update,
+which rewrites only the moved rows and columns) all or nothing: every
+new value is computed and range-checked before any is written, so
+nothing is ever undone.  LLL's size reduction takes the same two phases,
+one move at a time.
 
 Every reducer runs inside run_reducer, which owns the frame around its
-loop: the IntRows of the input's columns and of the identity transform
-when one is tracked, the one write-back into the result, the exact
-before/after norm summaries, the timing and the ReductionResult.
-pipeline chains reducers.
+loop: the IntRows of the input's columns, stacked on the identity when a
+transform is tracked, the one write-back into the result's basis and
+transform, the exact before/after norm summaries, the timing and the
+ReductionResult.  It is the only code that knows whether a transform is
+tracked.  pipeline chains reducers.
 """
 
 from __future__ import annotations
@@ -343,32 +348,46 @@ def _check_column(col: list[int], what: str, j: int) -> None:
 class IntRows:
     """Integer columns as numpy rows, for repeated column operations.
 
-    rows[j] is column j.  The rows are int64 while bounds, one Python int
-    per row at least as large as the row's largest |entry|, prove that
-    every operation is exact: rows[j] - c * rows[k] is done in int64 only
-    when |c| < 2**63 and bounds[j] + |c| * bounds[k] < 2**63.  When that
-    test fails, the two rows' bounds are measured again; when it still
-    fails, every row becomes dtype=object (Python ints, exact at any size)
-    for good, and bounds is None.  On that path each operation is checked
+    rows[j] is column j: its first m entries are basis column j, and when
+    transform columns are given, transform column j follows them, so
+    every operation and every swap moves both at once.  The rows are
+    int64 while bounds, one Python int per row at least as large as the
+    row's largest |entry| over both parts, prove that every operation is
+    exact: rows[j] - c * rows[k] is done in int64 only when |c| < 2**63
+    and bounds[j] + |c| * bounds[k] < 2**63.  When that test fails, the
+    two rows' bounds are measured again; when it still fails, every row
+    becomes dtype=object (Python ints, exact at any size) for good, and
+    bounds is None.  Basis and transform share the bound, so both leave
+    int64 together.  On the Python-int path each operation is checked
     against the signed 128-bit range and raises OverflowError naming the
-    column, with the rows unchanged.
+    basis or transform column, with the rows unchanged.
 
-    Operations go in two phases, so that apply_moves can check every
-    store before it writes any: moved computes a pivot's operations and
-    writes no row, and put writes them and cannot fail.
+    Operations go in two phases, so that apply_moves can check the rows
+    and the Gram matrix before it writes either: moved computes a pivot's
+    operations and writes no row, and put writes them and cannot fail.
     """
 
-    __slots__ = ("rows", "bounds", "what")
+    __slots__ = ("rows", "bounds", "m")
 
-    def __init__(self, cols, what: str):
-        packed = _int64_cols(cols)
-        if packed is None:
-            self.rows = list(np.array(cols, dtype=object))
+    def __init__(self, cols, transform=None):
+        m = len(cols[0])
+        parts = [cols] if transform is None else [cols, transform]
+        # Filled in place: packing each part and then stacking them would
+        # hold every entry twice while the rows are built.
+        stacked = np.empty((len(cols), sum(len(p[0]) for p in parts)),
+                           dtype=np.int64)
+        try:
+            stacked[:, :m] = cols
+            if transform is not None:
+                stacked[:, m:] = transform
+        except OverflowError:
+            self.rows = list(np.hstack([np.array(part, dtype=object)
+                                        for part in parts]))
             self.bounds = None
         else:
-            self.rows = list(packed[0])
-            self.bounds = [packed[1]] * len(cols)
-        self.what = what
+            self.rows = list(stacked)
+            self.bounds = [_max_abs(stacked)] * len(cols)
+        self.m = m
 
     def _int64_bound(self, j: int, k: int, c: int) -> int | None:
         """Bound of rows[j] - c * rows[k] when it is exact in int64, else None.
@@ -398,7 +417,8 @@ class IntRows:
         Python ints partway through the list, every move is computed
         again from the widened rows, so int64 and Python-int rows never
         mix.  A column past the 128-bit range raises OverflowError naming
-        it.
+        it; every moved basis column is checked before any transform
+        column.
         """
         if self.bounds is not None:
             out = []
@@ -411,8 +431,13 @@ class IntRows:
                 return out
         rows = self.rows
         out = [(j, rows[j] - c * rows[k], None) for j, c in moves]
-        for j, row, _ in out:
-            _check_column(row, self.what, j)
+        m = self.m
+        parts = [("basis", slice(None, m))]
+        if len(rows[k]) > m:
+            parts.append(("transform", slice(m, None)))
+        for what, part in parts:
+            for j, row, _ in out:
+                _check_column(row[part], what, j)
         return out
 
     def put(self, new) -> None:
@@ -430,7 +455,7 @@ class IntRows:
             bounds[j], bounds[k] = bounds[k], bounds[j]
 
     def tolist(self) -> list[list[int]]:
-        """The columns as lists of Python ints."""
+        """The rows as lists of Python ints, transform entries included."""
         return [row.tolist() for row in self.rows]
 
 
@@ -469,27 +494,25 @@ def update_gram(gram: GramMatrix, k: int, moves) -> None:
             gl[j] = v
 
 
-def apply_moves(rows: IntRows, gram, transform, k: int, moves) -> None:
+def apply_moves(rows: IntRows, gram, k: int, moves) -> None:
     """Apply pivot k: column j -= c * column k for every (j, c) in moves.
 
-    rows holds the basis columns; the Gram matrix and the transform rows,
-    when given, are updated exactly alongside; pass None to skip either.
-    The new basis columns, the new transform columns and the new Gram
-    rows (update_gram) are computed and range-checked in that order, and
-    only then written, so the update is all or nothing: on OverflowError,
-    which names the first bad column or entry, no value has changed
-    (rows may have widened to Python ints, which keeps every value).
+    rows holds the columns, with their transform part when one is
+    tracked; the Gram matrix, when given, is updated exactly alongside
+    (pass None to skip it).  The new basis columns, the new transform
+    columns and the new Gram rows (update_gram) are computed and
+    range-checked in that order, and only then written, so the update is
+    all or nothing: on OverflowError, which names the first bad column or
+    entry, no value has changed (rows may have widened to Python ints,
+    which keeps every value).
     """
-    stores = [(store, store.moved(k, moves))
-              for store in (rows, transform) if store is not None]
+    new = rows.moved(k, moves)
     if gram is not None:
         update_gram(gram, k, moves)
-    for store, new in stores:
-        store.put(new)
+    rows.put(new)
 
 
-def apply_column_op(rows: IntRows, gram, transform, j: int, k: int,
-                    c: int) -> None:
+def apply_column_op(rows: IntRows, gram, j: int, k: int, c: int) -> None:
     """Elementary column operation: column j -= c * column k.
 
     apply_moves with the one move (j, c), so it is all or nothing too;
@@ -498,7 +521,7 @@ def apply_column_op(rows: IntRows, gram, transform, j: int, k: int,
     """
     if j == k:
         raise ValueError("column indices must differ")
-    apply_moves(rows, gram, transform, k, ((j, c),))
+    apply_moves(rows, gram, k, ((j, c),))
 
 
 def apply_transform(basis: Basis, transform: TransformRecord) -> Basis:
@@ -530,10 +553,12 @@ def apply_transform(basis: Basis, transform: TransformRecord) -> Basis:
 def run_reducer(basis: Basis, track_transform: bool, body) -> ReductionResult:
     """Run one reducer's loop on the columns of basis and report it.
 
-    body(rows, transform) reduces rows, an IntRows of the basis columns,
-    in place, applies every column operation to transform too (an IntRows
-    of the identity when track_transform is set, else None), and returns
-    its iteration count.  It reads any starting data (Gram matrix,
+    body(rows) reduces rows, an IntRows of the basis columns, in place and
+    returns its iteration count.  When track_transform is set, each row
+    also carries the matching column of the identity, so the body's
+    column operations build the transform with no code of its own; a
+    body reads the basis part only, rows.rows[j][:rows.m], wherever it
+    reads entries.  It reads any starting data (Gram matrix,
     Gram-Schmidt, entry sizes) from basis, which is never mutated.  The
     rows are written back once, into the result's basis and
     TransformRecord; before and after are the exact column-norm summaries
@@ -541,13 +566,15 @@ def run_reducer(basis: Basis, track_transform: bool, body) -> ReductionResult:
     """
     started = time.perf_counter()
     before = summarize_columns(basis)
-    rows = IntRows(basis.cols, "basis")
-    urows = (IntRows(np.eye(basis.n, dtype=np.int64), "transform")
-             if track_transform else None)
-    iterations = body(rows, urows)
-    out = basis._trusted(basis.m, rows.tolist())
-    transform = (TransformRecord._trusted(basis.n, urows.tolist())
-                 if track_transform else None)
+    m, n = basis.m, basis.n
+    rows = IntRows(basis.cols,
+                   np.eye(n, dtype=np.int64) if track_transform else None)
+    iterations = body(rows)
+    out = basis._trusted(m, [row[:m].tolist() for row in rows.rows])
+    transform = None
+    if track_transform:
+        transform = TransformRecord._trusted(
+            n, [row[m:].tolist() for row in rows.rows])
     return ReductionResult(
         basis=out,
         iterations_applied=iterations,

@@ -19,10 +19,11 @@ one's squared norm; after a pivot it rescans the candidates in S and
 re-tests only the entries in S of every other candidate, also O(|S| n).
 Selection then costs O(n + sum of |S_k|) exact integer work for the
 default p = 2, and one O(n) list pass per candidate in the other modes.
-The basis and transform columns are the core.IntRows that run_reducer
-hands every reducer; a pivot reaches them, and the Gram matrix, through
-one core.apply_moves call, which writes nothing when any new entry would
-leave the signed 128-bit range.
+The columns are the core.IntRows that run_reducer hands every reducer,
+each row carrying its transform column when one is tracked; a pivot
+reaches them, and the Gram matrix, through one core.apply_moves call,
+which writes nothing when any new entry would leave the signed 128-bit
+range.
 
 Scoring sums the p-th powers of the column norms.  The squared norms are
 always computed exactly in integers.  For the default p = 2 the whole score
@@ -153,13 +154,13 @@ class PivotTable:
 class GreedyState:
     """Mutable working set owned by one reduce() call.
 
-    rows and transform hold the basis and transform columns.  table is
-    built from gram on construction and kept in step by apply_pivot.
+    rows holds the columns (with their transform part when one is
+    tracked).  table is built from gram on construction and kept in step
+    by apply_pivot.
     """
 
     rows: IntRows
     gram: GramMatrix
-    transform: IntRows | None = None
     iteration: int = 0
     table: PivotTable = field(init=False)
 
@@ -221,7 +222,7 @@ def select_pivot(gram: GramMatrix, p: float, mode: str = "sum",
 
 
 def apply_pivot(state: GreedyState, k: int, moves) -> None:
-    """Apply pivot k's moves to basis, transform and Gram, then the table.
+    """Apply pivot k's moves to the columns and the Gram, then the table.
 
     With S the set of moved columns, the column updates cost O(|S| m), and
     the Gram update (update_gram) and the table refresh O(|S| n) each.
@@ -229,7 +230,7 @@ def apply_pivot(state: GreedyState, k: int, moves) -> None:
     columns and the Gram matrix move through one core.apply_moves call,
     so on OverflowError the state is unchanged.
     """
-    apply_moves(state.rows, state.gram, state.transform, k, moves)
+    apply_moves(state.rows, state.gram, k, moves)
     state.table.refresh(moves)
     state.iteration += 1
 
@@ -252,8 +253,8 @@ def reduce(basis: Basis, config: ReduceConfig | None = None, *,
     cfg = config if config is not None else ReduceConfig()
     budget = cfg.max_iterations
 
-    def body(rows, transform):
-        state = GreedyState(rows, gram_compute(basis), transform)
+    def body(rows):
+        state = GreedyState(rows, gram_compute(basis))
         for p in cfg.p_schedule:
             current = basis_score(state.gram, p, cfg.score_mode)
             while budget is None or state.iteration < budget:

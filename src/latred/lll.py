@@ -1,25 +1,25 @@
 """LLL baseline with double-precision Gram-Schmidt.
 
-The basis columns and accumulated transform stay exact integers; only
-the orthogonalized vectors and their projection coefficients are
-floating point.  The integer columns are the numpy rows (core.IntRows)
-that core.run_reducer hands every reducer, int64 while a bound proves
-every size-reduction step exact and Python ints from then on;
-run_reducer writes them back to the basis and the transform once at the
-end.  Size reduction changes them one column operation at a time
-(IntRows.moved, then put), and a swap swaps two rows.  The float side
-works on whole arrays: a float mirror of the basis (``GSState.fcols``)
-is converted from the integer columns once and then kept in step with
-them (columns swapped with every swap, a column cast again from its
-integer row after size reduction changes it), and each Gram-Schmidt pass
-projects a column off all earlier b* at once with two matrix-vector
-products.  Accuracy comes from two measures: every orthogonalization
-runs exactly two such passes, classical Gram-Schmidt with one
-reorthogonalization (CGS2: "twice is enough", Kahan-Parlett; Giraud,
-Langou & Rozloznik 2005), and on every swap the two affected orthogonal
-vectors are recomputed from scratch instead of patched.  That is enough
-for the random bases of interest here, not for adversarial inputs built
-to break floating-point reducers.
+The basis columns stay exact integers; only the orthogonalized vectors
+and their projection coefficients are floating point.  The integer
+columns are the numpy rows (core.IntRows) that core.run_reducer hands
+every reducer, int64 while a bound proves every size-reduction step exact
+and Python ints from then on; when a transform is tracked, each row also
+carries its transform column, so the steps below build it with no code of
+their own.  Size reduction changes the rows one column operation at a
+time (IntRows.moved, then put), and a swap swaps two rows.  The float
+side works on whole arrays: a float mirror of the basis
+(``GSState.fcols``) is converted from the integer columns once and then
+kept in step with them (columns swapped with every swap, a column cast
+again from the basis part of its integer row after size reduction changes
+it), and each Gram-Schmidt pass projects a column off all earlier b* at
+once with two matrix-vector products.  Accuracy comes from two measures:
+every orthogonalization runs exactly two such passes, classical
+Gram-Schmidt with one reorthogonalization (CGS2: "twice is enough",
+Kahan-Parlett; Giraud, Langou & Rozloznik 2005), and on every swap the
+two affected orthogonal vectors are recomputed from scratch instead of
+patched.  That is enough for the random bases of interest here, not for
+adversarial inputs built to break floating-point reducers.
 
 The loop makes at most 100 * n**2 * max(1, bits) swaps, bits being the bit
 length of the input's largest |entry|.  The package's q-ary examples take
@@ -129,14 +129,12 @@ def orthogonalize(basis: Basis) -> GSState:
     return state
 
 
-def size_reduce(state: GSState, rows: IntRows, k: int,
-                transform: IntRows | None = None) -> None:
+def size_reduce(state: GSState, rows: IntRows, k: int) -> None:
     """Make |mu[k][j]| <= 1/2 for all j < k via integer column operations.
 
-    rows holds the basis columns and transform, when given, the transform
-    columns.  Returns at once when every coefficient rounds to zero.
-    Otherwise column k changes, and its float mirror is cast again from
-    the integer row.
+    Returns at once when every coefficient rounds to zero.  Otherwise
+    column k changes, and its float mirror is cast again from the basis
+    part of its integer row.
     """
     mu_k = state.mu[k]
     if (np.abs(mu_k[:k]) < ROUNDS_TO_ZERO).all():
@@ -145,14 +143,11 @@ def size_reduce(state: GSState, rows: IntRows, k: int,
         c = nint_float(float(mu_k[j]))
         if c == 0:
             continue
-        move = ((k, c),)
-        rows.put(rows.moved(j, move))
-        if transform is not None:
-            transform.put(transform.moved(j, move))
+        rows.put(rows.moved(j, ((k, c),)))
         # b* is unchanged; only row k of mu moves.
         mu_k[:j] -= c * state.mu[j, :j]
         mu_k[j] -= c
-    state.fcols[:, k] = rows.rows[k]
+    state.fcols[:, k] = rows.rows[k][:rows.m]
 
 
 def lovasz_ok(state: GSState, k: int, delta: float) -> bool:
@@ -191,7 +186,7 @@ def lll_reduce(basis: Basis, config: LLLConfig | None = None, *,
     """
     cfg = config if config is not None else LLLConfig()
 
-    def body(rows, urows):
+    def body(rows):
         n = basis.n
         state = orthogonalize(basis)
         if state.dependent:
@@ -204,7 +199,7 @@ def lll_reduce(basis: Basis, config: LLLConfig | None = None, *,
         swaps = 0
         k = 1
         while k < n:
-            size_reduce(state, rows, k, urows)
+            size_reduce(state, rows, k)
             if lovasz_ok(state, k, cfg.delta):
                 k += 1
                 continue
@@ -213,8 +208,6 @@ def lll_reduce(basis: Basis, config: LLLConfig | None = None, *,
                     f"LLL did not finish within its cap of {cap} swaps"
                 )
             rows.swap(k - 1, k)
-            if urows is not None:
-                urows.swap(k - 1, k)
             prev = fcols[:, k - 1].copy()
             fcols[:, k - 1] = fcols[:, k]
             fcols[:, k] = prev

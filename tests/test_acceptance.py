@@ -269,9 +269,9 @@ def test_criterion_9_alternatives_no_better_than_lll(n24_trials):
         if gram.g[0][0] == 0:
             continue
         cases += 1
-        via_step = IntRows(basis.cols, "basis")
+        via_step = IntRows(basis.cols)
         random_combination_step(via_step, gram.copy(), 1)
-        via_greedy = IntRows(basis.cols, "basis")
+        via_greedy = IntRows(basis.cols)
         state = GreedyState(via_greedy, gram_compute(basis))
         apply_pivot(state, 0, coefficients_for_pivot(state.gram, 0))
         if via_step.tolist()[1] != via_greedy.tolist()[1]:

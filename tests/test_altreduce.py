@@ -32,7 +32,7 @@ def random_basis(rng, n, max_entry=40):
 
 
 def basis_rows(basis):
-    return IntRows(basis.cols, "basis")
+    return IntRows(basis.cols)
 
 
 class TestRandomCombinationStep:
@@ -151,17 +151,17 @@ class TestMgsPivotReduce:
         assert res.iterations_applied == 1
 
     def test_round_overflow_in_second_move_writes_nothing(self):
-        # The apply_moves call of one mgs round, pivot 0, on basis rows
-        # held as Python ints (entry 2**63).  Column 1's move fits; column
-        # 2 would reach 2**127, so no row, transform or Gram entry moves.
+        # The apply_moves call of one mgs round, pivot 0, on rows held as
+        # Python ints (entry 2**63), each carrying its transform column.
+        # Column 1's move fits; column 2 would reach 2**127, so no basis,
+        # transform or Gram entry moves.
         basis = Basis([[1, 0, 0], [0, 1, 0], [1 << 63, 0, 1]])
-        rows = IntRows(basis.cols, "basis")
+        rows = IntRows(basis.cols, TransformRecord.identity(3).cols)
         gram = gram_compute(basis)
-        u = IntRows(TransformRecord.identity(3).cols, "transform")
-        before = (rows.tolist(), gram.copy(), u.tolist())
+        before = (rows.tolist(), gram.copy())
         with pytest.raises(OverflowError, match="basis column 2"):
-            apply_moves(rows, gram, u, 0, [(1, 1), (2, (1 << 63) - (1 << 127))])
-        assert (rows.tolist(), gram, u.tolist()) == before
+            apply_moves(rows, gram, 0, [(1, 1), (2, (1 << 63) - (1 << 127))])
+        assert (rows.tolist(), gram) == before
 
     def test_rejects_nonpositive_p(self):
         with pytest.raises(UsageError, match="p must be positive, got -1.0"):

@@ -278,19 +278,33 @@ class TestNormSummary:
 
 
 def basis_rows(basis):
-    return IntRows(basis.cols, "basis")
+    return IntRows(basis.cols)
 
 
-def transform_rows(u):
-    return IntRows(u.cols, "transform")
+class Part:
+    """The basis or the transform entries of every row of a stacked IntRows."""
+
+    def __init__(self, rows, part):
+        self.rows, self.part = rows, part
+
+    def tolist(self):
+        return [row[self.part] for row in self.rows.tolist()]
+
+
+def stacked_rows(basis, u):
+    """One IntRows of basis's columns, each followed by u's column, and
+    views of its basis part and of its transform part."""
+    rows = IntRows(basis.cols, u.cols)
+    return (rows, Part(rows, slice(None, basis.m)),
+            Part(rows, slice(basis.m, None)))
 
 
 class TestApplyColumnOp:
     def test_clears_skewed_column(self):
-        basis = basis_rows(Basis([[1, 0], [10, 1]]))
+        rows, basis, u = stacked_rows(Basis([[1, 0], [10, 1]]),
+                                      TransformRecord.identity(2))
         gram = gram_compute(Basis(basis.tolist()))
-        u = transform_rows(TransformRecord.identity(2))
-        apply_column_op(basis, gram, u, 1, 0, 10)
+        apply_column_op(rows, gram, 1, 0, 10)
         assert basis.tolist() == [[1, 0], [0, 1]]
         assert gram == gram_compute(Basis(basis.tolist()))
         assert gram.g == [[1, 0], [0, 1]]
@@ -302,20 +316,20 @@ class TestApplyColumnOp:
         basis = basis_rows(Basis([[1, 2], [3, 4]]))
         gram = gram_compute(Basis(basis.tolist()))
         before_cols = basis.tolist()
-        apply_column_op(basis, gram, None, 0, 1, 0)
+        apply_column_op(basis, gram, 0, 1, 0)
         assert basis.tolist() == before_cols
 
     def test_negative_coefficient_keeps_unit_determinant(self):
-        basis = basis_rows(Basis.identity(2))
-        u = transform_rows(TransformRecord.identity(2))
-        apply_column_op(basis, None, u, 0, 1, -1)
+        rows, basis, u = stacked_rows(Basis.identity(2),
+                                      TransformRecord.identity(2))
+        apply_column_op(rows, None, 0, 1, -1)
         assert basis.tolist()[0] == [1, 1]
         assert det_small(TransformRecord(u.tolist()).to_rows()) == 1
 
     def test_rejects_equal_indices(self):
         basis = basis_rows(Basis.identity(2))
         with pytest.raises(ValueError):
-            apply_column_op(basis, None, None, 1, 1, 3)
+            apply_column_op(basis, None, 1, 1, 3)
 
     def test_random_sequences_keep_gram_and_transform_consistent(self):
         rng = random.Random(202)
@@ -323,25 +337,25 @@ class TestApplyColumnOp:
             original = random_basis(rng, max_dim=6, max_entry=20)
             if original.n < 2:
                 continue
-            basis = basis_rows(original)
+            rows, basis, u = stacked_rows(
+                original, TransformRecord.identity(original.n))
             gram = gram_compute(original)
-            u = transform_rows(TransformRecord.identity(original.n))
             for _ in range(25):
                 j = rng.randrange(original.n)
                 k = rng.randrange(original.n)
                 if j == k:
                     continue
-                apply_column_op(basis, gram, u, j, k, rng.randint(-4, 4))
+                apply_column_op(rows, gram, j, k, rng.randint(-4, 4))
             assert gram == gram_compute(Basis(basis.tolist()))
             assert (apply_transform(original, TransformRecord(u.tolist()))
                     == Basis(basis.tolist()))
             assert abs(det_small(TransformRecord(u.tolist()).to_rows())) == 1
 
     def test_transform_overflow_names_column(self):
-        basis = basis_rows(Basis.identity(2))
-        u = transform_rows(TransformRecord([[1, INT128_MAX], [0, 1]]))
+        rows, _, _ = stacked_rows(Basis.identity(2),
+                                  TransformRecord([[1, INT128_MAX], [0, 1]]))
         with pytest.raises(OverflowError, match="transform column 1"):
-            apply_column_op(basis, None, u, 1, 0, -1)
+            apply_column_op(rows, None, 1, 0, -1)
 
     def test_gram_overflow_names_entry_and_writes_nothing(self):
         # Column 1 becomes (3 * 2**62, 1, 0): its squared norm leaves the
@@ -352,27 +366,28 @@ class TestApplyColumnOp:
         gram = gram_compute(Basis(basis.tolist()))
         before = gram.copy()
         with pytest.raises(OverflowError, match=r"Gram entry \(1,1\)"):
-            apply_column_op(basis, gram, None, 1, 0, -2 * x)
+            apply_column_op(basis, gram, 1, 0, -2 * x)
         assert gram == before
 
     def test_overflow_leaves_basis_gram_and_transform_unchanged(self):
         # The basis and transform columns fit; the Gram entry (1,1) does
         # not, so nothing may move.
-        basis = basis_rows(Basis([[1, 0, 0], [1 << 62, 1, 0], [1, 0, 1]]))
+        rows, basis, u = stacked_rows(
+            Basis([[1, 0, 0], [1 << 62, 1, 0], [1, 0, 1]]),
+            TransformRecord.identity(3))
         gram = gram_compute(Basis(basis.tolist()))
-        u = transform_rows(TransformRecord.identity(3))
         before = (basis.tolist(), gram.copy(), u.tolist())
         with pytest.raises(OverflowError, match=r"Gram entry \(1,1\)"):
-            apply_column_op(basis, gram, u, 1, 0, -(1 << 63))
+            apply_column_op(rows, gram, 1, 0, -(1 << 63))
         assert (basis.tolist(), gram, u.tolist()) == before
 
     def test_transform_overflow_leaves_basis_and_gram_unchanged(self):
-        basis = basis_rows(Basis([[1, 0], [10, 1]]))
+        rows, basis, u = stacked_rows(
+            Basis([[1, 0], [10, 1]]), TransformRecord([[1, INT128_MAX], [0, 1]]))
         gram = gram_compute(Basis(basis.tolist()))
-        u = transform_rows(TransformRecord([[1, INT128_MAX], [0, 1]]))
         before = (basis.tolist(), gram.copy(), u.tolist())
         with pytest.raises(OverflowError, match="transform column 1"):
-            apply_column_op(basis, gram, u, 1, 0, -1)
+            apply_column_op(rows, gram, 1, 0, -1)
         assert (basis.tolist(), gram, u.tolist()) == before
 
     def test_huge_coefficient_against_a_zero_column(self):
@@ -380,7 +395,7 @@ class TestApplyColumnOp:
         # must come back unchanged rather than fail in numpy.
         basis = basis_rows(Basis([[0, 0], [1, 1]]))
         gram = gram_compute(Basis(basis.tolist()))
-        apply_column_op(basis, gram, None, 1, 0, 1 << 64)
+        apply_column_op(basis, gram, 1, 0, 1 << 64)
         assert basis.tolist() == [[0, 0], [1, 1]]
         assert gram == gram_compute(Basis(basis.tolist()))
 
@@ -397,7 +412,7 @@ class TestIntRows:
         rng = random.Random(entry.bit_length())
         cols = [[rng.randint(-entry, entry) for _ in range(4)]
                 for _ in range(5)]
-        rows = IntRows(cols, "basis")
+        rows = IntRows(cols)
         for _ in range(20):
             j, k = rng.sample(range(5), 2)
             c = rng.randint(-3, 3)
@@ -411,7 +426,7 @@ class TestIntRows:
         assert (rows.bounds is None) == widens
 
     def test_bound_is_measured_again_before_widening(self):
-        rows = IntRows([[1 << 61, 0], [0, 1]], "basis")
+        rows = IntRows([[1 << 61, 0], [0, 1]])
         # The bound 2**61 + 3 * 2**61 reaches 2**63; measured, row 1's
         # largest |entry| is 1, so the step stays int64.
         sub_multiple(rows, 1, 0, 3)
@@ -424,7 +439,7 @@ class TestIntRows:
     def test_coefficient_past_int64_against_a_zero_row(self):
         # The re-measured bound of a zero row passes whatever c is, but
         # c = 2**64 itself does not fit int64.
-        rows = IntRows([[0, 0], [1, 1]], "basis")
+        rows = IntRows([[0, 0], [1, 1]])
         sub_multiple(rows, 1, 0, 1 << 64)
         assert rows.tolist() == [[0, 0], [1, 1]]
         assert_all_int(rows.tolist())
@@ -433,9 +448,9 @@ class TestIntRows:
         # Move 1 is exact in int64; move 2's bound reaches 2**63, so every
         # row becomes Python ints and move 1 is computed again from them.
         cols = [[1, 1], [0, 1], [-1 << 62, 0]]
-        rows = IntRows(cols, "basis")
+        rows = IntRows(cols)
         moves = [(1, 2), (2, (1 << 62) + 1)]
-        apply_moves(rows, None, None, 0, moves)
+        apply_moves(rows, None, 0, moves)
         for j, c in moves:
             cols[j] = [a - c * b for a, b in zip(cols[j], cols[0])]
         assert rows.tolist() == cols
@@ -445,11 +460,27 @@ class TestIntRows:
 
     def test_overflow_names_column_and_leaves_rows_unchanged(self):
         cols = [[1, 0], [INT128_MAX, 0]]
-        rows = IntRows(cols, "basis")
+        rows = IntRows(cols)
         with pytest.raises(OverflowError,
                            match="basis column 1 exceeds the signed 128-bit"):
             sub_multiple(rows, 1, 0, -1)
         assert rows.tolist() == cols
+
+    def test_basis_overflow_is_named_before_an_earlier_transform_overflow(self):
+        # Pivot 0: move 1 leaves the range only in its transform column
+        # (-2**126 - 1 - 2**126), move 2 only in its basis column
+        # (1 + 2**127).  Every moved basis column is checked before any
+        # transform column, so move 2 is named, and nothing is written.
+        rows, basis, u = stacked_rows(
+            Basis([[1, 0, 0], [0, 1, 0], [1, 0, 1]]),
+            TransformRecord([[1, 0, 0], [-(1 << 126) - 1, 1, 0],
+                             [-(1 << 127) + 5, 0, 1]]))
+        gram = gram_compute(Basis(basis.tolist()))
+        before = (basis.tolist(), gram.copy(), u.tolist())
+        with pytest.raises(OverflowError,
+                           match="basis column 2 exceeds the signed 128-bit"):
+            apply_moves(rows, gram, 0, [(1, 1 << 126), (2, -(1 << 127))])
+        assert (basis.tolist(), gram, u.tolist()) == before
 
 
 def fixed_stage(transform):
@@ -519,8 +550,8 @@ class TestRunReducer:
     def test_frame_around_body(self):
         basis = Basis([[1, 0], [10, 1]])
 
-        def body(work, transform):
-            apply_column_op(work, None, transform, 1, 0, 10)
+        def body(work):
+            apply_column_op(work, None, 1, 0, 10)
             return 5
 
         res = run_reducer(basis, True, body)
@@ -534,12 +565,24 @@ class TestRunReducer:
     def test_untracked_body_gets_no_transform(self):
         seen = []
 
-        def body(work, transform):
-            seen.append(transform)
+        def body(work):
+            seen.append(work.tolist())
             return 0
 
         res = run_reducer(Basis.identity(2), False, body)
-        assert seen == [None] and res.transform is None
+        # The rows hold the basis columns and no transform entries.
+        assert seen == [[[1, 0], [0, 1]]] and res.transform is None
+
+    def test_tracked_body_gets_identity_below_each_column(self):
+        seen = []
+
+        def body(work):
+            seen.append((work.m, work.tolist()))
+            return 0
+
+        res = run_reducer(Basis([[1, 2, 3], [4, 5, 6]]), True, body)
+        assert seen == [(3, [[1, 2, 3, 1, 0], [4, 5, 6, 0, 1]])]
+        assert res.transform == TransformRecord.identity(2)
 
 
 class TestDeterminant:

@@ -106,14 +106,17 @@ class TestSelectPivot:
 
 
 def greedy_state(basis, u=None):
-    """A GreedyState on the columns of basis and, when given, of u."""
-    rows = IntRows(basis.cols, "basis")
-    urows = None if u is None else IntRows(u.cols, "transform")
-    return GreedyState(rows, gram_compute(basis), urows)
+    """A GreedyState on the columns of basis, each followed by u's column
+    when u is given."""
+    rows = IntRows(basis.cols, None if u is None else u.cols)
+    return GreedyState(rows, gram_compute(basis))
 
 
 def snapshot(state):
-    return (state.rows.tolist(), state.gram.copy(), state.transform.tolist())
+    """The basis part, the Gram matrix and the transform part."""
+    rows, m = state.rows.tolist(), state.rows.m
+    return ([row[:m] for row in rows], state.gram.copy(),
+            [row[m:] for row in rows])
 
 
 class TestApplyPivot:

@@ -16,6 +16,7 @@ from latred.core import (
 from latred.genlat import ExampleSpec, gen_example, random_permutation
 import latred.lll as lll_module
 from latred.lll import (
+    DEFAULT_DELTA,
     LLLConfig,
     lll_reduce,
     lovasz_ok,
@@ -64,7 +65,20 @@ def loop_orthogonalize(cols):
 
 
 def mirror_matches(state, rows):
-    return np.array_equal(state.fcols, np.array(rows.tolist(), dtype=float).T)
+    basis_part = [row[:rows.m] for row in rows.tolist()]
+    return np.array_equal(state.fcols, np.array(basis_part, dtype=float).T)
+
+
+def crossing_inputs():
+    """20 small bases with entries between 2**61 and 2**62: int64 at the
+    start, but most need Python ints partway through LLL."""
+    rng = random.Random(65)
+    out = []
+    for _ in range(20):
+        n = rng.randint(2, 5)
+        out.append([[rng.choice((1, -1)) * rng.randint(1 << 61, 1 << 62)
+                     for _ in range(5)] for _ in range(n)])
+    return out
 
 
 def reduce_column(basis, k, mu_k=None):
@@ -72,7 +86,7 @@ def reduce_column(basis, k, mu_k=None):
     state = orthogonalize(basis)
     if mu_k is not None:
         state.mu[k, :k] = mu_k
-    rows = IntRows(basis.cols, "basis")
+    rows = IntRows(basis.cols)
     size_reduce(state, rows, k)
     return state, rows
 
@@ -321,10 +335,10 @@ class TestLLLReduce:
         checked = []
         real_size_reduce = lll_module.size_reduce
 
-        def checking_size_reduce(state, rows, k, transform=None):
+        def checking_size_reduce(state, rows, k):
             # Entered after the initial orthogonalization or after a swap.
             assert mirror_matches(state, rows)
-            real_size_reduce(state, rows, k, transform)
+            real_size_reduce(state, rows, k)
             assert mirror_matches(state, rows)
             checked.append(k)
 
@@ -341,18 +355,14 @@ class TestLLLReduce:
         dtypes = []
         real_size_reduce = lll_module.size_reduce
 
-        def spying_size_reduce(state, rows, k, transform=None):
+        def spying_size_reduce(state, rows, k):
             dtypes.append(rows.rows[0].dtype)
-            real_size_reduce(state, rows, k, transform)
+            real_size_reduce(state, rows, k)
             dtypes.append(rows.rows[0].dtype)
 
         monkeypatch.setattr(lll_module, "size_reduce", spying_size_reduce)
-        rng = random.Random(65)
         crossed = 0
-        for _ in range(20):
-            n = rng.randint(2, 5)
-            cols = [[rng.choice((1, -1)) * rng.randint(1 << 61, 1 << 62)
-                     for _ in range(5)] for _ in range(n)]
+        for cols in crossing_inputs():
             dtypes.clear()
             res = lll_reduce(Basis(cols), LLLConfig(delta=0.75),
                              track_transform=True)
@@ -361,6 +371,44 @@ class TestLLLReduce:
             assert dtypes[0] == np.int64
             crossed += dtypes[-1] == object
         assert crossed >= 5
+
+    def test_tracking_never_changes_the_basis_path(self, monkeypatch):
+        # Basis and transform share one int64 bound per row, so a tracked
+        # run can leave int64 at another step than an untracked one; the
+        # basis, and the swaps that decide it, must not move.  The chain
+        # below leaves int64 only when tracked: its transform reaches
+        # x**3 = 2**63 while every basis entry stays small.
+        widened = []
+        real_size_reduce = lll_module.size_reduce
+
+        def spying_size_reduce(state, rows, k):
+            real_size_reduce(state, rows, k)
+            widened.append(rows.bounds is None)
+
+        monkeypatch.setattr(lll_module, "size_reduce", spying_size_reduce)
+        x = 1 << 21
+        chain = [[1, 0, 0, 0], [x, 1, 0, 0], [0, x, 1, 0], [0, 0, x, 1]]
+        qary = [random_permutation(gen_example(ExampleSpec(8191, ell, seed)),
+                                   100 + seed).cols
+                for ell, seed in sorted(self.GOLDEN)]
+        cases = [(cols, 0.75) for cols in crossing_inputs() + [chain]]
+        cases += [(cols, DEFAULT_DELTA) for cols in qary]
+
+        def run(cols, delta, track):
+            """The result and the first size reduction that left int64."""
+            widened.clear()
+            res = lll_reduce(Basis(cols), LLLConfig(delta=delta),
+                             track_transform=track)
+            return res, widened.index(True) if True in widened else None
+
+        for cols, delta in cases:
+            tracked, _ = run(cols, delta, True)
+            untracked, _ = run(cols, delta, False)
+            assert untracked.transform is None
+            assert untracked.basis == tracked.basis
+            assert untracked.iterations_applied == tracked.iterations_applied
+        assert run(chain, 0.75, True)[1] is not None
+        assert run(chain, 0.75, False)[1] is None
 
     def test_transform_beyond_128_bits_raises(self):
         # The basis reduces to the identity, while transform column 3

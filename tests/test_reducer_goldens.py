@@ -6,11 +6,13 @@ hash moves when any output entry moves, so a change to a column kernel,
 the Gram update or a coefficient rule that alters a single integer shows
 here.  The "wide" input has entries past int64, so its basis columns run
 on Python ints from the first operation.  The "dependent" input has a
-doubled and a zero column, so mgs skips candidates and rand-comb meets
-singular normal equations.
+doubled and a zero column, so mgs skips candidates; rand-comb leaves the
+zero column out of its normal equations, and the doubled one still makes
+some of them singular.
 """
 
 import hashlib
+import logging
 import random
 import warnings
 
@@ -58,15 +60,18 @@ INPUTS = {
     "dependent-10": lambda: dependent(3),
 }
 
+# Each reducer as a function of the input and of track_transform.
 REDUCERS = {
-    "greedy-2,1": lambda b: greedy_reduce(
-        b, ReduceConfig(p_schedule=(2.0, 1.0)), track_transform=True),
-    "greedy-max": lambda b: greedy_reduce(
-        b, ReduceConfig(score_mode="max"), track_transform=True),
-    "mgs-2": lambda b: mgs_pivot_reduce(b, 2.0, track_transform=True),
-    "mgs-1": lambda b: mgs_pivot_reduce(b, 1.0, track_transform=True),
-    "rand-comb": lambda b: random_combination_reduce(
-        b, AltConfig(seed=9), track_transform=True),
+    "greedy-2,1": lambda b, track=True: greedy_reduce(
+        b, ReduceConfig(p_schedule=(2.0, 1.0)), track_transform=track),
+    "greedy-max": lambda b, track=True: greedy_reduce(
+        b, ReduceConfig(score_mode="max"), track_transform=track),
+    "mgs-2": lambda b, track=True: mgs_pivot_reduce(
+        b, 2.0, track_transform=track),
+    "mgs-1": lambda b, track=True: mgs_pivot_reduce(
+        b, 1.0, track_transform=track),
+    "rand-comb": lambda b, track=True: random_combination_reduce(
+        b, AltConfig(seed=9), track_transform=track),
 }
 
 GOLDEN = {
@@ -119,8 +124,8 @@ GOLDEN = {
         14, 921963183584351413309910518742546725, 11,
         "bad0b4ae34b7a6b2d3b09cc3c9a30bf91ce3682c08a2e3a122de1da6d6526c33"),
     ("rand-comb", "dependent-10"): (
-        0, 2051, 36,
-        "9c040d5fda8a272f12246daf2e1be80f9e95bfe2e32f95e93bfab6e1d3795bf7"),
+        26, 285, 31,
+        "a008148f7d3d776244e27b863e80600c9ada7c6d6e0d87e17480b2d063d42819"),
 }
 
 
@@ -145,3 +150,27 @@ def test_dependent_candidates_emit_no_warning(reducer):
         warnings.simplefilter("error")
         got = outcome(reducer, "dependent-10")
     assert got == GOLDEN[reducer, "dependent-10"]
+
+
+@pytest.mark.parametrize("reducer,name", sorted(GOLDEN))
+def test_tracking_never_changes_the_basis_path(reducer, name):
+    basis = INPUTS[name]()
+    tracked = REDUCERS[reducer](basis, True)
+    untracked = REDUCERS[reducer](basis, False)
+    assert untracked.transform is None
+    assert untracked.basis == tracked.basis
+    assert untracked.iterations_applied == tracked.iterations_applied
+
+
+def test_rand_comb_leaves_a_zero_column_out(caplog):
+    # One zero column sat in every other column's normal equations and
+    # made each of them singular, so no step was ever applied.
+    cols = INPUTS["scrambled-40"]().cols
+    cols[5] = [0] * 40
+    basis = Basis(cols)
+    with caplog.at_level(logging.WARNING, logger="latred.altreduce"):
+        res = REDUCERS["rand-comb"](basis)
+    assert res.iterations_applied >= 1
+    assert not [r for r in caplog.records if "singular" in r.getMessage()]
+    assert res.basis.cols[5] == [0] * 40
+    assert apply_transform(basis, res.transform) == res.basis
