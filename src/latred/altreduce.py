@@ -77,7 +77,7 @@ def random_combination_step(rows: IntRows, gram: GramMatrix, j: int) -> bool:
     system that is still singular (dependent nonzero columns) is skipped
     with a warning.
     """
-    fg = np.array(gram.g, dtype=float)
+    fg = gram.g.astype(float)
     # Column j and every zero column stay out of the system.
     keep = fg.diagonal() != 0.0
     keep[j] = False
@@ -161,7 +161,7 @@ def mgs_pivot_reduce(basis: Basis, p: float = 2.0, *,
         # ever targets a chosen column, so its term never changes.
         chosen_sum = 0.0
         while residual:
-            g = gram.g
+            g = gram.tolist()
             f = np.array([rows.rows[s][:m] for s in residual], dtype=float)
             q = f.copy()
             for qp, qpqp in pivots:

@@ -1,10 +1,11 @@
 """Exact integer primitives shared by every reducer.
 
-Basis vectors, Gram matrices, and accumulated column transforms are stored
-as plain Python integers so that all norm bookkeeping is exact.  Values are
-required to stay inside the signed 128-bit range; crossing it raises
-OverflowError rather than silently widening, since for the intended inputs
-a wider value always indicates a bug.
+Basis vectors, Gram matrices, and accumulated column transforms are exact
+integers: numpy int64 where a bound proves every step exact, Python ints
+everywhere else, so all norm bookkeeping is exact.  Values are required to
+stay inside the signed 128-bit range; crossing it raises OverflowError
+rather than silently widening, since for the intended inputs a wider value
+always indicates a bug.
 
 The bulk products gram_compute and apply_transform run as numpy int64
 products only when a bound checked from the input proves every partial sum
@@ -15,7 +16,11 @@ path with its 128-bit range checks.  Results always come back as Python
 ints.  IntRows, the one store every reducer changes columns in, applies
 the same rule to a run of column operations: its rows stay int64 while a
 per-row bound proves each operation exact, and are Python ints,
-range-checked, from then on.
+range-checked, from then on.  GramMatrix is one n x n array under the
+same rule: int64 while its tracked bound B on every |entry| gives
+B * (1 + max|c|)**2 < 2**63 for each pivot's coefficients c (B is
+measured again once before the store widens), Python ints after that.
+Both dtypes run the same whole-array code.
 
 A column operation moves one column; a pivot k moves a sparse list of
 columns, the (j, c) pairs of column j -= c * column k.  A tracked
@@ -134,12 +139,22 @@ class Basis:
 
 
 class GramMatrix:
-    """Symmetric matrix of exact pairwise inner products, ``g[j][k]``."""
+    """Symmetric matrix of exact pairwise inner products, ``g[j, k]``.
 
-    __slots__ = ("g",)
+    g is one n x n numpy array.  It is int64 while bound, a Python int at
+    least as large as every |entry|, proves each update_gram exact; after
+    that it is dtype=object (Python ints, every update checked against the
+    signed 128-bit range) for good, and bound is None.  Both dtypes run
+    the same code.  tolist() and diagonal() give the entries as Python
+    ints.
+    """
+
+    __slots__ = ("g", "bound")
 
     def __init__(self, g):
         n = len(g)
+        if not n:
+            raise ValueError("Gram matrix needs at least one column")
         for row in g:
             if len(row) != n:
                 raise ValueError("Gram matrix must be square")
@@ -150,22 +165,36 @@ class GramMatrix:
             for k in range(j):
                 if g[j][k] != g[k][j]:
                     raise ValueError(f"Gram matrix not symmetric at ({j},{k})")
-        self.g = [list(row) for row in g]
+        self._store(g)
+
+    def _store(self, values) -> None:
+        """Hold values (lists of Python ints) as int64 when they fit."""
+        try:
+            self.g = np.array(values, dtype=np.int64)
+        except OverflowError:
+            self.g = np.array(values, dtype=object)
+            self.bound = None
+        else:
+            self.bound = _max_abs(self.g)
 
     @property
     def n(self) -> int:
         return len(self.g)
 
     def diagonal(self) -> list[int]:
-        return [self.g[k][k] for k in range(self.n)]
+        return self.g.diagonal().tolist()
+
+    def tolist(self) -> list[list[int]]:
+        return self.g.tolist()
 
     def copy(self) -> "GramMatrix":
         dup = object.__new__(GramMatrix)
-        dup.g = [list(row) for row in self.g]
+        dup.g = self.g.copy()
+        dup.bound = self.bound
         return dup
 
     def __eq__(self, other):
-        return isinstance(other, GramMatrix) and self.g == other.g
+        return isinstance(other, GramMatrix) and self.tolist() == other.tolist()
 
     def __repr__(self):
         return f"GramMatrix(n={self.n})"
@@ -245,7 +274,8 @@ def gram_compute(basis: Basis) -> GramMatrix:
     out = object.__new__(GramMatrix)
     packed = _int64_cols(basis.cols)
     if packed and basis.m * packed[1] * packed[1] < _INT64_LIMIT:
-        out.g = np.matmul(packed[0], packed[0].T).tolist()
+        out.g = np.matmul(packed[0], packed[0].T)
+        out.bound = _max_abs(out.g)
         return out
     cols = basis.cols
     n = len(cols)
@@ -260,7 +290,7 @@ def gram_compute(basis: Basis) -> GramMatrix:
                 )
             g[j][k] = s
             g[k][j] = s
-    out.g = g
+    out._store(g)
     return out
 
 
@@ -321,19 +351,26 @@ def summarize_columns(basis: Basis) -> NormSummary:
     return NormSummary(sum(norms), min(nonzero) if nonzero else 0)
 
 
+def corrupt_gram(j: int, k: int) -> ArithmeticError:
+    """The error for a negative squared norm of column j against pivot k."""
+    return ArithmeticError(
+        f"negative squared norm for column {j} against pivot {k}: "
+        "Gram matrix is corrupt"
+    )
+
+
 def projected_norm_sq(g, j: int, k: int, c: int, gkk: int) -> int:
     """Exact squared norm of column j after subtracting c * column k.
 
-    g is the Gram matrix's entry list and gkk its diagonal entry g[k][k].
-    A negative value can only come from a Gram matrix that does not match
-    any basis, so it raises ArithmeticError.
+    g holds the Gram matrix's entries (nested lists or an array) and gkk
+    its diagonal entry g[k][k]; every entry is read as a Python int, so
+    the result is one.  A negative value can only come from a Gram matrix
+    that does not match any basis, so it raises ArithmeticError.
     """
-    v = g[j][j] + c * c * gkk - 2 * c * g[j][k]
+    c = int(c)
+    v = int(g[j][j]) + c * c * int(gkk) - 2 * c * int(g[j][k])
     if v < 0:
-        raise ArithmeticError(
-            f"negative squared norm for column {j} against pivot {k}: "
-            "Gram matrix is corrupt"
-        )
+        raise corrupt_gram(j, k)
     return v
 
 
@@ -459,6 +496,14 @@ class IntRows:
         return [row.tolist() for row in self.rows]
 
 
+def _gram_fits_int64(gram: GramMatrix, a: int) -> bool:
+    """Whether an update with largest |c| = a is exact on gram's int64 store.
+
+    Every partial sum of the update is at most bound * (1 + a)**2.
+    """
+    return a < _INT64_LIMIT and gram.bound * (1 + a) ** 2 < _INT64_LIMIT
+
+
 def update_gram(gram: GramMatrix, k: int, moves) -> None:
     """Update the Gram matrix for a pivot k and its moves, in O(|S| n).
 
@@ -466,32 +511,46 @@ def update_gram(gram: GramMatrix, k: int, moves) -> None:
     column j -= c * column k, and S is the set of their columns.  Only the
     rows and columns of S change, by the bilinear identity
     g'[j][l] = g[j][l] - c[j] g[k][l] - c[l] g[k][j] + c[j] c[l] g[k][k]
-    (c[l] = 0 for l outside S).  Every new row is computed from the old
-    matrix and range-checked before any is written, so on OverflowError,
-    which names the first bad entry, the matrix is unchanged.  This is the
-    one exact Gram update: apply_moves, and with it apply_column_op, the
-    greedy polish and mgs, goes through it.
+    (c[l] = 0 for l outside S), computed for all of S as a few whole-array
+    operations on the rows S and mirrored into the columns S.
+
+    The int64 store is kept while bound * (1 + max|c|)**2 < 2**63, which
+    bounds every partial sum; when that fails the bound is measured again,
+    and when it still fails the store becomes Python ints for good.  On
+    Python ints the new rows are range-checked before any is written, so
+    on OverflowError, which names the first bad entry, no value has
+    changed.  This is the one exact Gram update: apply_moves, and with it
+    apply_column_op, the greedy polish and mgs, goes through it.
     """
+    if not moves:
+        return
+    idx = np.array([j for j, _ in moves], dtype=np.intp)
+    cs = [c for _, c in moves]
+    if gram.bound is not None:
+        a = max(map(abs, cs))
+        if not _gram_fits_int64(gram, a):
+            gram.bound = _max_abs(gram.g)
+            if not _gram_fits_int64(gram, a):
+                gram.g = gram.g.astype(object)
+                gram.bound = None
     g = gram.g
+    cs = np.array(cs, dtype=g.dtype)
+    c = np.zeros(len(g), dtype=g.dtype)
+    c[idx] = cs
     gk = g[k]
-    gkk = gk[k]
-    new_rows = []
-    for j, cj in moves:
-        gkj = gk[j]
-        row = [a - cj * b for a, b in zip(g[j], gk)]
-        for l, cl in moves:
-            row[l] += cl * (cj * gkk - gkj)
-        if max(row) > INT128_MAX or min(row) < INT128_MIN:
-            l = next(l for l, v in enumerate(row)
-                     if v > INT128_MAX or v < INT128_MIN)
+    # g'[j][l] = g[j][l] - c[j] g[k][l] - c[l] (g[k][j] - c[j] g[k][k])
+    new = g[idx] - cs[:, None] * gk - (gk[idx] - cs * gk[k])[:, None] * c
+    if gram.bound is None:
+        bad = (new > INT128_MAX) | (new < INT128_MIN)
+        if bad.any():
+            i, l = np.argwhere(bad)[0].tolist()
             raise OverflowError(
-                f"Gram entry ({j},{l}) exceeds the signed 128-bit range"
+                f"Gram entry ({moves[i][0]},{l}) exceeds the signed 128-bit range"
             )
-        new_rows.append((j, row))
-    for j, row in new_rows:
-        g[j] = row
-        for gl, v in zip(g, row):
-            gl[j] = v
+    else:
+        gram.bound = max(gram.bound, _max_abs(new))
+    g[idx] = new
+    g[:, idx] = new.T
 
 
 def apply_moves(rows: IntRows, gram, k: int, moves) -> None:

@@ -11,6 +11,7 @@ from latred.core import (
     IntRows,
     MatFormatError,
     NormSummary,
+    GramMatrix,
     ROUNDS_TO_ZERO,
     ReductionResult,
     TransformRecord,
@@ -24,9 +25,11 @@ from latred.core import (
     nint_float,
     nint_ratio,
     pipeline,
+    projected_norm_sq,
     read_mat,
     run_reducer,
     summarize_columns,
+    update_gram,
     write_mat,
 )
 
@@ -43,21 +46,21 @@ def random_basis(rng, max_dim=8, max_entry=50):
 class TestGramCompute:
     def test_two_columns(self):
         g = gram_compute(Basis([[1, 2], [3, 4]]))
-        assert g.g == [[5, 11], [11, 25]]
+        assert g.tolist() == [[5, 11], [11, 25]]
 
     def test_identity(self):
         g = gram_compute(Basis.identity(3))
-        assert g.g == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert g.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
     def test_skewed_pair(self):
         g = gram_compute(Basis([[1, 0], [10, 1]]))
-        assert g.g == [[1, 10], [10, 101]]
+        assert g.tolist() == [[1, 10], [10, 101]]
 
     def test_matches_direct_inner_products(self):
         rng = random.Random(101)
         for _ in range(50):
             basis = random_basis(rng)
-            assert gram_compute(basis).g == gram_oracle(basis.cols)
+            assert gram_compute(basis).tolist() == gram_oracle(basis.cols)
 
     def test_overflow_names_pair(self):
         big = 1 << 80
@@ -117,7 +120,7 @@ class TestInt64Route:
         cols = bounded_cols(random.Random(m * 10 + step), 5, m, bound)
         counter = MatmulCounter()
         monkeypatch.setattr(core, "np", counter)
-        gram = gram_compute(Basis(cols)).g
+        gram = gram_compute(Basis(cols)).tolist()
         norms = column_norms_sq(Basis(cols))
         assert gram == gram_oracle(cols)
         assert norms == [gram_oracle(cols)[j][j] for j in range(5)]
@@ -149,8 +152,8 @@ class TestInt64Route:
         cols = [[-1 << 63, 1], [1, 1]]
         assert core._int64_cols(cols)[1] == 1 << 63
         basis = Basis(cols)
-        assert gram_compute(basis).g[0][0] == (1 << 126) + 1
-        assert gram_compute(basis).g == gram_oracle(cols)
+        assert gram_compute(basis).tolist()[0][0] == (1 << 126) + 1
+        assert gram_compute(basis).tolist() == gram_oracle(cols)
         assert column_norms_sq(basis) == [(1 << 126) + 1, 2]
         u_cols = [[-1, 0], [0, 1]]
         out = apply_transform(basis, TransformRecord(u_cols))
@@ -165,7 +168,7 @@ class TestInt64Route:
             cols[1][2] = big
             basis = Basis(cols)
             if abs(big) < 1 << 64:
-                gram = gram_compute(basis).g
+                gram = gram_compute(basis).tolist()
                 assert gram == gram_oracle(cols)
                 assert column_norms_sq(basis) == [gram[j][j]
                                                   for j in range(3)]
@@ -179,7 +182,7 @@ class TestInt64Route:
     def test_one_row_and_zero_columns(self):
         for cols in ([[0], [3], [0], [-2]], [[0], [0]]):
             basis = Basis(cols)
-            gram = gram_compute(basis).g
+            gram = gram_compute(basis).tolist()
             assert gram == gram_oracle(cols)
             assert_all_int(gram)
             assert column_norms_sq(basis) == [c[0] * c[0] for c in cols]
@@ -307,7 +310,7 @@ class TestApplyColumnOp:
         apply_column_op(rows, gram, 1, 0, 10)
         assert basis.tolist() == [[1, 0], [0, 1]]
         assert gram == gram_compute(Basis(basis.tolist()))
-        assert gram.g == [[1, 0], [0, 1]]
+        assert gram.tolist() == [[1, 0], [0, 1]]
         assert (apply_transform(Basis([[1, 0], [10, 1]]),
                                 TransformRecord(u.tolist()))
                 == Basis(basis.tolist()))
@@ -398,6 +401,70 @@ class TestApplyColumnOp:
         apply_column_op(basis, gram, 1, 0, 1 << 64)
         assert basis.tolist() == [[0, 0], [1, 1]]
         assert gram == gram_compute(Basis(basis.tolist()))
+
+
+class TestGramStore:
+    def test_int64_while_the_entries_fit(self):
+        gram = gram_compute(Basis([[1, 2], [3, 4]]))
+        assert gram.g.dtype == np.int64 and gram.bound == 25
+        wide = gram_compute(Basis([[1 << 40, 0], [0, 1]]))
+        assert wide.g.dtype == object and wide.bound is None
+        assert GramMatrix([[(1 << 63) - 1]]).bound == (1 << 63) - 1
+        assert GramMatrix([[1 << 63]]).bound is None
+        assert_all_int(wide.tolist())
+        assert type(gram.diagonal()[0]) is int
+
+    @pytest.mark.parametrize("bits", [15, 30])
+    def test_random_updates_match_the_oracle_across_widening(self, bits):
+        # Three entries of about 2**bits per column: Gram entries near
+        # 2**30 and near 2**61.  Every pivot can multiply them by up to 16.
+        rng = random.Random(bits)
+        widened = 0
+        for _ in range(8):
+            cols = [[rng.randint(-(1 << bits), 1 << bits) for _ in range(3)]
+                    for _ in range(5)]
+            rows = IntRows(cols)
+            gram = gram_compute(Basis(cols))
+            assert gram.bound is not None
+            for _ in range(12):
+                k = rng.randrange(5)
+                moves = [(j, rng.choice((-3, -2, -1, 1, 2, 3)))
+                         for j in range(5) if j != k and rng.random() < 0.6]
+                apply_moves(rows, gram, k, moves)
+                expected = gram_oracle(rows.tolist())
+                assert gram.tolist() == expected
+                if gram.bound is not None:
+                    assert gram.bound >= max(abs(x) for row in expected
+                                             for x in row)
+            assert_all_int(gram.tolist())
+            widened += gram.bound is None
+        # Near 2**30 every sequence stays int64; near 2**61 some leave it.
+        assert (widened > 0) == (bits == 30)
+
+    def test_bound_is_measured_again_before_widening(self):
+        gram = gram_compute(Basis([[1, 0], [2, 1]]))
+        gram.bound = 1 << 62  # stale: the entries are at most 5
+        update_gram(gram, 0, [(1, 1)])
+        assert gram.g.dtype == np.int64 and gram.bound == 5
+        assert gram.tolist() == [[1, 1], [1, 2]]
+
+    def test_coefficient_past_int64_widens(self):
+        gram = gram_compute(Basis([[0, 0], [1, 1]]))
+        update_gram(gram, 0, [(1, 1 << 64)])
+        assert gram.g.dtype == object
+        assert gram.tolist() == [[0, 0], [0, 2]]
+
+    def test_projected_norm_sq_reads_python_ints(self):
+        # On an int64 store, c * c * g[k][k] with c = 2**40 leaves int64;
+        # the result must still be the exact Python int.
+        gram = gram_compute(Basis([[3, 4], [1, 2]]))
+        assert gram.g.dtype == np.int64
+        g = gram.tolist()
+        c = 1 << 40
+        got = projected_norm_sq(gram.g, 0, 1, c, gram.g[1][1])
+        assert type(got) is int
+        assert got == g[0][0] + c * c * g[1][1] - 2 * c * g[0][1]
+        assert got == projected_norm_sq(g, 0, 1, c, g[1][1])
 
 
 def sub_multiple(rows, k, j, c):

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from latred.core import (
@@ -55,7 +56,7 @@ class TestCoefficients:
             for k in range(gram.n):
                 # Every other column with a nonzero nint(g_jk / g_kk), in
                 # order, and never the pivot itself.
-                g = gram.g
+                g = gram.tolist()
                 gkk = g[k][k]
                 ratios = [(j, nint_ratio(g[j][k], gkk) if gkk else 0)
                           for j in range(gram.n) if j != k]
@@ -67,7 +68,7 @@ class TestPivotScore:
     def test_sum_mode_skewed(self):
         # Pivot 0 takes column 1's squared norm from 101 to 1; pivot 1
         # moves nothing.  The trace is 102, so they score 2 and 102.
-        assert PivotTable(SKEWED).rows == [{1: -100}, {}]
+        assert PivotTable(SKEWED).t.tolist() == [[0, -100], [0, 0]]
         k, _, score = select_pivot(SKEWED, 2.0)
         assert (k, score) == (0, 2)
         assert basis_score(SKEWED, 2.0) == 102  # pivot 1's score
@@ -300,7 +301,7 @@ class TestReduce:
 
 def reference_select(gram, p, mode):
     """Exhaustive pivot scan written out directly, independent of PivotTable."""
-    g = gram.g
+    g = gram.tolist()
     n = gram.n
     best = None
     for k in range(n):
@@ -366,7 +367,7 @@ class TestPivotTable:
             nonlocal iterations
             iterations += 1
             fresh = PivotTable(state.gram.copy())
-            assert state.table.rows == fresh.rows
+            assert state.table.t.tolist() == fresh.t.tolist()
             mode = cfg.score_mode
             for p in cfg.p_schedule:
                 got = select_pivot(state.gram, p, mode, state.table)
@@ -411,6 +412,108 @@ class TestPivotTable:
         with pytest.raises(OverflowError, match=r"Gram entry \(1,2\)"):
             update_gram(gram, 0, coefficients_for_pivot(gram, 0))
         assert gram == before
+
+
+class TestDenseTable:
+    def test_zero_column_has_a_zero_row_and_column(self):
+        basis = Basis([[0, 0, 0], [1, 2, 0], [3, 1, 1], [5, 0, 2]])
+        state = greedy_state(basis)
+        assert not state.table.t[0].any() and not state.table.t[:, 0].any()
+        assert coefficients_for_pivot(state.gram, 0) == []
+        k, moves, _ = select_pivot(state.gram, 2.0, "sum", state.table)
+        apply_pivot(state, k, moves)
+        assert not state.table.t[0].any() and not state.table.t[:, 0].any()
+        assert (state.table.t.tolist()
+                == PivotTable(state.gram.copy()).t.tolist())
+
+    def test_corrupt_gram_raises_on_refresh(self):
+        # The table of this matrix has no negative norm, but after pivot
+        # 0 column 1 would get one against pivot 2; no basis has this Gram.
+        state = GreedyState(IntRows(Basis.identity(3).cols),
+                            GramMatrix([[5, 5, -1], [5, 7, 1], [-1, 1, 1]]))
+        moves = coefficients_for_pivot(state.gram, 0)
+        assert moves == [(1, 1)]
+        with pytest.raises(ArithmeticError,
+                           match="column 1 against pivot 2: Gram matrix is"):
+            apply_pivot(state, 0, moves)
+
+    def test_zero_pivot_of_a_corrupt_gram_moves_nothing(self):
+        # No basis has g[0][1] != 0 beside g[0][0] == 0; pivot 0 must still
+        # move nothing, in the table as in its coefficients.
+        gram = GramMatrix([[0, 1], [1, 5]])
+        assert PivotTable(gram).t.tolist() == [[0, 0], [0, 0]]
+        assert coefficients_for_pivot(gram, 0) == []
+
+    def test_corrupt_gram_past_2_to_the_30_is_caught(self):
+        # Pivot 0 would change column 1's squared norm by -2**70, which
+        # wraps to 0 in int64; on Python ints it is a negative norm.
+        x = 1 << 35
+        with pytest.raises(ArithmeticError, match="column 1 against pivot 0"):
+            PivotTable(GramMatrix([[1, x], [x, x]]))
+
+    def test_pivot_with_no_moves_changes_nothing(self):
+        for basis in (Basis([[1, 0], [10, 1]]),
+                      Basis([[1 << 40, 0], [0, 1]])):
+            state = greedy_state(basis)
+            before, table = snapshot(state), state.table.t.copy()
+            apply_pivot(state, 1, [])
+            assert snapshot(state) == before
+            assert state.table.t.tolist() == table.tolist()
+            assert state.iteration == 1
+
+    def test_table_follows_the_gram_past_2_to_the_30(self):
+        # A move with c = 2**20 takes the Gram entries past 2**30, so the
+        # table leaves int64 for Python ints and must stay in step.
+        state = greedy_state(dense_basis(random.Random(5)))
+        assert state.table.t.dtype == np.int64
+        apply_pivot(state, 1, [(2, 1 << 20), (3, -(1 << 19))])
+        assert state.gram.bound >= 1 << 30
+        assert state.table.t.dtype == object
+        fresh = PivotTable(state.gram.copy())
+        assert state.table.t.tolist() == fresh.t.tolist()
+        for p, mode in ((2.0, "sum"), (1.0, "sum"), (2.0, "max")):
+            got = select_pivot(state.gram, p, mode, state.table)
+            assert got == reference_select(state.gram, p, mode)
+
+    def test_object_gram_table_matches_reference(self):
+        # Entries past int64 from the start: every step runs on Python ints.
+        rng = random.Random(9)
+        basis = Basis([[rng.randint(-9, 9) << 60 for _ in range(3)]
+                       for _ in range(5)])
+        iterations = 0
+
+        def check(state):
+            nonlocal iterations
+            iterations += 1
+            assert state.gram.g.dtype == object
+            assert (state.table.t.tolist()
+                    == PivotTable(state.gram.copy()).t.tolist())
+            assert (select_pivot(state.gram, 2.0, "sum", state.table)
+                    == reference_select(state.gram, 2.0, "sum"))
+
+        reduce(basis, on_iteration=check)
+        assert iterations > 0
+
+
+class TestPythonInts:
+    """No numpy scalar reaches exact code: an int64 scalar times a large
+    Python int wraps silently on numpy 1.x."""
+
+    GRAMS = (gram_compute(dense_basis(random.Random(3))),
+             GramMatrix([[1 << 64, 3 << 63, 1], [3 << 63, 1 << 66, 0],
+                         [1, 0, 1 << 64]]))
+
+    @pytest.mark.parametrize("gram", GRAMS)
+    def test_moves_and_exact_scores_are_python_ints(self, gram):
+        for k in range(gram.n):
+            for j, c in coefficients_for_pivot(gram, k):
+                assert type(j) is int and type(c) is int
+        for mode in ("sum", "max"):
+            k, moves, score = select_pivot(gram, 2.0, mode)
+            assert type(k) is int and type(score) is int
+            assert all(type(j) is int and type(c) is int for j, c in moves)
+            assert moves
+        assert type(select_pivot(gram, 1.0)[2]) is float
 
 
 class TestFloatScores:
