@@ -161,7 +161,9 @@ def mgs_pivot_reduce(basis: Basis, p: float = 2.0, *,
         # ever targets a chosen column, so its term never changes.
         chosen_sum = 0.0
         while residual:
-            g = gram.tolist()
+            # Read in place (projected_norm_sq reads Python ints from the
+            # array), once per round: update_gram may widen gram.g.
+            g, diag = gram.g, gram.diagonal()
             f = np.array([rows.rows[s][:m] for s in residual], dtype=float)
             q = f.copy()
             for qp, qpqp in pivots:
@@ -171,10 +173,10 @@ def mgs_pivot_reduce(basis: Basis, p: float = 2.0, *,
             x = (f @ q.T) / np.where(qq > 0.0, qq, 1.0)
             large = np.abs(x) >= ROUNDS_TO_ZERO
             # Column s's term when its coefficient rounds to zero.
-            kept = [float(g[s][s]) ** half_p for s in residual]
+            kept = [float(diag[s]) ** half_p for s in residual]
             best = None
             for ri, r in enumerate(residual):
-                grr = g[r][r]
+                grr = diag[r]
                 if grr == 0 or qq[ri] < RANK_FLOOR * grr:
                     continue
                 terms = kept.copy()

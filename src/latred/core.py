@@ -7,20 +7,26 @@ stay inside the signed 128-bit range; crossing it raises OverflowError
 rather than silently widening, since for the intended inputs a wider value
 always indicates a bug.
 
-The bulk products gram_compute and apply_transform run as numpy int64
-products only when a bound checked from the input proves every partial sum
-fits int64: m * M**2 < 2**63 for the inner products of length-m columns
-with largest |entry| M, and n * M_B * M_U < 2**63 for the product of a
-basis and an n x n transform.  Any other input takes the exact Python-int
-path with its 128-bit range checks.  Results always come back as Python
-ints.  IntRows, the one store every reducer changes columns in, applies
-the same rule to a run of column operations: its rows stay int64 while a
-per-row bound proves each operation exact, and are Python ints,
-range-checked, from then on.  GramMatrix is one n x n array under the
-same rule: int64 while its tracked bound B on every |entry| gives
-B * (1 + max|c|)**2 < 2**63 for each pivot's coefficients c (B is
-measured again once before the store widens), Python ints after that.
-Both dtypes run the same whole-array code.
+One packer, _pack, turns integer rows into an int64 array with its
+measured largest |entry|, or, when an entry does not fit int64, into a
+dtype=object array of Python ints with no bound.  One product, _product,
+serves gram_compute and apply_transform: a numpy int64 matmul when a
+bound checked from the input proves every partial sum fits int64
+(m * M**2 < 2**63 for the inner products of length-m columns with
+largest |entry| M, and n * M_B * M_U < 2**63 for the product of a basis
+and an n x n transform), and otherwise the same product on Python ints,
+packed again so that a result that fits is still int64.  One range
+check, _check_range, names the first entry of a Python-int array that
+leaves the signed 128-bit range; gram_compute, update_gram, IntRows and
+pipeline all go through it.  IntRows, the one store every reducer
+changes columns in, applies the same rule to a run of column
+operations: its rows stay int64 while a per-row bound proves each
+operation exact, and are Python ints, range-checked, from then on.
+GramMatrix is one n x n array under the same rule: int64 while its
+tracked bound B on every |entry| gives B * (1 + max|c|)**2 < 2**63 for
+each pivot's coefficients c (B is measured again once before the store
+widens), Python ints after that.  Both dtypes run the same whole-array
+code.
 
 A column operation moves one column; a pivot k moves a sparse list of
 columns, the (j, c) pairs of column j -= c * column k.  A tracked
@@ -165,17 +171,7 @@ class GramMatrix:
             for k in range(j):
                 if g[j][k] != g[k][j]:
                     raise ValueError(f"Gram matrix not symmetric at ({j},{k})")
-        self._store(g)
-
-    def _store(self, values) -> None:
-        """Hold values (lists of Python ints) as int64 when they fit."""
-        try:
-            self.g = np.array(values, dtype=np.int64)
-        except OverflowError:
-            self.g = np.array(values, dtype=object)
-            self.bound = None
-        else:
-            self.bound = _max_abs(self.g)
+        self.g, self.bound = _pack(g)
 
     @property
     def n(self) -> int:
@@ -252,45 +248,61 @@ def _max_abs(a) -> int:
     return max(int(a.max()), -int(a.min()))
 
 
-def _int64_cols(cols):
-    """cols as an int64 array, one row per column, and its largest |entry|.
+def _pack(values):
+    """values (integer rows, or an array of them) as an array and its bound.
 
-    The bound is a Python int.  Returns None when some entry does not fit
-    int64; the caller then takes its exact Python-int path.
+    The array is int64 and the bound its largest |entry|, a Python int,
+    when every entry fits int64; otherwise the array is dtype=object
+    (Python ints) and the bound None.
     """
     try:
-        a = np.array(cols, dtype=np.int64)
+        a = np.asarray(values, dtype=np.int64)
     except OverflowError:
-        return None
+        return np.asarray(values, dtype=object), None
     return a, _max_abs(a)
+
+
+def _product(a, b):
+    """Exact a @ b of two packed arrays, packed as _pack packs it.
+
+    a and b are (array, bound) pairs as _pack returns them.  The product
+    runs as a numpy int64 matmul only when t * M_a * M_b < 2**63, for
+    inner length t and bounds M_a and M_b, which proves every partial sum
+    fits int64; otherwise it runs on Python ints.  Either result is packed
+    again, so a wide product whose entries fit int64 comes back int64
+    with its measured bound.
+    """
+    (x, bx), (y, by) = a, b
+    if bx is None or by is None or x.shape[1] * bx * by >= _INT64_LIMIT:
+        x, y = x.astype(object), y.astype(object)
+    return _pack(np.matmul(x, y))
+
+
+def _check_range(a, name) -> None:
+    """Raise OverflowError if an entry of a leaves the signed 128-bit range.
+
+    a is a 2-D array; an int64 one always passes.  name(i, l) gives the
+    message's name for the first entry (i, l) outside, in row order.
+    """
+    if a.dtype == object:
+        bad = (a > INT128_MAX) | (a < INT128_MIN)
+        if bad.any():
+            raise OverflowError(f"{name(*np.argwhere(bad)[0].tolist())} "
+                                "exceeds the signed 128-bit range")
 
 
 def gram_compute(basis: Basis) -> GramMatrix:
     """Exact Gram matrix of the basis columns.
 
-    On the exact path only the upper triangle is computed; the rest is
-    mirrored from symmetry.
+    It is one _product of the packed columns with their transpose: int64
+    when m * M**2 < 2**63, and otherwise the full matrix on Python ints,
+    stored as int64 when it fits.  An entry past the signed 128-bit range
+    raises OverflowError naming it.
     """
     out = object.__new__(GramMatrix)
-    packed = _int64_cols(basis.cols)
-    if packed and basis.m * packed[1] * packed[1] < _INT64_LIMIT:
-        out.g = np.matmul(packed[0], packed[0].T)
-        out.bound = _max_abs(out.g)
-        return out
-    cols = basis.cols
-    n = len(cols)
-    g = [[0] * n for _ in range(n)]
-    for k in range(n):
-        ak = cols[k]
-        for j in range(k + 1):
-            s = sum(map(operator.mul, cols[j], ak))
-            if s > INT128_MAX or s < INT128_MIN:
-                raise OverflowError(
-                    f"Gram entry ({j},{k}) exceeds the signed 128-bit range"
-                )
-            g[j][k] = s
-            g[k][j] = s
-    out._store(g)
+    a, bound = _pack(basis.cols)
+    out.g, out.bound = _product((a, bound), (a.T, bound))
+    _check_range(out.g, lambda j, k: f"Gram entry ({j},{k})")
     return out
 
 
@@ -372,14 +384,6 @@ def projected_norm_sq(g, j: int, k: int, c: int, gkk: int) -> int:
     if v < 0:
         raise corrupt_gram(j, k)
     return v
-
-
-def _check_column(col: list[int], what: str, j: int) -> None:
-    """Raise OverflowError naming column j if an entry leaves the 128-bit range."""
-    if max(col) > INT128_MAX or min(col) < INT128_MIN:
-        raise OverflowError(
-            f"{what} column {j} exceeds the signed 128-bit range"
-        )
 
 
 class IntRows:
@@ -468,13 +472,12 @@ class IntRows:
                 return out
         rows = self.rows
         out = [(j, rows[j] - c * rows[k], None) for j, c in moves]
-        m = self.m
-        parts = [("basis", slice(None, m))]
-        if len(rows[k]) > m:
-            parts.append(("transform", slice(m, None)))
-        for what, part in parts:
-            for j, row, _ in out:
-                _check_column(row[part], what, j)
+        if out:
+            new = np.stack([row for _, row, _ in out])
+            m = self.m
+            _check_range(new[:, :m], lambda i, _: f"basis column {moves[i][0]}")
+            _check_range(new[:, m:],
+                         lambda i, _: f"transform column {moves[i][0]}")
         return out
 
     def put(self, new) -> None:
@@ -540,14 +543,8 @@ def update_gram(gram: GramMatrix, k: int, moves) -> None:
     gk = g[k]
     # g'[j][l] = g[j][l] - c[j] g[k][l] - c[l] (g[k][j] - c[j] g[k][k])
     new = g[idx] - cs[:, None] * gk - (gk[idx] - cs * gk[k])[:, None] * c
-    if gram.bound is None:
-        bad = (new > INT128_MAX) | (new < INT128_MIN)
-        if bad.any():
-            i, l = np.argwhere(bad)[0].tolist()
-            raise OverflowError(
-                f"Gram entry ({moves[i][0]},{l}) exceeds the signed 128-bit range"
-            )
-    else:
+    _check_range(new, lambda i, l: f"Gram entry ({moves[i][0]},{l})")
+    if gram.bound is not None:
         gram.bound = max(gram.bound, _max_abs(new))
     g[idx] = new
     g[:, idx] = new.T
@@ -587,26 +584,14 @@ def apply_transform(basis: Basis, transform: TransformRecord) -> Basis:
     """Exact product basis . transform, of the same type as basis.
 
     Used to verify tracked reductions and, with a transform as basis, to
-    compose transforms.  Entries are not range-checked.
+    compose transforms.  It is one _product: int64 when
+    n * M_B * M_U < 2**63, Python ints otherwise.  Entries are not
+    range-checked.
     """
     if transform.n != basis.n:
         raise ValueError("transform dimension does not match basis")
-    packed_b = _int64_cols(basis.cols)
-    packed_u = packed_b and _int64_cols(transform.cols)
-    if packed_u and basis.n * packed_b[1] * packed_u[1] < _INT64_LIMIT:
-        cols = np.matmul(packed_u[0], packed_b[0]).tolist()
-    else:
-        cols = []
-        for ucol in transform.cols:
-            col = [0] * basis.m
-            for i, u in enumerate(ucol):
-                if u == 0:
-                    continue
-                ai = basis.cols[i]
-                for r in range(basis.m):
-                    col[r] += u * ai[r]
-            cols.append(col)
-    return basis._trusted(basis.m, cols)
+    cols, _ = _product(_pack(transform.cols), _pack(basis.cols))
+    return basis._trusted(basis.m, cols.tolist())
 
 
 def run_reducer(basis: Basis, track_transform: bool, body) -> ReductionResult:
@@ -670,8 +655,8 @@ def pipeline(basis: Basis, stages) -> ReductionResult:
         transform = transforms[0]
         for u in transforms[1:]:
             transform = apply_transform(transform, u)
-            for j, col in enumerate(transform.cols):
-                _check_column(col, "transform", j)
+            _check_range(_pack(transform.cols)[0],
+                         lambda j, _: f"transform column {j}")
     first, last = results[0], results[-1]
     return ReductionResult(
         basis=last.basis,
@@ -760,16 +745,19 @@ def read_mat(path) -> Basis:
             raise MatFormatError(
                 f"{path}: row {r} has {len(line)} entries, expected {n}"
             )
-        row = []
-        for token in line:
-            try:
-                x = int(token)
-            except ValueError as exc:
-                raise MatFormatError(f"{path}: bad integer {token!r} in row {r}") from exc
-            if x > INT128_MAX or x < INT128_MIN:
-                raise MatFormatError(
-                    f"{path}: entry in row {r} exceeds the signed 128-bit range"
-                )
-            row.append(x)
+        try:
+            row = list(map(int, line))
+        except ValueError as exc:
+            # map stops at the first token int() rejects; name that token.
+            for token in line:
+                try:
+                    int(token)
+                except ValueError:
+                    raise MatFormatError(
+                        f"{path}: bad integer {token!r} in row {r}") from exc
+        if max(row) > INT128_MAX or min(row) < INT128_MIN:
+            raise MatFormatError(
+                f"{path}: entry in row {r} exceeds the signed 128-bit range"
+            )
         rows.append(row)
     return Basis.from_rows(rows)

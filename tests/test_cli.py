@@ -103,6 +103,22 @@ class TestReduce:
         assert data["transform_matches"] is True
         assert data["unimodular"] is True
 
+    def test_wide_entries_take_the_python_int_routes(self, tmp_path):
+        # q = 2**61 - 1: the Gram matrix (m * M**2 >= 2**63) and the
+        # report's input . U product (n * M_B * M_U >= 2**63) both run on
+        # Python ints.
+        src = tmp_path / "g.mat"
+        assert run_cli("gen", "--q", str(2**61 - 1), "--ell", "2",
+                       "--seed", "3", "--out", str(src)) == 0
+        report = tmp_path / "report.json"
+        assert run_cli("reduce", "--algo", "greedy", "--in", str(src),
+                       "--out", str(tmp_path / "o.mat"), "--track-transform",
+                       "--report", str(report)) == 0
+        data = json.loads(report.read_text())
+        assert data["transform_matches"] is True
+        assert data["unimodular"] is True
+        assert data["after"]["frobenius_sq"] == 28263867835181854920923038
+
     def test_report_leaves_unimodular_null_above_n16(self, tmp_path):
         cols = Basis.identity(18).cols
         cols[1][0] = 10

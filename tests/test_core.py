@@ -8,6 +8,7 @@ from latred import core
 from latred.core import (
     Basis,
     INT128_MAX,
+    INT128_MIN,
     IntRows,
     MatFormatError,
     NormSummary,
@@ -79,7 +80,9 @@ class MatmulCounter:
         return getattr(np, name)
 
     def matmul(self, a, b):
-        self.calls += 1
+        # The Python-int route multiplies dtype=object arrays; only the
+        # int64 route's products count.
+        self.calls += a.dtype == b.dtype == np.int64
         return np.matmul(a, b)
 
 
@@ -146,11 +149,23 @@ class TestInt64Route:
         assert_all_int(out.cols)
         assert counter.calls == (1 if step < 0 else 0)
 
+    def test_wide_gram_that_fits_int64_stays_int64(self, monkeypatch):
+        # m * M**2 = 2 * 2**62 is exactly 2**63, so the Python-int route
+        # runs; every entry still fits int64, so the store must be int64
+        # with its measured bound, which keeps greedy's PivotTable on its
+        # int64 arithmetic.
+        counter = MatmulCounter()
+        monkeypatch.setattr(core, "np", counter)
+        gram = gram_compute(Basis([[1 << 31, 0], [0, 1]]))
+        assert counter.calls == 0
+        assert gram.g.dtype == np.int64 and gram.bound == 1 << 62
+        assert gram.tolist() == [[1 << 62, 0], [0, 1]]
+
     def test_most_negative_int64_entry(self):
         # In int64, abs(-2**63) is -2**63: a bound taken that way would
         # pass and wrap (-2**63)**2 to 0.
         cols = [[-1 << 63, 1], [1, 1]]
-        assert core._int64_cols(cols)[1] == 1 << 63
+        assert core._pack(cols)[1] == 1 << 63
         basis = Basis(cols)
         assert gram_compute(basis).tolist()[0][0] == (1 << 126) + 1
         assert gram_compute(basis).tolist() == gram_oracle(cols)
@@ -163,7 +178,7 @@ class TestInt64Route:
     def test_entries_past_int64(self):
         rng = random.Random(7)
         for big in (1 << 63, -(1 << 63) - 1, (1 << 63) + 12345, 1 << 80):
-            assert core._int64_cols([[1, big]]) is None
+            assert core._pack([[1, big]])[1] is None
             cols = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
             cols[1][2] = big
             basis = Basis(cols)
@@ -713,6 +728,21 @@ class TestMatFormat:
         path.write_text("2 2\n1 x\n4 5\n")
         with pytest.raises(MatFormatError):
             read_mat(path)
+
+    @pytest.mark.parametrize("text, message", [
+        # int() accepts 1_0, so y is the first bad token of row 1.
+        ("2 3\n1 2 3\n4 1_0 y\n", "bad integer 'y' in row 1"),
+        ("2 2\n1 2\n", "expected 2 rows, found 1"),
+        ("2 2\n1 2\n3 4 5\n", "row 1 has 3 entries, expected 2"),
+        (f"2 2\n1 2\n3 {INT128_MIN - 1}\n",
+         "entry in row 1 exceeds the signed 128-bit range"),
+    ])
+    def test_error_messages(self, tmp_path, text, message):
+        path = tmp_path / "bad.mat"
+        path.write_text(text)
+        with pytest.raises(MatFormatError) as exc:
+            read_mat(path)
+        assert str(exc.value) == f"{path}: {message}"
 
 
 class TestBasisType:
