@@ -11,9 +11,11 @@ Both keep their exact state in the shared IntRows and GramMatrix and
 round only the coefficients that can round to a nonzero integer
 (ROUNDS_TO_ZERO).  A tracked transform rides along in the rows with no
 code here; the float reads (mgs's residual rows) take the basis part
-only.  An mgs round scores every candidate pivot from one
-matrix product over the residual columns instead of one dot product per
-pair.  Its integer outputs matched the per-pair loop on every input
+only.  An mgs round is one selection step over every candidate pivot at
+once: one matrix product over the residual columns gives every
+coefficient, the moved columns' exact new squared norms are computed as
+one Python-int array, and one left-to-right fold scores every
+candidate.  Its integer outputs matched the per-pair loop on every input
 checked, but the batched products may round differently in the last
 bit, so its intermediate floats are not promised bit for bit.
 """
@@ -35,10 +37,9 @@ from .core import (
     UsageError,
     apply_column_op,
     apply_moves,
-    fold_sum,
+    corrupt_gram,
     gram_compute,
     nint_float,
-    projected_norm_sq,
     run_reducer,
 )
 from .genlat import SplitMix64
@@ -139,11 +140,15 @@ def mgs_pivot_reduce(basis: Basis, p: float = 2.0, *,
     F: Q is F orthogonalized against each earlier pivot in turn, and
     X = F Q^T / |Q|^2 holds every coefficient of a column onto a
     candidate, so no temporary exceeds an R x m or R x R float array.
-    Only coefficients x with |x| >= ROUNDS_TO_ZERO are rounded, and the
-    squared norms they give are exact; every other column keeps its
-    squared norm g[s][s].  Only the p/2 powers and their sum are
-    floating, folded left to right: chosen pivots, the candidate, then
-    the other residual columns in order.  The batched products can
+    Only candidates that are neither zero nor dependent have their
+    coefficients x rounded, and only where |x| >= ROUNDS_TO_ZERO; the
+    squared norms g[s][s] + c^2 g[r][r] - 2c g[s][r] they give are
+    computed exactly on Python ints (such a norm can pass int64 while
+    every Gram entry fits it), and every other column keeps g[s][s].  Only the p/2 powers and their sum are floating: one
+    candidates x columns array holds each candidate's terms, its own
+    slot 0.0, and one np.add.accumulate folds every row left to right:
+    chosen pivots, the candidate, then the other residual columns in
+    order (adding 0.0 changes no partial sum).  The batched products can
     differ in the last bit from one dot product per pair; the exact
     outputs matched the per-pair loop on every input checked, but the
     floats are not promised bit for bit.
@@ -155,15 +160,15 @@ def mgs_pivot_reduce(basis: Basis, p: float = 2.0, *,
     def body(rows):
         gram = gram_compute(basis)
         m = basis.m
-        residual = list(range(basis.n))
+        residual = np.arange(basis.n)
         pivots: list[tuple[np.ndarray, float]] = []
         # fold_sum of the chosen pivots' terms in choice order; no move
         # ever targets a chosen column, so its term never changes.
         chosen_sum = 0.0
-        while residual:
-            # Read in place (projected_norm_sq reads Python ints from the
-            # array), once per round: update_gram may widen gram.g.
-            g, diag = gram.g, gram.diagonal()
+        while len(residual):
+            # Read once per round: update_gram may widen gram.g.
+            g = gram.g
+            d = g.diagonal()[residual].astype(object)
             f = np.array([rows.rows[s][:m] for s in residual], dtype=float)
             q = f.copy()
             for qp, qpqp in pivots:
@@ -171,33 +176,42 @@ def mgs_pivot_reduce(basis: Basis, p: float = 2.0, *,
             qq = np.einsum("ij,ij->i", q, q)
             # Zero rows are never candidates; 1.0 keeps the division quiet.
             x = (f @ q.T) / np.where(qq > 0.0, qq, 1.0)
-            large = np.abs(x) >= ROUNDS_TO_ZERO
-            # Column s's term when its coefficient rounds to zero.
-            kept = [float(diag[s]) ** half_p for s in residual]
-            best = None
-            for ri, r in enumerate(residual):
-                grr = diag[r]
-                if grr == 0 or qq[ri] < RANK_FLOOR * grr:
-                    continue
-                terms = kept.copy()
-                moves = []
-                for i in np.flatnonzero(large[:, ri]).tolist():
-                    if i == ri:
-                        continue
-                    s = residual[i]
-                    c = nint_float(float(x[i, ri]))
-                    moves.append((s, c))
-                    terms[i] = float(projected_norm_sq(g, s, r, c, grr)) ** half_p
-                del terms[ri]
-                score = fold_sum([chosen_sum, kept[ri], *terms])
-                if best is None or score < best[0]:
-                    best = (score, ri, moves)
-            if best is None:
+            # Zero and dependent columns are not candidates, and their
+            # coefficients, however large, are never rounded.
+            cand = np.flatnonzero((d != 0)
+                                  & (qq >= RANK_FLOOR * d.astype(float)))
+            if not len(cand):
                 break
-            _, ri, moves = best
-            r = residual.pop(ri)
-            apply_moves(rows, gram, r, moves)
-            chosen_sum += kept[ri]
+            own = np.arange(len(cand))
+            large = np.abs(x[:, cand]) >= ROUNDS_TO_ZERO
+            large[cand, own] = False
+            # Every moved (column i, candidate r) pair, by candidate.
+            ci, i = np.nonzero(large.T)
+            r = cand[ci]
+            c = np.array([nint_float(v) for v in x[i, r].tolist()],
+                         dtype=object)
+            gir = g[residual[i], residual[r]].astype(object)
+            norms = d[i] + c * (c * d[r] - 2 * gir)
+            bad = np.flatnonzero(norms < 0)
+            if len(bad):
+                raise corrupt_gram(*residual[[i[bad[0]], r[bad[0]]]].tolist())
+            # terms[k]: every residual column's term under candidate k, its
+            # own slot 0.0; adding 0.0 leaves a left-to-right sum as it is.
+            kept = np.array([float(v) ** half_p for v in d.tolist()])
+            terms = np.tile(kept, (len(cand), 1))
+            terms[ci, i] = [float(v) ** half_p for v in norms.tolist()]
+            terms[own, cand] = 0.0
+            # Column 0 takes the fold's first two terms, chosen_sum and the
+            # candidate's own; float addition is commutative.
+            terms[:, 0] += chosen_sum + kept[cand]
+            best = int(np.argmin(np.add.accumulate(terms, axis=1)[:, -1]))
+            ri = int(cand[best])
+            chosen = ci == best
+            apply_moves(rows, gram, int(residual[ri]),
+                        list(zip(residual[i[chosen]].tolist(),
+                                 c[chosen].tolist())))
+            residual = np.delete(residual, ri)
+            chosen_sum += float(kept[ri])
             qp = q[ri].copy()
             pivots.append((qp, float(qp @ qp)))
         return basis.n - len(residual)

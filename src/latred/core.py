@@ -38,7 +38,10 @@ to the rows and the Gram matrix (update_gram, the one exact Gram update,
 which rewrites only the moved rows and columns) all or nothing: every
 new value is computed and range-checked before any is written, so
 nothing is ever undone.  LLL's size reduction takes the same two phases,
-one move at a time.
+one move at a time.  Scoring candidate pivots is the reducers' own
+whole-array work (greedy's pivot table, mgs's round); core holds no
+per-pair norm helper, only corrupt_gram, the one error either raises
+when a new squared norm comes out negative.
 
 Every reducer runs inside run_reducer, which owns the frame around its
 loop: the IntRows of the input's columns, stacked on the identity when a
@@ -128,7 +131,8 @@ class Basis:
 
     @classmethod
     def _trusted(cls, m: int, cols) -> "Basis":
-        """Wrap columns built by this module without re-validating them."""
+        """Wrap columns built inside this package without re-validating
+        them: every entry is already a checked int."""
         dup = object.__new__(cls)
         dup.m = m
         dup.cols = cols
@@ -369,21 +373,6 @@ def corrupt_gram(j: int, k: int) -> ArithmeticError:
         f"negative squared norm for column {j} against pivot {k}: "
         "Gram matrix is corrupt"
     )
-
-
-def projected_norm_sq(g, j: int, k: int, c: int, gkk: int) -> int:
-    """Exact squared norm of column j after subtracting c * column k.
-
-    g holds the Gram matrix's entries (nested lists or an array) and gkk
-    its diagonal entry g[k][k]; every entry is read as a Python int, so
-    the result is one.  A negative value can only come from a Gram matrix
-    that does not match any basis, so it raises ArithmeticError.
-    """
-    c = int(c)
-    v = int(g[j][j]) + c * c * int(gkk) - 2 * c * int(g[j][k])
-    if v < 0:
-        raise corrupt_gram(j, k)
-    return v
 
 
 class IntRows:
@@ -710,9 +699,8 @@ def is_unimodular(transform: TransformRecord) -> bool | None:
 
 def write_mat(basis: Basis, path) -> None:
     """Write the text matrix format: ``m n`` header then m row lines."""
-    rows = basis.to_rows()
     lines = [f"{basis.m} {basis.n}"]
-    lines.extend(" ".join(str(x) for x in row) for row in rows)
+    lines.extend(" ".join(map(str, row)) for row in zip(*basis.cols))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -760,4 +748,5 @@ def read_mat(path) -> Basis:
                 f"{path}: entry in row {r} exceeds the signed 128-bit range"
             )
         rows.append(row)
-    return Basis.from_rows(rows)
+    # Every entry is a checked int already: one transposition, no re-check.
+    return Basis._trusted(m, [list(col) for col in zip(*rows)])

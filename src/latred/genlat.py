@@ -114,4 +114,4 @@ def random_permutation(basis: Basis, seed: int) -> Basis:
     """New basis with the columns in a uniformly random order."""
     perm = list(range(basis.n))
     SplitMix64(seed).shuffle(perm)
-    return Basis([list(basis.cols[p]) for p in perm])
+    return Basis._trusted(basis.m, [list(basis.cols[p]) for p in perm])

@@ -21,21 +21,24 @@ rows S and columns S as whole arrays, also O(|S| n).  With c = (2|x| + d)
 and c is 0 exactly when 2|x| < d, so no mask or sign is needed.  That
 arithmetic is exact in int64 while the Gram matrix's bound is below
 2**30 (the change then stays below 2**61) and runs on Python ints
-otherwise.  Selection is O(n^2) whole-array work in every mode: for the
-default p = 2 a score is the trace plus a row sum of the table, taking
-the first argmin.  The columns are the core.IntRows that run_reducer hands every reducer,
-each row carrying its transform column when one is tracked; a pivot
-reaches them, and the Gram matrix, through one core.apply_moves call,
-which writes nothing when any new entry would leave the signed 128-bit
-range.
+otherwise.  Selection is O(n^2) whole-array work in every mode: one
+scorer takes a row of norm changes per candidate and returns the first
+best row and its score; for the default p = 2 a score is the trace plus
+a row sum of the table.  basis_score is that scorer applied to one row
+of zeros, the do-nothing pivot, so a pivot's score is the next basis's
+score by construction.  The columns are the core.IntRows that
+run_reducer hands every reducer, each row carrying its transform column
+when one is tracked; a pivot reaches them, and the Gram matrix, through
+one core.apply_moves call, which writes nothing when any new entry would
+leave the signed 128-bit range.
 
 Scoring sums the p-th powers of the column norms.  The squared norms are
 always computed exactly in integers.  For the default p = 2 the whole score
 stays an exact integer, so the halting comparison is exact as well; other
 exponents take the p/2 power in floating point, float(v) ** (p/2) for each
-exact squared norm v, and add the terms strictly left to right
-(core.fold_sum, or np.add.accumulate along a row, which adds in the same
-order), so a score does not depend on the Python version.
+exact squared norm v, and add the terms strictly left to right with
+np.add.accumulate along a row (the order of core.fold_sum), so a score
+does not depend on the Python version.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ from .core import (
     UsageError,
     apply_moves,
     corrupt_gram,
-    fold_sum,
     gram_compute,
     nint_ratio,
     run_reducer,
@@ -235,18 +237,45 @@ def _powers(norms_sq, p: float) -> list[float]:
     return [float(v) ** half_p for v in norms_sq]
 
 
+def _best_row(gram: GramMatrix, t, p: float, mode: str):
+    """(k, score) of the best row k of t, a 2-D array of norm changes.
+
+    Row k holds, for every column j, the exact change of column j's
+    squared norm (never below -g[j][j]), and its score is the score of
+    the basis with those norms: for p = 2 in sum mode the trace plus the
+    row sum, an exact integer; in max mode the largest entry of the
+    diagonal plus the row, an exact integer; for other exponents the
+    p/2 powers, taken per changed entry in Python floats, added strictly
+    left to right, like core.fold_sum, by one np.add.accumulate over the
+    rows.  Ties go to the first row.
+    """
+    if mode == "sum" and p == 2.0:
+        # Exact in int64 too: every entry lies in [-g[j][j], 0], so a row
+        # sum is at least minus the trace.
+        sums = t.sum(axis=1)
+        k = int(np.argmin(sums))
+        return k, sum(gram.diagonal()) + int(sums[k])
+    if mode == "max":
+        highest = (gram.g.diagonal() + t).max(axis=1)
+        k = int(np.argmin(highest))
+        return k, int(highest[k])
+    terms = np.tile(np.array(_powers(gram.diagonal(), p)), (len(t), 1))
+    ks, js = np.nonzero(t)
+    terms[ks, js] = _powers((gram.g.diagonal()[js] + t[ks, js]).tolist(), p)
+    # accumulate adds left to right, so the last column is fold_sum.
+    totals = np.add.accumulate(terms, axis=1)[:, -1]
+    k = int(np.argmin(totals))
+    return k, float(totals[k])
+
+
 def basis_score(gram: GramMatrix, p: float, mode: str = "sum"):
-    """Score of the basis as it stands (the do-nothing pivot).
+    """Score of the basis as it stands: the do-nothing pivot, scored by
+    select_pivot's scorer as one row of zero norm changes.
 
     sum mode sums the p-th powers of the column norms (an exact integer,
     the trace, when p == 2); max mode returns the largest squared norm.
     """
-    diag = gram.diagonal()
-    if mode == "max":
-        return max(diag)
-    if p == 2.0:
-        return sum(diag)
-    return fold_sum(_powers(diag, p))
+    return _best_row(gram, np.zeros((1, gram.n), dtype=np.int64), p, mode)[1]
 
 
 def select_pivot(gram: GramMatrix, p: float, mode: str = "sum",
@@ -254,42 +283,18 @@ def select_pivot(gram: GramMatrix, p: float, mode: str = "sum",
     """Best pivot: (k, moves, score).
 
     moves is coefficients_for_pivot(gram, k), ready for apply_pivot, and
-    score is the score of the basis that applying the pivot would produce,
-    computed as basis_score would compute it.  Every candidate is scored
-    from table, which must be in step with gram; without one a fresh
-    PivotTable is built, at O(n^2).  Ties go to the smallest index.  For
-    p = 2 in sum mode a score is the trace plus a row sum of the table;
-    in max mode it is the largest entry of the diagonal plus a table row.
-    For other exponents the p/2 powers are taken per changed entry in
-    Python floats, and each candidate's terms are added strictly left to
-    right, like core.fold_sum, by one np.add.accumulate over the rows.
-    Every selection costs O(n^2) whole-array work.
+    score is the score of the basis that applying the pivot would produce.
+    Every candidate is scored from table, which must be in step with
+    gram; without one a fresh PivotTable is built, at O(n^2).  The
+    table's rows go through the same scorer as basis_score, so a pivot's
+    score is the next basis's score by construction.  Ties go to the
+    smallest index.  Every selection costs O(n^2) whole-array work.
     """
     if table is None:
         table = PivotTable(gram)
     elif table.gram is not gram:
         raise ValueError("pivot table belongs to another Gram matrix")
-    t = table.t
-    if mode == "sum" and p == 2.0:
-        # Exact in int64 too: every entry lies in [-g[j][j], 0], so a row
-        # sum is at least minus the trace.
-        sums = t.sum(axis=1)
-        k = int(np.argmin(sums))
-        score = sum(gram.diagonal()) + int(sums[k])
-    elif mode == "max":
-        highest = (gram.g.diagonal() + t).max(axis=1)
-        k = int(np.argmin(highest))
-        score = int(highest[k])
-    else:
-        n = len(t)
-        terms = np.tile(np.array(_powers(gram.diagonal(), p)), (n, 1))
-        ks, js = np.nonzero(t)
-        terms[ks, js] = _powers((gram.g.diagonal()[js] + t[ks, js]).tolist(),
-                                p)
-        # accumulate adds left to right, so the last column is fold_sum.
-        totals = np.add.accumulate(terms, axis=1)[:, -1]
-        k = int(np.argmin(totals))
-        score = float(totals[k])
+    k, score = _best_row(gram, table.t, p, mode)
     return k, coefficients_for_pivot(gram, k), score
 
 

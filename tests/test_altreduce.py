@@ -2,8 +2,10 @@ import logging
 import random
 import warnings
 
+import numpy as np
 import pytest
 
+from latred import altreduce
 from latred.altreduce import (
     AltConfig,
     mgs_pivot_reduce,
@@ -12,6 +14,7 @@ from latred.altreduce import (
 )
 from latred.core import (
     Basis,
+    GramMatrix,
     IntRows,
     TransformRecord,
     UsageError,
@@ -128,6 +131,12 @@ class TestMgsPivotReduce:
         assert res.basis.cols[1] == [0, 0]
 
     def test_matches_per_pair_reference(self):
+        def check(basis):
+            for p in (1.0, 2.0, 3.0):
+                res = mgs_pivot_reduce(basis, p)
+                assert ((res.iterations_applied, res.basis.cols)
+                        == mgs_per_pair(basis.cols, p))
+
         rng = random.Random(75)
         for n in (2, 3, 5, 8, 12):
             for trial in range(4):
@@ -135,11 +144,27 @@ class TestMgsPivotReduce:
                 if trial == 3:
                     cols[1] = [2 * x for x in cols[0]]
                     cols[-1] = [0] * n
+                check(Basis(cols))
+        # Wide int64 Gram stores: entries up to 2**30 give Gram entries in
+        # (2**60, 2**61), so the store stays int64 through +-1 pivots.
+        # Column 2 lies near 0.3 column 0 + 0.7 column 1; once a pivot
+        # leaves it a tiny residual, its coefficients as a candidate are
+        # huge, and the new squared norms they give pass 2**63, where
+        # int64 arithmetic would wrap.
+        w = 1 << 29
+        for n in (4, 5, 6):
+            for t in (2, 8, 14):
+                cols = random_basis(rng, n, max_entry=w).cols
+                cols[0] = [rng.randint(-w // 2, w // 2) for _ in range(n)]
+                cols[0][0] = 2 * w
+                cols[2] = [(3 * a + 7 * b) // 10
+                           + rng.randint(-(1 << t), 1 << t)
+                           for a, b in zip(cols[0], cols[1])]
                 basis = Basis(cols)
-                for p in (1.0, 2.0, 3.0):
-                    res = mgs_pivot_reduce(basis, p)
-                    assert ((res.iterations_applied, res.basis.cols)
-                            == mgs_per_pair(basis.cols, p))
+                gram = gram_compute(basis)
+                assert gram.g.dtype == np.int64
+                assert 1 << 60 < gram.bound < 1 << 61
+                check(basis)
 
     def test_zero_and_dependent_candidates_emit_no_warning(self):
         basis = Basis([[0, 0], [1, 1]])
@@ -166,6 +191,15 @@ class TestMgsPivotReduce:
     def test_rejects_nonpositive_p(self):
         with pytest.raises(UsageError, match="p must be positive, got -1.0"):
             mgs_pivot_reduce(Basis.identity(2), -1.0)
+
+    def test_corrupt_gram_names_the_pair(self, monkeypatch):
+        # The true Gram matrix has g[1][1] = 101; with 50, candidate 0's
+        # coefficient 10 gives column 1 the squared norm -50.
+        monkeypatch.setattr(altreduce, "gram_compute",
+                            lambda _: GramMatrix([[1, 10], [10, 50]]))
+        with pytest.raises(ArithmeticError,
+                           match="column 1 against pivot 0: Gram matrix"):
+            mgs_pivot_reduce(Basis([[1, 0], [10, 1]]))
 
     def test_projection_steps_rarely_increase_norms(self):
         # Rounded coefficients against the orthogonalized pivot normally

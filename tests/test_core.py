@@ -26,7 +26,6 @@ from latred.core import (
     nint_float,
     nint_ratio,
     pipeline,
-    projected_norm_sq,
     read_mat,
     run_reducer,
     summarize_columns,
@@ -468,18 +467,6 @@ class TestGramStore:
         update_gram(gram, 0, [(1, 1 << 64)])
         assert gram.g.dtype == object
         assert gram.tolist() == [[0, 0], [0, 2]]
-
-    def test_projected_norm_sq_reads_python_ints(self):
-        # On an int64 store, c * c * g[k][k] with c = 2**40 leaves int64;
-        # the result must still be the exact Python int.
-        gram = gram_compute(Basis([[3, 4], [1, 2]]))
-        assert gram.g.dtype == np.int64
-        g = gram.tolist()
-        c = 1 << 40
-        got = projected_norm_sq(gram.g, 0, 1, c, gram.g[1][1])
-        assert type(got) is int
-        assert got == g[0][0] + c * c * g[1][1] - 2 * c * g[0][1]
-        assert got == projected_norm_sq(g, 0, 1, c, g[1][1])
 
 
 def sub_multiple(rows, k, j, c):
