@@ -11,8 +11,10 @@ Both keep their exact state in the shared IntRows and GramMatrix and
 round only the coefficients that can round to a nonzero integer
 (ROUNDS_TO_ZERO).  A tracked transform rides along in the rows with no
 code here; the float reads (mgs's residual rows) take the basis part
-only.  An mgs round is one selection step over every candidate pivot at
-once: one matrix product over the residual columns gives every
+only.  mgs carries its orthogonal residuals Q from round to round and
+projects them off each new pivot once, so a round does no work for the
+earlier pivots.  An mgs round is one selection step over every candidate
+pivot at once: one matrix product over the residual columns gives every
 coefficient, the moved columns' exact new squared norms are computed as
 one Python-int array, and one left-to-right fold scores every
 candidate.  Its integer outputs matched the per-pair loop on every input
@@ -137,9 +139,15 @@ def mgs_pivot_reduce(basis: Basis, p: float = 2.0, *,
     Gram matrix in one apply_moves call.
 
     A round is whole-array work on the R residual columns as float rows
-    F: Q is F orthogonalized against each earlier pivot in turn, and
-    X = F Q^T / |Q|^2 holds every coefficient of a column onto a
-    candidate, so no temporary exceeds an R x m or R x R float array.
+    F, rebuilt from the integer rows, and their orthogonal residuals Q,
+    carried across rounds: Q starts as the float basis, and after each
+    pivot its row is dropped and the rest are projected off it once.  In
+    exact arithmetic that is F orthogonalized against every chosen pivot,
+    since a move subtracts a multiple of the pivot's column, which the
+    projection removes; the float bits can differ from orthogonalizing F
+    again each round.  X = F Q^T / |Q|^2 holds every coefficient of a
+    column onto a candidate, so no temporary exceeds an R x m or R x R
+    float array.
     Only candidates that are neither zero nor dependent have their
     coefficients x rounded, and only where |x| >= ROUNDS_TO_ZERO; the
     squared norms g[s][s] + c^2 g[r][r] - 2c g[s][r] they give are
@@ -161,7 +169,9 @@ def mgs_pivot_reduce(basis: Basis, p: float = 2.0, *,
         gram = gram_compute(basis)
         m = basis.m
         residual = np.arange(basis.n)
-        pivots: list[tuple[np.ndarray, float]] = []
+        # Row s of q: residual column s orthogonalized against every
+        # chosen pivot, carried from round to round.
+        q = np.array(basis.cols, dtype=float)
         # fold_sum of the chosen pivots' terms in choice order; no move
         # ever targets a chosen column, so its term never changes.
         chosen_sum = 0.0
@@ -170,9 +180,6 @@ def mgs_pivot_reduce(basis: Basis, p: float = 2.0, *,
             g = gram.g
             d = g.diagonal()[residual].astype(object)
             f = np.array([rows.rows[s][:m] for s in residual], dtype=float)
-            q = f.copy()
-            for qp, qpqp in pivots:
-                q -= np.outer((q @ qp) / qpqp, qp)
             qq = np.einsum("ij,ij->i", q, q)
             # Zero rows are never candidates; 1.0 keeps the division quiet.
             x = (f @ q.T) / np.where(qq > 0.0, qq, 1.0)
@@ -212,8 +219,9 @@ def mgs_pivot_reduce(basis: Basis, p: float = 2.0, *,
                                  c[chosen].tolist())))
             residual = np.delete(residual, ri)
             chosen_sum += float(kept[ri])
-            qp = q[ri].copy()
-            pivots.append((qp, float(qp @ qp)))
+            qp = q[ri]
+            q = np.delete(q, ri, axis=0)
+            q -= np.outer((q @ qp) / float(qp @ qp), qp)
         return basis.n - len(residual)
 
     return run_reducer(basis, track_transform, body)

@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     red.add_argument("--out", required=True)
     red.add_argument("--p", type=float, default=None)
     red.add_argument("--p-schedule", type=_float_list, default=None,
-                     help="greedy exponents, run in order (overrides --p)")
+                     help="greedy exponents, run in order")
     red.add_argument("--delta", type=float, default=None)
     red.add_argument("--score", choices=["sum", "max"], default=None)
     red.add_argument("--iters", type=int, default=None,
@@ -112,29 +112,29 @@ def cmd_gen(args) -> int:
 def _stages(args):
     """The stages of --algo, built from configs that check every flag.
 
-    A bad flag, or one that --algo never reads, raises UsageError here, so
-    cmd_reduce calls this before it reads any file.  A flag left out takes
-    its config's default.  Reducers are looked up when a stage runs, so a
-    patched one is what runs.
+    A bad flag, one that --algo never reads, or --p given with
+    --p-schedule raises UsageError here, so cmd_reduce calls this before it
+    reads any file.  A flag left out takes its config's default.  Reducers
+    are looked up when a stage runs, so a patched one is what runs.
     """
     unread = [flag for flag, dest, algos in _READ_ONLY_BY
               if getattr(args, dest) is not None and args.algo not in algos]
     if unread:
         raise UsageError(f"--algo {args.algo} does not read "
                          + ", ".join(unread))
+    if args.p is not None and args.p_schedule is not None:
+        raise UsageError("give --p or --p-schedule, not both")
 
     def given(**values):
         return {key: v for key, v in values.items() if v is not None}
 
     track = args.track_transform
     lll_cfg = LLLConfig(**given(delta=args.delta))
-    # Built from a given --p even under --p-schedule, which overrides it,
-    # so a bad --p exits 2 here, mgs included.
-    score = given(score_mode=args.score)
-    p_schedule = None if args.p is None else (args.p,)
-    greedy_cfg = ReduceConfig(**given(p_schedule=p_schedule), **score)
-    if args.p_schedule is not None:
-        greedy_cfg = ReduceConfig(p_schedule=args.p_schedule, **score)
+    # Built from a given --p under every --algo, so a bad --p exits 2
+    # here, mgs included.
+    p_schedule = args.p_schedule if args.p is None else (args.p,)
+    greedy_cfg = ReduceConfig(**given(p_schedule=p_schedule,
+                                      score_mode=args.score))
     alt_cfg = AltConfig(**given(iterations=args.iters, seed=args.seed))
 
     def lll(basis):

@@ -116,7 +116,9 @@ class Basis:
     def from_rows(cls, rows) -> "Basis":
         if not rows or not rows[0]:
             raise ValueError("basis needs at least one row and one column")
-        return cls([[row[j] for row in rows] for j in range(len(rows[0]))])
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise ValueError("basis rows must all have the same length")
+        return cls(list(zip(*rows)))
 
     @classmethod
     def identity(cls, n: int) -> "Basis":

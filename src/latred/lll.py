@@ -21,6 +21,12 @@ two affected orthogonal vectors are recomputed from scratch instead of
 patched.  That is enough for the random bases of interest here, not for
 adversarial inputs built to break floating-point reducers.
 
+The Gram-Schmidt state exists only for linearly independent columns.
+_orthogonalize_column is the one place that decides rank deficiency: at
+the start or after a swap, it raises ValueError naming the first column
+whose orthogonal part falls under RANK_FLOOR.  So every b* norm that a
+division reads is nonzero.
+
 The loop makes at most 100 * n**2 * max(1, bits) swaps, bits being the bit
 length of the input's largest |entry|.  The package's q-ary examples take
 about 7 * n**2 swaps; one more than the cap raises ArithmeticError naming
@@ -29,7 +35,7 @@ it, so a float fault that keeps swapping fails instead of running forever.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,21 +67,22 @@ class LLLConfig:
 
 @dataclass
 class GSState:
-    """Floating Gram-Schmidt data for a basis: b*, mu, norms, float columns.
+    """Floating Gram-Schmidt data for a full-rank basis: b*, mu, norms,
+    float columns.
 
     fcols mirrors the integer basis, column k being the exact integer
     column k rounded to doubles; whoever changes a basis column updates
     its mirror column.  The b* columns come from classical Gram-Schmidt
     with one reorthogonalization (CGS2) in matrix form: each of the two
-    passes projects b_k off b*_0..b*_{k-1} together.
+    passes projects b_k off b*_0..b*_{k-1} together.  Every norms_sq entry
+    of an orthogonalized column is nonzero, since a dependent column
+    raises before it is stored.
     """
 
     bstar: np.ndarray            # (m, n), column k is b*_k
     mu: np.ndarray               # (n, n) lower triangular, unit diagonal
     norms_sq: np.ndarray         # (n,), squared norms of b*
     fcols: np.ndarray            # (m, n), float mirror of the basis columns
-    denoms: np.ndarray           # (n,), norms_sq with each 0 replaced by 1
-    dependent: list[int] = field(default_factory=list)
 
 
 def _orthogonalize_column(state: GSState, k: int) -> None:
@@ -85,36 +92,32 @@ def _orthogonalize_column(state: GSState, k: int) -> None:
     of the two passes' coefficients.  The second pass removes what
     rounding left of the first; for a column that is not numerically
     dependent that gives orthogonality to working precision ("twice is
-    enough").  Earlier columns with a zero b* get a zero coefficient.
+    enough").  A column whose orthogonal part falls under RANK_FLOOR
+    times its own squared norm (a zero column included) raises ValueError
+    naming k, before anything of column k is stored: this is the one
+    place that decides rank deficiency.
     """
     b = state.fcols[:, k].copy()
     norm0 = float(b @ b)
     bstar = state.bstar[:, :k]
-    # A dependent column has b* == 0, so a unit denominator masks it to t_j = 0.
-    denom = state.denoms[:k]
+    denom = state.norms_sq[:k]
     t = (b @ bstar) / denom
     b = b - bstar @ t
     t2 = (b @ bstar) / denom
     b = b - bstar @ t2
-    state.mu[k, :k] = t + t2
     nk = float(b @ b)
     if norm0 == 0.0 or nk < RANK_FLOOR * norm0:
-        state.bstar[:, k] = 0.0
-        state.norms_sq[k] = 0.0
-        state.denoms[k] = 1.0
-        if k not in state.dependent:
-            state.dependent.append(k)
-        return
+        raise ValueError(f"rank deficiency detected at column {k}")
+    state.mu[k, :k] = t + t2
     state.bstar[:, k] = b
     state.norms_sq[k] = nk
-    state.denoms[k] = nk
 
 
 def orthogonalize(basis: Basis) -> GSState:
     """Two-pass classical Gram-Schmidt (CGS2) over all columns.
 
-    Columns that come out (numerically) dependent, including zero columns,
-    get a zero b* and are listed in the returned state's ``dependent``.
+    Raises ValueError naming the first column that comes out
+    (numerically) dependent on the earlier ones, a zero column included.
     """
     m, n = basis.m, basis.n
     state = GSState(
@@ -122,7 +125,6 @@ def orthogonalize(basis: Basis) -> GSState:
         mu=np.eye(n),
         norms_sq=np.zeros(n),
         fcols=np.array(basis.cols, dtype=float).T,
-        denoms=np.ones(n),
     )
     for k in range(n):
         _orthogonalize_column(state, k)
@@ -161,13 +163,8 @@ def lovasz_ok(state: GSState, k: int, delta: float) -> bool:
 
 def _recompute_after_swap(state: GSState, k: int) -> None:
     """Rebuild b*_{k-1}, b*_k from scratch and the mu entries that read them."""
-    before = len(state.dependent)
     for idx in (k - 1, k):
         _orthogonalize_column(state, idx)
-    if len(state.dependent) > before:
-        raise ValueError(
-            f"rank deficiency detected at column {state.dependent[-1]} after swap"
-        )
     pair = slice(k - 1, k + 1)
     state.mu[k + 1:, pair] = (
         (state.fcols[:, k + 1:].T @ state.bstar[:, pair]) / state.norms_sq[pair]
@@ -178,21 +175,18 @@ def lll_reduce(basis: Basis, config: LLLConfig | None = None, *,
                track_transform: bool = False) -> ReductionResult:
     """Classical LLL with recompute-on-swap.
 
-    Requires linearly independent columns; a column whose orthogonal part
-    falls under the rank floor raises ValueError naming it.  A basis or
-    transform entry leaving the signed 128-bit range raises OverflowError
-    naming its column, and a run past the swap cap (see the module
-    docstring) raises ArithmeticError.  iterations_applied counts swaps.
+    Requires linearly independent columns; the first column whose
+    orthogonal part falls under the rank floor, at the start or after a
+    swap, raises ValueError naming it.  A basis or transform entry
+    leaving the signed 128-bit range raises OverflowError naming its
+    column, and a run past the swap cap (see the module docstring) raises
+    ArithmeticError.  iterations_applied counts swaps.
     """
     cfg = config if config is not None else LLLConfig()
 
     def body(rows):
         n = basis.n
         state = orthogonalize(basis)
-        if state.dependent:
-            raise ValueError(
-                f"rank deficiency detected at column {state.dependent[0]}"
-            )
         bits = max(max(map(abs, col)) for col in basis.cols).bit_length()
         cap = _SWAP_CAP_FACTOR * n * n * max(1, bits)
         fcols = state.fcols

@@ -24,6 +24,7 @@ from latred.core import (
     det_small,
     gram_compute,
 )
+from latred.genlat import ExampleSpec, gen_example, random_permutation
 from latred.greedy import GreedyState, apply_pivot, coefficients_for_pivot
 
 from oracles import mgs_per_pair
@@ -165,6 +166,16 @@ class TestMgsPivotReduce:
                 assert gram.g.dtype == np.int64
                 assert 1 << 60 < gram.bound < 1 << 61
                 check(basis)
+        # Permuted q-ary examples, the benchmark's mgs input family, where
+        # the residuals carried across rounds see up to n - 1 projections.
+        for ell, seeds in ((8, range(3)), (16, range(2))):
+            for seed in seeds:
+                basis = random_permutation(
+                    gen_example(ExampleSpec(8191, ell, seed)), seed + 1)
+                for p in (1.0, 2.0):
+                    res = mgs_pivot_reduce(basis, p)
+                    assert ((res.iterations_applied, res.basis.cols)
+                            == mgs_per_pair(basis.cols, p))
 
     def test_zero_and_dependent_candidates_emit_no_warning(self):
         basis = Basis([[0, 0], [1, 1]])

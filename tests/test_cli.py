@@ -185,9 +185,8 @@ class TestReduce:
                        "--out", str(tmp_path / "o.mat")) == 2
 
     @pytest.mark.parametrize("flags, schedule, ignored", [
-        (["--p", "1", "--p-schedule", "2,1"], (2.0, 1.0), (1.0,)),
         (["--p", "1"], (1.0,), (2.0,)),
-    ], ids=["schedule-overrides-p", "p"])
+    ], ids=["p"])
     def test_exponent_flags_set_the_schedule(self, tmp_path, flags, schedule,
                                              ignored):
         basis = random_permutation(gen_example(ExampleSpec(Q13, 2, 0)), 0)
@@ -201,6 +200,15 @@ class TestReduce:
         # The schedule a dropped flag would leave polishes this input
         # differently, so the test tells the two apart.
         assert want != reduce(basis, ReduceConfig(p_schedule=ignored)).basis
+
+    def test_p_with_p_schedule_exits_2_before_reading_input(self, tmp_path,
+                                                            capsys):
+        assert run_cli("reduce", "--algo", "greedy", "--p", "1",
+                       "--p-schedule", "2,1",
+                       "--in", str(tmp_path / "nope.mat"),
+                       "--out", str(tmp_path / "o.mat")) == 2
+        err = capsys.readouterr().err
+        assert "--p " in err and "--p-schedule" in err
 
     @pytest.mark.parametrize("flags", [
         ["--p-schedule", ","],

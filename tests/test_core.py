@@ -745,6 +745,12 @@ class TestBasisType:
         rows = [[1, 2, 3], [4, 5, 6]]
         assert Basis.from_rows(rows).to_rows() == rows
 
+    @pytest.mark.parametrize("rows", [[[1], [2, 3]], [[1, 2], [3]]],
+                             ids=["longer-later-row", "shorter-later-row"])
+    def test_from_rows_rejects_ragged_rows(self, rows):
+        with pytest.raises(ValueError, match="same length"):
+            Basis.from_rows(rows)
+
     def test_copy_is_deep(self):
         basis = Basis([[1, 2], [3, 4]])
         dup = basis.copy()
