@@ -4,15 +4,19 @@ All numerical work lives in the library modules; this file only parses
 flags, moves files, and maps failures to exit codes (0 ok, 1 input error,
 2 usage error, 3 numerical fault).  Flag values are checked by the config
 objects they build, whose UsageError maps to exit 2; each command builds
-its configs before it touches a file.  A reduce flag that the chosen --algo
-never reads is a usage error too.  Every --algo is a list of stages
-run through core.pipeline.
+its configs before it touches a file.  A flag left out takes its config's
+default, so each default is defined once, in the config.  A reduce flag
+that the chosen --algo never reads is a usage error too.  Every output
+path is checked before the work starts, without creating or truncating
+it, so an unwritable one exits 1 before any trial or stage runs.  Every
+--algo is a list of stages run through core.pipeline.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -26,8 +30,9 @@ from .core import (
     write_mat,
 )
 from .genlat import ExampleSpec, gen_example
-from .greedy import ReduceConfig, reduce as greedy_reduce
-from .harness import CSV_HEADER, ExperimentConfig, emit_csv, run_experiment
+from .greedy import SCORE_MODES, ReduceConfig, reduce as greedy_reduce
+from .harness import (CSV_HEADER, MODES, ExperimentConfig, emit_csv,
+                      run_experiment)
 from .lll import DEFAULT_DELTA, LLLConfig, lll_reduce
 
 # reduce's flags that only some --algo values read: (flag, dest, those
@@ -56,6 +61,27 @@ def _float_list(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"not a comma list of numbers: {text!r}")
 
 
+def _given(**values):
+    """The values whose flag was given; a config fills in the rest."""
+    return {key: v for key, v in values.items() if v is not None}
+
+
+def _check_writable(*paths) -> None:
+    """Raise OSError for the first given path that cannot be opened for
+    writing.
+
+    Nothing is created or truncated, so an output that is also the input
+    is left as it is until the work is done.
+    """
+    for path in filter(None, paths):
+        parent = os.path.dirname(os.path.abspath(path))
+        target = path if os.path.exists(path) else parent
+        # access() is False for a missing directory as well.
+        if os.path.isdir(path) or not os.access(target, os.W_OK):
+            raise OSError(f"cannot write {path}: no such directory, "
+                          "or not writable")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latred", description="Integer lattice reduction toolkit"
@@ -80,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     red.add_argument("--p-schedule", type=_float_list, default=None,
                      help="greedy exponents, run in order")
     red.add_argument("--delta", type=float, default=None)
-    red.add_argument("--score", choices=["sum", "max"], default=None)
+    red.add_argument("--score", choices=SCORE_MODES, default=None)
     red.add_argument("--iters", type=int, default=None,
                      help="step budget for rand-comb (default 10*n)")
     red.add_argument("--seed", type=int, default=None)
@@ -91,11 +117,11 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run the benchmark protocol")
     bench.add_argument("--q", type=int, required=True)
     bench.add_argument("--ell-list", type=_int_list, default=(2, 4, 8, 16))
-    bench.add_argument("--trials", type=int, default=10)
-    bench.add_argument("--mode", choices=["once", "repeat"], default="once")
+    bench.add_argument("--trials", type=int, default=None)
+    bench.add_argument("--mode", choices=MODES, default=None)
     bench.add_argument("--delta", type=float, default=DEFAULT_DELTA)
-    bench.add_argument("--p", type=float, default=2.0)
-    bench.add_argument("--seed", type=int, default=0)
+    bench.add_argument("--p", type=float, default=None)
+    bench.add_argument("--seed", type=int, default=None)
     bench.add_argument("--csv", required=True)
     bench.set_defaults(func=cmd_bench)
 
@@ -125,17 +151,14 @@ def _stages(args):
     if args.p is not None and args.p_schedule is not None:
         raise UsageError("give --p or --p-schedule, not both")
 
-    def given(**values):
-        return {key: v for key, v in values.items() if v is not None}
-
     track = args.track_transform
-    lll_cfg = LLLConfig(**given(delta=args.delta))
+    lll_cfg = LLLConfig(**_given(delta=args.delta))
     # Built from a given --p under every --algo, so a bad --p exits 2
     # here, mgs included.
     p_schedule = args.p_schedule if args.p is None else (args.p,)
-    greedy_cfg = ReduceConfig(**given(p_schedule=p_schedule,
-                                      score_mode=args.score))
-    alt_cfg = AltConfig(**given(iterations=args.iters, seed=args.seed))
+    greedy_cfg = ReduceConfig(**_given(p_schedule=p_schedule,
+                                       score_mode=args.score))
+    alt_cfg = AltConfig(**_given(iterations=args.iters, seed=args.seed))
 
     def lll(basis):
         return lll_reduce(basis, lll_cfg, track_transform=track)
@@ -147,7 +170,7 @@ def _stages(args):
         return random_combination_reduce(basis, alt_cfg, track_transform=track)
 
     def mgs(basis):
-        return mgs_pivot_reduce(basis, **given(p=args.p),
+        return mgs_pivot_reduce(basis, **_given(p=args.p),
                                 track_transform=track)
 
     return {
@@ -162,6 +185,7 @@ def _stages(args):
 def cmd_reduce(args) -> int:
     stages = _stages(args)
     basis = read_mat(args.in_path)
+    _check_writable(args.out, args.report)
     result = pipeline(basis, stages)
     write_mat(result.basis, args.out)
     if args.report:
@@ -191,11 +215,10 @@ def cmd_bench(args) -> int:
         q=args.q,
         ell_list=args.ell_list,
         delta=args.delta,
-        p_schedule=(args.p,),
-        trials=args.trials,
-        mode=args.mode,
-        seed=args.seed,
+        **_given(p_schedule=None if args.p is None else (args.p,),
+                 trials=args.trials, mode=args.mode, seed=args.seed),
     )
+    _check_writable(args.csv)
     records = run_experiment(config)
     aggregates = emit_csv(records, args.csv)
     print(CSV_HEADER.replace(",", " ").replace("trial", "stat"))

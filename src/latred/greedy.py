@@ -9,19 +9,20 @@ column operation column j -= c * column k.  Rounded projection never
 increases any column norm, so the scores decrease monotonically and the
 loop terminates at a (local) fixed point.
 
-Everything the next selection needs is updated from its previous value
-instead of being recomputed.  A pivot changes only the set S of columns it
-moves, so the Gram matrix changes only in the rows and columns of S; the
-update is core.update_gram, the one exact Gram update, in O(|S| n).
-Beside it a PivotTable keeps a dense n x n array: for every candidate
-pivot k and column j, the exact change of column j's squared norm under
-pivot k's rounded projection.  After a pivot it recomputes the table's
-rows S and columns S as whole arrays, also O(|S| n).  With c = (2|x| + d)
-// (2d) for x = g[j][k] and d = g[k][k], the change is c (c d - 2|x|),
-and c is 0 exactly when 2|x| < d, so no mask or sign is needed.  That
-arithmetic is exact in int64 while the Gram matrix's bound is below
-2**30 (the change then stays below 2**61) and runs on Python ints
-otherwise.  Selection is O(n^2) whole-array work in every mode: one
+Everything the next selection reads lives in one GreedyState, and a
+pivot updates it from its previous value instead of recomputing it.  The
+state is a PivotTable, the Gram matrix beside a dense n x n array holding,
+for every candidate pivot k and column j, the exact change of column j's
+squared norm under pivot k's rounded projection, plus the columns and the
+pivot count.  A pivot changes only the set S of columns it moves, so the
+Gram matrix changes only in the rows and columns of S; the update is
+core.update_gram, the one exact Gram update, in O(|S| n), and the table's
+rows S and columns S are then recomputed as whole arrays, also O(|S| n).
+With c = (2|x| + d) // (2d) for x = g[j][k] and d = g[k][k], the change
+is c (c d - 2|x|), and c is 0 exactly when 2|x| < d, so no mask or sign
+is needed.  That arithmetic is exact in int64 while the Gram matrix's
+bound is below 2**30 (the change then stays below 2**61) and runs on
+Python ints otherwise.  Selection is O(n^2) whole-array work in every mode: one
 scorer takes a row of norm changes per candidate and returns the first
 best row and its score; for the default p = 2 a score is the trace plus
 a row sum of the table.  basis_score is that scorer applied to one row
@@ -30,7 +31,9 @@ score by construction.  The columns are the core.IntRows that
 run_reducer hands every reducer, each row carrying its transform column
 when one is tracked; a pivot reaches them, and the Gram matrix, through
 one core.apply_moves call, which writes nothing when any new entry would
-leave the signed 128-bit range.
+leave the signed 128-bit range.  Selection reads only the table and its
+Gram matrix, so a caller holding just a Gram matrix scores it through
+PivotTable(gram).
 
 Scoring sums the p-th powers of the column norms.  The squared norms are
 always computed exactly in integers.  For the default p = 2 the whole score
@@ -43,7 +46,7 @@ does not depend on the Python version.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,18 +76,17 @@ class ReduceConfig:
     score_mode "max" replaces the sum of p-th powers with the maximum
     squared norm; it is a heuristic with no termination guarantee of its
     own beyond the same strict-descent halting rule, and in practice tends
-    to shorten only the longest vectors.
+    to shorten only the longest vectors.  There is no iteration budget:
+    a pivot is applied only when it strictly lowers the score, which
+    needs a strictly shorter column.
     """
 
     p_schedule: tuple[float, ...] = (2.0,)
     score_mode: str = "sum"
-    max_iterations: int | None = None
 
     def __post_init__(self):
         if self.score_mode not in SCORE_MODES:
             raise UsageError(f"score_mode must be one of {SCORE_MODES}")
-        if self.max_iterations is not None and self.max_iterations < 0:
-            raise UsageError("max_iterations must be nonnegative")
         if not self.p_schedule:
             raise UsageError("p_schedule must be nonempty")
         for p in self.p_schedule:
@@ -166,7 +168,8 @@ class PivotTable:
     matrix's bound is below 2**30 and Python ints from then on.  Building
     the table costs O(n^2); refresh() keeps it in step after each pivot in
     O(|S| n), as whole-array operations.  A negative new norm means the
-    Gram matrix matches no basis and raises ArithmeticError.
+    Gram matrix matches no basis and raises ArithmeticError.  select_pivot
+    reads nothing else; GreedyState is the table that reduce() keeps.
     """
 
     __slots__ = ("gram", "t")
@@ -187,10 +190,9 @@ class PivotTable:
         table's rows S (each candidate in S against every column) and
         columns S (every candidate against each new column in S) are
         recomputed; every other entry keeps both its x and its d.  The
-        Gram matrix is symmetric, so both come from its rows S.
+        Gram matrix is symmetric, so both come from its rows S.  With
+        no moves the index arrays are empty and nothing changes.
         """
-        if not moves:
-            return
         idx = np.array([j for j, _ in moves], dtype=np.intp)
         gram = self.gram
         g = gram.g
@@ -213,22 +215,22 @@ class PivotTable:
         self.t[:, idx] = cols.T
 
 
-@dataclass
-class GreedyState:
-    """Mutable working set owned by one reduce() call.
+class GreedyState(PivotTable):
+    """Everything greedy's next iteration reads, owned by one reduce() call.
 
-    rows holds the columns (with their transform part when one is
-    tracked).  table is built from gram on construction and kept in step
-    by apply_pivot.
+    It is the PivotTable of gram, built on construction, plus rows, the
+    columns (with their transform part when one is tracked), and
+    iteration, the number of pivots applied.  select_pivot reads it as a
+    table; apply_pivot moves the columns and the Gram matrix, refreshes
+    the table and counts the pivot.
     """
 
-    rows: IntRows
-    gram: GramMatrix
-    iteration: int = 0
-    table: PivotTable = field(init=False)
+    __slots__ = ("rows", "iteration")
 
-    def __post_init__(self):
-        self.table = PivotTable(self.gram)
+    def __init__(self, rows: IntRows, gram: GramMatrix):
+        super().__init__(gram)
+        self.rows = rows
+        self.iteration = 0
 
 
 def _powers(norms_sq, p: float) -> list[float]:
@@ -278,28 +280,25 @@ def basis_score(gram: GramMatrix, p: float, mode: str = "sum"):
     return _best_row(gram, np.zeros((1, gram.n), dtype=np.int64), p, mode)[1]
 
 
-def select_pivot(gram: GramMatrix, p: float, mode: str = "sum",
-                 table: PivotTable | None = None):
-    """Best pivot: (k, moves, score).
+def select_pivot(table: PivotTable, p: float, mode: str = "sum"):
+    """Best pivot of table's Gram matrix: (k, moves, score).
 
-    moves is coefficients_for_pivot(gram, k), ready for apply_pivot, and
-    score is the score of the basis that applying the pivot would produce.
-    Every candidate is scored from table, which must be in step with
-    gram; without one a fresh PivotTable is built, at O(n^2).  The
-    table's rows go through the same scorer as basis_score, so a pivot's
-    score is the next basis's score by construction.  Ties go to the
-    smallest index.  Every selection costs O(n^2) whole-array work.
+    Every candidate is scored from table.t and table.gram, nothing else.
+    moves is coefficients_for_pivot(table.gram, k), ready for
+    apply_pivot, and score is the score of the basis that applying the
+    pivot would produce.  The table's rows go through the same scorer as
+    basis_score, so a pivot's score is the next basis's score by
+    construction.  Ties go to the smallest index.  Every selection costs
+    O(n^2) whole-array work; a caller with only a Gram matrix passes
+    PivotTable(gram), whose build is O(n^2) too.
     """
-    if table is None:
-        table = PivotTable(gram)
-    elif table.gram is not gram:
-        raise ValueError("pivot table belongs to another Gram matrix")
-    k, score = _best_row(gram, table.t, p, mode)
-    return k, coefficients_for_pivot(gram, k), score
+    k, score = _best_row(table.gram, table.t, p, mode)
+    return k, coefficients_for_pivot(table.gram, k), score
 
 
 def apply_pivot(state: GreedyState, k: int, moves) -> None:
-    """Apply pivot k's moves to the columns and the Gram, then the table.
+    """Apply pivot k's moves to the columns and the Gram, refresh the
+    table and count the pivot.
 
     With S the set of moved columns, the column updates cost O(|S| m), and
     the Gram update (update_gram) and the table refresh O(|S| n) each.
@@ -308,7 +307,7 @@ def apply_pivot(state: GreedyState, k: int, moves) -> None:
     so on OverflowError the state is unchanged.
     """
     apply_moves(state.rows, state.gram, k, moves)
-    state.table.refresh(moves)
+    state.refresh(moves)
     state.iteration += 1
 
 
@@ -320,23 +319,20 @@ def reduce(basis: Basis, config: ReduceConfig | None = None, *,
     as its score strictly improves on the current one; when no pivot
     improves, the schedule advances.  No column's norm ever increases, so
     with p = 2 the exact integer score drops by at least 1 per iteration
-    and termination is guaranteed.
+    and termination is guaranteed.  Each iteration selects from one
+    GreedyState and applies the pivot to it.
 
-    max_iterations, when set, caps the pivots applied over the whole
-    schedule; the budget is checked before each pivot is selected.
     on_iteration, when given, is called with the state after every applied
     pivot (used by the verification suites).
     """
     cfg = config if config is not None else ReduceConfig()
-    budget = cfg.max_iterations
 
     def body(rows):
         state = GreedyState(rows, gram_compute(basis))
         for p in cfg.p_schedule:
             current = basis_score(state.gram, p, cfg.score_mode)
-            while budget is None or state.iteration < budget:
-                k, moves, score = select_pivot(state.gram, p, cfg.score_mode,
-                                              state.table)
+            while True:
+                k, moves, score = select_pivot(state, p, cfg.score_mode)
                 if not score < current:
                     break
                 apply_pivot(state, k, moves)

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import latred.cli as cli_mod
 from latred.cli import main
 from latred.core import INT128_MAX, read_mat, write_mat, Basis
 from latred.genlat import ExampleSpec, gen_example, random_permutation
@@ -19,6 +20,18 @@ def run_cli(*argv):
 def write_skewed(path):
     write_mat(Basis([[1, 0], [10, 1]]), path)
     return str(path)
+
+
+def must_not_run(*args, **kwargs):
+    raise AssertionError("work ran before an output path was checked")
+
+
+def untimed_rows(path):
+    """The CSV's rows without the columns the header names secs_*."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    timing = {i for i, name in enumerate(rows[0]) if name.startswith("secs_")}
+    return [[c for i, c in enumerate(r) if i not in timing] for r in rows]
 
 
 class TestGen:
@@ -226,6 +239,28 @@ class TestReduce:
         assert run_cli("reduce", "--algo", "lll", "--delta", "0.1",
                        "--in", src, "--out", str(tmp_path / "o.mat")) == 2
 
+    @pytest.mark.parametrize("flag", ["--out", "--report"])
+    def test_unwritable_output_exits_1_before_any_stage(self, tmp_path, capsys,
+                                                        monkeypatch, flag):
+        # A missing directory, since permission bits do not stop root.
+        monkeypatch.setattr(cli_mod, "pipeline", must_not_run)
+        src = write_skewed(tmp_path / "in.mat")
+        outputs = {"--out": tmp_path / "o.mat", "--report": tmp_path / "r.json"}
+        outputs[flag] = tmp_path / "missing" / "x"
+        argv = ["reduce", "--algo", "greedy", "--in", src]
+        for f, path in outputs.items():
+            argv += [f, str(path)]
+        assert run_cli(*argv) == 1
+        assert f"cannot write {outputs[flag]}" in capsys.readouterr().err
+        # Nothing was created, the writable output included.
+        assert sorted(q.name for q in tmp_path.iterdir()) == ["in.mat"]
+
+    def test_output_may_be_the_input(self, tmp_path):
+        src = write_skewed(tmp_path / "in.mat")
+        assert run_cli("reduce", "--algo", "greedy", "--in", src,
+                       "--out", src) == 0
+        assert read_mat(src) == Basis.identity(2)
+
 
 class TestBench:
     def test_row_counts(self, tmp_path, capsys):
@@ -301,3 +336,22 @@ class TestBench:
     def test_even_q_exits_2(self, tmp_path):
         assert run_cli("bench", "--q", "8190", "--ell-list", "1",
                        "--csv", str(tmp_path / "x.csv")) == 2
+
+    def test_unwritable_csv_exits_1_before_any_trial(self, tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.setattr(cli_mod, "run_experiment", must_not_run)
+        path = tmp_path / "missing" / "x.csv"
+        assert run_cli("bench", "--q", str(Q13), "--ell-list", "8",
+                       "--trials", "3", "--csv", str(path)) == 1
+        assert f"cannot write {path}" in capsys.readouterr().err
+
+    def test_left_out_flags_take_the_config_defaults(self, tmp_path):
+        short, spelled = tmp_path / "short.csv", tmp_path / "spelled.csv"
+        assert run_cli("bench", "--q", str(Q13), "--ell-list", "1",
+                       "--csv", str(short)) == 0
+        assert run_cli("bench", "--q", str(Q13), "--ell-list", "1",
+                       "--trials", "10", "--mode", "once", "--p", "2.0",
+                       "--seed", "0", "--csv", str(spelled)) == 0
+        rows = untimed_rows(short)
+        assert len(rows) == 1 + 10 + 3
+        assert rows == untimed_rows(spelled)

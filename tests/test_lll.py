@@ -11,6 +11,7 @@ from latred.core import (
     IntRows,
     apply_transform,
     det_small,
+    is_unimodular,
     summarize_columns,
 )
 from latred.genlat import ExampleSpec, gen_example, random_permutation
@@ -420,6 +421,21 @@ class TestLLLReduce:
         basis = Basis([[1, 0], [2, 0], [0, 1]])
         with pytest.raises(ValueError, match="column 1"):
             lll_reduce(basis)
+
+    @pytest.mark.xfail(strict=True, raises=ValueError,
+                       reason="the float rank test rejects this full-rank "
+                              "basis: a residual near 1 against a column "
+                              "norm near 2**120")
+    def test_full_rank_knapsack_basis_reduces(self):
+        # Unit columns over a weight row from [2**59, 2**60), row last.
+        rng = random.Random(1)
+        n = 10
+        weights = [rng.randrange(1 << 59, 1 << 60) for _ in range(n)]
+        basis = Basis([[int(i == j) for i in range(n)] + [weights[j]]
+                       for j in range(n)])
+        res = lll_reduce(basis, track_transform=True)
+        assert apply_transform(basis, res.transform) == res.basis
+        assert is_unimodular(res.transform) is True
 
 
 class TestLLLConfig:
