@@ -33,7 +33,7 @@ from .genlat import ExampleSpec, gen_example
 from .greedy import SCORE_MODES, ReduceConfig, reduce as greedy_reduce
 from .harness import (CSV_HEADER, MODES, ExperimentConfig, emit_csv,
                       run_experiment)
-from .lll import DEFAULT_DELTA, LLLConfig, lll_reduce
+from .lll import LLLConfig, lll_reduce
 
 # reduce's flags that only some --algo values read: (flag, dest, those
 # values).  Each defaults to None, so a given flag can be told apart.
@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--ell-list", type=_int_list, default=(2, 4, 8, 16))
     bench.add_argument("--trials", type=int, default=None)
     bench.add_argument("--mode", choices=MODES, default=None)
-    bench.add_argument("--delta", type=float, default=DEFAULT_DELTA)
+    bench.add_argument("--delta", type=float, default=None)
     bench.add_argument("--p", type=float, default=None)
     bench.add_argument("--seed", type=int, default=None)
     bench.add_argument("--csv", required=True)
@@ -214,9 +214,9 @@ def cmd_bench(args) -> int:
     config = ExperimentConfig(
         q=args.q,
         ell_list=args.ell_list,
-        delta=args.delta,
         **_given(p_schedule=None if args.p is None else (args.p,),
-                 trials=args.trials, mode=args.mode, seed=args.seed),
+                 delta=args.delta, trials=args.trials, mode=args.mode,
+                 seed=args.seed),
     )
     _check_writable(args.csv)
     records = run_experiment(config)

@@ -10,12 +10,16 @@ always indicates a bug.
 One packer, _pack, turns integer rows into an int64 array with its
 measured largest |entry|, or, when an entry does not fit int64, into a
 dtype=object array of Python ints with no bound.  One product, _product,
-serves gram_compute and apply_transform: a numpy int64 matmul when a
-bound checked from the input proves every partial sum fits int64
-(m * M**2 < 2**63 for the inner products of length-m columns with
-largest |entry| M, and n * M_B * M_U < 2**63 for the product of a basis
-and an n x n transform), and otherwise the same product on Python ints,
-packed again so that a result that fits is still int64.  One range
+serves gram_compute and apply_transform (and so pipeline's composition
+of transforms).  It takes one of three routes by the bound t * M_a * M_b
+on every partial sum, t being the inner length and M_a, M_b the
+operands' largest |entry| (m * M**2 for the Gram matrix of length-m
+columns, n * M_B * M_U for a basis times an n x n transform): a float64
+matmul through BLAS below 2**53, a numpy int64 matmul below 2**63, and
+Python ints past that.  The float64 route is exact because every sum a
+matmul forms, in any order, blocking or thread split, is an integer
+below 2**53, which float64 holds exactly.  Every result is packed
+again, so a result that fits is int64 with its measured bound.  One range
 check, _check_range, names the first entry of a Python-int array that
 leaves the signed 128-bit range; gram_compute, update_gram, IntRows and
 pipeline all go through it.  IntRows, the one store every reducer
@@ -46,9 +50,10 @@ when a new squared norm comes out negative.
 Every reducer runs inside run_reducer, which owns the frame around its
 loop: the IntRows of the input's columns, stacked on the identity when a
 transform is tracked, the one write-back into the result's basis and
-transform, the exact before/after norm summaries, the timing and the
-ReductionResult.  It is the only code that knows whether a transform is
-tracked.  pipeline chains reducers.
+transform, the exact before/after norm summaries (read from the rows
+while they are int64), the timing and the ReductionResult.  It is the
+only code that knows whether a transform is tracked.  pipeline chains
+reducers.
 """
 
 from __future__ import annotations
@@ -68,6 +73,10 @@ INT128_MIN = -(1 << 127)
 # M_a and M_b, is exact when t * M_a * M_b < _INT64_LIMIT: every partial sum
 # then fits int64, so every result also lies inside the 128-bit range.
 _INT64_LIMIT = 1 << 63
+
+# float64 holds every integer below this exactly, so a float64 product with
+# t * M_a * M_b < _FLOAT64_LIMIT forms only exact partial sums.
+_FLOAT64_LIMIT = 1 << 53
 
 # Largest n for which det_small, and so is_unimodular, gives an answer.
 _DET_MAX_N = 16
@@ -271,15 +280,26 @@ def _pack(values):
 def _product(a, b):
     """Exact a @ b of two packed arrays, packed as _pack packs it.
 
-    a and b are (array, bound) pairs as _pack returns them.  The product
-    runs as a numpy int64 matmul only when t * M_a * M_b < 2**63, for
-    inner length t and bounds M_a and M_b, which proves every partial sum
-    fits int64; otherwise it runs on Python ints.  Either result is packed
-    again, so a wide product whose entries fit int64 comes back int64
-    with its measured bound.
+    a and b are (array, bound) pairs as _pack returns them.  Every partial
+    sum is at most t * M_a * M_b in magnitude, for inner length t and
+    bounds M_a and M_b, and that bound picks the route:
+
+    - below 2**53, a float64 matmul through BLAS.  Whatever order,
+      blocking or thread split the matmul uses, each sum it forms is a sum
+      of some of the t exact integer products, so an integer below 2**53:
+      every multiply, add and fused multiply-add is exact, and so is the
+      cast of each entry back to int64.  A zero bound gives 0 exactly;
+    - below 2**63, a numpy int64 matmul, where every partial sum fits;
+    - otherwise Python ints.
+
+    Every result is packed again, so a wide product whose entries fit
+    int64 comes back int64 with its measured bound.
     """
     (x, bx), (y, by) = a, b
-    if bx is None or by is None or x.shape[1] * bx * by >= _INT64_LIMIT:
+    worst = _INT64_LIMIT if bx is None or by is None else x.shape[1] * bx * by
+    if worst < _FLOAT64_LIMIT:
+        x, y = x.astype(np.float64), y.astype(np.float64)
+    elif worst >= _INT64_LIMIT:
         x, y = x.astype(object), y.astype(object)
     return _pack(np.matmul(x, y))
 
@@ -300,10 +320,10 @@ def _check_range(a, name) -> None:
 def gram_compute(basis: Basis) -> GramMatrix:
     """Exact Gram matrix of the basis columns.
 
-    It is one _product of the packed columns with their transpose: int64
-    when m * M**2 < 2**63, and otherwise the full matrix on Python ints,
-    stored as int64 when it fits.  An entry past the signed 128-bit range
-    raises OverflowError naming it.
+    It is one _product of the packed columns with their transpose: float64
+    when m * M**2 < 2**53, int64 when m * M**2 < 2**63, and otherwise the
+    full matrix on Python ints, stored as int64 when it fits.  An entry
+    past the signed 128-bit range raises OverflowError naming it.
     """
     out = object.__new__(GramMatrix)
     a, bound = _pack(basis.cols)
@@ -314,8 +334,9 @@ def gram_compute(basis: Basis) -> GramMatrix:
 
 def column_norms_sq(basis: Basis) -> list[int]:
     """Exact squared norm of every column (the Gram diagonal, cheaper)."""
-    # No int64 route: converting the columns costs as much as this O(n m)
-    # loop, so only the O(n**2 m) products gain from one.
+    # No int64 route here: converting the columns costs as much as this
+    # O(n m) loop.  run_reducer reads its summaries from the rows it has
+    # already packed instead (_summarize_rows).
     out = []
     for col in basis.cols:
         s = sum(map(operator.mul, col, col))
@@ -362,11 +383,14 @@ def fold_sum(values) -> float:
     return reduce(operator.add, values, 0.0)
 
 
-def summarize_columns(basis: Basis) -> NormSummary:
-    """Frobenius-squared and minimum nonzero squared column norm."""
-    norms = column_norms_sq(basis)
+def _summary(norms: list[int]) -> NormSummary:
     nonzero = [d for d in norms if d > 0]
     return NormSummary(sum(norms), min(nonzero) if nonzero else 0)
+
+
+def summarize_columns(basis: Basis) -> NormSummary:
+    """Frobenius-squared and minimum nonzero squared column norm."""
+    return _summary(column_norms_sq(basis))
 
 
 def corrupt_gram(j: int, k: int) -> ArithmeticError:
@@ -575,14 +599,30 @@ def apply_transform(basis: Basis, transform: TransformRecord) -> Basis:
     """Exact product basis . transform, of the same type as basis.
 
     Used to verify tracked reductions and, with a transform as basis, to
-    compose transforms.  It is one _product: int64 when
-    n * M_B * M_U < 2**63, Python ints otherwise.  Entries are not
-    range-checked.
+    compose transforms.  It is one _product: float64 when
+    n * M_B * M_U < 2**53, int64 when n * M_B * M_U < 2**63, Python ints
+    otherwise.  Entries are not range-checked.
     """
     if transform.n != basis.n:
         raise ValueError("transform dimension does not match basis")
     cols, _ = _product(_pack(transform.cols), _pack(basis.cols))
     return basis._trusted(basis.m, cols.tolist())
+
+
+def _summarize_rows(rows: IntRows, basis: Basis) -> NormSummary:
+    """summarize_columns(basis), where basis is the basis part of rows.
+
+    While the rows are int64 and m * M**2 < 2**63, for the basis part's
+    largest |entry| M, every squared norm is one int64 einsum over the
+    stacked basis parts, and the Frobenius total is summed in Python ints
+    (it can pass 2**63 when no single norm does).  Otherwise it is
+    summarize_columns(basis), with its 128-bit range check.
+    """
+    if rows.bounds is not None:
+        a = np.stack(rows.rows)[:, :rows.m]
+        if rows.m * _max_abs(a) ** 2 < _INT64_LIMIT:
+            return _summary(np.einsum("ij,ij->i", a, a).tolist())
+    return summarize_columns(basis)
 
 
 def run_reducer(basis: Basis, track_transform: bool, body) -> ReductionResult:
@@ -597,13 +637,15 @@ def run_reducer(basis: Basis, track_transform: bool, body) -> ReductionResult:
     Gram-Schmidt, entry sizes) from basis, which is never mutated.  The
     rows are written back once, into the result's basis and
     TransformRecord; before and after are the exact column-norm summaries
-    of the input and the output, and seconds covers the whole call.
+    of the input and the output, read from the basis part of the rows
+    before and after the body (_summarize_rows), and seconds covers the
+    whole call.
     """
     started = time.perf_counter()
-    before = summarize_columns(basis)
     m, n = basis.m, basis.n
     rows = IntRows(basis.cols,
                    np.eye(n, dtype=np.int64) if track_transform else None)
+    before = _summarize_rows(rows, basis)
     iterations = body(rows)
     out = basis._trusted(m, [row[:m].tolist() for row in rows.rows])
     transform = None
@@ -614,7 +656,7 @@ def run_reducer(basis: Basis, track_transform: bool, body) -> ReductionResult:
         basis=out,
         iterations_applied=iterations,
         before=before,
-        after=summarize_columns(out),
+        after=_summarize_rows(rows, out),
         seconds=time.perf_counter() - started,
         transform=transform,
     )

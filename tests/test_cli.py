@@ -355,3 +355,12 @@ class TestBench:
         rows = untimed_rows(short)
         assert len(rows) == 1 + 10 + 3
         assert rows == untimed_rows(spelled)
+
+    def test_left_out_delta_takes_the_config_default(self, tmp_path):
+        short, spelled = tmp_path / "short.csv", tmp_path / "spelled.csv"
+        assert run_cli("bench", "--q", str(Q13), "--ell-list", "1",
+                       "--csv", str(short)) == 0
+        assert run_cli("bench", "--q", str(Q13), "--ell-list", "1",
+                       "--delta", "0.999999999999999",
+                       "--csv", str(spelled)) == 0
+        assert untimed_rows(short) == untimed_rows(spelled)

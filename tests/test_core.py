@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 
@@ -70,18 +71,25 @@ class TestGramCompute:
 
 
 class MatmulCounter:
-    """Stands in for numpy inside core and counts the int64 products."""
+    """Stands in for numpy inside core and counts its products by route.
+
+    routes counts the products by operand dtype: "float64" (BLAS),
+    "int64" and "object" (Python ints); calls is the int64 count.
+    """
 
     def __init__(self):
-        self.calls = 0
+        self.routes = collections.Counter()
 
     def __getattr__(self, name):
         return getattr(np, name)
 
+    @property
+    def calls(self):
+        return self.routes["int64"]
+
     def matmul(self, a, b):
-        # The Python-int route multiplies dtype=object arrays; only the
-        # int64 route's products count.
-        self.calls += a.dtype == b.dtype == np.int64
+        assert a.dtype == b.dtype
+        self.routes[a.dtype.name] += 1
         return np.matmul(a, b)
 
 
@@ -218,6 +226,100 @@ class TestInt64Route:
             assert column_norms_sq(basis) == [
                 gram_oracle(basis.cols)[j][j] for j in range(basis.n)
             ]
+
+
+class TestFloat64Route:
+    """Products whose partial sums stay below 2**53 run as float64 BLAS.
+
+    At 2**53 and above they take the int64 route.  m * M**2 is 2**53 - 1
+    or 2**53 + 1 for no M > 1 (both are squarefree), so the Gram cases
+    step M around m * M**2 == 2**53, as the int64 route's tests do
+    around 2**63; the transform cases hit all three values.
+    """
+
+    @pytest.mark.parametrize(
+        "m, bound", [(2, 1 << 26), (8, 1 << 25), (1, 94906266)])
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    def test_gram_around_the_bound(self, monkeypatch, m, bound, step):
+        # 94906266 is the least M with M**2 > 2**53.
+        bound += step
+        below = m * bound * bound < 1 << 53
+        assert below == (step < 0)
+        cols = bounded_cols(random.Random(m * 10 + step), 5, m, bound)
+        counter = MatmulCounter()
+        monkeypatch.setattr(core, "np", counter)
+        gram = gram_compute(Basis(cols))
+        expected = gram_oracle(cols)
+        assert gram.tolist() == expected
+        # Column 0 is all M, so g[0][0] = m * M**2 is the largest entry.
+        assert gram.g.dtype == np.int64 and gram.bound == m * bound * bound
+        assert counter.routes == {"float64" if below else "int64": 1}
+
+    @pytest.mark.parametrize("n, bound_b, bound_u", [
+        (1, 441650591, 20394401),   # 2**53 - 1
+        (2, 1 << 26, 1 << 26),      # 2**53
+        (4, 1 << 30, 1 << 21),      # 2**53
+        (3, 28059810762433, 107),   # 2**53 + 1
+    ])
+    def test_transform_product_around_the_bound(self, monkeypatch, n,
+                                                bound_b, bound_u):
+        worst = n * bound_b * bound_u
+        assert abs(worst - (1 << 53)) <= 1
+        rng = random.Random(n)
+        basis_cols = bounded_cols(rng, n, 3, bound_b)
+        for col in basis_cols:
+            col[0] = bound_b
+        u_cols = bounded_cols(rng, n, n, bound_u)
+        # Row 0 of the basis times column 0 of U reaches the bound.
+        expected = product_oracle(basis_cols, u_cols)
+        assert abs(expected[0][0]) == worst
+        counter = MatmulCounter()
+        monkeypatch.setattr(core, "np", counter)
+        out = apply_transform(Basis(basis_cols), TransformRecord(u_cols))
+        assert out.cols == expected
+        assert_all_int(out.cols)
+        store, bound = core._product(core._pack(u_cols),
+                                     core._pack(basis_cols))
+        assert store.dtype == np.int64 and bound == worst
+        route = "float64" if worst < 1 << 53 else "int64"
+        assert counter.routes == {route: 2}
+
+    def test_zero_operand_against_entries_near_2_62(self, monkeypatch):
+        # float64 rounds entries this large, but 0 times any of them is 0.
+        rng = random.Random(62)
+        big = [[rng.randint((1 << 62) - 1000, 1 << 62) * rng.choice((-1, 1))
+                for _ in range(3)] for _ in range(3)]
+        zero = [[0] * 3 for _ in range(3)]
+        counter = MatmulCounter()
+        monkeypatch.setattr(core, "np", counter)
+        for a, b in ((zero, big), (big, zero)):
+            store, bound = core._product(core._pack(a), core._pack(b))
+            assert store.dtype == np.int64 and bound == 0
+            assert store.tolist() == zero
+        out = apply_transform(Basis(zero), TransformRecord(big))
+        assert out.cols == zero
+        assert counter.routes == {"float64": 3}
+
+    def test_blocked_256_product_just_under_the_bound(self, monkeypatch):
+        # 256 * M**2 < 2**53 for this M, and the product is large enough
+        # for BLAS to run its blocked (and possibly threaded) kernel.
+        m = 256
+        bound = math.isqrt(((1 << 53) - 1) // m)
+        assert m * bound * bound < 1 << 53 <= m * (bound + 1) ** 2
+        rng = np.random.default_rng(256)
+        a = rng.integers(-bound, bound, size=(256, m), endpoint=True)
+        a[:8] = bound
+        a[8:16] = -bound
+        counter = MatmulCounter()
+        monkeypatch.setattr(core, "np", counter)
+        gram = gram_compute(Basis(a.tolist()))
+        assert counter.routes == {"float64": 1}
+        # The int64 matmul is exact here too (m * M**2 < 2**63), and runs
+        # on numpy's own integer loop rather than BLAS.
+        expected = np.matmul(a, a.T)
+        assert gram.g.dtype == np.int64
+        assert np.array_equal(gram.g, expected)
+        assert gram.bound == m * bound * bound
 
 
 class TestNintRatio:
@@ -652,6 +754,86 @@ class TestRunReducer:
         res = run_reducer(Basis([[1, 2, 3], [4, 5, 6]]), True, body)
         assert seen == [(3, [[1, 2, 3, 1, 0], [4, 5, 6, 0, 1]])]
         assert res.transform == TransformRecord.identity(2)
+
+
+class TestSummariesFromRows:
+    """run_reducer's summaries equal summarize_columns on the same basis."""
+
+    @staticmethod
+    def only_rows(monkeypatch):
+        """Make the summarize_columns fallback fail, so a passing call read
+        the rows."""
+        def fallback(basis):
+            raise AssertionError("summarize_columns ran")
+        monkeypatch.setattr(core, "summarize_columns", fallback)
+
+    def test_frobenius_total_past_int64_is_exact(self, monkeypatch):
+        # Each squared norm is 2 * 2**60 < 2**63; their sum is 2**63,
+        # which an int64 sum would wrap to -2**63.
+        basis = Basis([[1 << 30, -(1 << 30)] for _ in range(4)])
+        expected = summarize_columns(basis)
+        assert expected == NormSummary(1 << 63, 1 << 61)
+        self.only_rows(monkeypatch)
+        res = run_reducer(basis, False, lambda rows: 0)
+        assert res.before == res.after == expected
+        assert type(res.before.frobenius_sq) is int
+
+    @pytest.mark.parametrize("cols", [
+        [[1 << 64, 0], [1, 1]],              # Python-int rows
+        [[(1 << 63) - 1] * 4, [1, 1, 1, 1]],  # int64 rows, m * M**2 >= 2**63
+    ])
+    def test_norm_past_128_bits_raises(self, cols):
+        with pytest.raises(OverflowError,
+                           match="column norm exceeds the signed 128-bit"):
+            run_reducer(Basis(cols), False, lambda rows: 0)
+
+    @pytest.mark.parametrize("cols, expected", [
+        ([[0, 0], [0, 3], [0, 0]], NormSummary(9, 9)),
+        ([[0, 0], [0, 0]], NormSummary(0, 0)),
+    ])
+    def test_zero_columns_are_skipped(self, monkeypatch, cols, expected):
+        self.only_rows(monkeypatch)
+        for track in (False, True):
+            res = run_reducer(Basis(cols), track, lambda rows: 0)
+            assert res.before == res.after == expected
+
+    def test_tracked_run_reads_only_the_basis_part(self, monkeypatch):
+        def body(rows):
+            apply_column_op(rows, None, 1, 0, 1000)
+            return 1
+
+        self.only_rows(monkeypatch)
+        res = run_reducer(Basis.identity(2), True, body)
+        # Whole rows would give 2 per unit column, and 2 * 1000001 after.
+        assert res.transform == TransformRecord([[1, 0], [-1000, 1]])
+        assert res.before == NormSummary(2, 1)
+        assert res.after == NormSummary(1000002, 1)
+
+    def test_random_bases_match_summarize_columns(self):
+        rng = random.Random(404)
+        for _ in range(60):
+            # 2**58 keeps every norm inside 128 bits after the moves; at
+            # m >= 3 it also fails m * M**2 < 2**63, so the fallback runs.
+            entry = rng.choice((3, 1 << 20, 1 << 31, 1 << 40, 1 << 58))
+            basis = random_basis(rng, max_entry=entry)
+            n = basis.n
+
+            def body(rows):
+                for _ in range(3):
+                    j, k = rng.sample(range(n), 2) if n > 1 else (0, 0)
+                    if j != k:
+                        apply_column_op(rows, None, j, k, rng.randint(-2, 2))
+                return 0
+
+            track = rng.random() < 0.5
+            res = run_reducer(basis, track, body)
+            assert res.before == summarize_columns(basis)
+            assert res.after == summarize_columns(res.basis)
+        # Python-int rows, with every norm inside 128 bits.
+        basis = Basis([[1 << 63, 1], [3, 0], [0, 0]])
+        res = run_reducer(basis, True, lambda rows: 0)
+        assert res.before == res.after == summarize_columns(basis)
+        assert res.before == NormSummary((1 << 126) + 10, 9)
 
 
 class TestDeterminant:
