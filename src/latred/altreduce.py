@@ -70,15 +70,16 @@ class AltConfig:
 def random_combination_step(rows: IntRows, gram: GramMatrix, j: int) -> bool:
     """Subtract from column j the rounded best combination of the others.
 
-    Each nonzero coefficient is one apply_column_op.  The real-valued
-    coefficients come from the normal equations over the Gram submatrix
-    of the other nonzero columns, solved in floating point (any float
-    error below 1/2 disappears in the rounding); a zero column would make
-    that system singular and has nothing to contribute, so it is left
-    out.  Coefficients of magnitude under ROUNDS_TO_ZERO are dropped
-    without rounding each one.  Returns whether anything changed; a
-    system that is still singular (dependent nonzero columns) is skipped
-    with a warning.
+    The whole rounded combination is one apply_column_op, which writes
+    column j and its Gram row once.  The real-valued coefficients come
+    from the normal equations over the Gram submatrix of the other
+    nonzero columns, solved in floating point (any float error below 1/2
+    disappears in the rounding); a zero column would make that system
+    singular and has nothing to contribute, so it is left out.
+    Coefficients of magnitude under ROUNDS_TO_ZERO are dropped without
+    rounding each one.  Returns whether anything changed; a system that
+    is still singular (dependent nonzero columns) is skipped with a
+    warning.
     """
     fg = gram.g.astype(float)
     # Column j and every zero column stay out of the system.
@@ -95,12 +96,12 @@ def random_combination_step(rows: IntRows, gram: GramMatrix, j: int) -> bool:
     if not np.all(np.isfinite(coeffs)):
         log.warning("non-finite coefficients for column %d; step skipped", j)
         return False
-    changed = False
-    for idx in np.flatnonzero(np.abs(coeffs) >= ROUNDS_TO_ZERO).tolist():
-        apply_column_op(rows, gram, j, int(others[idx]),
-                        nint_float(float(coeffs[idx])))
-        changed = True
-    return changed
+    large = np.flatnonzero(np.abs(coeffs) >= ROUNDS_TO_ZERO)
+    if not len(large):
+        return False
+    apply_column_op(rows, gram, j, list(zip(
+        others[large].tolist(), map(nint_float, coeffs[large].tolist()))))
+    return True
 
 
 def random_combination_reduce(basis: Basis, config: AltConfig | None = None, *,

@@ -27,25 +27,29 @@ changes columns in, applies the same rule to a run of column
 operations: its rows stay int64 while a per-row bound proves each
 operation exact, and are Python ints, range-checked, from then on.
 GramMatrix is one n x n array under the same rule: int64 while its
-tracked bound B on every |entry| gives B * (1 + max|c|)**2 < 2**63 for
-each pivot's coefficients c (B is measured again once before the store
-widens), Python ints after that.  Both dtypes run the same whole-array
-code.
+tracked bound B on every |entry| gives B * (1 + a)**2 < 2**63, a being
+max|c| over a pivot's coefficients c or sum|c| over a combination's (B
+is measured again once before the store widens), Python ints after
+that.  Both dtypes run the same whole-array code.
 
-A column operation moves one column; a pivot k moves a sparse list of
-columns, the (j, c) pairs of column j -= c * column k.  A tracked
-transform U (input . U = output) needs no store of its own: row j of
-IntRows holds basis column j followed by transform column j, so the same
-row operation that changes [b_j] changes [b_j; u_j], a swap swaps both,
-and one int64 bound covers the whole row.  apply_moves applies a pivot
-to the rows and the Gram matrix (update_gram, the one exact Gram update,
-which rewrites only the moved rows and columns) all or nothing: every
-new value is computed and range-checked before any is written, so
-nothing is ever undone.  LLL's size reduction takes the same two phases,
-one move at a time.  Scoring candidate pivots is the reducers' own
-whole-array work (greedy's pivot table, mgs's round); core holds no
-per-pair norm helper, only corrupt_gram, the one error either raises
-when a new squared norm comes out negative.
+Column operations come in two shapes.  A pivot k moves a sparse list
+of columns, the (j, c) pairs of column j -= c * column k; a combination
+moves one column j by a list of sources, column j -= sum of c * column k
+over its (k, c) pairs.  A tracked transform U (input . U = output) needs
+no store of its own: row j of IntRows holds basis column j followed by
+transform column j, so the same row operation that changes [b_j]
+changes [b_j; u_j], a swap swaps both, and one int64 bound covers the
+whole row.  apply_moves applies a pivot to the rows and the Gram matrix
+(update_gram, which rewrites only the moved rows and columns), and
+apply_column_op applies a combination (update_gram_column, which
+rewrites only row and column j), both all or nothing: every new value
+is computed and range-checked before any is written, so nothing is ever
+undone.  A combination is written once, so only its result is
+range-checked, never the columns partway through its sum.  rand-comb's
+step and LLL's size reduction are combinations.  Scoring candidate
+pivots is the reducers' own whole-array work (greedy's pivot table,
+mgs's round); core holds no per-pair norm helper, only corrupt_gram,
+the one error either raises when a new squared norm comes out negative.
 
 Every reducer runs inside run_reducer, which owns the frame around its
 loop: the IntRows of the input's columns, stacked on the identity when a
@@ -410,17 +414,21 @@ class IntRows:
     int64 while bounds, one Python int per row at least as large as the
     row's largest |entry| over both parts, prove that every operation is
     exact: rows[j] - c * rows[k] is done in int64 only when |c| < 2**63
-    and bounds[j] + |c| * bounds[k] < 2**63.  When that test fails, the
-    two rows' bounds are measured again; when it still fails, every row
-    becomes dtype=object (Python ints, exact at any size) for good, and
-    bounds is None.  Basis and transform share the bound, so both leave
-    int64 together.  On the Python-int path each operation is checked
-    against the signed 128-bit range and raises OverflowError naming the
-    basis or transform column, with the rows unchanged.
+    and bounds[j] + |c| * bounds[k] < 2**63, and a combination
+    rows[j] - sum of c * rows[k] only when every |c| < 2**63 and
+    bounds[j] + sum of |c| * bounds[k] < 2**63, which bounds every
+    partial sum.  When that test fails, the bounds of the rows involved
+    are measured again; when it still fails, every row becomes
+    dtype=object (Python ints, exact at any size) for good, and bounds is
+    None.  Basis and transform share the bound, so both leave int64
+    together.  On the Python-int path each new row is checked against the
+    signed 128-bit range and raises OverflowError naming the basis or
+    transform column, with the rows unchanged.
 
-    Operations go in two phases, so that apply_moves can check the rows
-    and the Gram matrix before it writes either: moved computes a pivot's
-    operations and writes no row, and put writes them and cannot fail.
+    Operations go in two phases, so that apply_moves and apply_column_op
+    can check the rows and the Gram matrix before they write either:
+    moved (a pivot) and combination compute new rows and write none, and
+    put writes them and cannot fail.
     """
 
     __slots__ = ("rows", "bounds", "m")
@@ -445,6 +453,11 @@ class IntRows:
             self.bounds = [_max_abs(stacked)] * len(cols)
         self.m = m
 
+    def _widen(self) -> None:
+        """Make every row dtype=object for good."""
+        self.rows = [row.astype(object) for row in self.rows]
+        self.bounds = None
+
     def _int64_bound(self, j: int, k: int, c: int) -> int | None:
         """Bound of rows[j] - c * rows[k] when it is exact in int64, else None.
 
@@ -462,8 +475,28 @@ class IntRows:
             b = bounds[j] + a * bounds[k]
             if b < _INT64_LIMIT:
                 return b
-        self.rows = [row.astype(object) for row in self.rows]
-        self.bounds = None
+        self._widen()
+        return None
+
+    def _sum_bound(self, j: int, moves) -> int | None:
+        """_int64_bound for rows[j] - sum of c * rows[k] over moves."""
+        bounds = self.bounds
+        b = bounds[j]
+        for k, c in moves:
+            a = abs(c)
+            # c itself must fit int64, even against a zero row.
+            if a >= _INT64_LIMIT:
+                break
+            b += a * bounds[k]
+        else:
+            if b < _INT64_LIMIT:
+                return b
+            for i in (j, *(k for k, _ in moves)):
+                bounds[i] = _max_abs(self.rows[i])
+            b = bounds[j] + sum(abs(c) * bounds[k] for k, c in moves)
+            if b < _INT64_LIMIT:
+                return b
+        self._widen()
         return None
 
     def moved(self, k: int, moves) -> list:
@@ -495,8 +528,29 @@ class IntRows:
                          lambda i, _: f"transform column {moves[i][0]}")
         return out
 
+    def combination(self, j: int, moves) -> list:
+        """[(j, rows[j] - sum of c * rows[k] over (k, c) in moves, bound)],
+        for a nonempty moves.
+
+        Writes no row; put writes the result.  On Python ints only the
+        result is range-checked, basis part first, so a column partway
+        through the sum may leave the 128-bit range.
+        """
+        b = None if self.bounds is None else self._sum_bound(j, moves)
+        rows = self.rows
+        (k, c), *rest = moves
+        row = rows[j] - c * rows[k]
+        for k, c in rest:
+            row -= c * rows[k]
+        if b is None:
+            m = self.m
+            _check_range(row[None, :m], lambda *_: f"basis column {j}")
+            _check_range(row[None, m:], lambda *_: f"transform column {j}")
+        return [(j, row, b)]
+
     def put(self, new) -> None:
-        """Write the rows, and their bounds, that moved computed."""
+        """Write the rows, and their bounds, that moved or combination
+        computed."""
         for j, row, b in new:
             self.rows[j] = row
             if b is not None:
@@ -515,11 +569,27 @@ class IntRows:
 
 
 def _gram_fits_int64(gram: GramMatrix, a: int) -> bool:
-    """Whether an update with largest |c| = a is exact on gram's int64 store.
+    """Whether an update with coefficient size a is exact on gram's int64
+    store: a is max|c| for a pivot and sum|c| for a combination.
 
     Every partial sum of the update is at most bound * (1 + a)**2.
     """
     return a < _INT64_LIMIT and gram.bound * (1 + a) ** 2 < _INT64_LIMIT
+
+
+def _gram_store(gram: GramMatrix, a: int):
+    """gram.g, widened first when an update of size a is not exact on it.
+
+    The int64 store is kept while _gram_fits_int64 holds; when it fails
+    the bound is measured again, and when it still fails the store
+    becomes Python ints for good.
+    """
+    if gram.bound is not None and not _gram_fits_int64(gram, a):
+        gram.bound = _max_abs(gram.g)
+        if not _gram_fits_int64(gram, a):
+            gram.g = gram.g.astype(object)
+            gram.bound = None
+    return gram.g
 
 
 def update_gram(gram: GramMatrix, k: int, moves) -> None:
@@ -532,27 +602,17 @@ def update_gram(gram: GramMatrix, k: int, moves) -> None:
     (c[l] = 0 for l outside S), computed for all of S as a few whole-array
     operations on the rows S and mirrored into the columns S.
 
-    The int64 store is kept while bound * (1 + max|c|)**2 < 2**63, which
-    bounds every partial sum; when that fails the bound is measured again,
-    and when it still fails the store becomes Python ints for good.  On
-    Python ints the new rows are range-checked before any is written, so
-    on OverflowError, which names the first bad entry, no value has
-    changed.  This is the one exact Gram update: apply_moves, and with it
-    apply_column_op, the greedy polish and mgs, goes through it.
+    The int64 store is kept while bound * (1 + max|c|)**2 < 2**63
+    (_gram_store).  On Python ints the new rows are range-checked before
+    any is written, so on OverflowError, which names the first bad entry,
+    no value has changed.  apply_moves, and with it the greedy polish and
+    mgs, goes through it.
     """
     if not moves:
         return
     idx = np.array([j for j, _ in moves], dtype=np.intp)
-    cs = [c for _, c in moves]
-    if gram.bound is not None:
-        a = max(map(abs, cs))
-        if not _gram_fits_int64(gram, a):
-            gram.bound = _max_abs(gram.g)
-            if not _gram_fits_int64(gram, a):
-                gram.g = gram.g.astype(object)
-                gram.bound = None
-    g = gram.g
-    cs = np.array(cs, dtype=g.dtype)
+    g = _gram_store(gram, max(abs(c) for _, c in moves))
+    cs = np.array([c for _, c in moves], dtype=g.dtype)
     c = np.zeros(len(g), dtype=g.dtype)
     c[idx] = cs
     gk = g[k]
@@ -563,6 +623,32 @@ def update_gram(gram: GramMatrix, k: int, moves) -> None:
         gram.bound = max(gram.bound, _max_abs(new))
     g[idx] = new
     g[:, idx] = new.T
+
+
+def update_gram_column(gram: GramMatrix, j: int, moves) -> None:
+    """Update the Gram matrix for column j -= sum of c * column k, in O(|w| n).
+
+    moves lists the (k, c) pairs, k != j, and w is the coefficient
+    vector they form.  Only row and column j change:
+    g'[j][l] = g[j][l] - (G w)[l] for l != j, and
+    g'[j][j] = g[j][j] - 2 (G w)[j] + w^T G w.
+
+    The int64 store is kept while bound * (1 + sum|c|)**2 < 2**63
+    (_gram_store).  On Python ints the new row is range-checked before it
+    is written, so on OverflowError, which names the first bad entry, no
+    value has changed.
+    """
+    g = _gram_store(gram, sum(abs(c) for _, c in moves))
+    ks = np.array([k for k, _ in moves], dtype=np.intp)
+    cs = np.array([c for _, c in moves], dtype=g.dtype)
+    gw = cs @ g[ks]
+    new = g[j] - gw
+    new[j] += cs @ gw[ks] - gw[j]
+    _check_range(new[None, :], lambda _, l: f"Gram entry ({j},{l})")
+    if gram.bound is not None:
+        gram.bound = max(gram.bound, _max_abs(new))
+    g[j] = new
+    g[:, j] = new
 
 
 def apply_moves(rows: IntRows, gram, k: int, moves) -> None:
@@ -583,16 +669,28 @@ def apply_moves(rows: IntRows, gram, k: int, moves) -> None:
     rows.put(new)
 
 
-def apply_column_op(rows: IntRows, gram, j: int, k: int, c: int) -> None:
-    """Elementary column operation: column j -= c * column k.
+def apply_column_op(rows: IntRows, gram, j: int, moves) -> None:
+    """Column operation: column j -= sum of c * column k over (k, c) in moves.
 
-    apply_moves with the one move (j, c), so it is all or nothing too;
-    c == 0 changes nothing.  It has unit determinant, so tracked
+    The sources never change during the operation, so it equals applying
+    the moves one at a time, but it writes column j once: the new basis
+    column, the new transform column and the new Gram row
+    (update_gram_column, when a Gram matrix is given) are computed and
+    range-checked in that order, and only then written.  So it is all or
+    nothing, as apply_moves is, and only the result is range-checked, not
+    the column after each move.  A source equal to j raises ValueError;
+    moves with c == 0 are skipped.  It has unit determinant, so tracked
     transforms stay unimodular.
     """
-    if j == k:
+    if any(k == j for k, _ in moves):
         raise ValueError("column indices must differ")
-    apply_moves(rows, gram, k, ((j, c),))
+    moves = [(k, c) for k, c in moves if c]
+    if not moves:
+        return
+    new = rows.combination(j, moves)
+    if gram is not None:
+        update_gram_column(gram, j, moves)
+    rows.put(new)
 
 
 def apply_transform(basis: Basis, transform: TransformRecord) -> Basis:

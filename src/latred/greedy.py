@@ -16,8 +16,9 @@ for every candidate pivot k and column j, the exact change of column j's
 squared norm under pivot k's rounded projection, plus the columns and the
 pivot count.  A pivot changes only the set S of columns it moves, so the
 Gram matrix changes only in the rows and columns of S; the update is
-core.update_gram, the one exact Gram update, in O(|S| n), and the table's
-rows S and columns S are then recomputed as whole arrays, also O(|S| n).
+core.update_gram, the exact Gram update for a pivot, in O(|S| n), and the
+table's rows S and columns S are then recomputed as whole arrays, also
+O(|S| n).
 With c = (2|x| + d) // (2d) for x = g[j][k] and d = g[k][k], the change
 is c (c d - 2|x|), and c is 0 exactly when 2|x| < d, so no mask or sign
 is needed.  That arithmetic is exact in int64 while the Gram matrix's

@@ -6,20 +6,20 @@ columns are the numpy rows (core.IntRows) that core.run_reducer hands
 every reducer, int64 while a bound proves every size-reduction step exact
 and Python ints from then on; when a transform is tracked, each row also
 carries its transform column, so the steps below build it with no code of
-their own.  Size reduction changes the rows one column operation at a
-time (IntRows.moved, then put), and a swap swaps two rows.  The float
-side works on whole arrays: a float mirror of the basis
-(``GSState.fcols``) is converted from the integer columns once and then
-kept in step with them (columns swapped with every swap, a column cast
-again from the basis part of its integer row after size reduction changes
-it), and each Gram-Schmidt pass projects a column off all earlier b* at
-once with two matrix-vector products.  Accuracy comes from two measures:
-every orthogonalization runs exactly two such passes, classical
-Gram-Schmidt with one reorthogonalization (CGS2: "twice is enough",
-Kahan-Parlett; Giraud, Langou & Rozloznik 2005), and on every swap the
-two affected orthogonal vectors are recomputed from scratch instead of
-patched.  That is enough for the random bases of interest here, not for
-adversarial inputs built to break floating-point reducers.
+their own.  Size reduction writes each column it changes once
+(core.apply_column_op, with every coefficient it rounded), and a swap
+swaps two rows.  The float side works on whole arrays: a float mirror of
+the basis (``GSState.fcols``) is converted from the integer columns once
+and then kept in step with them (columns swapped with every swap, a
+column cast again from the basis part of its integer row after size
+reduction changes it), and each Gram-Schmidt pass projects a column off
+all earlier b* at once with two matrix-vector products.  Accuracy comes
+from two measures: every orthogonalization runs exactly two such passes,
+classical Gram-Schmidt with one reorthogonalization (CGS2: "twice is
+enough", Kahan-Parlett; Giraud, Langou & Rozloznik 2005), and on every
+swap the two affected orthogonal vectors are recomputed from scratch
+instead of patched.  That is enough for the random bases of interest
+here, not for adversarial inputs built to break floating-point reducers.
 
 The Gram-Schmidt state exists only for linearly independent columns.
 _orthogonalize_column is the one place that decides rank deficiency: at
@@ -46,6 +46,7 @@ from .core import (
     ROUNDS_TO_ZERO,
     ReductionResult,
     UsageError,
+    apply_column_op,
     nint_float,
     run_reducer,
 )
@@ -134,21 +135,26 @@ def orthogonalize(basis: Basis) -> GSState:
 def size_reduce(state: GSState, rows: IntRows, k: int) -> None:
     """Make |mu[k][j]| <= 1/2 for all j < k via integer column operations.
 
-    Returns at once when every coefficient rounds to zero.  Otherwise
-    column k changes, and its float mirror is cast again from the basis
-    part of its integer row.
+    Returns at once when every coefficient rounds to zero.  Otherwise the
+    float loop rounds the coefficients from j = k - 1 down, and column k
+    is written once, with every (j, c) it rounded, by one
+    apply_column_op: no source column j < k changes during the loop, so
+    that equals one column operation per coefficient.  Its float mirror
+    is then cast again from the basis part of its integer row.
     """
     mu_k = state.mu[k]
     if (np.abs(mu_k[:k]) < ROUNDS_TO_ZERO).all():
         return
+    moves = []
     for j in range(k - 1, -1, -1):
         c = nint_float(float(mu_k[j]))
         if c == 0:
             continue
-        rows.put(rows.moved(j, ((k, c),)))
+        moves.append((j, c))
         # b* is unchanged; only row k of mu moves.
         mu_k[:j] -= c * state.mu[j, :j]
         mu_k[j] -= c
+    apply_column_op(rows, None, k, moves)
     state.fcols[:, k] = rows.rows[k][:rows.m]
 
 

@@ -159,3 +159,61 @@ def mgs_per_pair(cols, p):
         chosen.append(r)
         pivots.append(q)
     return len(chosen), cols
+
+
+def _splitmix64_below(seed, bound):
+    """Endless uniform draws from [0, bound): splitmix64 with rejection."""
+    mask = (1 << 64) - 1
+    state = seed & mask
+    limit = (1 << 64) - (1 << 64) % bound
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        z ^= z >> 31
+        if z < limit:
+            yield z % bound
+
+
+def rand_comb_per_move(cols, iterations, seed):
+    """Random-combination steps, one column operation per coefficient.
+
+    The plain loop that random_combination_reduce writes as one
+    combination per step: (steps that moved column j, final columns,
+    final transform columns).  Column j is drawn by splitmix64 from seed;
+    the real coefficients solve the normal equations over the float Gram
+    matrix of the other nonzero columns with np.linalg.solve, each is
+    rounded half away from zero, and every nonzero one moves column j on
+    its own, after which row and column j of the exact Gram matrix are
+    recomputed from the columns.  A singular or non-finite system skips
+    the step.
+    """
+    cols = [list(col) for col in cols]
+    n = len(cols)
+    u = [[int(i == j) for i in range(n)] for j in range(n)]
+    g = gram_oracle(cols)
+    draws = _splitmix64_below(seed, n)
+    applied = 0
+    for _ in range(iterations):
+        j = next(draws)
+        fg = np.array(g, dtype=float)
+        others = [k for k in range(n) if k != j and g[k][k] != 0]
+        try:
+            x = np.linalg.solve(fg[np.ix_(others, others)], fg[others, j])
+        except np.linalg.LinAlgError:
+            continue
+        if not np.all(np.isfinite(x)):
+            continue
+        moved = False
+        for k, xk in zip(others, x.tolist()):
+            c = math.floor(xk + 0.5) if xk >= 0 else math.ceil(xk - 0.5)
+            if not c:
+                continue
+            cols[j] = [a - c * b for a, b in zip(cols[j], cols[k])]
+            u[j] = [a - c * b for a, b in zip(u[j], u[k])]
+            for t in range(n):
+                g[j][t] = g[t][j] = sum(
+                    a * b for a, b in zip(cols[j], cols[t]))
+            moved = True
+        applied += moved
+    return applied, cols, u

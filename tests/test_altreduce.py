@@ -27,7 +27,7 @@ from latred.core import (
 from latred.genlat import ExampleSpec, gen_example, random_permutation
 from latred.greedy import GreedyState, apply_pivot, coefficients_for_pivot
 
-from oracles import mgs_per_pair
+from oracles import mgs_per_pair, rand_comb_per_move
 
 
 def random_basis(rng, n, max_entry=40):
@@ -105,6 +105,63 @@ class TestRandomCombinationReduce:
             )
             assert apply_transform(basis, res.transform) == res.basis
             assert abs(det_small(res.transform.to_rows())) == 1
+
+    def test_matches_per_move_reference(self, monkeypatch):
+        def check(basis, iterations, seed):
+            res = random_combination_reduce(
+                basis, AltConfig(iterations=iterations, seed=seed),
+                track_transform=True)
+            assert ((res.iterations_applied, res.basis.cols,
+                     res.transform.cols)
+                    == rand_comb_per_move(basis.cols, iterations, seed))
+
+        rng = random.Random(76)
+        for n in (2, 3, 5, 8):
+            for trial in range(3):
+                cols = random_basis(rng, n, max_entry=5 + 20 * trial).cols
+                if trial == 2:
+                    cols[-1] = [0] * n
+                check(Basis(cols), 10 * n, trial)
+        # Permuted q-ary examples, the benchmark's rand-comb input family.
+        for ell, seeds in ((4, range(3)), (8, range(3))):
+            for seed in seeds:
+                basis = random_permutation(
+                    gen_example(ExampleSpec(8191, ell, seed)), seed + 1)
+                check(basis, 10 * basis.n, seed + 7)
+        # Entries near 2**59 and a last column near 5 c_0 - 3 c_1 (entries
+        # near 2**62): the Gram store is Python ints from the start, and a
+        # step on the last column takes the rows past int64.
+        calls = []
+        original = altreduce.apply_column_op
+
+        def spy(rows, gram, j, moves):
+            calls.append(rows.bounds is None)
+            original(rows, gram, j, moves)
+
+        monkeypatch.setattr(altreduce, "apply_column_op", spy)
+        w = 1 << 59
+        for n in (4, 6):
+            for seed in range(3):
+                cols = random_basis(rng, n, max_entry=w).cols
+                cols[-1] = [5 * a - 3 * b + rng.randint(-(1 << 20), 1 << 20)
+                            for a, b in zip(cols[0], cols[1])]
+                check(Basis(cols), 30, seed)
+        assert set(calls) == {False, True}
+
+    def test_one_column_op_per_step_that_moves(self, monkeypatch):
+        calls = []
+        original = altreduce.apply_column_op
+
+        def spy(rows, gram, j, moves):
+            calls.append(len(moves))
+            original(rows, gram, j, moves)
+
+        monkeypatch.setattr(altreduce, "apply_column_op", spy)
+        basis = random_permutation(gen_example(ExampleSpec(8191, 8, 0)), 1)
+        res = random_combination_reduce(basis, AltConfig(seed=2))
+        assert len(calls) == res.iterations_applied > 0
+        # Some steps move column j by more than one other column.
+        assert max(calls) > 1
 
 
 class TestMgsPivotReduce:

@@ -423,7 +423,7 @@ class TestApplyColumnOp:
         rows, basis, u = stacked_rows(Basis([[1, 0], [10, 1]]),
                                       TransformRecord.identity(2))
         gram = gram_compute(Basis(basis.tolist()))
-        apply_column_op(rows, gram, 1, 0, 10)
+        apply_column_op(rows, gram, 1, ((0, 10),))
         assert basis.tolist() == [[1, 0], [0, 1]]
         assert gram == gram_compute(Basis(basis.tolist()))
         assert gram.tolist() == [[1, 0], [0, 1]]
@@ -435,20 +435,24 @@ class TestApplyColumnOp:
         basis = basis_rows(Basis([[1, 2], [3, 4]]))
         gram = gram_compute(Basis(basis.tolist()))
         before_cols = basis.tolist()
-        apply_column_op(basis, gram, 0, 1, 0)
+        apply_column_op(basis, gram, 0, ((1, 0),))
         assert basis.tolist() == before_cols
 
     def test_negative_coefficient_keeps_unit_determinant(self):
         rows, basis, u = stacked_rows(Basis.identity(2),
                                       TransformRecord.identity(2))
-        apply_column_op(rows, None, 0, 1, -1)
+        apply_column_op(rows, None, 0, ((1, -1),))
         assert basis.tolist()[0] == [1, 1]
         assert det_small(TransformRecord(u.tolist()).to_rows()) == 1
 
     def test_rejects_equal_indices(self):
         basis = basis_rows(Basis.identity(2))
         with pytest.raises(ValueError):
-            apply_column_op(basis, None, 1, 1, 3)
+            apply_column_op(basis, None, 1, ((1, 3),))
+        # Among other sources too, before anything is written.
+        with pytest.raises(ValueError):
+            apply_column_op(basis, None, 1, ((0, 1), (1, 3)))
+        assert basis.tolist() == Basis.identity(2).cols
 
     def test_random_sequences_keep_gram_and_transform_consistent(self):
         rng = random.Random(202)
@@ -464,7 +468,7 @@ class TestApplyColumnOp:
                 k = rng.randrange(original.n)
                 if j == k:
                     continue
-                apply_column_op(rows, gram, j, k, rng.randint(-4, 4))
+                apply_column_op(rows, gram, j, ((k, rng.randint(-4, 4)),))
             assert gram == gram_compute(Basis(basis.tolist()))
             assert (apply_transform(original, TransformRecord(u.tolist()))
                     == Basis(basis.tolist()))
@@ -474,7 +478,7 @@ class TestApplyColumnOp:
         rows, _, _ = stacked_rows(Basis.identity(2),
                                   TransformRecord([[1, INT128_MAX], [0, 1]]))
         with pytest.raises(OverflowError, match="transform column 1"):
-            apply_column_op(rows, None, 1, 0, -1)
+            apply_column_op(rows, None, 1, ((0, -1),))
 
     def test_gram_overflow_names_entry_and_writes_nothing(self):
         # Column 1 becomes (3 * 2**62, 1, 0): its squared norm leaves the
@@ -485,7 +489,7 @@ class TestApplyColumnOp:
         gram = gram_compute(Basis(basis.tolist()))
         before = gram.copy()
         with pytest.raises(OverflowError, match=r"Gram entry \(1,1\)"):
-            apply_column_op(basis, gram, 1, 0, -2 * x)
+            apply_column_op(basis, gram, 1, ((0, -2 * x),))
         assert gram == before
 
     def test_overflow_leaves_basis_gram_and_transform_unchanged(self):
@@ -497,7 +501,7 @@ class TestApplyColumnOp:
         gram = gram_compute(Basis(basis.tolist()))
         before = (basis.tolist(), gram.copy(), u.tolist())
         with pytest.raises(OverflowError, match=r"Gram entry \(1,1\)"):
-            apply_column_op(rows, gram, 1, 0, -(1 << 63))
+            apply_column_op(rows, gram, 1, ((0, -(1 << 63)),))
         assert (basis.tolist(), gram, u.tolist()) == before
 
     def test_transform_overflow_leaves_basis_and_gram_unchanged(self):
@@ -506,7 +510,7 @@ class TestApplyColumnOp:
         gram = gram_compute(Basis(basis.tolist()))
         before = (basis.tolist(), gram.copy(), u.tolist())
         with pytest.raises(OverflowError, match="transform column 1"):
-            apply_column_op(rows, gram, 1, 0, -1)
+            apply_column_op(rows, gram, 1, ((0, -1),))
         assert (basis.tolist(), gram, u.tolist()) == before
 
     def test_huge_coefficient_against_a_zero_column(self):
@@ -514,9 +518,87 @@ class TestApplyColumnOp:
         # must come back unchanged rather than fail in numpy.
         basis = basis_rows(Basis([[0, 0], [1, 1]]))
         gram = gram_compute(Basis(basis.tolist()))
-        apply_column_op(basis, gram, 1, 0, 1 << 64)
+        apply_column_op(basis, gram, 1, ((0, 1 << 64),))
         assert basis.tolist() == [[0, 0], [1, 1]]
         assert gram == gram_compute(Basis(basis.tolist()))
+
+
+class TestCombination:
+    """apply_column_op with several sources writes column j once."""
+
+    @pytest.mark.parametrize("bits, steps", [(15, 12), (30, 12), (61, 1)])
+    def test_matches_one_move_at_a_time(self, bits, steps):
+        rng = random.Random(bits)
+        widened = [0, 0]
+        for _ in range(20):
+            n = rng.randint(2, 5)
+            cols = [[rng.randint(-(1 << bits), 1 << bits) for _ in range(3)]
+                    for _ in range(n)]
+            u = TransformRecord.identity(n).cols
+            rows, ref = IntRows(cols, u), IntRows(cols, u)
+            gram = gram_compute(Basis(cols))
+            ref_gram = gram.copy()
+            for _ in range(steps):
+                j = rng.randrange(n)
+                moves = [(k, rng.choice((-3, -2, -1, 0, 1, 2, 3)))
+                         for k in range(n) if k != j and rng.random() < 0.7]
+                apply_column_op(rows, gram, j, moves)
+                for k, c in moves:
+                    apply_moves(ref, ref_gram, k, [(j, c)])
+                assert rows.tolist() == ref.tolist()
+                expected = gram_oracle([row[:3] for row in rows.tolist()])
+                assert gram.tolist() == ref_gram.tolist() == expected
+                if rows.bounds is not None:
+                    assert all(b >= max(map(abs, row)) for b, row
+                               in zip(rows.bounds, rows.tolist()))
+                if gram.bound is not None:
+                    assert gram.bound >= max(abs(x) for row in expected
+                                             for x in row)
+            assert_all_int(rows.tolist())
+            widened[0] += rows.bounds is None
+            widened[1] += gram.bound is None
+        # Stores that left int64, (rows, Gram): none near 2**15, Gram
+        # stores near 2**30, and rows near 2**61, whose Gram entries are
+        # past int64 from the start.
+        assert [w > 0 for w in widened] == [bits == 61, bits > 15]
+
+    def test_column_partway_past_128_bits_is_not_checked(self):
+        # Columns 0 and 1 are equal, so column 2 comes back as it was, with
+        # 2**65 * (e_0 - e_1) added to its transform column.  One move at a
+        # time, column 2 would first be (3 + 2**127, 5 + 2**65).
+        cols = [[1 << 62, 1], [1 << 62, 1], [3, 5]]
+        rows = IntRows(cols, TransformRecord.identity(3).cols)
+        gram = gram_compute(Basis(cols))
+        moves = ((0, -(1 << 65)), (1, 1 << 65))
+        apply_column_op(rows, gram, 2, moves)
+        assert rows.tolist()[2] == [3, 5, 1 << 65, -(1 << 65), 1]
+        assert gram.tolist() == gram_oracle(cols)
+        ref = IntRows(cols, TransformRecord.identity(3).cols)
+        with pytest.raises(OverflowError, match="basis column 2"):
+            apply_moves(ref, None, 0, [(2, -(1 << 65))])
+
+    @pytest.mark.parametrize("cols, moves, name", [
+        # Column 2 becomes (1 + 2**128, 0).
+        ([[1 << 62, 0], [0, 1], [1, 1]], ((0, -(1 << 66)), (1, 1)),
+         "basis column 2"),
+        # The basis part cancels; the transform column is (-2**127, 2**127, 1).
+        ([[1, 0], [1, 0], [0, 1]], ((0, 1 << 127), (1, -(1 << 127))),
+         "transform column 2"),
+        # Column 2 becomes (-2**63, -2**63, 1), whose squared norm is
+        # 2**127 + 1.
+        ([[1 << 62, 0, 0], [0, 1 << 62, 0], [0, 0, 1]], ((0, 2), (1, 2)),
+         r"Gram entry \(2,2\)"),
+    ])
+    def test_result_past_128_bits_writes_nothing(self, cols, moves, name):
+        # The rows start int64 and widen to Python ints during the call.
+        rows = IntRows(cols, TransformRecord.identity(3).cols)
+        assert rows.bounds is not None
+        gram = gram_compute(Basis(cols))
+        before = (rows.tolist(), gram.copy())
+        with pytest.raises(OverflowError, match=name):
+            apply_column_op(rows, gram, 2, moves)
+        assert (rows.tolist(), gram) == before
+        assert rows.bounds is None
 
 
 class TestGramStore:
@@ -722,7 +804,7 @@ class TestRunReducer:
         basis = Basis([[1, 0], [10, 1]])
 
         def body(work):
-            apply_column_op(work, None, 1, 0, 10)
+            apply_column_op(work, None, 1, ((0, 10),))
             return 5
 
         res = run_reducer(basis, True, body)
@@ -799,7 +881,7 @@ class TestSummariesFromRows:
 
     def test_tracked_run_reads_only_the_basis_part(self, monkeypatch):
         def body(rows):
-            apply_column_op(rows, None, 1, 0, 1000)
+            apply_column_op(rows, None, 1, ((0, 1000),))
             return 1
 
         self.only_rows(monkeypatch)
@@ -822,7 +904,8 @@ class TestSummariesFromRows:
                 for _ in range(3):
                     j, k = rng.sample(range(n), 2) if n > 1 else (0, 0)
                     if j != k:
-                        apply_column_op(rows, None, j, k, rng.randint(-2, 2))
+                        apply_column_op(rows, None, j,
+                                        ((k, rng.randint(-2, 2)),))
                 return 0
 
             track = rng.random() < 0.5
