@@ -366,7 +366,7 @@ def nint_ratio(num: int, den: int) -> int:
 
 # nint_float(x) == 0 exactly when |x| < this.  It is one step below 1/2
 # because 0.5 - 2**-54 plus 0.5 rounds up to 1.0, so nint_float gives 1.
-# Reducers test whole coefficient arrays against it and round only the rest.
+# Reducers test coefficients against it and round only the rest.
 ROUNDS_TO_ZERO = 0.5 - 2.0 ** -54
 
 

@@ -8,12 +8,19 @@ and Python ints from then on; when a transform is tracked, each row also
 carries its transform column, so the steps below build it with no code of
 their own.  Size reduction writes each column it changes once
 (core.apply_column_op, with every coefficient it rounded), and a swap
-swaps two rows.  The float side works on whole arrays: a float mirror of
-the basis (``GSState.fcols``) is converted from the integer columns once
+swaps two rows.  Most size reductions move nothing (80% at n = 24), so
+size_reduce reads the coefficients as one Python list and skips each
+one that rounds to zero without a rounding call; numpy runs only for a
+move.  The float side works on whole arrays: a float mirror of the
+basis (``GSState.fcols``) is converted from the integer columns once
 and then kept in step with them (columns swapped with every swap, a
 column cast again from the basis part of its integer row after size
 reduction changes it), and each Gram-Schmidt pass projects a column off
-all earlier b* at once with two matrix-vector products.  Accuracy comes
+all earlier b* at once with two matrix-vector products, reading the
+mirror's column in place.  These shortcuts change no float operation:
+every product and update runs on the same operands in the same order,
+so each b*, mu and norm comes out bit for bit as the plain loop in
+tests/oracles.py (lll_float_reference) computes it.  Accuracy comes
 from two measures: every orthogonalization runs exactly two such passes,
 classical Gram-Schmidt with one reorthogonalization (CGS2: "twice is
 enough", Kahan-Parlett; Giraud, Langou & Rozloznik 2005), and on every
@@ -90,15 +97,18 @@ def _orthogonalize_column(state: GSState, k: int) -> None:
     """Project column k off b*_0..b*_{k-1} in exactly two passes (CGS2).
 
     Each pass takes two matrix-vector products, and mu[k][:k] is the sum
-    of the two passes' coefficients.  The second pass removes what
-    rounding left of the first; for a column that is not numerically
-    dependent that gives orthogonality to working precision ("twice is
-    enough").  A column whose orthogonal part falls under RANK_FLOOR
-    times its own squared norm (a zero column included) raises ValueError
-    naming k, before anything of column k is stored: this is the one
-    place that decides rank deficiency.
+    of the two passes' coefficients.  Column k of the mirror is read in
+    place, not copied: fcols is the transpose of a C-ordered array, so
+    the column is contiguous and the products see the same operands as
+    on a copy, and b is only rebound, never written.  The second pass
+    removes what rounding left of the first; for a column that is not
+    numerically dependent that gives orthogonality to working precision
+    ("twice is enough").  A column whose orthogonal part falls under
+    RANK_FLOOR times its own squared norm (a zero column included) raises
+    ValueError naming k, before anything of column k is stored: this is
+    the one place that decides rank deficiency.
     """
-    b = state.fcols[:, k].copy()
+    b = state.fcols[:, k]
     norm0 = float(b @ b)
     bstar = state.bstar[:, :k]
     denom = state.norms_sq[:k]
@@ -135,25 +145,36 @@ def orthogonalize(basis: Basis) -> GSState:
 def size_reduce(state: GSState, rows: IntRows, k: int) -> None:
     """Make |mu[k][j]| <= 1/2 for all j < k via integer column operations.
 
-    Returns at once when every coefficient rounds to zero.  Otherwise the
-    float loop rounds the coefficients from j = k - 1 down, and column k
-    is written once, with every (j, c) it rounded, by one
-    apply_column_op: no source column j < k changes during the loop, so
-    that equals one column operation per coefficient.  Its float mirror
-    is then cast again from the basis part of its integer row.
+    The float loop rounds the coefficients from j = k - 1 down.  It reads
+    them from one list of mu[k][:k], taken once: until the first move no
+    entry changes, and from then on it reads the live entry, which each
+    move has updated.  A coefficient strictly inside +-ROUNDS_TO_ZERO
+    rounds to zero and is skipped without nint_float; a NaN or an
+    infinity fails that test and raises in nint_float (ValueError,
+    OverflowError) before any row is written.  With no move the call
+    returns having written nothing.  Otherwise column k is written once,
+    with every (j, c) it rounded, by one apply_column_op: no source
+    column j < k changes during the loop, so that equals one column
+    operation per coefficient.  Its float mirror is then cast again from
+    the basis part of its integer row.
     """
     mu_k = state.mu[k]
-    if (np.abs(mu_k[:k]) < ROUNDS_TO_ZERO).all():
-        return
+    head = mu_k[:k].tolist()
+    # nint_float(x) == 0 exactly when lo < x < hi; locals, as the test
+    # runs once per coefficient.
+    lo, hi = -ROUNDS_TO_ZERO, ROUNDS_TO_ZERO
     moves = []
     for j in range(k - 1, -1, -1):
-        c = nint_float(float(mu_k[j]))
-        if c == 0:
+        x = float(mu_k[j]) if moves else head[j]
+        if lo < x < hi:
             continue
+        c = nint_float(x)
         moves.append((j, c))
         # b* is unchanged; only row k of mu moves.
         mu_k[:j] -= c * state.mu[j, :j]
         mu_k[j] -= c
+    if not moves:
+        return
     apply_column_op(rows, None, k, moves)
     state.fcols[:, k] = rows.rows[k][:rows.m]
 

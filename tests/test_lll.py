@@ -25,7 +25,12 @@ from latred.lll import (
     size_reduce,
 )
 
-from oracles import exact_gram_schmidt, exact_lll, shortest_vector_sq
+from oracles import (
+    exact_gram_schmidt,
+    exact_lll,
+    lll_float_reference,
+    shortest_vector_sq,
+)
 
 
 def random_square_basis(rng, n, max_entry=20):
@@ -215,6 +220,60 @@ class TestSizeReduce:
         assert rows.tolist()[1] == [-1, 1]
         assert mirror_matches(state, rows)
 
+    @pytest.mark.parametrize("x", [-(0.5 - 2.0 ** -54), -0.5])
+    def test_negative_half_and_just_above_round_to_minus_one(self, x):
+        state, rows = reduce_column(Basis.identity(2), 1, mu_k=x)
+        assert rows.tolist()[1] == [1, 1]
+        assert state.mu[1, 0] == x + 1
+
+    def test_coefficient_beyond_2_53_rounds_exactly(self):
+        x = 2.0 ** 53 + 2
+        state, rows = reduce_column(Basis.identity(2), 1, mu_k=x)
+        assert rows.tolist()[1] == [-(2 ** 53 + 2), 1]
+        assert math.copysign(1.0, state.mu[1, 0]) == 1.0  # +0.0, not -0.0
+        assert mirror_matches(state, rows)
+
+    def test_first_column_is_a_noop(self):
+        basis = Basis([[3, 1], [7, 2]])
+        state = orthogonalize(basis)
+        before = state.mu.tobytes(), state.fcols.tobytes()
+        rows = IntRows(basis.cols)
+        size_reduce(state, rows, 0)
+        assert rows.tolist() == basis.cols
+        assert (state.mu.tobytes(), state.fcols.tobytes()) == before
+
+    @pytest.mark.parametrize("mu_k, error", [
+        ([math.nan, 0.0], ValueError),
+        ([0.0, math.nan], ValueError),
+        # The move at j = 1 leaves a NaN for j = 0 to round.
+        ([math.nan, 2.0], ValueError),
+        ([math.inf, 0.0], OverflowError),
+        ([0.0, -math.inf], OverflowError),
+        ([-math.inf, 2.0], OverflowError),
+    ])
+    def test_non_finite_coefficient_raises_and_leaves_rows(self, mu_k, error):
+        basis = Basis.identity(3)
+        state = orthogonalize(basis)
+        state.mu[2, :2] = mu_k
+        rows = IntRows(basis.cols)
+        with pytest.raises(error):
+            size_reduce(state, rows, 2)
+        assert rows.tolist() == basis.cols
+        assert mirror_matches(state, rows)
+
+    def test_later_coefficient_is_rounded_from_the_live_row(self):
+        # The move at j = 1 makes mu[2][0] = 0.3 + 0.4 = 0.7, which rounds
+        # to 1; the value before the move, 0.3, would round to 0.
+        state = orthogonalize(Basis.identity(3))
+        state.mu[1, 0] = -0.4
+        state.mu[2, :2] = [0.3, 1.0]
+        rows = IntRows(Basis.identity(3).cols)
+        size_reduce(state, rows, 2)
+        assert rows.tolist()[2] == [-1, -1, 1]
+        assert state.mu[2, 0] == pytest.approx(-0.3)
+        assert state.mu[2, 1] == 0.0
+        assert mirror_matches(state, rows)
+
 
 class TestLovasz:
     def test_orthogonal_equal_norms_pass(self):
@@ -321,6 +380,53 @@ class TestLLLReduce:
         assert (res.iterations_applied, after.frobenius_sq, after.min_norm_sq,
                 hashlib.sha256(columns).hexdigest()) == self.GOLDEN[ell, seed]
         assert apply_transform(basis, res.transform) == res.basis
+
+    @staticmethod
+    def float_path_matches(cols, delta, track, monkeypatch):
+        """lll_reduce against lll_float_reference: swaps, basis, transform
+        and the bytes of the final Gram-Schmidt arrays (signed zeros
+        count)."""
+        states = []
+        real_orthogonalize = lll_module.orthogonalize
+
+        def keeping_orthogonalize(basis):
+            states.append(real_orthogonalize(basis))
+            return states[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lll_module, "orthogonalize", keeping_orthogonalize)
+            res = lll_reduce(Basis(cols), LLLConfig(delta=delta),
+                             track_transform=track)
+        swaps, ref_cols, ref_u, arrays = lll_float_reference(cols, delta,
+                                                             track)
+        (state,) = states
+        assert res.iterations_applied == swaps
+        assert res.basis.cols == ref_cols
+        assert (res.transform.cols if track else res.transform) == ref_u
+        got = (state.bstar, state.mu, state.norms_sq, state.fcols)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in arrays]
+        return swaps
+
+    @pytest.mark.parametrize("track", [True, False])
+    @pytest.mark.parametrize("ell,seed", [
+        (2, 0), (2, 1), (2, 2), (4, 0), (4, 1), (4, 2), (8, 0), (8, 1),
+    ])
+    def test_float_path_bit_for_bit_on_qary_examples(self, ell, seed, track,
+                                                     monkeypatch):
+        basis = random_permutation(gen_example(ExampleSpec(8191, ell, seed)),
+                                   100 + seed)
+        assert self.float_path_matches(basis.cols, DEFAULT_DELTA, track,
+                                       monkeypatch) > 0
+
+    @pytest.mark.parametrize("track", [True, False])
+    def test_float_path_bit_for_bit_across_int64(self, track, monkeypatch):
+        # The chain's mu entries are integers, so size reduction leaves
+        # exact zeros whose sign the byte comparison sees; tracked, its
+        # transform leaves int64.
+        x = 1 << 21
+        chain = [[1, 0, 0, 0], [x, 1, 0, 0], [0, x, 1, 0], [0, 0, x, 1]]
+        for cols in crossing_inputs() + [chain]:
+            self.float_path_matches(cols, 0.75, track, monkeypatch)
 
     def test_mirror_matches_basis_after_every_size_reduction_and_swap(
             self, monkeypatch):
