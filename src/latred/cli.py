@@ -66,6 +66,14 @@ def _given(**values):
     return {key: v for key, v in values.items() if v is not None}
 
 
+def _p_schedule(args):
+    """The greedy exponents that --p or --p-schedule gives, or None when
+    neither is given; giving both raises UsageError."""
+    if args.p is not None and args.p_schedule is not None:
+        raise UsageError("give --p or --p-schedule, not both")
+    return args.p_schedule if args.p is None else (args.p,)
+
+
 def _check_writable(*paths) -> None:
     """Raise OSError for the first given path that cannot be opened for
     writing.
@@ -121,6 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--mode", choices=MODES, default=None)
     bench.add_argument("--delta", type=float, default=None)
     bench.add_argument("--p", type=float, default=None)
+    bench.add_argument("--p-schedule", type=_float_list, default=None,
+                       help="greedy exponents, run in order")
     bench.add_argument("--seed", type=int, default=None)
     bench.add_argument("--csv", required=True)
     bench.set_defaults(func=cmd_bench)
@@ -148,14 +158,12 @@ def _stages(args):
     if unread:
         raise UsageError(f"--algo {args.algo} does not read "
                          + ", ".join(unread))
-    if args.p is not None and args.p_schedule is not None:
-        raise UsageError("give --p or --p-schedule, not both")
+    p_schedule = _p_schedule(args)
 
     track = args.track_transform
     lll_cfg = LLLConfig(**_given(delta=args.delta))
     # Built from a given --p under every --algo, so a bad --p exits 2
     # here, mgs included.
-    p_schedule = args.p_schedule if args.p is None else (args.p,)
     greedy_cfg = ReduceConfig(**_given(p_schedule=p_schedule,
                                        score_mode=args.score))
     alt_cfg = AltConfig(**_given(iterations=args.iters, seed=args.seed))
@@ -214,9 +222,8 @@ def cmd_bench(args) -> int:
     config = ExperimentConfig(
         q=args.q,
         ell_list=args.ell_list,
-        **_given(p_schedule=None if args.p is None else (args.p,),
-                 delta=args.delta, trials=args.trials, mode=args.mode,
-                 seed=args.seed),
+        **_given(p_schedule=_p_schedule(args), delta=args.delta,
+                 trials=args.trials, mode=args.mode, seed=args.seed),
     )
     _check_writable(args.csv)
     records = run_experiment(config)

@@ -58,6 +58,14 @@ transform, the exact before/after norm summaries (read from the rows
 while they are int64), the timing and the ReductionResult.  It is the
 only code that knows whether a transform is tracked.  pipeline chains
 reducers.
+
+read_mat and write_mat move a Basis through the .mat text format.
+read_mat hands a file made only of digits, signs, blanks and line
+breaks, with no run of 19 digits, to numpy's C int64 text reader; any
+other file, and any file that reader refuses, goes to its Python parser,
+which reads each token with int(), reads entries up to the 128-bit range
+and names the bad line or token.  Both read every file they accept as
+int() reads its tokens.  write_mat writes each row with one %d format.
 """
 
 from __future__ import annotations
@@ -840,21 +848,76 @@ def is_unimodular(transform: TransformRecord) -> bool | None:
 
 
 def write_mat(basis: Basis, path) -> None:
-    """Write the text matrix format: ``m n`` header then m row lines."""
+    """Write the text matrix format: ``m n`` header then m row lines.
+
+    Each row is one ``%d`` format over its n entries; ``%d`` of a Python
+    int is its str at any size.
+    """
+    row_format = " ".join(["%d"] * basis.n)
     lines = [f"{basis.m} {basis.n}"]
-    lines.extend(" ".join(map(str, row)) for row in zip(*basis.cols))
+    lines.extend(row_format % row for row in zip(*basis.cols))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+# Maps each byte of a .mat file to b"0" (a digit), b" " (a sign, blank or
+# line break) or b"x" (anything else), for _int64_readable.
+_BYTE_CLASSES = bytes(
+    ord("0") if b in b"0123456789" else ord(" ") if b in b"+- \t\r\n"
+    else ord("x") for b in range(256))
+
+# Eighteen digits are below 10**18 < 2**63; a longer run may not fit int64.
+_LONG_DIGIT_RUN = b"0" * 19
+
+
+def _int64_readable(data: bytes) -> bool:
+    """Whether numpy's int64 text reader reads every token of data as
+    int() does.
+
+    Over digits, signs, blanks and line breaks both accept exactly
+    [+-]?digits.  No run of 19 digits means no token leaves int64, where
+    numpy 1.23-1.26 would parse it as a float with only a
+    DeprecationWarning and cast it to int64.
+    """
+    classes = data.translate(_BYTE_CLASSES)
+    return b"x" not in classes and _LONG_DIGIT_RUN not in classes
 
 
 def read_mat(path) -> Basis:
     """Read the text matrix format written by write_mat.
 
-    Entries beyond the signed 128-bit range are rejected.
+    A file of ASCII text: blank lines are skipped, the first line is
+    ``m n`` and each of the next m lines holds n entries, each read as
+    int() reads a token.  Entries beyond the signed 128-bit range are
+    rejected.  A file of digits, signs, blanks and line breaks whose
+    entries have at most 18 digits is read by numpy's C text reader; any
+    other file, and any file that reader refuses, by the Python parser,
+    which names the bad line or token.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    tokens_by_line = [line.split() for line in text.splitlines() if line.strip()]
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise MatFormatError(
+            f"{path}: non-ASCII byte {data[exc.start]:#04x} at offset {exc.start}"
+        ) from None
+    lines = [line for line in text.splitlines() if line.strip()]
+    if lines and _int64_readable(data):
+        try:
+            m, n = map(int, lines[0].split())
+            if m == len(lines) - 1 and m > 0:
+                a = np.loadtxt(lines[1:], dtype=np.int64, comments=None, ndmin=2)
+                if a.shape == (m, n):
+                    return Basis._trusted(m, a.T.tolist())
+        except (ValueError, OverflowError):
+            pass
+    return _parse_mat(path, lines)
+
+
+def _parse_mat(path, lines: list[str]) -> Basis:
+    """read_mat's Python parser of the nonblank lines of a file."""
+    tokens_by_line = [line.split() for line in lines]
     if not tokens_by_line:
         raise MatFormatError(f"{path}: empty matrix file")
     header = tokens_by_line[0]

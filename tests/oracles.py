@@ -292,3 +292,50 @@ def lll_float_reference(cols, delta, track):
         swaps += 1
         k = max(k - 1, 1)
     return swaps, cols, u, (bstar, mu, norms_sq, fcols)
+
+
+def read_mat_reference(path):
+    """The Python-only .mat parser, kept as it was before read_mat took
+    numpy's text reader: (m, columns) of the file, or ValueError with the
+    message read_mat's MatFormatError must carry."""
+    INT128_MAX = (1 << 127) - 1
+    INT128_MIN = -(1 << 127)
+    with open(path, "r", encoding="ascii") as fh:
+        text = fh.read()
+    tokens_by_line = [line.split() for line in text.splitlines() if line.strip()]
+    if not tokens_by_line:
+        raise ValueError(f"{path}: empty matrix file")
+    header = tokens_by_line[0]
+    if len(header) != 2:
+        raise ValueError(f"{path}: header must be 'm n'")
+    try:
+        m, n = int(header[0]), int(header[1])
+    except ValueError as exc:
+        raise ValueError(f"{path}: non-integer header") from exc
+    if m < 1 or n < 1:
+        raise ValueError(f"{path}: dimensions must be positive, got {m} {n}")
+    body = tokens_by_line[1:]
+    if len(body) != m:
+        raise ValueError(f"{path}: expected {m} rows, found {len(body)}")
+    rows = []
+    for r, line in enumerate(body):
+        if len(line) != n:
+            raise ValueError(
+                f"{path}: row {r} has {len(line)} entries, expected {n}"
+            )
+        try:
+            row = list(map(int, line))
+        except ValueError as exc:
+            # map stops at the first token int() rejects; name that token.
+            for token in line:
+                try:
+                    int(token)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: bad integer {token!r} in row {r}") from exc
+        if max(row) > INT128_MAX or min(row) < INT128_MIN:
+            raise ValueError(
+                f"{path}: entry in row {r} exceeds the signed 128-bit range"
+            )
+        rows.append(row)
+    return m, [list(col) for col in zip(*rows)]

@@ -185,6 +185,15 @@ class TestReduce:
         assert run_cli("reduce", "--algo", "greedy", "--in", str(bad),
                        "--out", str(tmp_path / "o.mat")) == 1
 
+    def test_non_ascii_input_exits_1_naming_file_and_offset(self, tmp_path,
+                                                             capsys):
+        bad = tmp_path / "bad.mat"
+        bad.write_bytes(b"1 1\n\xc3\xa9\n")
+        assert run_cli("reduce", "--algo", "greedy", "--in", str(bad),
+                       "--out", str(tmp_path / "o.mat")) == 1
+        err = capsys.readouterr().err
+        assert err == f"latred: {bad}: non-ASCII byte 0xc3 at offset 4\n"
+
     def test_overflow_exits_3(self, tmp_path):
         big = INT128_MAX - 1
         src = tmp_path / "big.mat"
@@ -332,6 +341,25 @@ class TestBench:
             trimmed_a = [c for i, c in enumerate(ra) if i not in timing]
             trimmed_b = [c for i, c in enumerate(rb) if i not in timing]
             assert trimmed_a == trimmed_b
+
+    def test_p_schedule_labels_the_p_column(self, tmp_path):
+        path = tmp_path / "s.csv"
+        assert run_cli("bench", "--q", str(Q13), "--ell-list", "1",
+                       "--trials", "2", "--p-schedule", "2,1",
+                       "--csv", str(path)) == 0
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 + 3
+        assert {row["p"] for row in rows} == {"2;1"}
+
+    def test_p_with_p_schedule_exits_2_before_any_trial(self, tmp_path, capsys,
+                                                        monkeypatch):
+        monkeypatch.setattr(cli_mod, "run_experiment", must_not_run)
+        assert run_cli("bench", "--q", str(Q13), "--ell-list", "1",
+                       "--p", "1", "--p-schedule", "2,1",
+                       "--csv", str(tmp_path / "x.csv")) == 2
+        err = capsys.readouterr().err
+        assert "--p " in err and "--p-schedule" in err
 
     def test_even_q_exits_2(self, tmp_path):
         assert run_cli("bench", "--q", "8190", "--ell-list", "1",

@@ -1,6 +1,7 @@
 import collections
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from latred.core import (
     write_mat,
 )
 
-from oracles import det_cofactor, gram_oracle, product_oracle
+from oracles import det_cofactor, gram_oracle, product_oracle, read_mat_reference
 
 
 def random_basis(rng, max_dim=8, max_entry=50):
@@ -950,13 +951,104 @@ class TestDeterminant:
         assert is_unimodular(TransformRecord.identity(17)) is None
 
 
+INT64_MAX = 2**63 - 1
+
+# Files read_mat must read exactly as the Python-only parser does: the
+# same columns, or the same error text.
+ODD_MAT_FILES = [
+    "2 2\n+5 1\n0 1\n",
+    "2 2\n0005 1\n0 1\n",
+    "1 2\n-0 +0\n",
+    "1 2\n1_000 2\n",
+    "1 2\n1.0 2\n",
+    "1 2\n1e3 2\n",
+    "1 2\n0x10 2\n",
+    "1 2\n1\x0c2\n",
+    "1 2\n1\x1f2\n",
+    "2 2\n1\t2\n\t3 \t 4\t\n",
+    "\n\n2 2\n\n1 2\n   \n3 4\n\n",
+    "1 2\r\n3 4\r\n",
+    "2 2\n1 2 3\n4 5\n",
+    "2 2\n1 2\n3\n",
+    "3 1\n1\n2\n",
+    "2 3\n1 2\n3 4\n",
+    "3 1\n1\n-2\n+3\n",
+    f"1 2\n{10**18 - 1} {1 - 10**18}\n",
+    f"1 2\n{INT64_MAX} {-INT64_MAX}\n",
+    f"1 2\n{INT64_MAX + 1} {-INT64_MAX - 1}\n",
+    f"1 1\n{-INT64_MAX - 2}\n",
+    f"1 2\n{INT128_MAX} {INT128_MIN}\n",
+    f"1 1\n{2**127}\n",
+    "1 1\n0000000000000000000005\n",
+    "# m n\n1 1\n5\n",
+    "1 1\n5 # five\n",
+    "1 1\n#5\n",
+    "1 2\n--5 2\n",
+    "1 2\n+ 5\n",
+    "1 2\n5- 2\n",
+    "1 2\n-\n",
+    "",
+    "2 2\n",
+    "0 2\n1 2\n",
+    "2 0\n1 2\n3 4\n",
+    "1 2 3\n1 2\n",
+    "a 2\n1 2\n",
+    "1 200\n" + " ".join(str(v - 100) for v in range(200)) + "\n",
+]
+
+
 class TestMatFormat:
     def test_round_trip(self, tmp_path):
-        rng = random.Random(404)
-        basis = random_basis(rng, max_dim=7, max_entry=10**6)
+        path = tmp_path / "b.mat"
+        for basis in (
+            random_basis(random.Random(404), max_dim=7, max_entry=10**6),
+            Basis([[INT64_MAX, -INT64_MAX, -INT64_MAX - 1]]),
+            Basis([[INT128_MAX], [-INT128_MAX], [INT128_MIN]]),
+            Basis([[-7]]),
+        ):
+            write_mat(basis, path)
+            rows = "".join(" ".join(map(str, row)) + "\n"
+                           for row in basis.to_rows())
+            assert path.read_text() == f"{basis.m} {basis.n}\n{rows}"
+            assert read_mat(path) == basis
+
+    @pytest.mark.parametrize("text", ODD_MAT_FILES)
+    def test_reads_as_the_python_parser(self, tmp_path, text):
+        path = tmp_path / "odd.mat"
+        path.write_bytes(text.encode("ascii"))
+        try:
+            want = read_mat_reference(path)
+        except ValueError as exc:
+            want = str(exc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                basis = read_mat(path)
+            except MatFormatError as exc:
+                got = str(exc)
+            else:
+                got = (basis.m, basis.cols)
+        assert got == want
+
+    def test_int64_files_skip_the_python_parser(self, tmp_path, monkeypatch):
+        basis = Basis([[10**18 - 1, -3], [0, 1 - 10**18]])
+        wide = Basis([[10**18, -3], [0, 1]])
         path = tmp_path / "b.mat"
         write_mat(basis, path)
-        assert read_mat(path) == basis
+        write_mat(wide, tmp_path / "wide.mat")
+        parsed = []
+        parse = core._parse_mat
+        monkeypatch.setattr(core, "_parse_mat",
+                            lambda *args: parsed.append(args) or parse(*args))
+        assert read_mat(path) == basis and not parsed
+        assert read_mat(tmp_path / "wide.mat") == wide and len(parsed) == 1
+
+    def test_names_a_non_ascii_byte(self, tmp_path):
+        path = tmp_path / "bad.mat"
+        path.write_bytes(b"1 1\n\xc3\xa9\n")
+        with pytest.raises(MatFormatError) as exc:
+            read_mat(path)
+        assert str(exc.value) == f"{path}: non-ASCII byte 0xc3 at offset 4"
 
     def test_header_then_rows(self, tmp_path):
         path = tmp_path / "b.mat"
