@@ -173,8 +173,8 @@ def mgs_pivot_reduce(basis: Basis, p: float = 2.0, *,
         # Row s of q: residual column s orthogonalized against every
         # chosen pivot, carried from round to round.
         q = np.array(basis.cols, dtype=float)
-        # fold_sum of the chosen pivots' terms in choice order; no move
-        # ever targets a chosen column, so its term never changes.
+        # The chosen pivots' terms added left to right in choice order; no
+        # move ever targets a chosen column, so its term never changes.
         chosen_sum = 0.0
         while len(residual):
             # Read once per round: update_gram may widen gram.g.

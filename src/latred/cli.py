@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from functools import cache
 
 from .altreduce import AltConfig, mgs_pivot_reduce, random_combination_reduce
 from .core import (
@@ -90,6 +91,9 @@ def _check_writable(*paths) -> None:
                           "or not writable")
 
 
+# Built once per process: building the three subcommands takes about a
+# millisecond, which main would otherwise pay on every call.
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latred", description="Integer lattice reduction toolkit"
@@ -241,8 +245,7 @@ def cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -21,16 +21,23 @@ matmul forms, in any order, blocking or thread split, is an integer
 below 2**53, which float64 holds exactly.  Every result is packed
 again, so a result that fits is int64 with its measured bound.  One range
 check, _check_range, names the first entry of a Python-int array that
-leaves the signed 128-bit range; gram_compute, update_gram, IntRows and
-pipeline all go through it.  IntRows, the one store every reducer
-changes columns in, applies the same rule to a run of column
-operations: its rows stay int64 while a per-row bound proves each
-operation exact, and are Python ints, range-checked, from then on.
+leaves the signed 128-bit range; gram_compute, the squared norms, the
+Gram updates, IntRows and pipeline all go through it.  One routine,
+_norms_sq, takes the squared norms of a packed array, in int64 while
+m * M**2 < 2**63 and in Python ints otherwise, for column_norms_sq and
+for run_reducer's summaries alike.  IntRows, the one store every
+reducer changes columns in, applies the same rule to a run of column
+operations by one test: column j -= sum of c * column k is exact in
+int64 when M_j + sum of |c| * M_k < 2**63 for the per-row bounds M, a
+pivot being one such operation, with one source, per moved column.
+Its rows stay int64 while that test passes, and are Python ints,
+range-checked by one check that names the column, from then on.
 GramMatrix is one n x n array under the same rule: int64 while its
 tracked bound B on every |entry| gives B * (1 + a)**2 < 2**63, a being
 max|c| over a pivot's coefficients c or sum|c| over a combination's (B
 is measured again once before the store widens), Python ints after
-that.  Both dtypes run the same whole-array code.
+that.  Both dtypes run the same whole-array code, and both Gram
+updates end in one write, _write_gram.
 
 Column operations come in two shapes.  A pivot k moves a sparse list
 of columns, the (j, c) pairs of column j -= c * column k; a combination
@@ -54,10 +61,9 @@ the one error either raises when a new squared norm comes out negative.
 Every reducer runs inside run_reducer, which owns the frame around its
 loop: the IntRows of the input's columns, stacked on the identity when a
 transform is tracked, the one write-back into the result's basis and
-transform, the exact before/after norm summaries (read from the rows
-while they are int64), the timing and the ReductionResult.  It is the
-only code that knows whether a transform is tracked.  pipeline chains
-reducers.
+transform, the exact before/after norm summaries (read from the rows),
+the timing and the ReductionResult.  It is the only code that knows
+whether a transform is tracked.  pipeline chains reducers.
 
 read_mat and write_mat move a Basis through the .mat text format.
 read_mat hands a file made only of digits, signs, blanks and line
@@ -71,10 +77,8 @@ int() reads its tokens.  write_mat writes each row with one %d format.
 from __future__ import annotations
 
 import math
-import operator
 import time
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -344,18 +348,23 @@ def gram_compute(basis: Basis) -> GramMatrix:
     return out
 
 
+def _norms_sq(a, bound) -> list[int]:
+    """Exact squared norm of every row of a packed array, as Python ints.
+
+    a and bound are as _pack returns them.  The sums run in int64 while
+    m * M**2 < 2**63, for row length m and bound M, and on Python ints
+    otherwise; a norm past the signed 128-bit range raises OverflowError.
+    """
+    if bound is None or a.shape[1] * bound * bound >= _INT64_LIMIT:
+        a = a.astype(object)
+    norms = (a * a).sum(axis=1)
+    _check_range(norms[None], lambda *_: "column norm")
+    return norms.tolist()
+
+
 def column_norms_sq(basis: Basis) -> list[int]:
     """Exact squared norm of every column (the Gram diagonal, cheaper)."""
-    # No int64 route here: converting the columns costs as much as this
-    # O(n m) loop.  run_reducer reads its summaries from the rows it has
-    # already packed instead (_summarize_rows).
-    out = []
-    for col in basis.cols:
-        s = sum(map(operator.mul, col, col))
-        if s > INT128_MAX:
-            raise OverflowError("column norm exceeds the signed 128-bit range")
-        out.append(s)
-    return out
+    return _norms_sq(*_pack(basis.cols))
 
 
 def nint_ratio(num: int, den: int) -> int:
@@ -385,16 +394,6 @@ def nint_float(x: float) -> int:
     return math.ceil(x - 0.5)
 
 
-def fold_sum(values) -> float:
-    """Float sum of values added strictly left to right, starting at 0.0.
-
-    Built-in sum() compensates float rounding since Python 3.12, so its
-    result depends on the interpreter version.  Every floating score goes
-    through this fold instead, so scores and halting decisions do not.
-    """
-    return reduce(operator.add, values, 0.0)
-
-
 def _summary(norms: list[int]) -> NormSummary:
     nonzero = [d for d in norms if d > 0]
     return NormSummary(sum(norms), min(nonzero) if nonzero else 0)
@@ -421,17 +420,17 @@ class IntRows:
     every operation and every swap moves both at once.  The rows are
     int64 while bounds, one Python int per row at least as large as the
     row's largest |entry| over both parts, prove that every operation is
-    exact: rows[j] - c * rows[k] is done in int64 only when |c| < 2**63
-    and bounds[j] + |c| * bounds[k] < 2**63, and a combination
-    rows[j] - sum of c * rows[k] only when every |c| < 2**63 and
+    exact.  One test, _sum_bound, decides: rows[j] - sum of c * rows[k]
+    is done in int64 only when every |c| < 2**63 and
     bounds[j] + sum of |c| * bounds[k] < 2**63, which bounds every
-    partial sum.  When that test fails, the bounds of the rows involved
+    partial sum; a pivot's move rows[j] - c * rows[k] is the case of one
+    source.  When that test fails, the bounds of the rows involved
     are measured again; when it still fails, every row becomes
     dtype=object (Python ints, exact at any size) for good, and bounds is
     None.  Basis and transform share the bound, so both leave int64
     together.  On the Python-int path each new row is checked against the
-    signed 128-bit range and raises OverflowError naming the basis or
-    transform column, with the rows unchanged.
+    signed 128-bit range (_checked) and raises OverflowError naming the
+    basis or transform column, with the rows unchanged.
 
     Operations go in two phases, so that apply_moves and apply_column_op
     can check the rows and the Gram matrix before they write either:
@@ -466,28 +465,12 @@ class IntRows:
         self.rows = [row.astype(object) for row in self.rows]
         self.bounds = None
 
-    def _int64_bound(self, j: int, k: int, c: int) -> int | None:
-        """Bound of rows[j] - c * rows[k] when it is exact in int64, else None.
+    def _sum_bound(self, j: int, moves) -> int | None:
+        """Bound of rows[j] - sum of c * rows[k] over the (k, c) in moves
+        when it is exact in int64, else None.
 
         None also means every row has become dtype=object.
         """
-        bounds = self.bounds
-        a = abs(c)
-        # c itself must fit int64, even against a zero row.
-        if a < _INT64_LIMIT:
-            b = bounds[j] + a * bounds[k]
-            if b < _INT64_LIMIT:
-                return b
-            bounds[j] = _max_abs(self.rows[j])
-            bounds[k] = _max_abs(self.rows[k])
-            b = bounds[j] + a * bounds[k]
-            if b < _INT64_LIMIT:
-                return b
-        self._widen()
-        return None
-
-    def _sum_bound(self, j: int, moves) -> int | None:
-        """_int64_bound for rows[j] - sum of c * rows[k] over moves."""
         bounds = self.bounds
         b = bounds[j]
         for k, c in moves:
@@ -507,42 +490,47 @@ class IntRows:
         self._widen()
         return None
 
+    def _checked(self, out) -> list:
+        """out, a list of (j, row, bound) for new rows, after a 128-bit
+        range check of the rows when they are Python ints (bound None).
+
+        Every basis part is checked before any transform part, and an
+        OverflowError names the first column outside.
+        """
+        if out and out[0][2] is None:
+            parts = np.hsplit(np.stack([row for _, row, _ in out]), [self.m])
+            for part, a in zip(("basis", "transform"), parts):
+                _check_range(a, lambda i, _: f"{part} column {out[i][0]}")
+        return out
+
     def moved(self, k: int, moves) -> list:
         """(j, rows[j] - c * rows[k], bound) for every (j, c) in moves.
 
         Writes no row; put writes the result.  When the rows widen to
         Python ints partway through the list, every move is computed
         again from the widened rows, so int64 and Python-int rows never
-        mix.  A column past the 128-bit range raises OverflowError naming
-        it; every moved basis column is checked before any transform
-        column.
+        mix.  The new Python-int rows are range-checked (_checked).
         """
         if self.bounds is not None:
             out = []
             for j, c in moves:
-                b = self._int64_bound(j, k, c)
+                b = self._sum_bound(j, ((k, c),))
                 if b is None:
                     break
                 out.append((j, self.rows[j] - c * self.rows[k], b))
             else:
                 return out
         rows = self.rows
-        out = [(j, rows[j] - c * rows[k], None) for j, c in moves]
-        if out:
-            new = np.stack([row for _, row, _ in out])
-            m = self.m
-            _check_range(new[:, :m], lambda i, _: f"basis column {moves[i][0]}")
-            _check_range(new[:, m:],
-                         lambda i, _: f"transform column {moves[i][0]}")
-        return out
+        return self._checked([(j, rows[j] - c * rows[k], None)
+                              for j, c in moves])
 
     def combination(self, j: int, moves) -> list:
         """[(j, rows[j] - sum of c * rows[k] over (k, c) in moves, bound)],
         for a nonempty moves.
 
         Writes no row; put writes the result.  On Python ints only the
-        result is range-checked, basis part first, so a column partway
-        through the sum may leave the 128-bit range.
+        result is range-checked (_checked), so a column partway through
+        the sum may leave the 128-bit range.
         """
         b = None if self.bounds is None else self._sum_bound(j, moves)
         rows = self.rows
@@ -550,11 +538,7 @@ class IntRows:
         row = rows[j] - c * rows[k]
         for k, c in rest:
             row -= c * rows[k]
-        if b is None:
-            m = self.m
-            _check_range(row[None, :m], lambda *_: f"basis column {j}")
-            _check_range(row[None, m:], lambda *_: f"transform column {j}")
-        return [(j, row, b)]
+        return self._checked([(j, row, b)])
 
     def put(self, new) -> None:
         """Write the rows, and their bounds, that moved or combination
@@ -600,6 +584,23 @@ def _gram_store(gram: GramMatrix, a: int):
     return gram.g
 
 
+def _write_gram(gram: GramMatrix, at, new) -> None:
+    """Write new as the rows at of gram, and mirror it into the columns at.
+
+    at is an index array, a pivot's moved columns, or a one-row slice, a
+    combination's column, which basic indexing writes faster.  new is
+    range-checked first, naming its first bad entry, and gram.bound is
+    raised over it, so on OverflowError nothing has changed.
+    """
+    g = gram.g
+    _check_range(new, lambda i, l:
+                 f"Gram entry ({np.arange(len(g))[at][i]},{l})")
+    if gram.bound is not None:
+        gram.bound = max(gram.bound, _max_abs(new))
+    g[at] = new
+    g[:, at] = new.T
+
+
 def update_gram(gram: GramMatrix, k: int, moves) -> None:
     """Update the Gram matrix for a pivot k and its moves, in O(|S| n).
 
@@ -611,10 +612,8 @@ def update_gram(gram: GramMatrix, k: int, moves) -> None:
     operations on the rows S and mirrored into the columns S.
 
     The int64 store is kept while bound * (1 + max|c|)**2 < 2**63
-    (_gram_store).  On Python ints the new rows are range-checked before
-    any is written, so on OverflowError, which names the first bad entry,
-    no value has changed.  apply_moves, and with it the greedy polish and
-    mgs, goes through it.
+    (_gram_store), and the new rows are written by _write_gram.
+    apply_moves, and with it the greedy polish and mgs, goes through it.
     """
     if not moves:
         return
@@ -626,11 +625,7 @@ def update_gram(gram: GramMatrix, k: int, moves) -> None:
     gk = g[k]
     # g'[j][l] = g[j][l] - c[j] g[k][l] - c[l] (g[k][j] - c[j] g[k][k])
     new = g[idx] - cs[:, None] * gk - (gk[idx] - cs * gk[k])[:, None] * c
-    _check_range(new, lambda i, l: f"Gram entry ({moves[i][0]},{l})")
-    if gram.bound is not None:
-        gram.bound = max(gram.bound, _max_abs(new))
-    g[idx] = new
-    g[:, idx] = new.T
+    _write_gram(gram, idx, new)
 
 
 def update_gram_column(gram: GramMatrix, j: int, moves) -> None:
@@ -642,9 +637,7 @@ def update_gram_column(gram: GramMatrix, j: int, moves) -> None:
     g'[j][j] = g[j][j] - 2 (G w)[j] + w^T G w.
 
     The int64 store is kept while bound * (1 + sum|c|)**2 < 2**63
-    (_gram_store).  On Python ints the new row is range-checked before it
-    is written, so on OverflowError, which names the first bad entry, no
-    value has changed.
+    (_gram_store), and the new row is written by _write_gram.
     """
     g = _gram_store(gram, sum(abs(c) for _, c in moves))
     ks = np.array([k for k, _ in moves], dtype=np.intp)
@@ -652,11 +645,7 @@ def update_gram_column(gram: GramMatrix, j: int, moves) -> None:
     gw = cs @ g[ks]
     new = g[j] - gw
     new[j] += cs @ gw[ks] - gw[j]
-    _check_range(new[None, :], lambda _, l: f"Gram entry ({j},{l})")
-    if gram.bound is not None:
-        gram.bound = max(gram.bound, _max_abs(new))
-    g[j] = new
-    g[:, j] = new
+    _write_gram(gram, slice(j, j + 1), new[None])
 
 
 def apply_moves(rows: IntRows, gram, k: int, moves) -> None:
@@ -669,8 +658,11 @@ def apply_moves(rows: IntRows, gram, k: int, moves) -> None:
     range-checked in that order, and only then written, so the update is
     all or nothing: on OverflowError, which names the first bad column or
     entry, no value has changed (rows may have widened to Python ints,
-    which keeps every value).
+    which keeps every value).  A move of column k itself raises
+    ValueError before anything is computed.
     """
+    if any(j == k for j, _ in moves):
+        raise ValueError("column indices must differ")
     new = rows.moved(k, moves)
     if gram is not None:
         update_gram(gram, k, moves)
@@ -715,20 +707,10 @@ def apply_transform(basis: Basis, transform: TransformRecord) -> Basis:
     return basis._trusted(basis.m, cols.tolist())
 
 
-def _summarize_rows(rows: IntRows, basis: Basis) -> NormSummary:
-    """summarize_columns(basis), where basis is the basis part of rows.
-
-    While the rows are int64 and m * M**2 < 2**63, for the basis part's
-    largest |entry| M, every squared norm is one int64 einsum over the
-    stacked basis parts, and the Frobenius total is summed in Python ints
-    (it can pass 2**63 when no single norm does).  Otherwise it is
-    summarize_columns(basis), with its 128-bit range check.
-    """
-    if rows.bounds is not None:
-        a = np.stack(rows.rows)[:, :rows.m]
-        if rows.m * _max_abs(a) ** 2 < _INT64_LIMIT:
-            return _summary(np.einsum("ij,ij->i", a, a).tolist())
-    return summarize_columns(basis)
+def _summarize_rows(rows: IntRows) -> NormSummary:
+    """summarize_columns of the basis part of rows, read from the rows."""
+    a = np.stack(rows.rows)[:, :rows.m]
+    return _summary(_norms_sq(a, None if rows.bounds is None else _max_abs(a)))
 
 
 def run_reducer(basis: Basis, track_transform: bool, body) -> ReductionResult:
@@ -751,7 +733,7 @@ def run_reducer(basis: Basis, track_transform: bool, body) -> ReductionResult:
     m, n = basis.m, basis.n
     rows = IntRows(basis.cols,
                    np.eye(n, dtype=np.int64) if track_transform else None)
-    before = _summarize_rows(rows, basis)
+    before = _summarize_rows(rows)
     iterations = body(rows)
     out = basis._trusted(m, [row[:m].tolist() for row in rows.rows])
     transform = None
@@ -762,7 +744,7 @@ def run_reducer(basis: Basis, track_transform: bool, body) -> ReductionResult:
         basis=out,
         iterations_applied=iterations,
         before=before,
-        after=_summarize_rows(rows, out),
+        after=_summarize_rows(rows),
         seconds=time.perf_counter() - started,
         transform=transform,
     )

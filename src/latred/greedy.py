@@ -41,8 +41,9 @@ always computed exactly in integers.  For the default p = 2 the whole score
 stays an exact integer, so the halting comparison is exact as well; other
 exponents take the p/2 power in floating point, float(v) ** (p/2) for each
 exact squared norm v, and add the terms strictly left to right with
-np.add.accumulate along a row (the order of core.fold_sum), so a score
-does not depend on the Python version.
+np.add.accumulate along a row, never with sum(), whose float rounding
+changed in Python 3.12, so a score does not depend on the Python
+version.
 """
 
 from __future__ import annotations
@@ -249,8 +250,8 @@ def _best_row(gram: GramMatrix, t, p: float, mode: str):
     row sum, an exact integer; in max mode the largest entry of the
     diagonal plus the row, an exact integer; for other exponents the
     p/2 powers, taken per changed entry in Python floats, added strictly
-    left to right, like core.fold_sum, by one np.add.accumulate over the
-    rows.  Ties go to the first row.
+    left to right by one np.add.accumulate over the rows.  Ties go to the
+    first row.
     """
     if mode == "sum" and p == 2.0:
         # Exact in int64 too: every entry lies in [-g[j][j], 0], so a row
@@ -265,7 +266,8 @@ def _best_row(gram: GramMatrix, t, p: float, mode: str):
     terms = np.tile(np.array(_powers(gram.diagonal(), p)), (len(t), 1))
     ks, js = np.nonzero(t)
     terms[ks, js] = _powers((gram.g.diagonal()[js] + t[ks, js]).tolist(), p)
-    # accumulate adds left to right, so the last column is fold_sum.
+    # accumulate adds left to right, so the last column is the row's
+    # left-to-right sum.
     totals = np.add.accumulate(terms, axis=1)[:, -1]
     k = int(np.argmin(totals))
     return k, float(totals[k])

@@ -455,6 +455,18 @@ class TestApplyColumnOp:
             apply_column_op(basis, None, 1, ((0, 1), (1, 3)))
         assert basis.tolist() == Basis.identity(2).cols
 
+    def test_pivot_rejects_moving_its_own_column(self):
+        # Moving column 0 by 3 * column 0 would leave -2 * e_0 and
+        # det U = -2; nothing may be written, also after a valid move.
+        for moves in ([(0, 3)], [(1, 1), (0, 3)]):
+            rows, basis, u = stacked_rows(Basis.identity(2),
+                                          TransformRecord.identity(2))
+            gram = gram_compute(Basis.identity(2))
+            with pytest.raises(ValueError, match="column indices must differ"):
+                apply_moves(rows, gram, 0, moves)
+            assert basis.tolist() == u.tolist() == Basis.identity(2).cols
+            assert gram == gram_compute(Basis.identity(2))
+
     def test_random_sequences_keep_gram_and_transform_consistent(self):
         rng = random.Random(202)
         for _ in range(30):
@@ -654,49 +666,77 @@ class TestGramStore:
         assert gram.tolist() == [[0, 0], [0, 2]]
 
 
-def sub_multiple(rows, k, j, c):
-    """rows[k] -= c * rows[j], as LLL's size reduction does it."""
-    rows.put(rows.moved(j, ((k, c),)))
+def pivot_move(rows, k, j, c):
+    """rows[k] -= c * rows[j] as pivot j with one move."""
+    apply_moves(rows, None, j, [(k, c)])
+
+
+def combination_move(rows, k, j, c):
+    """rows[k] -= c * rows[j] as a combination of one source."""
+    apply_column_op(rows, None, k, [(j, c)])
+
+
+def int_rows_state(rows):
+    """The rows, their bounds and their dtypes."""
+    return rows.tolist(), rows.bounds, [row.dtype for row in rows.rows]
 
 
 class TestIntRows:
+    """One int64 test serves both shapes: each single-move case runs as a
+    pivot and as a combination, with the same rows, bounds and dtypes."""
+
     @pytest.mark.parametrize("entry, widens", [
         (3, False), (1 << 62, True), (1 << 70, True)])
     def test_random_operations_match_python_ints(self, entry, widens):
-        rng = random.Random(entry.bit_length())
-        cols = [[rng.randint(-entry, entry) for _ in range(4)]
-                for _ in range(5)]
-        rows = IntRows(cols)
-        for _ in range(20):
-            j, k = rng.sample(range(5), 2)
-            c = rng.randint(-3, 3)
-            sub_multiple(rows, k, j, c)
-            cols[k] = [a - c * b for a, b in zip(cols[k], cols[j])]
-            if rng.random() < 0.3:
-                rows.swap(j, k)
-                cols[j], cols[k] = cols[k], cols[j]
-        assert rows.tolist() == cols
-        assert_all_int(rows.tolist())
-        assert (rows.bounds is None) == widens
+        states = []
+        for sub_multiple in (pivot_move, combination_move):
+            rng = random.Random(entry.bit_length())
+            cols = [[rng.randint(-entry, entry) for _ in range(4)]
+                    for _ in range(5)]
+            rows = IntRows(cols)
+            for _ in range(20):
+                j, k = rng.sample(range(5), 2)
+                c = rng.randint(-3, 3)
+                sub_multiple(rows, k, j, c)
+                cols[k] = [a - c * b for a, b in zip(cols[k], cols[j])]
+                if rng.random() < 0.3:
+                    rows.swap(j, k)
+                    cols[j], cols[k] = cols[k], cols[j]
+            assert rows.tolist() == cols
+            assert_all_int(rows.tolist())
+            assert (rows.bounds is None) == widens
+            states.append(int_rows_state(rows))
+        assert states[0] == states[1]
 
     def test_bound_is_measured_again_before_widening(self):
-        rows = IntRows([[1 << 61, 0], [0, 1]])
-        # The bound 2**61 + 3 * 2**61 reaches 2**63; measured, row 1's
-        # largest |entry| is 1, so the step stays int64.
-        sub_multiple(rows, 1, 0, 3)
-        assert rows.bounds is not None
-        # Measured bounds 3 * 2**61 + 2**61 reach 2**63: Python ints.
-        sub_multiple(rows, 1, 0, 1)
-        assert rows.bounds is None
-        assert rows.tolist() == [[1 << 61, 0], [-1 << 63, 1]]
+        states = []
+        for sub_multiple in (pivot_move, combination_move):
+            rows = IntRows([[1 << 61, 0], [0, 1]])
+            # The bound 2**61 + 3 * 2**61 reaches 2**63; measured, row 1's
+            # largest |entry| is 1, so the step stays int64, with the new
+            # row's bound 1 + 3 * 2**61.
+            sub_multiple(rows, 1, 0, 3)
+            assert rows.bounds == [1 << 61, 3 * (1 << 61) + 1]
+            states.append(int_rows_state(rows))
+            # Measured bounds 3 * 2**61 + 2**61 reach 2**63: Python ints.
+            sub_multiple(rows, 1, 0, 1)
+            assert rows.bounds is None
+            assert rows.tolist() == [[1 << 61, 0], [-1 << 63, 1]]
+            states.append(int_rows_state(rows))
+        assert states[:2] == states[2:]
 
     def test_coefficient_past_int64_against_a_zero_row(self):
         # The re-measured bound of a zero row passes whatever c is, but
         # c = 2**64 itself does not fit int64.
-        rows = IntRows([[0, 0], [1, 1]])
-        sub_multiple(rows, 1, 0, 1 << 64)
-        assert rows.tolist() == [[0, 0], [1, 1]]
-        assert_all_int(rows.tolist())
+        states = []
+        for sub_multiple in (pivot_move, combination_move):
+            rows = IntRows([[0, 0], [1, 1]])
+            sub_multiple(rows, 1, 0, 1 << 64)
+            assert rows.tolist() == [[0, 0], [1, 1]]
+            assert_all_int(rows.tolist())
+            states.append(int_rows_state(rows))
+        assert states[0] == states[1]
+        assert states[0][1] is None
 
     def test_pivot_widening_partway_recomputes_every_move(self):
         # Move 1 is exact in int64; move 2's bound reaches 2**63, so every
@@ -714,11 +754,12 @@ class TestIntRows:
 
     def test_overflow_names_column_and_leaves_rows_unchanged(self):
         cols = [[1, 0], [INT128_MAX, 0]]
-        rows = IntRows(cols)
-        with pytest.raises(OverflowError,
-                           match="basis column 1 exceeds the signed 128-bit"):
-            sub_multiple(rows, 1, 0, -1)
-        assert rows.tolist() == cols
+        for sub_multiple in (pivot_move, combination_move):
+            rows = IntRows(cols)
+            with pytest.raises(OverflowError, match="basis column 1 exceeds "
+                               "the signed 128-bit"):
+                sub_multiple(rows, 1, 0, -1)
+            assert rows.tolist() == cols
 
     def test_basis_overflow_is_named_before_an_earlier_transform_overflow(self):
         # Pivot 0: move 1 leaves the range only in its transform column
@@ -840,23 +881,15 @@ class TestRunReducer:
 
 
 class TestSummariesFromRows:
-    """run_reducer's summaries equal summarize_columns on the same basis."""
+    """run_reducer's summaries, read from the rows, equal
+    summarize_columns on the same basis."""
 
-    @staticmethod
-    def only_rows(monkeypatch):
-        """Make the summarize_columns fallback fail, so a passing call read
-        the rows."""
-        def fallback(basis):
-            raise AssertionError("summarize_columns ran")
-        monkeypatch.setattr(core, "summarize_columns", fallback)
-
-    def test_frobenius_total_past_int64_is_exact(self, monkeypatch):
+    def test_frobenius_total_past_int64_is_exact(self):
         # Each squared norm is 2 * 2**60 < 2**63; their sum is 2**63,
         # which an int64 sum would wrap to -2**63.
         basis = Basis([[1 << 30, -(1 << 30)] for _ in range(4)])
         expected = summarize_columns(basis)
         assert expected == NormSummary(1 << 63, 1 << 61)
-        self.only_rows(monkeypatch)
         res = run_reducer(basis, False, lambda rows: 0)
         assert res.before == res.after == expected
         assert type(res.before.frobenius_sq) is int
@@ -874,18 +907,16 @@ class TestSummariesFromRows:
         ([[0, 0], [0, 3], [0, 0]], NormSummary(9, 9)),
         ([[0, 0], [0, 0]], NormSummary(0, 0)),
     ])
-    def test_zero_columns_are_skipped(self, monkeypatch, cols, expected):
-        self.only_rows(monkeypatch)
+    def test_zero_columns_are_skipped(self, cols, expected):
         for track in (False, True):
             res = run_reducer(Basis(cols), track, lambda rows: 0)
             assert res.before == res.after == expected
 
-    def test_tracked_run_reads_only_the_basis_part(self, monkeypatch):
+    def test_tracked_run_reads_only_the_basis_part(self):
         def body(rows):
             apply_column_op(rows, None, 1, ((0, 1000),))
             return 1
 
-        self.only_rows(monkeypatch)
         res = run_reducer(Basis.identity(2), True, body)
         # Whole rows would give 2 per unit column, and 2 * 1000001 after.
         assert res.transform == TransformRecord([[1, 0], [-1000, 1]])
@@ -896,7 +927,8 @@ class TestSummariesFromRows:
         rng = random.Random(404)
         for _ in range(60):
             # 2**58 keeps every norm inside 128 bits after the moves; at
-            # m >= 3 it also fails m * M**2 < 2**63, so the fallback runs.
+            # m >= 3 it also fails m * M**2 < 2**63, so the norms are
+            # summed in Python ints.
             entry = rng.choice((3, 1 << 20, 1 << 31, 1 << 40, 1 << 58))
             basis = random_basis(rng, max_entry=entry)
             n = basis.n

@@ -11,7 +11,6 @@ from latred.core import (
     TransformRecord,
     apply_transform,
     det_small,
-    fold_sum,
     gram_compute,
     nint_ratio,
 )
@@ -506,11 +505,6 @@ class TestFloatScores:
     # 2**53 + 2.  With p = 1 the diagonal (2**106, 1, 1) has exactly these
     # terms.
     DIAG = GramMatrix([[1 << 106, 0, 0], [0, 1, 0], [0, 0, 1]])
-
-    def test_fold_sum_adds_left_to_right(self):
-        assert fold_sum([2.0 ** 53, 1.0, 1.0]) == 2.0 ** 53
-        assert fold_sum([1.0, 1.0, 2.0 ** 53]) == 2.0 ** 53 + 2
-        assert fold_sum([]) == 0.0
 
     def test_basis_score_is_the_left_to_right_fold(self):
         assert basis_score(self.DIAG, 1.0) == 2.0 ** 53
