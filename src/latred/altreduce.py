@@ -24,7 +24,6 @@ bit, so its intermediate floats are not promised bit for bit.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,9 +45,14 @@ from .core import (
 )
 from .genlat import SplitMix64
 
-log = logging.getLogger(__name__)
-
 VARIANTS = ("random_combination", "mgs_pivot")
+
+
+def _warn(msg: str, *args) -> None:
+    # Imported only once a step is skipped, so that importing latred does
+    # not load logging.
+    import logging
+    logging.getLogger(__name__).warning(msg, *args)
 
 
 @dataclass(frozen=True)
@@ -91,10 +95,10 @@ def random_combination_step(rows: IntRows, gram: GramMatrix, j: int) -> bool:
     try:
         coeffs = np.linalg.solve(sub, rhs)
     except np.linalg.LinAlgError:
-        log.warning("singular normal equations for column %d; step skipped", j)
+        _warn("singular normal equations for column %d; step skipped", j)
         return False
     if not np.all(np.isfinite(coeffs)):
-        log.warning("non-finite coefficients for column %d; step skipped", j)
+        _warn("non-finite coefficients for column %d; step skipped", j)
         return False
     large = np.flatnonzero(np.abs(coeffs) >= ROUNDS_TO_ZERO)
     if not len(large):

@@ -2,18 +2,39 @@
 
 Builds the q-ary block bases used by the benchmark harness and the random
 column permutations applied per trial.  All randomness comes from an
-explicit, documented 64-bit generator so that runs reproduce bit-for-bit
-on any platform.
+explicit, documented 64-bit generator (SplitMix64: Steele, Lea & Flood,
+OOPSLA 2014) so that runs reproduce bit-for-bit on any platform.
+
+The generator has two equal forms: next_u64 and below give one Python-int
+draw at a time, and draw gives the next count draws as one numpy uint64
+array, by the same add-and-mix steps in wrapping uint64 arithmetic and,
+for a bound, the same rejection rule.  gen_example takes its R from one
+bounded array draw and random_permutation its shuffle from one raw array
+draw; derive_seed and rand-comb draw one value at a time.  Bounds go up to
+2**64, so a q-ary example needs an odd q in [3, 2**64).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import Basis, UsageError
 
 _MASK64 = (1 << 64) - 1
 _TWO64 = 1 << 64
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+
+def _ceiling(bound: int) -> int:
+    """Largest draw that below(bound) keeps: it keeps the first
+    2**64 - 2**64 % bound values, a whole number of bound-sized blocks."""
+    if not 0 < bound <= _TWO64:
+        raise ValueError(f"bound must be in [1, 2**64], got {bound}")
+    return _MASK64 - _TWO64 % bound
 
 
 class SplitMix64:
@@ -29,26 +50,62 @@ class SplitMix64:
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (self.state + _GAMMA) & _MASK64
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound), by rejection: no modulo bias."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        limit = _TWO64 - (_TWO64 % bound)
+        """Uniform integer in [0, bound), 1 <= bound <= 2**64, by
+        rejection: no modulo bias."""
+        ceiling = _ceiling(bound)
         while True:
             u = self.next_u64()
-            if u < limit:
+            if u <= ceiling:
                 return u % bound
 
+    def draw(self, count: int, bound: int | None = None) -> np.ndarray:
+        """The next count draws as a uint64 array, equal to count calls of
+        next_u64, or of below(bound) when a bound is given.
+
+        A bounded draw drops each value below rejects and tops up from the
+        following values, so the generator ends in the same state too.
+        """
+        if count < 0:
+            raise ValueError(f"count must be nonnegative, got {count}")
+        if bound is not None:
+            ceiling = np.uint64(_ceiling(bound))
+            kept = np.empty(0, dtype=np.uint64)
+            while len(kept) < count:
+                z = self.draw(count - len(kept))
+                kept = np.concatenate((kept, z[z <= ceiling]))
+            return kept if bound == _TWO64 else kept % np.uint64(bound)
+        z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        z += np.uint64(self.state)
+        self.state = (self.state + count * _GAMMA) & _MASK64
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        return z
+
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+        """In-place Fisher-Yates shuffle: for i = len - 1 down to 1, item i
+        swaps with item below(i + 1)."""
+        n = len(items)
+        start = self.state
+        z = self.draw(max(n - 1, 0))
+        if len(z) and int(z.max()) >= _TWO64 - n:
+            # below(i + 1) rejects only draws above 2**64 - n, so one of
+            # these may be rejected (odds below n**2 / 2**64): replay the
+            # draws one at a time.
+            self.state = start
+            picks = [self.below(i + 1) for i in range(n - 1, 0, -1)]
+        else:
+            picks = (z % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
+        for i, j in zip(range(n - 1, 0, -1), picks):
             items[i], items[j] = items[j], items[i]
 
 
@@ -66,15 +123,16 @@ def derive_seed(base: int, *tags: int) -> int:
 
 @dataclass(frozen=True)
 class ExampleSpec:
-    """Parameters of one q-ary example: odd modulus q >= 3, block size ell."""
+    """Parameters of one q-ary example: odd modulus 3 <= q < 2**64, block
+    size ell."""
 
     q: int
     ell: int
     seed: int
 
     def __post_init__(self):
-        if self.q < 3 or self.q % 2 == 0:
-            raise UsageError(f"q must be odd and >= 3, got {self.q}")
+        if not 3 <= self.q < _TWO64 or self.q % 2 == 0:
+            raise UsageError(f"q must be odd, >= 3 and < 2**64, got {self.q}")
         if self.ell < 1:
             raise UsageError(f"ell must be positive, got {self.ell}")
 
@@ -87,27 +145,28 @@ def gen_example(spec: ExampleSpec) -> Basis:
     """The n x n block basis [[R, q*Id], [Id, 0]] with n = 3*ell.
 
     R is (2*ell) x ell with entries drawn independently and uniformly from
-    -(q-1)/2 .. (q-1)/2, row by row, from the seeded generator.  The first
-    ell columns are the random columns over an identity footer; the last
-    2*ell columns are q times the unit vectors.  Unimodular column
-    operations can add any multiple of q to any entry of R, so the lattice
-    effectively works modulo q.
+    -(q-1)/2 .. (q-1)/2, row by row, as one bounded array draw of the
+    seeded generator.  The first ell columns are the random columns over
+    an identity footer; the last 2*ell columns are q times the unit
+    vectors.  Unimodular column operations can add any multiple of q to
+    any entry of R, so the lattice effectively works modulo q.
     """
     q, ell = spec.q, spec.ell
     n = 3 * ell
     two_ell = 2 * ell
     half = (q - 1) // 2
-    rng = SplitMix64(spec.seed)
-    rows = [[0] * n for _ in range(n)]
-    for r in range(two_ell):
-        row = rows[r]
-        for c in range(ell):
-            row[c] = rng.below(q) - half
+    # Draws below q < 2**63 fit int64; past that R is built of Python ints.
+    r = SplitMix64(spec.seed).draw(two_ell * ell, q)
+    r = r.astype(np.int64 if q < 1 << 63 else object) - half
+    cols = r.reshape(two_ell, ell).T.tolist()
+    for c, col in enumerate(cols):
+        col += [0] * ell
+        col[two_ell + c] = 1
     for i in range(two_ell):
-        rows[i][ell + i] = q
-    for i in range(ell):
-        rows[two_ell + i][i] = 1
-    return Basis.from_rows(rows)
+        col = [0] * n
+        col[i] = q
+        cols.append(col)
+    return Basis._trusted(n, cols)
 
 
 def random_permutation(basis: Basis, seed: int) -> Basis:

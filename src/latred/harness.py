@@ -12,7 +12,6 @@ so nothing is lost to rounding.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
@@ -22,9 +21,14 @@ from .genlat import ExampleSpec, derive_seed, gen_example, random_permutation
 from .greedy import ReduceConfig, reduce as greedy_reduce
 from .lll import DEFAULT_DELTA, LLLConfig, lll_reduce
 
-log = logging.getLogger(__name__)
-
 MODES = ("once", "repeat")
+
+
+def _warn(msg: str, *args) -> None:
+    # Imported only once a trial fails, so that importing latred does
+    # not load logging.
+    import logging
+    logging.getLogger(__name__).warning(msg, *args)
 
 
 @dataclass(frozen=True)
@@ -143,10 +147,10 @@ def _run_trials(config: ExperimentConfig, mode: str) -> list[TrialRecord]:
                 res = pipeline(permuted, stages)
             except (ArithmeticError, ValueError) as exc:
                 if chained:
-                    log.warning("round %d at n=%d failed: %s; chain stopped",
-                                trial, spec.n, exc)
+                    _warn("round %d at n=%d failed: %s; chain stopped",
+                          trial, spec.n, exc)
                     break
-                log.warning("trial %d at n=%d failed: %s", trial, spec.n, exc)
+                _warn("trial %d at n=%d failed: %s", trial, spec.n, exc)
                 continue
             records.append(_make_record(config, mode, spec.n, trial, res))
             if chained:

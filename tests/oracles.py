@@ -7,7 +7,7 @@ code path with the package under test.
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 
 import numpy as np
 
@@ -162,17 +162,43 @@ def mgs_per_pair(cols, p):
 
 
 def _splitmix64_below(seed, bound):
-    """Endless uniform draws from [0, bound): splitmix64 with rejection."""
+    """Uniform draws from [0, bound): splitmix64 with rejection.
+
+    bound is one int, for endless draws, or an iterable of ints, one bound
+    per draw.
+    """
     mask = (1 << 64) - 1
     state = seed & mask
-    limit = (1 << 64) - (1 << 64) % bound
-    while True:
-        state = (state + 0x9E3779B97F4A7C15) & mask
-        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        z ^= z >> 31
-        if z < limit:
-            yield z % bound
+    for b in repeat(bound) if isinstance(bound, int) else bound:
+        limit = (1 << 64) - (1 << 64) % b
+        while True:
+            state = (state + 0x9E3779B97F4A7C15) & mask
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            z ^= z >> 31
+            if z < limit:
+                yield z % b
+                break
+
+
+def gen_example_reference(q, ell, seed):
+    """The q-ary block basis [[R, q*Id], [Id, 0]] as columns, n = 3*ell.
+
+    The generator written out with one scalar draw per entry: R's
+    2*ell x ell entries, row by row, are splitmix64 draws below q from
+    seed, each less (q - 1) // 2.
+    """
+    n = 3 * ell
+    draws = _splitmix64_below(seed, q)
+    rows = [[0] * n for _ in range(n)]
+    for r in range(2 * ell):
+        for c in range(ell):
+            rows[r][c] = next(draws) - (q - 1) // 2
+    for i in range(2 * ell):
+        rows[i][ell + i] = q
+    for i in range(ell):
+        rows[2 * ell + i][i] = 1
+    return [list(col) for col in zip(*rows)]
 
 
 def rand_comb_per_move(cols, iterations, seed):

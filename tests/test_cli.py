@@ -1,8 +1,12 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import latred
 import latred.cli as cli_mod
 from latred.cli import main
 from latred.core import INT128_MAX, read_mat, write_mat, Basis
@@ -11,6 +15,8 @@ from latred.greedy import ReduceConfig, reduce
 from latred.harness import CSV_HEADER
 
 Q13 = 2**13 - 1
+# 2**65 + 1: odd, but past the 2**64 that the generator's draws reach.
+Q_TOO_BIG = str(2**65 + 1)
 
 
 def run_cli(*argv):
@@ -52,6 +58,13 @@ class TestGen:
         out = tmp_path / "a.mat"
         assert run_cli("gen", "--q", "8190", "--ell", "2", "--seed", "1",
                        "--out", str(out)) == 2
+
+    def test_q_from_2_64_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "a.mat"
+        assert run_cli("gen", "--q", Q_TOO_BIG, "--ell", "1", "--seed", "0",
+                       "--out", str(out)) == 2
+        assert "2**64" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_deterministic_bytes(self, tmp_path):
         one = tmp_path / "one.mat"
@@ -365,6 +378,12 @@ class TestBench:
         assert run_cli("bench", "--q", "8190", "--ell-list", "1",
                        "--csv", str(tmp_path / "x.csv")) == 2
 
+    def test_q_from_2_64_exits_2_before_any_trial(self, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.setattr(cli_mod, "run_experiment", must_not_run)
+        assert run_cli("bench", "--q", Q_TOO_BIG, "--ell-list", "1",
+                       "--csv", str(tmp_path / "x.csv")) == 2
+
     def test_unwritable_csv_exits_1_before_any_trial(self, tmp_path, capsys,
                                                      monkeypatch):
         monkeypatch.setattr(cli_mod, "run_experiment", must_not_run)
@@ -392,3 +411,14 @@ class TestBench:
                        "--delta", "0.999999999999999",
                        "--csv", str(spelled)) == 0
         assert untimed_rows(short) == untimed_rows(spelled)
+
+
+def test_import_does_not_load_logging():
+    # The package logs only warnings, and imports logging only to give one.
+    src = os.path.dirname(os.path.dirname(latred.__file__))
+    code = ("import sys, latred, latred.cli; "
+            "print(sorted({'logging', 'string', 'traceback'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
