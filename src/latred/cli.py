@@ -8,8 +8,9 @@ its configs before it touches a file.  A flag left out takes its config's
 default, so each default is defined once, in the config.  A reduce flag
 that the chosen --algo never reads is a usage error too.  Every output
 path is checked before the work starts, without creating or truncating
-it, so an unwritable one exits 1 before any trial or stage runs.  Every
---algo is a list of stages run through core.pipeline.
+it, so an unwritable one exits 1 before any trial or stage runs; --out
+and --report naming one file is a usage error.  Every --algo is a list of
+stages run through core.pipeline.
 """
 
 from __future__ import annotations
@@ -36,30 +37,25 @@ from .harness import (CSV_HEADER, MODES, ExperimentConfig, emit_csv,
                       run_experiment)
 from .lll import LLLConfig, lll_reduce
 
-# reduce's flags that only some --algo values read: (flag, dest, those
-# values).  Each defaults to None, so a given flag can be told apart.
-_READ_ONLY_BY = (
-    ("--p", "p", ("greedy", "lll+greedy", "mgs")),
-    ("--p-schedule", "p_schedule", ("greedy", "lll+greedy")),
-    ("--score", "score", ("greedy", "lll+greedy")),
-    ("--delta", "delta", ("lll", "lll+greedy")),
-    ("--iters", "iters", ("rand-comb",)),
-    ("--seed", "seed", ("rand-comb",)),
-)
+# The reducers each --algo runs, in order, and the optional reduce flags
+# each reducer reads.  Each of those flags defaults to None, so a given
+# flag can be told apart.
+_ALGOS = {"greedy": ("greedy",), "lll": ("lll",),
+          "lll+greedy": ("lll", "greedy"), "rand-comb": ("rand-comb",),
+          "mgs": ("mgs",)}
+_READS = {"greedy": ("--p", "--p-schedule", "--score"), "lll": ("--delta",),
+          "rand-comb": ("--iters", "--seed"), "mgs": ("--p",)}
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}")
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma list of numbers: {text!r}")
+def _list_of(kind, noun):
+    """An argparse type that reads a comma list of kind."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(tok) for tok in text.split(",") if tok.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a comma list of {noun}: {text!r}")
+    return parse
 
 
 def _given(**values):
@@ -108,36 +104,31 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_gen)
 
     red = sub.add_parser("reduce", help="reduce a basis from a .mat file")
-    red.add_argument(
-        "--algo", required=True,
-        choices=["greedy", "lll", "lll+greedy", "rand-comb", "mgs"],
-    )
+    red.add_argument("--algo", required=True, choices=list(_ALGOS))
     red.add_argument("--in", dest="in_path", required=True)
     red.add_argument("--out", required=True)
-    red.add_argument("--p", type=float, default=None)
-    red.add_argument("--p-schedule", type=_float_list, default=None,
-                     help="greedy exponents, run in order")
-    red.add_argument("--delta", type=float, default=None)
-    red.add_argument("--score", choices=SCORE_MODES, default=None)
-    red.add_argument("--iters", type=int, default=None,
+    red.add_argument("--score", choices=SCORE_MODES)
+    red.add_argument("--iters", type=int,
                      help="step budget for rand-comb (default 10*n)")
-    red.add_argument("--seed", type=int, default=None)
     red.add_argument("--track-transform", action="store_true")
-    red.add_argument("--report", default=None)
+    red.add_argument("--report")
     red.set_defaults(func=cmd_reduce)
 
     bench = sub.add_parser("bench", help="run the benchmark protocol")
     bench.add_argument("--q", type=int, required=True)
-    bench.add_argument("--ell-list", type=_int_list, default=(2, 4, 8, 16))
-    bench.add_argument("--trials", type=int, default=None)
-    bench.add_argument("--mode", choices=MODES, default=None)
-    bench.add_argument("--delta", type=float, default=None)
-    bench.add_argument("--p", type=float, default=None)
-    bench.add_argument("--p-schedule", type=_float_list, default=None,
-                       help="greedy exponents, run in order")
-    bench.add_argument("--seed", type=int, default=None)
+    bench.add_argument("--ell-list", type=_list_of(int, "integers"),
+                       default=(2, 4, 8, 16))
+    bench.add_argument("--trials", type=int)
+    bench.add_argument("--mode", choices=MODES)
     bench.add_argument("--csv", required=True)
     bench.set_defaults(func=cmd_bench)
+
+    for command in (red, bench):
+        command.add_argument("--p", type=float)
+        command.add_argument("--p-schedule", type=_list_of(float, "numbers"),
+                             help="greedy exponents, run in order")
+        command.add_argument("--delta", type=float)
+        command.add_argument("--seed", type=int)
 
     return parser
 
@@ -157,8 +148,10 @@ def _stages(args):
     reads any file.  A flag left out takes its config's default.  Reducers
     are looked up when a stage runs, so a patched one is what runs.
     """
-    unread = [flag for flag, dest, algos in _READ_ONLY_BY
-              if getattr(args, dest) is not None and args.algo not in algos]
+    read = {flag for name in _ALGOS[args.algo] for flag in _READS[name]}
+    optional = dict.fromkeys(f for flags in _READS.values() for f in flags)
+    unread = [flag for flag in optional if flag not in read
+              and getattr(args, flag[2:].replace("-", "_")) is not None]
     if unread:
         raise UsageError(f"--algo {args.algo} does not read "
                          + ", ".join(unread))
@@ -185,17 +178,16 @@ def _stages(args):
         return mgs_pivot_reduce(basis, **_given(p=args.p),
                                 track_transform=track)
 
-    return {
-        "greedy": (greedy,),
-        "lll": (lll,),
-        "lll+greedy": (lll, greedy),
-        "rand-comb": (rand_comb,),
-        "mgs": (mgs,),
-    }[args.algo]
+    reducers = {"greedy": greedy, "lll": lll, "rand-comb": rand_comb,
+                "mgs": mgs}
+    return tuple(reducers[name] for name in _ALGOS[args.algo])
 
 
 def cmd_reduce(args) -> int:
     stages = _stages(args)
+    if args.report and (os.path.abspath(args.report)
+                        == os.path.abspath(args.out)):
+        raise UsageError("--out and --report name the same file")
     basis = read_mat(args.in_path)
     _check_writable(args.out, args.report)
     result = pipeline(basis, stages)

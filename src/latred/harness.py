@@ -13,7 +13,6 @@ so nothing is lost to rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from functools import cached_property
 
 from .core import ReductionResult, UsageError, pipeline
@@ -46,6 +45,8 @@ class ExperimentConfig:
             raise UsageError("trials must be at least 1")
         if not self.ell_list:
             raise UsageError("ell_list must be nonempty")
+        if len(set(self.ell_list)) < len(self.ell_list):
+            raise UsageError("ell_list must not repeat a size")
         if self.mode not in MODES:
             raise UsageError(f"mode must be one of {MODES}")
         # Building these checks q, each ell, delta and p_schedule now;
@@ -191,10 +192,15 @@ def _split(rec: TrialRecord) -> tuple[list, list]:
 
 
 def _mean(values):
-    total = sum(values)
+    """A column's mean.
+
+    Of seconds, a float.  Of exact values, the int when the mean is one,
+    else the repr of the nearest float: int / int is correctly rounded.
+    """
+    total, count = sum(values), len(values)
     if isinstance(total, float):
-        return total / len(values)
-    return Fraction(total, len(values))
+        return total / count
+    return total // count if total % count == 0 else repr(total / count)
 
 
 def _row(group, stat, measured) -> list[str]:
@@ -204,11 +210,7 @@ def _row(group, stat, measured) -> list[str]:
     an exact mean that is not an integer as its nearest float.
     """
     def cell(value) -> str:
-        if isinstance(value, float):
-            return f"{value:.6f}"
-        if isinstance(value, Fraction) and value.denominator != 1:
-            return repr(float(value))
-        return str(value)
+        return f"{value:.6f}" if isinstance(value, float) else str(value)
 
     return [*map(str, group), str(stat), *map(cell, measured)]
 

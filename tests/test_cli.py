@@ -277,6 +277,17 @@ class TestReduce:
         # Nothing was created, the writable output included.
         assert sorted(q.name for q in tmp_path.iterdir()) == ["in.mat"]
 
+    def test_report_on_the_output_exits_2_before_reading_input(
+            self, tmp_path, capsys, monkeypatch):
+        # The report would overwrite the reduced basis just written there.
+        monkeypatch.setattr(cli_mod, "read_mat", must_not_run)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("reduce", "--algo", "greedy", "--in", "in.mat",
+                       "--out", "o.mat",
+                       "--report", str(tmp_path / "o.mat")) == 2
+        assert "--out and --report" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_output_may_be_the_input(self, tmp_path):
         src = write_skewed(tmp_path / "in.mat")
         assert run_cli("reduce", "--algo", "greedy", "--in", src,
@@ -374,6 +385,15 @@ class TestBench:
         err = capsys.readouterr().err
         assert "--p " in err and "--p-schedule" in err
 
+    def test_repeated_ell_exits_2_before_any_trial(self, tmp_path, capsys,
+                                                   monkeypatch):
+        monkeypatch.setattr(cli_mod, "run_experiment", must_not_run)
+        path = tmp_path / "x.csv"
+        assert run_cli("bench", "--q", str(Q13), "--ell-list", "1,1",
+                       "--trials", "2", "--csv", str(path)) == 2
+        assert "repeat" in capsys.readouterr().err
+        assert not path.exists()
+
     def test_even_q_exits_2(self, tmp_path):
         assert run_cli("bench", "--q", "8190", "--ell-list", "1",
                        "--csv", str(tmp_path / "x.csv")) == 2
@@ -414,10 +434,12 @@ class TestBench:
 
 
 def test_import_does_not_load_logging():
-    # The package logs only warnings, and imports logging only to give one.
+    # The package logs only warnings, and imports logging only to give one;
+    # the bench CSV's exact means need no fractions (nor its decimal).
     src = os.path.dirname(os.path.dirname(latred.__file__))
+    unwanted = {"logging", "string", "traceback", "fractions", "decimal"}
     code = ("import sys, latred, latred.cli; "
-            "print(sorted({'logging', 'string', 'traceback'} & set(sys.modules)))")
+            f"print(sorted({unwanted!r} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout

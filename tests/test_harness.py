@@ -166,6 +166,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(ell_list=())
 
+    def test_rejects_repeated_ell(self):
+        # A repeated size would run and write its trials twice under the
+        # same (mode, n, trial), and its aggregates would count both.
+        with pytest.raises(UsageError, match="repeat"):
+            small_config(ell_list=(1, 2, 1))
+
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             small_config(mode="forever")

@@ -1,9 +1,12 @@
+import importlib
 import re
 import shlex
+import types
 from pathlib import Path
 
 import pytest
 
+import latred
 from latred.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -47,3 +50,26 @@ def test_cli_section_names_only_existing_flags(capsys):
         helps.append(capsys.readouterr().out)
     for flag in set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", cli_section())):
         assert any(re.search(rf"{flag}\b(?!-)", h) for h in helps), flag
+
+
+def resolve(dotted):
+    """The object a dotted name such as latred.core.apply_moves names."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], 2):
+        if not hasattr(obj, part):
+            obj = importlib.import_module(".".join(parts[:i]))
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_exports_are_the_names_readme_documents():
+    text = README.read_text(encoding="utf-8")
+    spans = " ".join(re.findall(r"`([^`\n]+)`", text))
+    documented = set(re.findall(r"\w+", spans))
+    exported = {name for name, value in vars(latred).items()
+                if not name.startswith("_")
+                and not isinstance(value, types.ModuleType)}
+    assert exported - documented == set()
+    for dotted in set(re.findall(r"\blatred(?:\.\w+)+", text)):
+        resolve(dotted)
