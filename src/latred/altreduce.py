@@ -176,7 +176,7 @@ def mgs_pivot_reduce(basis: Basis, p: float = 2.0, *,
         residual = np.arange(basis.n)
         # Row s of q: residual column s orthogonalized against every
         # chosen pivot, carried from round to round.
-        q = np.array(basis.cols, dtype=float)
+        q = basis.array.astype(float)
         # The chosen pivots' terms added left to right in choice order; no
         # move ever targets a chosen column, so its term never changes.
         chosen_sum = 0.0

@@ -9,7 +9,15 @@ always indicates a bug.
 
 One packer, _pack, turns integer rows into an int64 array with its
 measured largest |entry|, or, when an entry does not fit int64, into a
-dtype=object array of Python ints with no bound.  One product, _product,
+dtype=object array of Python ints with no bound.  A Basis is one such
+array, row j being column j, made once when the basis is made and
+read-only from then on, so the library moves no column lists between
+its parts: read_mat, gen_example, random_permutation, apply_transform
+and run_reducer's write-back each hand over an array, and
+gram_compute, column_norms_sq, apply_transform, IntRows, run_reducer's
+summaries, pipeline's range check, write_mat, LLL's float mirror and
+mgs's residuals read one.  Basis.cols and to_rows() build lists of
+Python ints for callers on each read.  One product, _product,
 serves gram_compute and apply_transform (and so pipeline's composition
 of transforms).  It takes one of three routes by the bound t * M_a * M_b
 on every partial sum, t being the inner length and M_a, M_b the
@@ -61,9 +69,10 @@ the one error either raises when a new squared norm comes out negative.
 Every reducer runs inside run_reducer, which owns the frame around its
 loop: the IntRows of the input's columns, stacked on the identity when a
 transform is tracked, the one write-back into the result's basis and
-transform, the exact before/after norm summaries (read from the rows),
-the timing and the ReductionResult.  It is the only code that knows
-whether a transform is tracked.  pipeline chains reducers.
+transform, the exact before/after norm summaries (read from the input's
+array and the output's), the timing and the ReductionResult.  It is the
+only code that knows whether a transform is tracked.  pipeline chains
+reducers.
 
 read_mat and write_mat move a Basis through the .mat text format.
 read_mat hands a file made only of digits, signs, blanks and line
@@ -118,13 +127,20 @@ def _check_entries(rows) -> None:
 
 
 class Basis:
-    """Integer basis stored column-major: ``cols[j]`` is basis vector j.
+    """Integer basis stored column-major: column j is basis vector j.
 
+    The columns are one read-only n x m array, array, whose row j is
+    column j, made once when the basis is made and never written again:
+    int64 with bound its largest |entry|, a Python int, when every entry
+    fits int64, and otherwise dtype=object (Python ints) with bound None,
+    as _pack packs them.  gram_compute, column_norms_sq, apply_transform,
+    run_reducer, pipeline, write_mat, LLL's float mirror and mgs read the
+    array; cols and to_rows() build new lists of Python ints on each call.
     Columns are allowed to be linearly dependent (and even zero); reducers
     that cannot handle that reject it themselves.
     """
 
-    __slots__ = ("m", "cols")
+    __slots__ = ("array", "bound")
 
     def __init__(self, cols):
         if not cols or not cols[0]:
@@ -134,8 +150,20 @@ class Basis:
             if len(col) != m:
                 raise ValueError("basis columns must all have the same length")
         _check_entries(cols)
-        self.m = m
-        self.cols = [list(col) for col in cols]
+        self._hold(*_pack(cols))
+
+    def _hold(self, a, bound) -> None:
+        a = np.ascontiguousarray(a)
+        a.flags.writeable = False
+        self.array, self.bound = a, bound
+
+    @classmethod
+    def _trusted(cls, a, bound) -> "Basis":
+        """Wrap a packed array built inside this package, as _pack packs
+        it, without re-validating it; the basis takes a over."""
+        out = object.__new__(cls)
+        out._hold(a, bound)
+        return out
 
     @classmethod
     def from_rows(cls, rows) -> "Basis":
@@ -150,26 +178,26 @@ class Basis:
         return cls([[int(i == j) for i in range(n)] for j in range(n)])
 
     @property
+    def m(self) -> int:
+        return self.array.shape[1]
+
+    @property
     def n(self) -> int:
-        return len(self.cols)
+        return self.array.shape[0]
+
+    @property
+    def cols(self) -> list[list[int]]:
+        return self.array.tolist()
 
     def to_rows(self) -> list[list[int]]:
-        return [[col[r] for col in self.cols] for r in range(self.m)]
-
-    @classmethod
-    def _trusted(cls, m: int, cols) -> "Basis":
-        """Wrap columns built inside this package without re-validating
-        them: every entry is already a checked int."""
-        dup = object.__new__(cls)
-        dup.m = m
-        dup.cols = cols
-        return dup
+        return self.array.T.tolist()
 
     def copy(self) -> "Basis":
-        return self._trusted(self.m, [list(col) for col in self.cols])
+        return self._trusted(self.array, self.bound)
 
     def __eq__(self, other):
-        return type(other) is type(self) and self.cols == other.cols
+        return (type(other) is type(self)
+                and np.array_equal(self.array, other.array))
 
     def __repr__(self):
         return f"{type(self).__name__}(m={self.m}, n={self.n})"
@@ -342,7 +370,7 @@ def gram_compute(basis: Basis) -> GramMatrix:
     past the signed 128-bit range raises OverflowError naming it.
     """
     out = object.__new__(GramMatrix)
-    a, bound = _pack(basis.cols)
+    a, bound = basis.array, basis.bound
     out.g, out.bound = _product((a, bound), (a.T, bound))
     _check_range(out.g, lambda j, k: f"Gram entry ({j},{k})")
     return out
@@ -364,7 +392,7 @@ def _norms_sq(a, bound) -> list[int]:
 
 def column_norms_sq(basis: Basis) -> list[int]:
     """Exact squared norm of every column (the Gram diagonal, cheaper)."""
-    return _norms_sq(*_pack(basis.cols))
+    return _norms_sq(basis.array, basis.bound)
 
 
 def nint_ratio(num: int, den: int) -> int:
@@ -441,6 +469,8 @@ class IntRows:
     __slots__ = ("rows", "bounds", "m")
 
     def __init__(self, cols, transform=None):
+        # cols and transform are lists of columns or arrays whose row j is
+        # column j, as Basis.array is.
         m = len(cols[0])
         parts = [cols] if transform is None else [cols, transform]
         # Filled in place: packing each part and then stacking them would
@@ -506,18 +536,25 @@ class IntRows:
     def moved(self, k: int, moves) -> list:
         """(j, rows[j] - c * rows[k], bound) for every (j, c) in moves.
 
-        Writes no row; put writes the result.  When the rows widen to
-        Python ints partway through the list, every move is computed
-        again from the widened rows, so int64 and Python-int rows never
-        mix.  The new Python-int rows are range-checked (_checked).
+        Writes no row; put writes the result.  Each move's bound
+        bounds[j] + |c| * bounds[k] is taken inline, and only a move that
+        fails _sum_bound's test goes through it, to be measured again or
+        widen.  When the rows widen to Python ints partway through the
+        list, every move is computed again from the widened rows, so int64
+        and Python-int rows never mix.  The new Python-int rows are
+        range-checked (_checked).
         """
-        if self.bounds is not None:
+        rows, bounds = self.rows, self.bounds
+        if bounds is not None:
             out = []
             for j, c in moves:
-                b = self._sum_bound(j, ((k, c),))
-                if b is None:
-                    break
-                out.append((j, self.rows[j] - c * self.rows[k], b))
+                a = abs(c)
+                b = bounds[j] + a * bounds[k]
+                if b >= _INT64_LIMIT or a >= _INT64_LIMIT:
+                    b = self._sum_bound(j, ((k, c),))
+                    if b is None:
+                        break
+                out.append((j, rows[j] - c * rows[k], b))
             else:
                 return out
         rows = self.rows
@@ -703,14 +740,8 @@ def apply_transform(basis: Basis, transform: TransformRecord) -> Basis:
     """
     if transform.n != basis.n:
         raise ValueError("transform dimension does not match basis")
-    cols, _ = _product(_pack(transform.cols), _pack(basis.cols))
-    return basis._trusted(basis.m, cols.tolist())
-
-
-def _summarize_rows(rows: IntRows) -> NormSummary:
-    """summarize_columns of the basis part of rows, read from the rows."""
-    a = np.stack(rows.rows)[:, :rows.m]
-    return _summary(_norms_sq(a, None if rows.bounds is None else _max_abs(a)))
+    return basis._trusted(*_product((transform.array, transform.bound),
+                                    (basis.array, basis.bound)))
 
 
 def run_reducer(basis: Basis, track_transform: bool, body) -> ReductionResult:
@@ -722,29 +753,28 @@ def run_reducer(basis: Basis, track_transform: bool, body) -> ReductionResult:
     column operations build the transform with no code of its own; a
     body reads the basis part only, rows.rows[j][:rows.m], wherever it
     reads entries.  It reads any starting data (Gram matrix,
-    Gram-Schmidt, entry sizes) from basis, which is never mutated.  The
-    rows are written back once, into the result's basis and
-    TransformRecord; before and after are the exact column-norm summaries
-    of the input and the output, read from the basis part of the rows
-    before and after the body (_summarize_rows), and seconds covers the
-    whole call.
+    Gram-Schmidt, entry sizes) from basis, which is immutable.  The rows
+    are written back once, as one np.stack split into the result's basis
+    and TransformRecord arrays; before and after are the exact
+    column-norm summaries of the input's array and the output's, and
+    seconds covers the whole call.
     """
     started = time.perf_counter()
     m, n = basis.m, basis.n
-    rows = IntRows(basis.cols,
+    rows = IntRows(basis.array,
                    np.eye(n, dtype=np.int64) if track_transform else None)
-    before = _summarize_rows(rows)
+    before = summarize_columns(basis)
     iterations = body(rows)
-    out = basis._trusted(m, [row[:m].tolist() for row in rows.rows])
+    stacked = np.stack(rows.rows)
+    out = basis._trusted(*_pack(stacked[:, :m]))
     transform = None
     if track_transform:
-        transform = TransformRecord._trusted(
-            n, [row[m:].tolist() for row in rows.rows])
+        transform = TransformRecord._trusted(*_pack(stacked[:, m:]))
     return ReductionResult(
         basis=out,
         iterations_applied=iterations,
         before=before,
-        after=_summarize_rows(rows),
+        after=summarize_columns(out),
         seconds=time.perf_counter() - started,
         transform=transform,
     )
@@ -776,7 +806,7 @@ def pipeline(basis: Basis, stages) -> ReductionResult:
         transform = transforms[0]
         for u in transforms[1:]:
             transform = apply_transform(transform, u)
-            _check_range(_pack(transform.cols)[0],
+            _check_range(transform.array,
                          lambda j, _: f"transform column {j}")
     first, last = results[0], results[-1]
     return ReductionResult(
@@ -832,12 +862,13 @@ def is_unimodular(transform: TransformRecord) -> bool | None:
 def write_mat(basis: Basis, path) -> None:
     """Write the text matrix format: ``m n`` header then m row lines.
 
-    Each row is one ``%d`` format over its n entries; ``%d`` of a Python
-    int is its str at any size.
+    Each row is one ``%d`` format over its n entries, read from the
+    packed array as Python ints; ``%d`` of a Python int is its str at any
+    size.
     """
     row_format = " ".join(["%d"] * basis.n)
     lines = [f"{basis.m} {basis.n}"]
-    lines.extend(row_format % row for row in zip(*basis.cols))
+    lines.extend(row_format % tuple(row) for row in basis.array.T.tolist())
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -891,7 +922,7 @@ def read_mat(path) -> Basis:
             if m == len(lines) - 1 and m > 0:
                 a = np.loadtxt(lines[1:], dtype=np.int64, comments=None, ndmin=2)
                 if a.shape == (m, n):
-                    return Basis._trusted(m, a.T.tolist())
+                    return Basis._trusted(a.T, _max_abs(a))
         except (ValueError, OverflowError):
             pass
     return _parse_mat(path, lines)
@@ -935,5 +966,6 @@ def _parse_mat(path, lines: list[str]) -> Basis:
                 f"{path}: entry in row {r} exceeds the signed 128-bit range"
             )
         rows.append(row)
-    # Every entry is a checked int already: one transposition, no re-check.
-    return Basis._trusted(m, [list(col) for col in zip(*rows)])
+    # Every entry is a checked int already: packed once, no re-check.
+    a, bound = _pack(rows)
+    return Basis._trusted(a.T, bound)

@@ -156,21 +156,19 @@ def gen_example(spec: ExampleSpec) -> Basis:
     two_ell = 2 * ell
     half = (q - 1) // 2
     # Draws below q < 2**63 fit int64; past that R is built of Python ints.
+    wide = q >= 1 << 63
     r = SplitMix64(spec.seed).draw(two_ell * ell, q)
-    r = r.astype(np.int64 if q < 1 << 63 else object) - half
-    cols = r.reshape(two_ell, ell).T.tolist()
-    for c, col in enumerate(cols):
-        col += [0] * ell
-        col[two_ell + c] = 1
-    for i in range(two_ell):
-        col = [0] * n
-        col[i] = q
-        cols.append(col)
-    return Basis._trusted(n, cols)
+    r = r.astype(object if wide else np.int64) - half
+    # Row j of a is column j.
+    a = np.zeros((n, n), dtype=r.dtype)
+    a[:ell, :two_ell] = r.reshape(two_ell, ell).T
+    a[range(ell), range(two_ell, n)] = 1
+    a[range(ell, n), range(two_ell)] = q
+    return Basis._trusted(a, None if wide else q)
 
 
 def random_permutation(basis: Basis, seed: int) -> Basis:
     """New basis with the columns in a uniformly random order."""
     perm = list(range(basis.n))
     SplitMix64(seed).shuffle(perm)
-    return Basis._trusted(basis.m, [list(basis.cols[p]) for p in perm])
+    return Basis._trusted(basis.array[perm], basis.bound)

@@ -12,20 +12,20 @@ swaps two rows.  Most size reductions move nothing (80% at n = 24), so
 size_reduce reads the coefficients as one Python list and skips each
 one that rounds to zero without a rounding call; numpy runs only for a
 move.  The float side works on whole arrays: a float mirror of the
-basis (``GSState.fcols``) is converted from the integer columns once
-and then kept in step with them (columns swapped with every swap, a
-column cast again from the basis part of its integer row after size
-reduction changes it), and each Gram-Schmidt pass projects a column off
-all earlier b* at once with two matrix-vector products, reading the
-mirror's column in place.  These shortcuts change no float operation:
-every product and update runs on the same operands in the same order,
-so each b*, mu and norm comes out bit for bit as the plain loop in
-tests/oracles.py (lll_float_reference) computes it.  Accuracy comes
-from two measures: every orthogonalization runs exactly two such passes,
-classical Gram-Schmidt with one reorthogonalization (CGS2: "twice is
-enough", Kahan-Parlett; Giraud, Langou & Rozloznik 2005), and on every
-swap the two affected orthogonal vectors are recomputed from scratch
-instead of patched.  That is enough for the random bases of interest
+basis (``GSState.fcols``) is cast from the basis's packed array once
+and then kept in step with the integer rows (columns swapped with
+every swap, a column cast again from the basis part of its integer row
+after size reduction changes it), and each Gram-Schmidt pass projects
+a column off all earlier b* at once with two matrix-vector products,
+reading the mirror's column in place.  These shortcuts change no float
+operation: every product and update runs on the same operands in the
+same order, so each b*, mu and norm comes out bit for bit as the plain
+loop in tests/oracles.py (lll_float_reference) computes it.  Accuracy
+comes from two measures: every orthogonalization runs exactly two such
+passes, classical Gram-Schmidt with one reorthogonalization (CGS2:
+"twice is enough", Kahan-Parlett; Giraud, Langou & Rozloznik 2005), and
+on every swap the two affected orthogonal vectors are recomputed from
+scratch instead of patched.  That is enough for the random bases of interest
 here, not for adversarial inputs built to break floating-point reducers.
 
 The Gram-Schmidt state exists only for linearly independent columns.
@@ -135,7 +135,7 @@ def orthogonalize(basis: Basis) -> GSState:
         bstar=np.zeros((m, n)),
         mu=np.eye(n),
         norms_sq=np.zeros(n),
-        fcols=np.array(basis.cols, dtype=float).T,
+        fcols=basis.array.astype(float).T,
     )
     for k in range(n):
         _orthogonalize_column(state, k)
@@ -214,7 +214,10 @@ def lll_reduce(basis: Basis, config: LLLConfig | None = None, *,
     def body(rows):
         n = basis.n
         state = orthogonalize(basis)
-        bits = max(max(map(abs, col)) for col in basis.cols).bit_length()
+        bound = basis.bound
+        if bound is None:
+            bound = max(map(abs, basis.array.flat))
+        bits = bound.bit_length()
         cap = _SWAP_CAP_FACTOR * n * n * max(1, bits)
         fcols = state.fcols
         swaps = 0

@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -444,3 +446,39 @@ def test_import_does_not_load_logging():
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "[]"
+
+
+def scrambled_n128(seed, n=128):
+    """A small-entry basis scrambled by 2n signed column additions."""
+    rng = random.Random(seed)
+    cols = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    for _ in range(2 * n):
+        j, k = rng.sample(range(n), 2)
+        s = rng.choice((-1, 1))
+        cols[j] = [a + s * b for a, b in zip(cols[j], cols[k])]
+    return cols
+
+
+def test_tracked_polish_of_a_scrambled_n128_basis_is_pinned(tmp_path):
+    # Greedy is exact integer work, so its output bytes and report are the
+    # same on every platform.
+    cols = scrambled_n128(1)
+    src = tmp_path / "in.mat"
+    src.write_text("128 128\n" + "".join(
+        " ".join(str(col[r]) for col in cols) + "\n" for r in range(128)))
+    out, report = tmp_path / "out.mat", tmp_path / "report.json"
+    assert run_cli("reduce", "--algo", "greedy", "--p-schedule", "2,1",
+                   "--track-transform", "--report", str(report),
+                   "--in", str(src), "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "3e58c96b6927c200a984953bb7d9812b45e2dcc608097fe89a3a67542ab5f33e")
+    got = json.loads(report.read_text())
+    del got["seconds"]
+    assert got == {
+        "algo": "greedy",
+        "before": {"frobenius_sq": 420327, "min_norm_sq": 434},
+        "after": {"frobenius_sq": 65593, "min_norm_sq": 419},
+        "iterations": 162,
+        "transform_matches": True,
+        "unimodular": None,
+    }

@@ -828,7 +828,10 @@ class TestTransformRecord:
         u = TransformRecord([[1, 0], [3, 1]])
         dup = u.copy()
         assert type(dup) is TransformRecord and dup == u
-        dup.cols[1][0] = 7
+        cols = dup.cols
+        cols[1][0] = 7
+        changed = TransformRecord(cols)
+        assert changed.cols[1][0] == 7 and dup == u
         assert u.cols[1][0] == 3
 
     def test_equality_is_type_strict(self):
@@ -1143,5 +1146,43 @@ class TestBasisType:
     def test_copy_is_deep(self):
         basis = Basis([[1, 2], [3, 4]])
         dup = basis.copy()
-        dup.cols[0][0] = 99
+        cols = dup.cols
+        cols[0][0] = 99
+        changed = Basis(cols)
+        assert changed.cols[0][0] == 99 and dup == basis
         assert basis.cols[0][0] == 1
+
+    @pytest.mark.parametrize("cols, dtype, bound", [
+        ([[1, -2], [3, 4]], np.int64, 4),
+        ([[1 << 70, 0], [0, -1]], object, None),
+    ], ids=["int64", "object"])
+    def test_holds_one_read_only_array(self, cols, dtype, bound):
+        basis = Basis(cols)
+        assert basis.array.dtype == dtype and basis.bound == bound
+        assert not basis.array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            basis.array[0, 0] = 5
+        dup = basis.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            dup.array[1, 1] = 5
+        assert basis.cols == dup.cols == cols
+
+    def test_returned_lists_are_new_on_each_read(self):
+        basis = Basis([[1, 2], [3, 4]])
+        cols, rows = basis.cols, basis.to_rows()
+        assert cols is not basis.cols
+        cols[0][0] = 99
+        cols.append([5, 6])
+        rows[1][1] = 99
+        assert basis.cols == [[1, 2], [3, 4]]
+        assert basis.to_rows() == [[1, 3], [2, 4]]
+        assert all(type(x) is int for col in basis.cols for x in col)
+
+    def test_int64_and_object_arrays_with_equal_entries_are_equal(self):
+        cols = [[1, -2], [3, 4]]
+        wide = Basis._trusted(np.array(cols, dtype=object), None)
+        assert Basis(cols) == wide and wide == Basis(cols)
+        assert wide != Basis([[1, -2], [3, 5]])
+        assert Basis([[1, 2]]) != Basis([[1], [2]])
+        u = TransformRecord._trusted(np.array(cols, dtype=object), None)
+        assert u == TransformRecord(cols) and u != Basis(cols)

@@ -380,10 +380,10 @@ class TestPivotTable:
             gram = gram_compute(basis)
             for k in range(basis.n):
                 moves = coefficients_for_pivot(gram, k)
-                moved = basis.copy()
+                cols = basis.cols
                 for j, cj in moves:
-                    moved.cols[j] = [a - cj * b for a, b in
-                                     zip(moved.cols[j], moved.cols[k])]
+                    cols[j] = [a - cj * b for a, b in zip(cols[j], cols[k])]
+                moved = Basis(cols)
                 updated = gram.copy()
                 update_gram(updated, k, moves)
                 assert updated == gram_compute(moved)
