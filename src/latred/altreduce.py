@@ -120,12 +120,9 @@ def random_combination_reduce(basis: Basis, config: AltConfig | None = None, *,
 
     def body(rows):
         gram = gram_compute(basis)
-        rng = SplitMix64(cfg.seed)
         steps = 10 * basis.n if cfg.iterations is None else cfg.iterations
-        return sum(
-            random_combination_step(rows, gram, rng.below(basis.n))
-            for _ in range(steps)
-        )
+        columns = SplitMix64(cfg.seed).draw(steps, basis.n).tolist()
+        return sum(random_combination_step(rows, gram, j) for j in columns)
 
     return run_reducer(basis, track_transform, body)
 

@@ -143,18 +143,24 @@ def cmd_gen(args) -> int:
 def _stages(args):
     """The stages of --algo, built from configs that check every flag.
 
-    A bad flag, one that --algo never reads, or --p given with
-    --p-schedule raises UsageError here, so cmd_reduce calls this before it
-    reads any file.  A flag left out takes its config's default.  Reducers
-    are looked up when a stage runs, so a patched one is what runs.
+    A bad flag, one that --algo never reads (--score max reads neither
+    --p nor --p-schedule), or --p given with --p-schedule raises
+    UsageError here, so cmd_reduce calls this before it reads any file.
+    A flag left out takes its config's default.  Reducers are looked up
+    when a stage runs, so a patched one is what runs.
     """
     read = {flag for name in _ALGOS[args.algo] for flag in _READS[name]}
+    # Greedy's max mode scores by the largest squared norm: no exponent.
+    max_mode = args.score == "max" and "--score" in read
+    if max_mode:
+        read -= {"--p", "--p-schedule"}
     optional = dict.fromkeys(f for flags in _READS.values() for f in flags)
     unread = [flag for flag in optional if flag not in read
               and getattr(args, flag[2:].replace("-", "_")) is not None]
     if unread:
         raise UsageError(f"--algo {args.algo} does not read "
-                         + ", ".join(unread))
+                         + ", ".join(unread)
+                         + (" with --score max" if max_mode else ""))
     p_schedule = _p_schedule(args)
 
     track = args.track_transform

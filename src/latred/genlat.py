@@ -5,13 +5,12 @@ column permutations applied per trial.  All randomness comes from an
 explicit, documented 64-bit generator (SplitMix64: Steele, Lea & Flood,
 OOPSLA 2014) so that runs reproduce bit-for-bit on any platform.
 
-The generator has two equal forms: next_u64 and below give one Python-int
-draw at a time, and draw gives the next count draws as one numpy uint64
-array, by the same add-and-mix steps in wrapping uint64 arithmetic and,
-for a bound, the same rejection rule.  gen_example takes its R from one
-bounded array draw and random_permutation its shuffle from one raw array
-draw; derive_seed and rand-comb draw one value at a time.  Bounds go up to
-2**64, so a q-ary example needs an odd q in [3, 2**64).
+SplitMix64 has one form: draw gives the next count draws as one numpy
+uint64 array, by add-and-mix steps in wrapping uint64 arithmetic and, for
+a bound, rejection.  gen_example takes its R from one bounded draw,
+random_permutation its shuffle from one raw draw and rand-comb its columns
+from one bounded draw; derive_seed chains one-value draws.  Bounds go up
+to 2**64, so a q-ary example needs an odd q in [3, 2**64).
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ _MIX2 = 0x94D049BB133111EB
 
 
 def _ceiling(bound: int) -> int:
-    """Largest draw that below(bound) keeps: it keeps the first
+    """Largest output that draw(count, bound) keeps: it keeps the first
     2**64 - 2**64 % bound values, a whole number of bound-sized blocks."""
     if not 0 < bound <= _TWO64:
         raise ValueError(f"bound must be in [1, 2**64], got {bound}")
@@ -49,28 +48,13 @@ class SplitMix64:
     def __init__(self, seed: int):
         self.state = seed & _MASK64
 
-    def next_u64(self) -> int:
-        self.state = (self.state + _GAMMA) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
-
-    def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound), 1 <= bound <= 2**64, by
-        rejection: no modulo bias."""
-        ceiling = _ceiling(bound)
-        while True:
-            u = self.next_u64()
-            if u <= ceiling:
-                return u % bound
-
     def draw(self, count: int, bound: int | None = None) -> np.ndarray:
-        """The next count draws as a uint64 array, equal to count calls of
-        next_u64, or of below(bound) when a bound is given.
+        """The next count draws as a uint64 array: the raw outputs, or with
+        a bound, uniform integers in [0, bound), 1 <= bound <= 2**64.
 
-        A bounded draw drops each value below rejects and tops up from the
-        following values, so the generator ends in the same state too.
+        A bounded draw rejects each output above _ceiling(bound), so that
+        no residue is more likely than another, and tops up from the
+        following outputs; the generator ends after the last output read.
         """
         if count < 0:
             raise ValueError(f"count must be nonnegative, got {count}")
@@ -93,16 +77,16 @@ class SplitMix64:
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle: for i = len - 1 down to 1, item i
-        swaps with item below(i + 1)."""
+        swaps with item draw(1, i + 1)."""
         n = len(items)
         start = self.state
         z = self.draw(max(n - 1, 0))
         if len(z) and int(z.max()) >= _TWO64 - n:
-            # below(i + 1) rejects only draws above 2**64 - n, so one of
-            # these may be rejected (odds below n**2 / 2**64): replay the
-            # draws one at a time.
+            # A bound of i + 1 rejects only outputs above 2**64 - n, so one
+            # of these may be rejected (odds below n**2 / 2**64): replay the
+            # draws one bound at a time.
             self.state = start
-            picks = [self.below(i + 1) for i in range(n - 1, 0, -1)]
+            picks = [self.draw(1, i + 1).item() for i in range(n - 1, 0, -1)]
         else:
             picks = (z % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
         for i, j in zip(range(n - 1, 0, -1), picks):
@@ -115,9 +99,11 @@ def derive_seed(base: int, *tags: int) -> int:
     Deterministic, so a trial's generator state depends only on
     (base seed, tags) and never on execution order.
     """
-    value = SplitMix64(base).next_u64()
-    for tag in tags:
-        value = SplitMix64(value ^ (tag & _MASK64)).next_u64()
+    # The base's first output, then per tag the first output seeded by the
+    # last value xor the tag (a leading tag 0 leaves the base as it is).
+    value = base
+    for tag in (0, *tags):
+        value = SplitMix64(value ^ (tag & _MASK64)).draw(1).item()
     return value
 
 

@@ -80,7 +80,8 @@ class ReduceConfig:
     own beyond the same strict-descent halting rule, and in practice tends
     to shorten only the longest vectors.  There is no iteration budget:
     a pivot is applied only when it strictly lowers the score, which
-    needs a strictly shorter column.
+    needs a strictly shorter column.  Max mode reads no exponent, so it
+    takes only the default p_schedule.
     """
 
     p_schedule: tuple[float, ...] = (2.0,)
@@ -89,6 +90,11 @@ class ReduceConfig:
     def __post_init__(self):
         if self.score_mode not in SCORE_MODES:
             raise UsageError(f"score_mode must be one of {SCORE_MODES}")
+        # The class attribute is the field's default.
+        if (self.score_mode == "max"
+                and self.p_schedule != ReduceConfig.p_schedule):
+            raise UsageError("score_mode max reads no exponent, got "
+                             f"p_schedule {self.p_schedule}")
         if not self.p_schedule:
             raise UsageError("p_schedule must be nonempty")
         for p in self.p_schedule:

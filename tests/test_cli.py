@@ -180,6 +180,9 @@ class TestReduce:
         ("lll+greedy", ["--seed", "1"], "--seed"),
         ("lll", ["--p", "7"], "--p"),
         ("rand-comb", ["--p", "7"], "--p"),
+        ("greedy", ["--score", "max", "--p", "3"], "--p"),
+        ("lll+greedy", ["--p-schedule", "2,1", "--score", "max"],
+         "--p-schedule"),
     ])
     def test_unread_flag_exits_2_before_reading_input(self, tmp_path, capsys,
                                                       algo, flags, flag):
@@ -188,6 +191,14 @@ class TestReduce:
                        "--out", str(tmp_path / "o.mat")) == 2
         err = capsys.readouterr().err
         assert f"--algo {algo} does not read {flag}" in err
+
+    def test_p_schedule_that_is_not_numbers_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("reduce", "--algo", "greedy", "--p-schedule", "2,y",
+                    "--in", str(tmp_path / "nope.mat"),
+                    "--out", str(tmp_path / "o.mat"))
+        assert exc.value.code == 2
+        assert "not a comma list of numbers: '2,y'" in capsys.readouterr().err
 
     def test_missing_input_exits_1(self, tmp_path):
         assert run_cli("reduce", "--algo", "greedy", "--in",
@@ -399,6 +410,16 @@ class TestBench:
     def test_even_q_exits_2(self, tmp_path):
         assert run_cli("bench", "--q", "8190", "--ell-list", "1",
                        "--csv", str(tmp_path / "x.csv")) == 2
+
+    def test_ell_list_that_is_not_integers_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("bench", "--q", str(Q13), "--ell-list", "2,x",
+                    "--csv", str(path))
+        assert exc.value.code == 2
+        assert "not a comma list of integers: '2,x'" in (
+            capsys.readouterr().err)
+        assert not path.exists()
 
     def test_q_from_2_64_exits_2_before_any_trial(self, tmp_path,
                                                    monkeypatch):

@@ -615,6 +615,16 @@ class TestCombination:
 
 
 class TestGramStore:
+    @pytest.mark.parametrize("g, message", [
+        ([], "at least one column"),
+        ([[1, 0], [0]], "square"),
+        ([[1, 0], [0, -1]], "negative Gram diagonal at 1"),
+        ([[1, 2], [3, 4]], "not symmetric at \\(1,0\\)"),
+    ])
+    def test_rejects_a_matrix_that_is_no_gram_matrix(self, g, message):
+        with pytest.raises(ValueError, match=message):
+            GramMatrix(g)
+
     def test_int64_while_the_entries_fit(self):
         gram = gram_compute(Basis([[1, 2], [3, 4]]))
         assert gram.g.dtype == np.int64 and gram.bound == 25
@@ -842,6 +852,13 @@ class TestTransformRecord:
         u = apply_transform(TransformRecord([[1, 0], [3, 1]]),
                             TransformRecord([[1, 2], [0, 1]]))
         assert u == TransformRecord([[7, 2], [3, 1]])
+
+    def test_singular_transform_is_not_unimodular(self):
+        assert is_unimodular(TransformRecord([[1, 2], [2, 4]])) is False
+
+    def test_transform_of_another_dimension_is_a_value_error(self):
+        with pytest.raises(ValueError, match="dimension"):
+            apply_transform(Basis.identity(2), TransformRecord.identity(3))
 
 
 class TestRunReducer:
@@ -1132,6 +1149,13 @@ class TestBasisType:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Basis([])
+
+    @pytest.mark.parametrize(
+        "cols", [[[1], [2, 3]], [[1, 2], [3]]],
+        ids=["longer-later-column", "shorter-later-column"])
+    def test_rejects_ragged_columns(self, cols):
+        with pytest.raises(ValueError, match="same length"):
+            Basis(cols)
 
     def test_rows_columns_round_trip(self):
         rows = [[1, 2, 3], [4, 5, 6]]

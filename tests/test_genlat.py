@@ -1,6 +1,6 @@
 import math
 from collections import Counter
-from itertools import permutations
+from itertools import islice, permutations
 
 import numpy as np
 import pytest
@@ -35,40 +35,52 @@ def seed_for_first_draw(value):
 
 # The state passes through 0 at the fifth draw.
 WRAP_SEED = -5 * GAMMA & MASK
-# The first draw is 2**64 - 1, which below rejects for every bound that is
-# not a power of two.
+# The first output is 2**64 - 1, which a bounded draw rejects for every
+# bound that is not a power of two.
 TOP_SEED = seed_for_first_draw(MASK)
 SEEDS = (0, 1, MASK, WRAP_SEED)
 
 
+def next_u64(seed, count):
+    """The first count outputs of the scalar splitmix64 step from seed,
+    from the oracle."""
+    return list(islice(_splitmix64_below(seed, 2**64), count))
+
+
+def outputs_read(seed, count, bound):
+    """How many outputs count draws below bound read: each output of at
+    least 2**64 - 2**64 % bound is rejected and replaced by the next."""
+    limit = 2**64 - 2**64 % bound
+    read = kept = 0
+    for z in _splitmix64_below(seed, 2**64):
+        if kept == count:
+            return read
+        read += 1
+        kept += z < limit
+
+
 class TestSplitMix64:
     def test_known_stream_is_stable(self):
-        rng = SplitMix64(0)
-        first = [rng.next_u64() for _ in range(3)]
-        rng2 = SplitMix64(0)
-        assert first == [rng2.next_u64() for _ in range(3)]
-        assert all(0 <= v < 2**64 for v in first)
+        first = SplitMix64(0).draw(3)
+        assert first.tolist() == SplitMix64(0).draw(3).tolist()
+        assert all(0 <= v < 2**64 for v in first.tolist())
 
     def test_below_range_and_determinism(self):
-        rng = SplitMix64(5)
-        vals = [rng.below(7) for _ in range(1000)]
+        vals = SplitMix64(5).draw(1000, 7).tolist()
         assert all(0 <= v < 7 for v in vals)
-        replay = SplitMix64(5)
-        assert vals == [replay.below(7) for _ in range(1000)]
+        assert vals == SplitMix64(5).draw(1000, 7).tolist()
 
     def test_stream_is_the_published_splitmix64(self):
-        rng = SplitMix64(0)
-        assert [rng.next_u64() for _ in range(3)] == [
+        assert SplitMix64(0).draw(3).tolist() == [
             0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
     def test_below_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            SplitMix64(1).below(0)
+        for bound in (0, -1):
+            with pytest.raises(ValueError, match="bound"):
+                SplitMix64(1).draw(3, bound)
 
     @pytest.mark.parametrize("bound", [2**64 + 1, 2**65 + 1])
     def test_bound_above_2_64_raises_instead_of_hanging(self, bound):
-        with pytest.raises(ValueError, match="2\\*\\*64"):
-            SplitMix64(1).below(bound)
         with pytest.raises(ValueError, match="2\\*\\*64"):
             SplitMix64(1).draw(3, bound)
 
@@ -77,47 +89,63 @@ class TestSplitMix64:
             SplitMix64(1).draw(-1)
 
     def test_below_2_64_is_the_raw_draw(self):
-        assert SplitMix64(3).below(2**64) == SplitMix64(3).next_u64()
+        rng, raw = SplitMix64(3), SplitMix64(3)
+        assert rng.draw(50, 2**64).tolist() == raw.draw(50).tolist()
+        assert rng.state == raw.state
 
     def test_seed_helpers(self):
-        assert SplitMix64(TOP_SEED).next_u64() == MASK
+        assert next_u64(TOP_SEED, 1) == [MASK]
+        assert SplitMix64(TOP_SEED).draw(1).tolist() == [MASK]
         rng = SplitMix64(WRAP_SEED)
-        for _ in range(5):
-            rng.next_u64()
+        rng.draw(5)
         assert rng.state == 0
 
     @pytest.mark.parametrize("seed", SEEDS + (TOP_SEED,))
     @pytest.mark.parametrize("count", [0, 1, 5, 100])
     def test_draw_equals_next_u64(self, seed, count):
-        rng, scalar = SplitMix64(seed), SplitMix64(seed)
+        rng = SplitMix64(seed)
         z = rng.draw(count)
         assert z.dtype == np.uint64
-        assert z.tolist() == [scalar.next_u64() for _ in range(count)]
-        assert rng.state == scalar.state
+        assert z.tolist() == next_u64(seed, count)
+        assert rng.state == (seed + count * GAMMA) & MASK
 
     @pytest.mark.parametrize("seed", SEEDS + (TOP_SEED,))
     @pytest.mark.parametrize("bound", [
         1, 2, 3, 7, Q13, 2**32 + 1, 2**63 + 1, 3 * 2**62 + 1, 2**64 - 1, 2**64])
     def test_bounded_draw_equals_below(self, seed, bound):
-        # 2**63 + 1 rejects about half of all draws and 3 * 2**62 + 1 about
-        # a quarter, so the top-up runs.
-        rng, scalar = SplitMix64(seed), SplitMix64(seed)
+        # The scalar reference below(bound) is the oracle's rejection
+        # stream.  2**63 + 1 rejects about half of all outputs and
+        # 3 * 2**62 + 1 about a quarter, so the top-up runs.
+        rng, one_by_one = SplitMix64(seed), SplitMix64(seed)
         z = rng.draw(300, bound)
         assert z.dtype == np.uint64
-        assert z.tolist() == [scalar.below(bound) for _ in range(300)]
-        assert rng.state == scalar.state
-        assert z.tolist() == [v for v, _ in zip(
-            _splitmix64_below(seed, bound), range(300))]
+        assert z.tolist() == list(islice(_splitmix64_below(seed, bound), 300))
+        assert rng.state == (
+            seed + outputs_read(seed, 300, bound) * GAMMA) & MASK
+        assert z.tolist() == [
+            one_by_one.draw(1, bound).item() for _ in range(300)]
+        assert rng.state == one_by_one.state
 
     def test_bounded_draw_drops_a_rejected_first_draw(self):
+        # TOP_SEED's first output, 2**64 - 1, is rejected below 3.
         rng = SplitMix64(TOP_SEED)
-        rng.next_u64()
-        assert SplitMix64(TOP_SEED).draw(4, 3).tolist() == [
-            rng.below(3) for _ in range(4)]
+        rng.draw(1)
+        assert SplitMix64(TOP_SEED).draw(4, 3).tolist() == (
+            rng.draw(4, 3).tolist())
+        assert outputs_read(TOP_SEED, 4, 3) == 5
 
     def test_derive_seed_varies_with_tags(self):
         seeds = {derive_seed(1, a, b) for a in range(4) for b in range(4)}
         assert len(seeds) == 16
+
+    @pytest.mark.parametrize("base, tags", [
+        (0, ()), (1, (2, 0)), (-1, (3,)), (MASK, (-5, 2**70 + 1, 7)),
+        (WRAP_SEED, (16, 1))])
+    def test_derive_seed_chains_first_outputs(self, base, tags):
+        value = next_u64(base & MASK, 1)[0]
+        for tag in tags:
+            value = next_u64(value ^ (tag & MASK), 1)[0]
+        assert derive_seed(base, *tags) == value
 
 
 class TestGenExample:
@@ -211,11 +239,15 @@ class TestRandomPermutation:
             assert rng.state == 4
 
     def test_shuffle_leaves_the_scalar_state(self):
+        # TOP_SEED's first output is rejected below 5, so the shuffle
+        # replays its draws one bound at a time and reads five outputs for
+        # its four draws.
         rng, scalar = SplitMix64(TOP_SEED), SplitMix64(TOP_SEED)
         rng.shuffle(list(range(5)))
         for i in range(4, 0, -1):
-            scalar.below(i + 1)
+            scalar.draw(1, i + 1)
         assert rng.state == scalar.state
+        assert rng.state == (TOP_SEED + 5 * GAMMA) & MASK
 
     def test_single_column_unchanged(self):
         basis = Basis([[3, 4]])

@@ -9,6 +9,7 @@ from latred.core import (
     GramMatrix,
     IntRows,
     TransformRecord,
+    UsageError,
     apply_transform,
     det_small,
     gram_compute,
@@ -527,3 +528,12 @@ class TestReduceConfig:
             ReduceConfig(p_schedule=(0.0,))
         with pytest.raises(ValueError):
             ReduceConfig(p_schedule=(2.0, -1.0))
+
+    @pytest.mark.parametrize("schedule", [(3.0,), (2.0, 1.0)])
+    def test_max_mode_rejects_an_exponent_it_never_reads(self, schedule):
+        with pytest.raises(UsageError, match="score_mode max"):
+            ReduceConfig(p_schedule=schedule, score_mode="max")
+
+    def test_max_mode_takes_the_default_schedule(self):
+        cfg = ReduceConfig(p_schedule=(2,), score_mode="max")
+        assert cfg.p_schedule == (2,)

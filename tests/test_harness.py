@@ -101,6 +101,35 @@ class TestRunRepeatedly:
         for prev, nxt in zip(records, records[1:]):
             assert nxt.frob_sq_0 == prev.frob_sq_ours
 
+    def test_failing_round_stops_only_its_chain(self, monkeypatch, caplog):
+        import latred.harness as harness_mod
+
+        cfg = small_config(ell_list=(1, 2, 3), trials=4, seed=24,
+                           mode="repeat")
+        whole = run_repeatedly(cfg)
+        real = harness_mod.lll_reduce
+        rounds = {"n": 0}
+
+        def fails_round_2_at_n6(basis, config):
+            if basis.n == 6:
+                rounds["n"] += 1
+                if rounds["n"] == 3:
+                    raise ArithmeticError("forced failure")
+            return real(basis, config)
+
+        monkeypatch.setattr(harness_mod, "lll_reduce", fails_round_2_at_n6)
+        with caplog.at_level("WARNING", logger="latred.harness"):
+            records = run_repeatedly(cfg)
+        assert [(r.n, r.trial) for r in records] == [
+            (3, 0), (3, 1), (3, 2), (3, 3), (6, 0), (6, 1),
+            (9, 0), (9, 1), (9, 2), (9, 3)]
+        exact = lambda r: [v for k, v in vars(r).items()
+                           if not k.startswith("secs_")]
+        kept = [r for r in whole if r.n != 6 or r.trial < 2]
+        assert list(map(exact, records)) == list(map(exact, kept))
+        assert "round 2 at n=6 failed: forced failure; chain stopped" in (
+            caplog.text)
+
 
 class TestEmitCsv:
     def test_empty_records_header_only(self, tmp_path):
