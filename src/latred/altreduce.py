@@ -42,17 +42,11 @@ from .core import (
     gram_compute,
     nint_float,
     run_reducer,
+    warn,
 )
 from .genlat import SplitMix64
 
 VARIANTS = ("random_combination", "mgs_pivot")
-
-
-def _warn(msg: str, *args) -> None:
-    # Imported only once a step is skipped, so that importing latred does
-    # not load logging.
-    import logging
-    logging.getLogger(__name__).warning(msg, *args)
 
 
 @dataclass(frozen=True)
@@ -95,10 +89,12 @@ def random_combination_step(rows: IntRows, gram: GramMatrix, j: int) -> bool:
     try:
         coeffs = np.linalg.solve(sub, rhs)
     except np.linalg.LinAlgError:
-        _warn("singular normal equations for column %d; step skipped", j)
+        warn(__name__, "singular normal equations for column %d; "
+             "step skipped", j)
         return False
     if not np.all(np.isfinite(coeffs)):
-        _warn("non-finite coefficients for column %d; step skipped", j)
+        warn(__name__, "non-finite coefficients for column %d; "
+             "step skipped", j)
         return False
     large = np.flatnonzero(np.abs(coeffs) >= ROUNDS_TO_ZERO)
     if not len(large):

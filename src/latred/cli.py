@@ -2,15 +2,17 @@
 
 All numerical work lives in the library modules; this file only parses
 flags, moves files, and maps failures to exit codes (0 ok, 1 input error,
-2 usage error, 3 numerical fault).  Flag values are checked by the config
-objects they build, whose UsageError maps to exit 2; each command builds
-its configs before it touches a file.  A flag left out takes its config's
-default, so each default is defined once, in the config.  A reduce flag
-that the chosen --algo never reads is a usage error too.  Every output
-path is checked before the work starts, without creating or truncating
-it, so an unwritable one exits 1 before any trial or stage runs; --out
-and --report naming one file is a usage error.  Every --algo is a list of
-stages run through core.pipeline.
+2 usage error, 3 numerical fault).  main returns every code, argparse's
+2 for a missing or malformed flag and 0 after --help included.  Flag
+values are checked by the config objects they build, whose UsageError
+maps to exit 2; each command builds its configs before it touches a
+file.  A flag left out takes its config's default, so each default is
+defined once, in the config.  A reduce flag that the chosen --algo never
+reads is a usage error too.  Every output path is checked before the
+work starts, without creating or truncating it, so an unwritable one
+exits 1 before any trial or stage runs; --out and --report naming one
+file is a usage error.  Every --algo is a list of stages run through
+core.pipeline.
 """
 
 from __future__ import annotations
@@ -243,9 +245,11 @@ def cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:
+        return exc.code
     except UsageError as exc:
         print(f"latred: {exc}", file=sys.stderr)
         return 2

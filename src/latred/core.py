@@ -11,13 +11,13 @@ One packer, _pack, turns integer rows into an int64 array with its
 measured largest |entry|, or, when an entry does not fit int64, into a
 dtype=object array of Python ints with no bound.  A Basis is one such
 array, row j being column j, made once when the basis is made and
-read-only from then on, so the library moves no column lists between
-its parts: read_mat, gen_example, random_permutation, apply_transform
-and run_reducer's write-back each hand over an array, and
-gram_compute, column_norms_sq, apply_transform, IntRows, run_reducer's
-summaries, pipeline's range check, write_mat, LLL's float mirror and
-mgs's residuals read one.  Basis.cols and to_rows() build lists of
-Python ints for callers on each read.  One product, _product,
+read-only from then on, so the library moves no column lists between its
+parts: read_mat, gen_example, random_permutation, apply_transform and
+run_reducer's write-back each hand over an array, and gram_compute,
+column_norms_sq (and so run_reducer's summaries), apply_transform,
+IntRows, is_unimodular, pipeline's range check, write_mat, LLL's float
+mirror and mgs's residuals read one.  Basis.cols and to_rows() build
+lists of Python ints for callers on each read.  One product, _product,
 serves gram_compute and apply_transform (and so pipeline's composition
 of transforms).  It takes one of three routes by the bound t * M_a * M_b
 on every partial sum, t being the inner length and M_a, M_b the
@@ -26,26 +26,23 @@ columns, n * M_B * M_U for a basis times an n x n transform): a float64
 matmul through BLAS below 2**53, a numpy int64 matmul below 2**63, and
 Python ints past that.  The float64 route is exact because every sum a
 matmul forms, in any order, blocking or thread split, is an integer
-below 2**53, which float64 holds exactly.  Every result is packed
-again, so a result that fits is int64 with its measured bound.  One range
+below 2**53, which float64 holds exactly.  Every result is packed again,
+so a result that fits is int64 with its measured bound.  One range
 check, _check_range, names the first entry of a Python-int array that
 leaves the signed 128-bit range; gram_compute, the squared norms, the
-Gram updates, IntRows and pipeline all go through it.  One routine,
-_norms_sq, takes the squared norms of a packed array, in int64 while
-m * M**2 < 2**63 and in Python ints otherwise, for column_norms_sq and
-for run_reducer's summaries alike.  IntRows, the one store every
-reducer changes columns in, applies the same rule to a run of column
-operations by one test: column j -= sum of c * column k is exact in
-int64 when M_j + sum of |c| * M_k < 2**63 for the per-row bounds M, a
-pivot being one such operation, with one source, per moved column.
-Its rows stay int64 while that test passes, and are Python ints,
-range-checked by one check that names the column, from then on.
+Gram updates, IntRows and pipeline all go through it.  IntRows, the one
+store every reducer changes columns in, applies the same rule to a run
+of column operations by one test: column j -= sum of c * column k is
+exact in int64 when M_j + sum of |c| * M_k < 2**63 for the per-row
+bounds M, a pivot being one such operation, with one source, per moved
+column.  Its rows stay int64 while that test passes, and are Python
+ints, range-checked by one check that names the column, from then on.
 GramMatrix is one n x n array under the same rule: int64 while its
 tracked bound B on every |entry| gives B * (1 + a)**2 < 2**63, a being
 max|c| over a pivot's coefficients c or sum|c| over a combination's (B
-is measured again once before the store widens), Python ints after
-that.  Both dtypes run the same whole-array code, and both Gram
-updates end in one write, _write_gram.
+is measured again once before the store widens), Python ints after that.
+Both dtypes run the same whole-array code, and both Gram updates end in
+one write, _write_gram.
 
 Column operations come in two shapes.  A pivot k moves a sparse list
 of columns, the (j, c) pairs of column j -= c * column k; a combination
@@ -134,10 +131,11 @@ class Basis:
     int64 with bound its largest |entry|, a Python int, when every entry
     fits int64, and otherwise dtype=object (Python ints) with bound None,
     as _pack packs them.  gram_compute, column_norms_sq, apply_transform,
-    run_reducer, pipeline, write_mat, LLL's float mirror and mgs read the
-    array; cols and to_rows() build new lists of Python ints on each call.
-    Columns are allowed to be linearly dependent (and even zero); reducers
-    that cannot handle that reject it themselves.
+    IntRows, is_unimodular, run_reducer, pipeline, write_mat, LLL's float
+    mirror and mgs read the array; cols and to_rows() build new lists of
+    Python ints on each call.  Columns are allowed to be linearly
+    dependent (and even zero); reducers that cannot handle that reject it
+    themselves.
     """
 
     __slots__ = ("array", "bound")
@@ -376,23 +374,19 @@ def gram_compute(basis: Basis) -> GramMatrix:
     return out
 
 
-def _norms_sq(a, bound) -> list[int]:
-    """Exact squared norm of every row of a packed array, as Python ints.
+def column_norms_sq(basis: Basis) -> list[int]:
+    """Exact squared norm of every column (the Gram diagonal, cheaper).
 
-    a and bound are as _pack returns them.  The sums run in int64 while
-    m * M**2 < 2**63, for row length m and bound M, and on Python ints
-    otherwise; a norm past the signed 128-bit range raises OverflowError.
+    The sums run on the packed array in int64 while m * M**2 < 2**63, for
+    column length m and bound M, and on Python ints otherwise; a norm past
+    the signed 128-bit range raises OverflowError.
     """
-    if bound is None or a.shape[1] * bound * bound >= _INT64_LIMIT:
+    a, bound = basis.array, basis.bound
+    if bound is None or basis.m * bound * bound >= _INT64_LIMIT:
         a = a.astype(object)
     norms = (a * a).sum(axis=1)
     _check_range(norms[None], lambda *_: "column norm")
     return norms.tolist()
-
-
-def column_norms_sq(basis: Basis) -> list[int]:
-    """Exact squared norm of every column (the Gram diagonal, cheaper)."""
-    return _norms_sq(basis.array, basis.bound)
 
 
 def nint_ratio(num: int, den: int) -> int:
@@ -422,14 +416,21 @@ def nint_float(x: float) -> int:
     return math.ceil(x - 0.5)
 
 
-def _summary(norms: list[int]) -> NormSummary:
+def summarize_columns(basis: Basis) -> NormSummary:
+    """Frobenius-squared and minimum nonzero squared column norm."""
+    norms = column_norms_sq(basis)
     nonzero = [d for d in norms if d > 0]
     return NormSummary(sum(norms), min(nonzero) if nonzero else 0)
 
 
-def summarize_columns(basis: Basis) -> NormSummary:
-    """Frobenius-squared and minimum nonzero squared column norm."""
-    return _summary(column_norms_sq(basis))
+def warn(logger: str, msg: str, *args) -> None:
+    """Log msg % args as a warning on the named logger.
+
+    logging is imported here, once a warning is given, so that importing
+    latred does not load it.
+    """
+    import logging
+    logging.getLogger(logger).warning(msg, *args)
 
 
 def corrupt_gram(j: int, k: int) -> ArithmeticError:
@@ -464,6 +465,14 @@ class IntRows:
     can check the rows and the Gram matrix before they write either:
     moved (a pivot) and combination compute new rows and write none, and
     put writes them and cannot fail.
+
+    Each part is packed as _pack packs it, and a transform part is joined
+    on with one np.hstack; every row starts with the larger of the two
+    packed bounds.  Untracked rows are views of the array handed in, the
+    read-only Basis.array in run_reducer: no operation writes a row in
+    place (moved, combination and _widen build new rows, put and swap
+    rebind them), so an in-place write would raise rather than change the
+    input.
     """
 
     __slots__ = ("rows", "bounds", "m")
@@ -471,24 +480,14 @@ class IntRows:
     def __init__(self, cols, transform=None):
         # cols and transform are lists of columns or arrays whose row j is
         # column j, as Basis.array is.
-        m = len(cols[0])
-        parts = [cols] if transform is None else [cols, transform]
-        # Filled in place: packing each part and then stacking them would
-        # hold every entry twice while the rows are built.
-        stacked = np.empty((len(cols), sum(len(p[0]) for p in parts)),
-                           dtype=np.int64)
-        try:
-            stacked[:, :m] = cols
-            if transform is not None:
-                stacked[:, m:] = transform
-        except OverflowError:
-            self.rows = list(np.hstack([np.array(part, dtype=object)
-                                        for part in parts]))
-            self.bounds = None
-        else:
-            self.rows = list(stacked)
-            self.bounds = [_max_abs(stacked)] * len(cols)
-        self.m = m
+        a, bound = _pack(cols)
+        self.m = a.shape[1]
+        if transform is not None:
+            u, u_bound = _pack(transform)
+            a = np.hstack([a, u])
+            bound = None if None in (bound, u_bound) else max(bound, u_bound)
+        self.rows = list(a)
+        self.bounds = None if bound is None else [bound] * len(a)
 
     def _widen(self) -> None:
         """Make every row dtype=object for good."""
@@ -820,43 +819,42 @@ def pipeline(basis: Basis, stages) -> ReductionResult:
     )
 
 
-def det_small(rows: list[list[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination, n <= 16."""
+def det_small(rows) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination, n <= 16.
+
+    rows is a square integer matrix, as lists or an array.  The
+    elimination runs on one dtype=object copy of it, each step one
+    whole-array update of the trailing block, whose division is exact.
+    """
     n = len(rows)
     if n > _DET_MAX_N:
         raise ValueError(f"det_small is limited to n <= {_DET_MAX_N}")
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-    a = [list(row) for row in rows]
-    sign = 1
-    prev = 1
+    a = np.array(rows, dtype=object)
+    if a.shape != (n, n):
+        raise ValueError("matrix must be square")
+    sign, prev = 1, 1
     for i in range(n - 1):
-        piv = next((r for r in range(i, n) if a[r][i] != 0), None)
-        if piv is None:
+        piv = i + np.flatnonzero(a[i:, i])
+        if not len(piv):
             return 0
-        if piv != i:
-            a[i], a[piv] = a[piv], a[i]
+        if piv[0] != i:
+            a[[i, piv[0]]] = a[[piv[0], i]]
             sign = -sign
-        irow = a[i]
-        for r in range(i + 1, n):
-            arow = a[r]
-            ari = arow[i]
-            for c in range(i + 1, n):
-                arow[c] = (arow[c] * irow[i] - ari * irow[c]) // prev
-            arow[i] = 0
-        prev = irow[i]
-    return sign * a[n - 1][n - 1]
+        a[i + 1:, i + 1:] = (a[i + 1:, i + 1:] * a[i, i]
+                             - np.outer(a[i + 1:, i], a[i, i + 1:])) // prev
+        prev = a[i, i]
+    return sign * a[n - 1, n - 1]
 
 
 def is_unimodular(transform: TransformRecord) -> bool | None:
-    """Exact |det| == 1 check for tracked transforms.
+    """Exact |det| == 1 check for tracked transforms, read from the packed
+    array (det U^T = det U).
 
     Returns None for n > 16, where det_small gives no certificate.
     """
     if transform.n > _DET_MAX_N:
         return None
-    return abs(det_small(transform.to_rows())) == 1
+    return abs(det_small(transform.array)) == 1
 
 
 def write_mat(basis: Basis, path) -> None:

@@ -15,19 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from functools import cached_property
 
-from .core import ReductionResult, UsageError, pipeline
+from .core import ReductionResult, UsageError, pipeline, warn
 from .genlat import ExampleSpec, derive_seed, gen_example, random_permutation
 from .greedy import ReduceConfig, reduce as greedy_reduce
 from .lll import DEFAULT_DELTA, LLLConfig, lll_reduce
 
 MODES = ("once", "repeat")
-
-
-def _warn(msg: str, *args) -> None:
-    # Imported only once a trial fails, so that importing latred does
-    # not load logging.
-    import logging
-    logging.getLogger(__name__).warning(msg, *args)
 
 
 @dataclass(frozen=True)
@@ -148,10 +141,11 @@ def _run_trials(config: ExperimentConfig, mode: str) -> list[TrialRecord]:
                 res = pipeline(permuted, stages)
             except (ArithmeticError, ValueError) as exc:
                 if chained:
-                    _warn("round %d at n=%d failed: %s; chain stopped",
-                          trial, spec.n, exc)
+                    warn(__name__, "round %d at n=%d failed: %s; "
+                         "chain stopped", trial, spec.n, exc)
                     break
-                _warn("trial %d at n=%d failed: %s", trial, spec.n, exc)
+                warn(__name__, "trial %d at n=%d failed: %s",
+                     trial, spec.n, exc)
                 continue
             records.append(_make_record(config, mode, spec.n, trial, res))
             if chained:

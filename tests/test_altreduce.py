@@ -81,6 +81,26 @@ class TestRandomCombinationStep:
         assert rows.tolist() == before
         assert any("skipped" in r.message for r in caplog.records)
 
+    @pytest.mark.parametrize("solution", [[np.nan, 1.0], [1.0, np.inf]],
+                             ids=["nan", "inf"])
+    def test_non_finite_coefficients_skipped(self, monkeypatch, caplog,
+                                             solution):
+        # No Gram matrix inside the 128-bit range is known to make the
+        # solver return a non-finite solution, so the solver is replaced.
+        basis = Basis([[1, 0, 0], [0, 1, 0], [5, 7, 1]])
+        rows = basis_rows(basis)
+        gram = gram_compute(basis)
+        monkeypatch.setattr(altreduce.np.linalg, "solve",
+                            lambda a, b: np.array(solution))
+        with caplog.at_level(logging.WARNING, logger="latred.altreduce"):
+            changed = random_combination_step(rows, gram, 2)
+        assert changed is False
+        assert rows.tolist() == basis.cols
+        assert gram == gram_compute(basis)
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "latred.altreduce"] == [
+            "non-finite coefficients for column 2; step skipped"]
+
 
 class TestRandomCombinationReduce:
     def test_zero_iterations_unchanged(self):

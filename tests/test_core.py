@@ -988,11 +988,26 @@ class TestDeterminant:
         assert det_small([[1, 2], [2, 4]]) == 0
 
     def test_matches_cofactor_expansion(self):
+        # A zero pivot with no nonzero entry below it, in column 0 and
+        # after a step, ends the elimination at det 0; a zero pivot with
+        # one below it, at the start and after a step, swaps rows.
+        cases = [[[0, 1], [0, 2]], [[1, 2, 3], [2, 4, 7], [1, 2, 5]],
+                 [[0, 2, 1], [3, 1, 4], [5, 9, 2]],
+                 [[1, 2, 3], [2, 4, 5], [1, 3, 4]]]
         rng = random.Random(303)
         for _ in range(200):
             n = rng.randint(1, 4)
-            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            cases.append([[rng.randint(-9, 9) for _ in range(n)]
+                          for _ in range(n)])
+        for rows in cases:
             assert det_small(rows) == det_cofactor(rows)
+            assert det_small(np.array(rows, dtype=np.int64)) == (
+                det_cofactor(rows))
+
+    @pytest.mark.parametrize("rows", [[[1, 2]], [[1, 2], [3]]])
+    def test_rejects_a_matrix_that_is_not_square(self, rows):
+        with pytest.raises(ValueError, match="square"):
+            det_small(rows)
 
     def test_rejects_large_n(self):
         with pytest.raises(ValueError):
@@ -1149,6 +1164,9 @@ class TestBasisType:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Basis([])
+        for rows in ([], [[]]):
+            with pytest.raises(ValueError, match="at least one row"):
+                Basis.from_rows(rows)
 
     @pytest.mark.parametrize(
         "cols", [[[1], [2, 3]], [[1, 2], [3]]],

@@ -198,6 +198,11 @@ class TestGenExample:
         with pytest.raises(ValueError):
             ExampleSpec(1, 2, 1)
 
+    @pytest.mark.parametrize("ell", [0, -1])
+    def test_rejects_ell_below_1(self, ell):
+        with pytest.raises(UsageError, match="ell must be positive"):
+            ExampleSpec(Q13, ell, 0)
+
     @pytest.mark.parametrize("q", [2**64 + 1, 2**65 + 1])
     def test_rejects_q_from_2_64(self, q):
         with pytest.raises(UsageError, match="2\\*\\*64"):

@@ -280,6 +280,12 @@ class TestLovasz:
         state = orthogonalize(Basis([[3, 0], [0, 3]]))
         assert lovasz_ok(state, 1, 1.0)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_rejects_k_below_1(self, k):
+        state = orthogonalize(Basis.identity(2))
+        with pytest.raises(ValueError, match="k >= 1"):
+            lovasz_ok(state, k, DEFAULT_DELTA)
+
     def test_direct_failure_case(self):
         state = orthogonalize(Basis.identity(2))
         state.norms_sq[0] = 1.0
@@ -542,6 +548,24 @@ class TestLLLReduce:
         res = lll_reduce(basis, track_transform=True)
         assert apply_transform(basis, res.transform) == res.basis
         assert is_unimodular(res.transform) is True
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the float mu that LLL carries for a column "
+                              "near 2**e drifts from the exact mu, so the "
+                              "output is not size-reduced")
+    @pytest.mark.parametrize("e", [58, 62, 63])
+    def test_output_with_a_column_near_2_e_is_lll_reduced(self, e):
+        # Nothing raises and Lovasz holds, but the largest exact |mu| of
+        # the output is 1.77 at e = 58, 25.7 at e = 62 (int64 input) and
+        # 51.3 at e = 63 (Python-int input); it is 0.46 at every e <= 53.
+        basis = Basis([[2**e + 5, 3, 0], [7, 1, 2], [1, 0, 9]])
+        star, mu = exact_gram_schmidt(lll_reduce(basis).basis.cols)
+        norms = [sum(x * x for x in v) for v in star]
+        delta = Fraction(DEFAULT_DELTA)
+        for k in range(1, 3):
+            assert all(abs(mu[k][j]) <= Fraction(1, 2) for j in range(k))
+            assert (delta * norms[k - 1]
+                    <= norms[k] + mu[k][k - 1] ** 2 * norms[k - 1])
 
 
 class TestLLLConfig:

@@ -4,8 +4,6 @@ import shlex
 import types
 from pathlib import Path
 
-import pytest
-
 import latred
 from latred.cli import main
 
@@ -45,8 +43,7 @@ def test_cli_commands_run(tmp_path, monkeypatch):
 def test_cli_section_names_only_existing_flags(capsys):
     helps = []
     for command in ("gen", "reduce", "bench"):
-        with pytest.raises(SystemExit):
-            main([command, "--help"])
+        assert main([command, "--help"]) == 0
         helps.append(capsys.readouterr().out)
     for flag in set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", cli_section())):
         assert any(re.search(rf"{flag}\b(?!-)", h) for h in helps), flag
