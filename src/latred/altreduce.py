@@ -123,6 +123,18 @@ def random_combination_reduce(basis: Basis, config: AltConfig | None = None, *,
     return run_reducer(basis, track_transform, body)
 
 
+def check_mgs_p(p: float) -> None:
+    """Raise UsageError unless mgs can score with exponent p.
+
+    mgs adds float p/2 powers and has no max score, so p must be positive
+    and finite: at p = inf every candidate would score inf.
+    """
+    if not p > 0:
+        raise UsageError(f"p must be positive, got {p}")
+    if p == np.inf:
+        raise UsageError("p must be finite for mgs, got inf")
+
+
 def mgs_pivot_reduce(basis: Basis, p: float = 2.0, *,
                      track_transform: bool = False) -> ReductionResult:
     """Pivoted Gram-Schmidt with rounded integer projections.
@@ -159,8 +171,7 @@ def mgs_pivot_reduce(basis: Basis, p: float = 2.0, *,
     outputs matched the per-pair loop on every input checked, but the
     floats are not promised bit for bit.
     """
-    if not p > 0:
-        raise UsageError(f"p must be positive, got {p}")
+    check_mgs_p(p)
     half_p = p / 2.0
 
     def body(rows):

@@ -4,9 +4,10 @@ All numerical work lives in the library modules; this file only parses
 flags, moves files, and maps failures to exit codes (0 ok, 1 input error,
 2 usage error, 3 numerical fault).  main returns every code, argparse's
 2 for a missing or malformed flag and 0 after --help included.  Flag
-values are checked by the config objects they build, whose UsageError
-maps to exit 2; each command builds its configs before it touches a
-file.  A flag left out takes its config's default, so each default is
+values are checked by the config objects they build (mgs's --p, which
+has no config, by altreduce.check_mgs_p), whose UsageError maps to exit
+2; each command builds its configs before it touches a file.  --score
+max is greedy's exponent inf.  A flag left out takes its config's default, so each default is
 defined once, in the config.  A reduce flag that the chosen --algo never
 reads is a usage error too.  Every output path is checked before the
 work starts, without creating or truncating it, so an unwritable one
@@ -24,7 +25,8 @@ import sys
 from dataclasses import asdict
 from functools import cache
 
-from .altreduce import AltConfig, mgs_pivot_reduce, random_combination_reduce
+from .altreduce import (AltConfig, check_mgs_p, mgs_pivot_reduce,
+                        random_combination_reduce)
 from .core import (
     UsageError,
     apply_transform,
@@ -34,7 +36,7 @@ from .core import (
     write_mat,
 )
 from .genlat import ExampleSpec, gen_example
-from .greedy import SCORE_MODES, ReduceConfig, reduce as greedy_reduce
+from .greedy import ReduceConfig, reduce as greedy_reduce
 from .harness import (CSV_HEADER, MODES, ExperimentConfig, emit_csv,
                       run_experiment)
 from .lll import LLLConfig, lll_reduce
@@ -65,12 +67,15 @@ def _given(**values):
     return {key: v for key, v in values.items() if v is not None}
 
 
-def _p_schedule(args):
-    """The greedy exponents that --p or --p-schedule gives, or None when
-    neither is given; giving both raises UsageError."""
+def _polish_config(args) -> ReduceConfig:
+    """greedy's config: the exponents of --p or --p-schedule, or inf for
+    --score max; giving both --p and --p-schedule raises UsageError."""
     if args.p is not None and args.p_schedule is not None:
         raise UsageError("give --p or --p-schedule, not both")
-    return args.p_schedule if args.p is None else (args.p,)
+    # --score max scores by the largest squared norm: exponent inf.
+    p = float("inf") if getattr(args, "score", None) == "max" else args.p
+    schedule = args.p_schedule if p is None else (p,)
+    return ReduceConfig(**_given(p_schedule=schedule))
 
 
 def _check_writable(*paths) -> None:
@@ -109,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     red.add_argument("--algo", required=True, choices=list(_ALGOS))
     red.add_argument("--in", dest="in_path", required=True)
     red.add_argument("--out", required=True)
-    red.add_argument("--score", choices=SCORE_MODES)
+    red.add_argument("--score", choices=("sum", "max"))
     red.add_argument("--iters", type=int,
                      help="step budget for rand-comb (default 10*n)")
     red.add_argument("--track-transform", action="store_true")
@@ -152,7 +157,6 @@ def _stages(args):
     when a stage runs, so a patched one is what runs.
     """
     read = {flag for name in _ALGOS[args.algo] for flag in _READS[name]}
-    # Greedy's max mode scores by the largest squared norm: no exponent.
     max_mode = args.score == "max" and "--score" in read
     if max_mode:
         read -= {"--p", "--p-schedule"}
@@ -163,15 +167,13 @@ def _stages(args):
         raise UsageError(f"--algo {args.algo} does not read "
                          + ", ".join(unread)
                          + (" with --score max" if max_mode else ""))
-    p_schedule = _p_schedule(args)
-
     track = args.track_transform
     lll_cfg = LLLConfig(**_given(delta=args.delta))
-    # Built from a given --p under every --algo, so a bad --p exits 2
-    # here, mgs included.
-    greedy_cfg = ReduceConfig(**_given(p_schedule=p_schedule,
-                                       score_mode=args.score))
     alt_cfg = AltConfig(**_given(iterations=args.iters, seed=args.seed))
+    # greedy and mgs both read --p; each stage checks it by its own rule.
+    greedy_cfg = _polish_config(args) if "greedy" in _ALGOS[args.algo] else None
+    if args.algo == "mgs" and args.p is not None:
+        check_mgs_p(args.p)
 
     def lll(basis):
         return lll_reduce(basis, lll_cfg, track_transform=track)
@@ -226,8 +228,9 @@ def cmd_bench(args) -> int:
     config = ExperimentConfig(
         q=args.q,
         ell_list=args.ell_list,
-        **_given(p_schedule=_p_schedule(args), delta=args.delta,
-                 trials=args.trials, mode=args.mode, seed=args.seed),
+        lll=LLLConfig(**_given(delta=args.delta)),
+        polish=_polish_config(args),
+        **_given(trials=args.trials, mode=args.mode, seed=args.seed),
     )
     _check_writable(args.csv)
     records = run_experiment(config)

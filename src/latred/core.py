@@ -694,10 +694,12 @@ def apply_moves(rows: IntRows, gram, k: int, moves) -> None:
     range-checked in that order, and only then written, so the update is
     all or nothing: on OverflowError, which names the first bad column or
     entry, no value has changed (rows may have widened to Python ints,
-    which keeps every value).  A move of column k itself raises
-    ValueError before anything is computed.
+    which keeps every value).  A move of column k itself, or two moves of
+    one column (each computed from the old column, so only the last would
+    land), raises ValueError before anything is computed.
     """
-    if any(j == k for j, _ in moves):
+    # k and the targets, all distinct, are one more index than moves.
+    if len({k, *(j for j, _ in moves)}) <= len(moves):
         raise ValueError("column indices must differ")
     new = rows.moved(k, moves)
     if gram is not None:

@@ -23,7 +23,7 @@ With c = (2|x| + d) // (2d) for x = g[j][k] and d = g[k][k], the change
 is c (c d - 2|x|), and c is 0 exactly when 2|x| < d, so no mask or sign
 is needed.  That arithmetic is exact in int64 while the Gram matrix's
 bound is below 2**30 (the change then stays below 2**61) and runs on
-Python ints otherwise.  Selection is O(n^2) whole-array work in every mode: one
+Python ints otherwise.  Selection is O(n^2) whole-array work for every p: one
 scorer takes a row of norm changes per candidate and returns the first
 best row and its score; for the default p = 2 a score is the trace plus
 a row sum of the table.  basis_score is that scorer applied to one row
@@ -36,14 +36,15 @@ leave the signed 128-bit range.  Selection reads only the table and its
 Gram matrix, so a caller holding just a Gram matrix scores it through
 PivotTable(gram).
 
-Scoring sums the p-th powers of the column norms.  The squared norms are
-always computed exactly in integers.  For the default p = 2 the whole score
-stays an exact integer, so the halting comparison is exact as well; other
-exponents take the p/2 power in floating point, float(v) ** (p/2) for each
-exact squared norm v, and add the terms strictly left to right with
-np.add.accumulate along a row, never with sum(), whose float rounding
-changed in Python 3.12, so a score does not depend on the Python
-version.
+Scoring sums the p-th powers of the column norms, and p = inf, the limit
+of that sum's p-th root, scores by the largest squared norm.  The squared
+norms are always computed exactly in integers.  For the default p = 2 and
+for p = inf the whole score stays an exact integer, so the halting
+comparison is exact as well; other exponents take the p/2 power in
+floating point, float(v) ** (p/2) for each exact squared norm v, and add
+the terms strictly left to right with np.add.accumulate along a row,
+never with sum(), whose float rounding changed in Python 3.12, so a
+score does not depend on the Python version.
 """
 
 from __future__ import annotations
@@ -66,35 +67,22 @@ from .core import (
     update_gram,  # noqa: F401 -- the benchmark traces greedy.update_gram
 )
 
-SCORE_MODES = ("sum", "max")
-
-
 @dataclass(frozen=True)
 class ReduceConfig:
     """Options for reduce().
 
     p_schedule lists the exponents that are each run to convergence in
     order (the usual choice is starting at 2 and finishing at a smaller p).
-    score_mode "max" replaces the sum of p-th powers with the maximum
-    squared norm; it is a heuristic with no termination guarantee of its
-    own beyond the same strict-descent halting rule, and in practice tends
-    to shorten only the longest vectors.  There is no iteration budget:
-    a pivot is applied only when it strictly lowers the score, which
-    needs a strictly shorter column.  Max mode reads no exponent, so it
-    takes only the default p_schedule.
+    An exponent of inf scores by the largest squared norm, the limit
+    of the p-th root of the sum of p-th powers; it is a heuristic that in
+    practice tends to shorten only the longest vectors.  There is no
+    iteration budget: a pivot is applied only when it strictly lowers the
+    score, which needs a strictly shorter column.
     """
 
     p_schedule: tuple[float, ...] = (2.0,)
-    score_mode: str = "sum"
 
     def __post_init__(self):
-        if self.score_mode not in SCORE_MODES:
-            raise UsageError(f"score_mode must be one of {SCORE_MODES}")
-        # The class attribute is the field's default.
-        if (self.score_mode == "max"
-                and self.p_schedule != ReduceConfig.p_schedule):
-            raise UsageError("score_mode max reads no exponent, got "
-                             f"p_schedule {self.p_schedule}")
         if not self.p_schedule:
             raise UsageError("p_schedule must be nonempty")
         for p in self.p_schedule:
@@ -247,25 +235,25 @@ def _powers(norms_sq, p: float) -> list[float]:
     return [float(v) ** half_p for v in norms_sq]
 
 
-def _best_row(gram: GramMatrix, t, p: float, mode: str):
+def _best_row(gram: GramMatrix, t, p: float):
     """(k, score) of the best row k of t, a 2-D array of norm changes.
 
     Row k holds, for every column j, the exact change of column j's
     squared norm (never below -g[j][j]), and its score is the score of
-    the basis with those norms: for p = 2 in sum mode the trace plus the
-    row sum, an exact integer; in max mode the largest entry of the
-    diagonal plus the row, an exact integer; for other exponents the
+    the basis with those norms: for p = 2 the trace plus the row sum, an
+    exact integer; for p = inf the largest entry of the diagonal plus the
+    row, an exact integer; for other exponents the
     p/2 powers, taken per changed entry in Python floats, added strictly
     left to right by one np.add.accumulate over the rows.  Ties go to the
     first row.
     """
-    if mode == "sum" and p == 2.0:
+    if p == 2.0:
         # Exact in int64 too: every entry lies in [-g[j][j], 0], so a row
         # sum is at least minus the trace.
         sums = t.sum(axis=1)
         k = int(np.argmin(sums))
         return k, sum(gram.diagonal()) + int(sums[k])
-    if mode == "max":
+    if p == np.inf:
         highest = (gram.g.diagonal() + t).max(axis=1)
         k = int(np.argmin(highest))
         return k, int(highest[k])
@@ -279,17 +267,18 @@ def _best_row(gram: GramMatrix, t, p: float, mode: str):
     return k, float(totals[k])
 
 
-def basis_score(gram: GramMatrix, p: float, mode: str = "sum"):
+def basis_score(gram: GramMatrix, p: float):
     """Score of the basis as it stands: the do-nothing pivot, scored by
     select_pivot's scorer as one row of zero norm changes.
 
-    sum mode sums the p-th powers of the column norms (an exact integer,
-    the trace, when p == 2); max mode returns the largest squared norm.
+    That is the sum of the p-th powers of the column norms (an exact
+    integer, the trace, when p == 2), or for p = inf the largest squared
+    norm.
     """
-    return _best_row(gram, np.zeros((1, gram.n), dtype=np.int64), p, mode)[1]
+    return _best_row(gram, np.zeros((1, gram.n), dtype=np.int64), p)[1]
 
 
-def select_pivot(table: PivotTable, p: float, mode: str = "sum"):
+def select_pivot(table: PivotTable, p: float):
     """Best pivot of table's Gram matrix: (k, moves, score).
 
     Every candidate is scored from table.t and table.gram, nothing else.
@@ -301,7 +290,7 @@ def select_pivot(table: PivotTable, p: float, mode: str = "sum"):
     O(n^2) whole-array work; a caller with only a Gram matrix passes
     PivotTable(gram), whose build is O(n^2) too.
     """
-    k, score = _best_row(table.gram, table.t, p, mode)
+    k, score = _best_row(table.gram, table.t, p)
     return k, coefficients_for_pivot(table.gram, k), score
 
 
@@ -339,9 +328,9 @@ def reduce(basis: Basis, config: ReduceConfig | None = None, *,
     def body(rows):
         state = GreedyState(rows, gram_compute(basis))
         for p in cfg.p_schedule:
-            current = basis_score(state.gram, p, cfg.score_mode)
+            current = basis_score(state.gram, p)
             while True:
-                k, moves, score = select_pivot(state, p, cfg.score_mode)
+                k, moves, score = select_pivot(state, p)
                 if not score < current:
                     break
                 apply_pivot(state, k, moves)

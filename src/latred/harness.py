@@ -3,11 +3,12 @@
 Both protocols run the pipeline permute -> LLL -> greedy polish through
 core.pipeline.  "once" runs it independently per trial on the same
 generated example; "repeat" chains it, feeding each round's polished
-output into the next round's input.  ExperimentConfig builds and checks
-the example and stage configs once, when it is constructed, so a bad
-option raises UsageError before any trial runs.  Squared norms are
-recorded as exact integers; fractions are left to whoever reads the CSV
-so nothing is lost to rounding.
+output into the next round's input.  ExperimentConfig holds the stage
+configs its trials run, lll and polish, each checked when it was built;
+it checks its own options and builds the example specs when it is
+constructed, so a bad option raises UsageError before any trial runs.
+Squared norms are recorded as exact integers; fractions are left to
+whoever reads the CSV so nothing is lost to rounding.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import cached_property
 from .core import ReductionResult, UsageError, pipeline, warn
 from .genlat import ExampleSpec, derive_seed, gen_example, random_permutation
 from .greedy import ReduceConfig, reduce as greedy_reduce
-from .lll import DEFAULT_DELTA, LLLConfig, lll_reduce
+from .lll import LLLConfig, lll_reduce
 
 MODES = ("once", "repeat")
 
@@ -27,8 +28,8 @@ MODES = ("once", "repeat")
 class ExperimentConfig:
     q: int
     ell_list: tuple[int, ...]
-    delta: float = DEFAULT_DELTA
-    p_schedule: tuple[float, ...] = (2.0,)
+    lll: LLLConfig = LLLConfig()
+    polish: ReduceConfig = ReduceConfig()
     trials: int = 10
     mode: str = "once"
     seed: int = 0
@@ -42,11 +43,9 @@ class ExperimentConfig:
             raise UsageError("ell_list must not repeat a size")
         if self.mode not in MODES:
             raise UsageError(f"mode must be one of {MODES}")
-        # Building these checks q, each ell, delta and p_schedule now;
-        # inside a trial a bad value would only be logged as a failure.
+        # Building these checks q and each ell now; inside a trial a bad
+        # value would only be logged as a failure.
         self.example_specs
-        self.lll_config
-        self.reduce_config
 
     @cached_property
     def example_specs(self) -> tuple[ExampleSpec, ...]:
@@ -54,14 +53,6 @@ class ExperimentConfig:
             ExampleSpec(self.q, ell, derive_seed(self.seed, ell, 0))
             for ell in self.ell_list
         )
-
-    @cached_property
-    def lll_config(self) -> LLLConfig:
-        return LLLConfig(delta=self.delta)
-
-    @cached_property
-    def reduce_config(self) -> ReduceConfig:
-        return ReduceConfig(p_schedule=self.p_schedule)
 
 
 @dataclass(frozen=True)
@@ -106,8 +97,8 @@ def _make_record(config: ExperimentConfig, mode: str, n: int, trial: int,
         mode=mode,
         n=n,
         q=config.q,
-        delta=config.delta,
-        p=schedule_label(config.p_schedule),
+        delta=config.lll.delta,
+        p=schedule_label(config.polish.p_schedule),
         trial=trial,
         frob_sq_0=res.before.frobenius_sq,
         frob_sq_lll=lll_res.after.frobenius_sq,
@@ -123,12 +114,11 @@ def _make_record(config: ExperimentConfig, mode: str, n: int, trial: int,
 
 def _run_trials(config: ExperimentConfig, mode: str) -> list[TrialRecord]:
     chained = mode == "repeat"
-    lll_cfg, greedy_cfg = config.lll_config, config.reduce_config
     # Looked up at call time, so a patched lll_reduce or greedy_reduce
     # (tests, tracing) is the one that runs.
     stages = (
-        lambda basis: lll_reduce(basis, lll_cfg),
-        lambda basis: greedy_reduce(basis, greedy_cfg),
+        lambda basis: lll_reduce(basis, config.lll),
+        lambda basis: greedy_reduce(basis, config.polish),
     )
     records = []
     for spec in config.example_specs:

@@ -58,15 +58,14 @@ from .core import (
     run_reducer,
 )
 
-# Default Lovasz parameter: as close to 1 as double precision allows.
-DEFAULT_DELTA = 1.0 - 1e-15
-
 # Swaps allowed per n**2 and per bit of the input's largest |entry|.
 _SWAP_CAP_FACTOR = 100
 
 @dataclass(frozen=True)
 class LLLConfig:
-    delta: float = DEFAULT_DELTA
+    # The Lovasz parameter, by default as close to 1 as double precision
+    # allows.
+    delta: float = 1.0 - 1e-15
 
     def __post_init__(self):
         if not 0.25 < self.delta <= 1.0:

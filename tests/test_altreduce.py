@@ -279,6 +279,9 @@ class TestMgsPivotReduce:
     def test_rejects_nonpositive_p(self):
         with pytest.raises(UsageError, match="p must be positive, got -1.0"):
             mgs_pivot_reduce(Basis.identity(2), -1.0)
+        # mgs has no max score, so the exponent inf has no meaning there.
+        with pytest.raises(UsageError, match="p must be finite for mgs"):
+            mgs_pivot_reduce(Basis.identity(2), float("inf"))
 
     def test_corrupt_gram_names_the_pair(self, monkeypatch):
         # The true Gram matrix has g[1][1] = 101; with 50, candidate 0's

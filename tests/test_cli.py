@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -232,7 +233,9 @@ class TestReduce:
 
     @pytest.mark.parametrize("flags, schedule, ignored", [
         (["--p", "1"], (1.0,), (2.0,)),
-    ], ids=["p"])
+        (["--p", "inf"], (math.inf,), (2.0,)),
+        (["--score", "max"], (math.inf,), (2.0,)),
+    ], ids=["p", "p-inf", "score-max"])
     def test_exponent_flags_set_the_schedule(self, tmp_path, flags, schedule,
                                              ignored):
         basis = random_permutation(gen_example(ExampleSpec(Q13, 2, 0)), 0)
@@ -260,7 +263,8 @@ class TestReduce:
         ["--p-schedule", ","],
         ["--p-schedule", "2,0"],
         ["--algo", "mgs", "--p", "-1"],
-    ], ids=["empty-schedule", "zero-exponent", "mgs-bad-p"])
+        ["--algo", "mgs", "--p", "inf"],
+    ], ids=["empty-schedule", "zero-exponent", "mgs-bad-p", "mgs-inf-p"])
     def test_bad_exponent_exits_2_before_reading_input(self, tmp_path, flags):
         algo = [] if "--algo" in flags else ["--algo", "greedy"]
         assert run_cli("reduce", *algo, *flags,

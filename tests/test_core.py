@@ -458,7 +458,9 @@ class TestApplyColumnOp:
     def test_pivot_rejects_moving_its_own_column(self):
         # Moving column 0 by 3 * column 0 would leave -2 * e_0 and
         # det U = -2; nothing may be written, also after a valid move.
-        for moves in ([(0, 3)], [(1, 1), (0, 3)]):
+        # Two moves of column 1 would both be computed from the old
+        # column, so only the last would land: e_1 - e_0, not e_1 - 2 e_0.
+        for moves in ([(0, 3)], [(1, 1), (0, 3)], [(1, 1), (1, 1)]):
             rows, basis, u = stacked_rows(Basis.identity(2),
                                           TransformRecord.identity(2))
             gram = gram_compute(Basis.identity(2))
@@ -1184,6 +1186,12 @@ class TestBasisType:
     def test_from_rows_rejects_ragged_rows(self, rows):
         with pytest.raises(ValueError, match="same length"):
             Basis.from_rows(rows)
+
+    def test_repr_names_the_shape(self):
+        basis = Basis([[1, 2, 3], [4, 5, 6]])
+        assert repr(basis) == "Basis(m=3, n=2)"
+        assert repr(TransformRecord.identity(2)) == "TransformRecord(m=2, n=2)"
+        assert repr(gram_compute(basis)) == "GramMatrix(n=2)"
 
     def test_copy_is_deep(self):
         basis = Basis([[1, 2], [3, 4]])

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -9,7 +10,6 @@ from latred.core import (
     GramMatrix,
     IntRows,
     TransformRecord,
-    UsageError,
     apply_transform,
     det_small,
     gram_compute,
@@ -74,7 +74,7 @@ class TestPivotScore:
         assert basis_score(SKEWED, 2.0) == 102  # pivot 1's score
 
     def test_max_mode_skewed(self):
-        k, _, score = select_pivot(PivotTable(SKEWED), 2.0, "max")
+        k, _, score = select_pivot(PivotTable(SKEWED), math.inf)
         assert (k, score) == (0, 1)
 
     def test_sum_mode_is_exact_int_for_p2(self):
@@ -252,20 +252,20 @@ class TestReduce:
         rng = random.Random(36)
         for _ in range(20):
             basis = random_basis(rng)
-            res = reduce(basis, ReduceConfig(score_mode="max"))
+            res = reduce(basis, ReduceConfig(p_schedule=(math.inf,)))
             assert res.after.frobenius_sq <= res.before.frobenius_sq
 
     def test_pivot_score_is_next_basis_score(self):
         # reduce() carries the chosen pivot's score forward as the score of
-        # the basis it produces; that must hold exactly in every mode.
+        # the basis it produces; that must hold exactly for every exponent.
         rng = random.Random(38)
-        for p, mode in ((2.0, "sum"), (1.0, "sum"), (3.0, "sum"), (2.0, "max")):
+        for p in (2.0, 1.0, 3.0, math.inf):
             for _ in range(20):
                 state = greedy_state(random_basis(rng, max_dim=6,
                                                   max_entry=40))
-                k, moves, score = select_pivot(state, p, mode)
+                k, moves, score = select_pivot(state, p)
                 apply_pivot(state, k, moves)
-                assert score == basis_score(state.gram, p, mode)
+                assert score == basis_score(state.gram, p)
 
     def test_pivot_sequence_depends_only_on_gram(self):
         rng = random.Random(37)
@@ -288,7 +288,7 @@ class TestReduce:
             assert gram == gram_compute(reduce(basis).basis)
 
 
-def reference_select(gram, p, mode):
+def reference_select(gram, p):
     """Exhaustive pivot scan written out directly, independent of PivotTable."""
     g = gram.tolist()
     n = gram.n
@@ -301,7 +301,7 @@ def reference_select(gram, p, mode):
         norms = [g[j][j] + c[j] * c[j] * g[k][k] - 2 * c[j] * g[j][k]
                  for j in range(n)]
         assert min(norms) >= 0
-        if mode == "max":
+        if p == math.inf:
             score = max(norms)
         elif p == 2.0:
             score = sum(norms)
@@ -342,8 +342,9 @@ TABLE_CONFIGS = (
     ReduceConfig(p_schedule=(2.0,)),
     ReduceConfig(p_schedule=(1.0,)),
     ReduceConfig(p_schedule=(3.0,)),
-    ReduceConfig(score_mode="max"),
+    ReduceConfig(p_schedule=(math.inf,)),
     ReduceConfig(p_schedule=(2.0, 1.0)),
+    ReduceConfig(p_schedule=(2.0, math.inf)),
 )
 
 
@@ -357,11 +358,10 @@ class TestPivotTable:
             iterations += 1
             fresh = PivotTable(state.gram.copy())
             assert state.t.tolist() == fresh.t.tolist()
-            mode = cfg.score_mode
             for p in cfg.p_schedule:
-                got = select_pivot(state, p, mode)
-                assert got == select_pivot(fresh, p, mode)
-                assert got == reference_select(state.gram, p, mode)
+                got = select_pivot(state, p)
+                assert got == select_pivot(fresh, p)
+                assert got == reference_select(state.gram, p)
 
         for basis in TABLE_INPUTS:
             check(greedy_state(basis))
@@ -404,7 +404,7 @@ class TestDenseTable:
         state = greedy_state(basis)
         assert not state.t[0].any() and not state.t[:, 0].any()
         assert coefficients_for_pivot(state.gram, 0) == []
-        k, moves, _ = select_pivot(state, 2.0, "sum")
+        k, moves, _ = select_pivot(state, 2.0)
         apply_pivot(state, k, moves)
         assert not state.t[0].any() and not state.t[:, 0].any()
         assert (state.t.tolist()
@@ -455,9 +455,9 @@ class TestDenseTable:
         assert state.t.dtype == object
         fresh = PivotTable(state.gram.copy())
         assert state.t.tolist() == fresh.t.tolist()
-        for p, mode in ((2.0, "sum"), (1.0, "sum"), (2.0, "max")):
-            got = select_pivot(state, p, mode)
-            assert got == reference_select(state.gram, p, mode)
+        for p in (2.0, 1.0, math.inf):
+            got = select_pivot(state, p)
+            assert got == reference_select(state.gram, p)
 
     def test_object_gram_table_matches_reference(self):
         # Entries past int64 from the start: every step runs on Python ints.
@@ -472,8 +472,8 @@ class TestDenseTable:
             assert state.gram.g.dtype == object
             assert (state.t.tolist()
                     == PivotTable(state.gram.copy()).t.tolist())
-            assert (select_pivot(state, 2.0, "sum")
-                    == reference_select(state.gram, 2.0, "sum"))
+            assert (select_pivot(state, 2.0)
+                    == reference_select(state.gram, 2.0))
 
         reduce(basis, on_iteration=check)
         assert iterations > 0
@@ -492,8 +492,8 @@ class TestPythonInts:
         for k in range(gram.n):
             for j, c in coefficients_for_pivot(gram, k):
                 assert type(j) is int and type(c) is int
-        for mode in ("sum", "max"):
-            k, moves, score = select_pivot(PivotTable(gram), 2.0, mode)
+        for p in (2.0, math.inf):
+            k, moves, score = select_pivot(PivotTable(gram), p)
             assert type(k) is int and type(score) is int
             assert all(type(j) is int and type(c) is int for j, c in moves)
             assert moves
@@ -519,21 +519,12 @@ class TestFloatScores:
 
 
 class TestReduceConfig:
-    def test_rejects_bad_mode(self):
-        with pytest.raises(ValueError):
-            ReduceConfig(score_mode="median")
-
     def test_rejects_nonpositive_exponent(self):
         with pytest.raises(ValueError):
             ReduceConfig(p_schedule=(0.0,))
         with pytest.raises(ValueError):
             ReduceConfig(p_schedule=(2.0, -1.0))
 
-    @pytest.mark.parametrize("schedule", [(3.0,), (2.0, 1.0)])
-    def test_max_mode_rejects_an_exponent_it_never_reads(self, schedule):
-        with pytest.raises(UsageError, match="score_mode max"):
-            ReduceConfig(p_schedule=schedule, score_mode="max")
-
-    def test_max_mode_takes_the_default_schedule(self):
-        cfg = ReduceConfig(p_schedule=(2,), score_mode="max")
-        assert cfg.p_schedule == (2,)
+    def test_max_mode_is_the_exponent_inf(self):
+        cfg = ReduceConfig(p_schedule=(2.0, math.inf))
+        assert cfg.p_schedule == (2.0, math.inf)

@@ -1,8 +1,10 @@
 import csv
+import math
 
 import pytest
 
 from latred.core import UsageError
+from latred.greedy import ReduceConfig
 from latred.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -12,6 +14,7 @@ from latred.harness import (
     run_repeatedly,
     schedule_label,
 )
+from latred.lll import LLLConfig
 
 Q13 = 2**13 - 1
 
@@ -205,15 +208,23 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(mode="forever")
 
+    # Each case builds its overrides inside the raises block: a stage
+    # config checks its own options as it is built.
     @pytest.mark.parametrize("overrides", [
-        {"delta": 0.1},
-        {"p_schedule": (0.0,)},
-        {"p_schedule": ()},
-        {"q": 8190},
+        lambda: {"lll": LLLConfig(delta=0.1)},
+        lambda: {"polish": ReduceConfig(p_schedule=(0.0,))},
+        lambda: {"polish": ReduceConfig(p_schedule=())},
+        lambda: {"q": 8190},
     ], ids=["delta", "zero-exponent", "empty-schedule", "even-q"])
     def test_rejects_bad_stage_option_at_construction(self, overrides):
         with pytest.raises(UsageError):
-            small_config(**overrides)
+            small_config(**overrides())
+
+    def test_records_the_stage_configs_it_runs(self):
+        config = small_config(lll=LLLConfig(delta=0.75),
+                              polish=ReduceConfig(p_schedule=(math.inf,)))
+        (rec,) = run_once(config)
+        assert (rec.delta, rec.p) == (0.75, "inf")
 
     def test_schedule_label(self):
         assert schedule_label((2.0,)) == "2"

@@ -17,7 +17,6 @@ from latred.core import (
 from latred.genlat import ExampleSpec, gen_example, random_permutation
 import latred.lll as lll_module
 from latred.lll import (
-    DEFAULT_DELTA,
     LLLConfig,
     lll_reduce,
     lovasz_ok,
@@ -284,7 +283,7 @@ class TestLovasz:
     def test_rejects_k_below_1(self, k):
         state = orthogonalize(Basis.identity(2))
         with pytest.raises(ValueError, match="k >= 1"):
-            lovasz_ok(state, k, DEFAULT_DELTA)
+            lovasz_ok(state, k, LLLConfig().delta)
 
     def test_direct_failure_case(self):
         state = orthogonalize(Basis.identity(2))
@@ -421,7 +420,7 @@ class TestLLLReduce:
                                                      monkeypatch):
         basis = random_permutation(gen_example(ExampleSpec(8191, ell, seed)),
                                    100 + seed)
-        assert self.float_path_matches(basis.cols, DEFAULT_DELTA, track,
+        assert self.float_path_matches(basis.cols, LLLConfig().delta, track,
                                        monkeypatch) > 0
 
     @pytest.mark.parametrize("track", [True, False])
@@ -496,7 +495,7 @@ class TestLLLReduce:
                                    100 + seed).cols
                 for ell, seed in sorted(self.GOLDEN)]
         cases = [(cols, 0.75) for cols in crossing_inputs() + [chain]]
-        cases += [(cols, DEFAULT_DELTA) for cols in qary]
+        cases += [(cols, LLLConfig().delta) for cols in qary]
 
         def run(cols, delta, track):
             """The result and the first size reduction that left int64."""
@@ -561,7 +560,7 @@ class TestLLLReduce:
         basis = Basis([[2**e + 5, 3, 0], [7, 1, 2], [1, 0, 9]])
         star, mu = exact_gram_schmidt(lll_reduce(basis).basis.cols)
         norms = [sum(x * x for x in v) for v in star]
-        delta = Fraction(DEFAULT_DELTA)
+        delta = Fraction(LLLConfig().delta)
         for k in range(1, 3):
             assert all(abs(mu[k][j]) <= Fraction(1, 2) for j in range(k))
             assert (delta * norms[k - 1]

@@ -13,6 +13,7 @@ some of them singular.
 
 import hashlib
 import logging
+import math
 import random
 import warnings
 
@@ -65,7 +66,7 @@ REDUCERS = {
     "greedy-2,1": lambda b, track=True: greedy_reduce(
         b, ReduceConfig(p_schedule=(2.0, 1.0)), track_transform=track),
     "greedy-max": lambda b, track=True: greedy_reduce(
-        b, ReduceConfig(score_mode="max"), track_transform=track),
+        b, ReduceConfig(p_schedule=(math.inf,)), track_transform=track),
     "mgs-2": lambda b, track=True: mgs_pivot_reduce(
         b, 2.0, track_transform=track),
     "mgs-1": lambda b, track=True: mgs_pivot_reduce(

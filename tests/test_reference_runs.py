@@ -1,8 +1,8 @@
 """Reducers against tests/oracles.py's plain loops on inputs larger than
 any tier-1 test uses.
 
-Each run takes seconds, so tier-1 skips this module; CI runs each test
-in a step of its own, with LATRED_REFERENCE_RUNS=1:
+Each run takes seconds, so tier-1 skips this module; CI runs the whole
+module in one step, with LATRED_REFERENCE_RUNS=1:
 
     LATRED_REFERENCE_RUNS=1 PYTHONPATH=src python -m pytest -q \\
         tests/test_reference_runs.py
@@ -35,7 +35,8 @@ def permuted_example(ell, seed, permutation_seed):
 
 def test_mgs_at_n96_matches_the_per_pair_reference():
     # mgs carries its orthogonal residuals across rounds, so rounding
-    # gathers over more rounds than at the tier-1 sizes (n <= 48).
+    # gathers over more rounds than at the tier-1 sizes (n <= 48).  Pivots
+    # and columns must equal the plain loop's.
     basis = permuted_example(32, 0, 1)
     res = mgs_pivot_reduce(basis, 2.0)
     assert ((res.iterations_applied, res.basis.cols)
@@ -43,9 +44,9 @@ def test_mgs_at_n96_matches_the_per_pair_reference():
 
 
 def test_rand_comb_at_n96_matches_the_per_move_reference():
-    # Each step writes its whole rounded combination as one column
-    # operation; the reference applies one column operation per
-    # coefficient.
+    # No tier-1 test runs rand-comb past n = 24.  Each step writes its
+    # whole rounded combination as one column operation; the reference
+    # applies one column operation per coefficient.
     basis = permuted_example(32, 0, 1)
     res = random_combination_reduce(basis, AltConfig(seed=1),
                                     track_transform=True)
@@ -64,7 +65,7 @@ def test_lll_at_n48_matches_the_float_path_reference(monkeypatch, seed):
     basis = permuted_example(16, seed, 100 + seed)
     res = lll.lll_reduce(basis, track_transform=True)
     swaps, cols, u, arrays = lll_float_reference(basis.cols,
-                                                 lll.DEFAULT_DELTA, True)
+                                                 lll.LLLConfig().delta, True)
     state = states.pop()
     got = [a.tobytes() for a in (state.bstar, state.mu, state.norms_sq,
                                  state.fcols)]
