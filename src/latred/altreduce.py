@@ -7,6 +7,22 @@ real-coefficient combination of all the others (rounded to integers, which
 is usually too coarse).  mgs_pivot is pivoted Gram-Schmidt with rounded
 projections and no swap condition.
 
+rand-comb keeps a float64 H, approximately G^-1, beside its exact Gram
+matrix: np.linalg.inv of the Gram matrix's float copy builds it before
+the first step and again after every n useful steps, and each useful
+step updates it in place by a rank-two update (Sherman-Morrison; Hager,
+SIAM Review 1989).  A step reads its coefficients from H in O(n) and
+updates it in O(|moves| n), where one solve of the (n - 1) x (n - 1)
+normal equations costs O(n^3).  A step solves instead, as chosen by the
+input and never by an option, in four cases: (a) a zero column, or an
+inv that raises (rank-deficient input); (b) a rebuilt H with
+||G||_1 ||H||_1 n >= CONDITION_LIMIT (numerically singular); (c) a
+coefficient from H that is not finite; (d) a coefficient from H within
+TIE_WIDTH (1 + |x|) of a half-integer, a near tie where the two float
+paths can round apart.  Columns, transform and Gram matrix change only
+through apply_column_op with rounded integer coefficients, so no exact
+value depends on H.
+
 Both keep their exact state in the shared IntRows and GramMatrix and
 round only the coefficients that can round to a nonzero integer
 (ROUNDS_TO_ZERO).  A tracked transform rides along in the rows with no
@@ -65,20 +81,60 @@ class AltConfig:
             raise UsageError("iterations must be nonnegative")
 
 
-def random_combination_step(rows: IntRows, gram: GramMatrix, j: int) -> bool:
-    """Subtract from column j the rounded best combination of the others.
+# Steps draw their columns this many at a time, so memory does not grow
+# with the step budget.  Split bounded draws give the stream of one draw.
+COLUMN_BLOCK = 4096
 
-    The whole rounded combination is one apply_column_op, which writes
-    column j and its Gram row once.  The real-valued coefficients come
-    from the normal equations over the Gram submatrix of the other
-    nonzero columns, solved in floating point (any float error below 1/2
-    disappears in the rounding); a zero column would make that system
-    singular and has nothing to contribute, so it is left out.
-    Coefficients of magnitude under ROUNDS_TO_ZERO are dropped without
-    rounding each one.  Returns whether anything changed; a system that
-    is still singular (dependent nonzero columns) is skipped with a
-    warning.
+# A rebuilt H is used only while ||G||_1 ||H||_1 n, a bound on the
+# condition number of G times n, stays below this: past it the float
+# inverse keeps too few correct bits to stand in for the solve, and the
+# steps solve until the next rebuild.
+CONDITION_LIMIT = 2.0 ** 50
+
+# A coefficient from H within TIE_WIDTH * (1 + |x|) of a half-integer is
+# a near tie, where H's float path and the solve's can round apart, so
+# the step solves.  The width is relative because the float error of a
+# coefficient grows with its size.
+TIE_WIDTH = 1e-6
+
+
+def _inverse_gram(gram: GramMatrix):
+    """H = inv of gram's float copy, or None where steps must solve.
+
+    None for a zero diagonal entry or an inv that raises (rank-deficient
+    input), and for ||G||_1 ||H||_1 n >= CONDITION_LIMIT (numerically
+    singular in float64).
     """
+    fg = gram.g.astype(float)
+    if not fg.diagonal().all():
+        return None
+    try:
+        h = np.linalg.inv(fg)
+    except np.linalg.LinAlgError:
+        return None
+    # Written as not-below, so that a nan norm falls back too.
+    if not (np.linalg.norm(fg, 1) * np.linalg.norm(h, 1) * len(fg)
+            < CONDITION_LIMIT):
+        return None
+    return h
+
+
+def _inverse_coefficients(h, j: int):
+    """Column j's coefficients from H, x_k = -H[k, j] / H[j, j] (x_j = 0),
+    or None when one is not finite or is a near tie (TIE_WIDTH)."""
+    x = h[:, j] / -h[j, j]
+    x[j] = 0.0
+    a = np.abs(x)
+    if not np.isfinite(a).all() or (
+            np.abs(a % 1.0 - 0.5) < TIE_WIDTH * (1.0 + a)).any():
+        return None
+    return x
+
+
+def _solved_coefficients(gram: GramMatrix, j: int):
+    """Column j's coefficients from the normal equations over the other
+    nonzero columns, 0.0 elsewhere, or None (warned) when the system is
+    singular or its solution is not finite."""
     fg = gram.g.astype(float)
     # Column j and every zero column stay out of the system.
     keep = fg.diagonal() != 0.0
@@ -87,20 +143,63 @@ def random_combination_step(rows: IntRows, gram: GramMatrix, j: int) -> bool:
     sub = fg.take(others, 0).take(others, 1)
     rhs = fg[others, j]
     try:
-        coeffs = np.linalg.solve(sub, rhs)
+        solved = np.linalg.solve(sub, rhs)
     except np.linalg.LinAlgError:
         warn(__name__, "singular normal equations for column %d; "
              "step skipped", j)
-        return False
-    if not np.all(np.isfinite(coeffs)):
+        return None
+    if not np.all(np.isfinite(solved)):
         warn(__name__, "non-finite coefficients for column %d; "
              "step skipped", j)
-        return False
+        return None
+    coeffs = np.zeros(len(fg))
+    coeffs[others] = solved
+    return coeffs
+
+
+def random_combination_step(rows: IntRows, gram: GramMatrix, j: int,
+                            inverse=None) -> bool:
+    """Subtract from column j the rounded best combination of the others.
+
+    The real coefficients solve the normal equations over the Gram
+    submatrix of the other nonzero columns; a zero column would make that
+    system singular and has nothing to contribute, so it is left out.
+    Coefficients of magnitude under ROUNDS_TO_ZERO are dropped without
+    rounding each one, and the rest, rounded, are one apply_column_op,
+    which writes column j and its Gram row once.  Returns whether
+    anything changed.
+
+    inverse H, a float64 approximation of G^-1 from _inverse_gram, which
+    random_combination_reduce builds again after every n useful steps:
+    by the block-inverse identity the coefficients are
+    x_k = -H[k, j] / H[j, j], read in O(n), and the step keeps H in place
+    through its column operation by a rank-two update, rows
+    k += c_k H[j, :] then columns k += c_k H[:, j], in O(|moves| n).
+    inverse None, which random_combination_reduce passes where
+    _inverse_gram refuses (a zero column or an inv that raises, or
+    ||G||_1 ||H||_1 n >= CONDITION_LIMIT): one np.linalg.solve of the
+    (n - 1) x (n - 1) system, O(n^3); a singular system (dependent
+    nonzero columns) or a non-finite solution skips the step with a
+    warning.  A step given H solves too when a coefficient from H is not
+    finite or lies within TIE_WIDTH (1 + |x|) of a half-integer, where the
+    two float paths can round apart.  Either way only the rounded integer
+    coefficients reach the columns, the transform and the Gram matrix,
+    through apply_column_op, so no exact value depends on H.
+    """
+    coeffs = None if inverse is None else _inverse_coefficients(inverse, j)
+    if coeffs is None:
+        coeffs = _solved_coefficients(gram, j)
+        if coeffs is None:
+            return False
     large = np.flatnonzero(np.abs(coeffs) >= ROUNDS_TO_ZERO)
     if not len(large):
         return False
-    apply_column_op(rows, gram, j, list(zip(
-        others[large].tolist(), map(nint_float, coeffs[large].tolist()))))
+    cs = [nint_float(x) for x in coeffs[large].tolist()]
+    apply_column_op(rows, gram, j, list(zip(large.tolist(), cs)))
+    if inverse is not None:
+        fc = np.array(cs, dtype=float)
+        inverse[large] += fc[:, None] * inverse[j]
+        inverse[:, large] += inverse[:, j, None] * fc
     return True
 
 
@@ -108,17 +207,34 @@ def random_combination_reduce(basis: Basis, config: AltConfig | None = None, *,
                               track_transform: bool = False) -> ReductionResult:
     """Run random_combination_step for a fixed budget of random columns.
 
-    The budget is config.iterations, or 10 * n when that is None.  Column
-    norms can go up as well as down; there is no monotonicity here, which
-    is exactly why this variant is only a baseline.
+    The budget is config.iterations, or 10 * n when that is None; the
+    columns come from the seeded SplitMix64, COLUMN_BLOCK draws at a
+    time.  The steps share H (_inverse_gram), built before the first step
+    and again after every n useful steps: a rebuild costs O(n^3), about
+    one solve, which spread over n useful steps adds O(n^2) to each, and
+    it drops the rounding error the updates gathered.  Where
+    _inverse_gram gives None the steps solve until the next rebuild.
+    Column norms can go up as well as down; there is no monotonicity
+    here, which is exactly why this variant is only a baseline.
     """
     cfg = config if config is not None else AltConfig()
 
     def body(rows):
         gram = gram_compute(basis)
-        steps = 10 * basis.n if cfg.iterations is None else cfg.iterations
-        columns = SplitMix64(cfg.seed).draw(steps, basis.n).tolist()
-        return sum(random_combination_step(rows, gram, j) for j in columns)
+        n = basis.n
+        steps = 10 * n if cfg.iterations is None else cfg.iterations
+        draws = SplitMix64(cfg.seed)
+        useful = 0
+        # age counts the useful steps since H was built; n builds it first.
+        inverse, age = None, n
+        for start in range(0, steps, COLUMN_BLOCK):
+            for j in draws.draw(min(COLUMN_BLOCK, steps - start), n).tolist():
+                if age == n:
+                    inverse, age = _inverse_gram(gram), 0
+                moved = random_combination_step(rows, gram, j, inverse)
+                useful += moved
+                age += moved
+        return useful
 
     return run_reducer(basis, track_transform, body)
 

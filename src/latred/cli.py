@@ -209,6 +209,9 @@ def cmd_reduce(args) -> int:
             "after": asdict(result.after),
             "iterations": result.iterations_applied,
             "seconds": result.seconds,
+            "stages": [{"iterations": stage.iterations_applied,
+                        "seconds": stage.seconds}
+                       for stage in result.stages],
         }
         if result.transform is not None:
             matches = apply_transform(basis, result.transform) == result.basis

@@ -9,7 +9,9 @@ SplitMix64 has one form: draw gives the next count draws as one numpy
 uint64 array, by add-and-mix steps in wrapping uint64 arithmetic and, for
 a bound, rejection.  gen_example takes its R from one bounded draw,
 random_permutation its shuffle from one raw draw and rand-comb its columns
-from one bounded draw; derive_seed chains one-value draws.  Bounds go up
+from bounded draws of a fixed block size, which give the stream of one
+draw: rejection keeps order and the generator stops after the last output
+it reads; derive_seed chains one-value draws.  Bounds go up
 to 2**64, so a q-ary example needs an odd q in [3, 2**64).
 """
 

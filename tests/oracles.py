@@ -44,6 +44,24 @@ def det_cofactor(rows):
     return total
 
 
+def inverse_oracle(g):
+    """Exact inverse of a nonsingular integer matrix, as Fraction rows, by
+    Gauss-Jordan elimination with the first nonzero pivot."""
+    n = len(g)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(g)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if a[r][c])
+        a[c], a[p] = a[p], a[c]
+        pivot = a[c][c]
+        a[c] = [x / pivot for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c]:
+                f = a[r][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return [row[n:] for row in a]
+
+
 def _nint_frac(x: Fraction) -> int:
     # Halves away from zero, matching the library convention.
     if x >= 0:

@@ -24,10 +24,12 @@ from latred.core import (
     det_small,
     gram_compute,
 )
-from latred.genlat import ExampleSpec, gen_example, random_permutation
+from latred.genlat import (ExampleSpec, SplitMix64, gen_example,
+                           random_permutation)
 from latred.greedy import GreedyState, apply_pivot, coefficients_for_pivot
 
-from oracles import mgs_per_pair, rand_comb_per_move
+from oracles import inverse_oracle, mgs_per_pair, rand_comb_per_move
+from test_reducer_goldens import scrambled
 
 
 def random_basis(rng, n, max_entry=40):
@@ -37,6 +39,24 @@ def random_basis(rng, n, max_entry=40):
 
 def basis_rows(basis):
     return IntRows(basis.cols)
+
+
+def check_per_move(basis, iterations, seed):
+    """Tracked rand-comb equals the per-move reference loop."""
+    res = random_combination_reduce(
+        basis, AltConfig(iterations=iterations, seed=seed),
+        track_transform=True)
+    assert ((res.iterations_applied, res.basis.cols, res.transform.cols)
+            == rand_comb_per_move(basis.cols, iterations, seed))
+
+
+def solve_spy(monkeypatch):
+    """The sizes of the systems np.linalg.solve is handed from now on."""
+    solves = []
+    real = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: solves.append(len(a)) or real(a, b))
+    return solves
 
 
 class TestRandomCombinationStep:
@@ -127,27 +147,19 @@ class TestRandomCombinationReduce:
             assert abs(det_small(res.transform.to_rows())) == 1
 
     def test_matches_per_move_reference(self, monkeypatch):
-        def check(basis, iterations, seed):
-            res = random_combination_reduce(
-                basis, AltConfig(iterations=iterations, seed=seed),
-                track_transform=True)
-            assert ((res.iterations_applied, res.basis.cols,
-                     res.transform.cols)
-                    == rand_comb_per_move(basis.cols, iterations, seed))
-
         rng = random.Random(76)
         for n in (2, 3, 5, 8):
             for trial in range(3):
                 cols = random_basis(rng, n, max_entry=5 + 20 * trial).cols
                 if trial == 2:
                     cols[-1] = [0] * n
-                check(Basis(cols), 10 * n, trial)
+                check_per_move(Basis(cols), 10 * n, trial)
         # Permuted q-ary examples, the benchmark's rand-comb input family.
         for ell, seeds in ((4, range(3)), (8, range(3))):
             for seed in seeds:
                 basis = random_permutation(
                     gen_example(ExampleSpec(8191, ell, seed)), seed + 1)
-                check(basis, 10 * basis.n, seed + 7)
+                check_per_move(basis, 10 * basis.n, seed + 7)
         # Entries near 2**59 and a last column near 5 c_0 - 3 c_1 (entries
         # near 2**62): the Gram store is Python ints from the start, and a
         # step on the last column takes the rows past int64.
@@ -160,13 +172,35 @@ class TestRandomCombinationReduce:
 
         monkeypatch.setattr(altreduce, "apply_column_op", spy)
         w = 1 << 59
+        wide = []
         for n in (4, 6):
             for seed in range(3):
                 cols = random_basis(rng, n, max_entry=w).cols
                 cols[-1] = [5 * a - 3 * b + rng.randint(-(1 << 20), 1 << 20)
                             for a, b in zip(cols[0], cols[1])]
-                check(Basis(cols), 30, seed)
+                basis = Basis(cols)
+                wide.append((basis, seed))
+                check_per_move(basis, 30, seed)
         assert set(calls) == {False, True}
+        # Their float Gram matrices are numerically singular, so no inverse
+        # is built and every step solves.
+        solves = solve_spy(monkeypatch)
+        for basis, seed in wide:
+            random_combination_reduce(basis, AltConfig(iterations=30,
+                                                       seed=seed))
+        assert len(solves) == 30 * len(wide)
+
+    def test_matches_per_move_reference_near_ties(self):
+        # Small entries give coefficients at or next to half-integers,
+        # where the inverse's float path and the solve's can round apart;
+        # such a step must take the solve.
+        for n in range(3, 9):
+            for seed in range(10):
+                check_per_move(scrambled(n, 1000 * n + seed), 10 * n, seed)
+        for ell in range(2, 9):
+            basis = random_permutation(
+                gen_example(ExampleSpec(8191, ell, ell)), ell + 1)
+            check_per_move(basis, 10 * basis.n, ell)
 
     def test_one_column_op_per_step_that_moves(self, monkeypatch):
         calls = []
@@ -182,6 +216,87 @@ class TestRandomCombinationReduce:
         assert len(calls) == res.iterations_applied > 0
         # Some steps move column j by more than one other column.
         assert max(calls) > 1
+
+
+class TestInverseGram:
+    def test_tracks_the_inverse_through_column_operations(self):
+        basis = random_permutation(gen_example(ExampleSpec(8191, 8, 0)), 1)
+        rows = basis_rows(basis)
+        gram = gram_compute(basis)
+        h = altreduce._inverse_gram(gram)
+        assert h is not None
+        moved = sum(random_combination_step(rows, gram, j, h)
+                    for j in (3, 17, 5, 23, 0, 11, 8, 20))
+        assert moved >= 5
+        assert gram == gram_compute(Basis(rows.tolist()))
+        # The Gram matrix's condition number is near 2e9, so a fresh float
+        # inverse is itself off by about 1e-8; H must be no further from
+        # the exact inverse than twice that.
+        exact = np.array(inverse_oracle(gram.tolist()), dtype=float)
+
+        def error(inverse):
+            return np.linalg.norm(inverse - exact) / np.linalg.norm(exact)
+
+        assert error(h) <= 2 * error(np.linalg.inv(gram.g.astype(float)))
+
+    def test_no_inverse_for_rank_deficient_or_ill_conditioned_input(self):
+        cases = {
+            "zero column": [[1, 2, 0], [0, 0, 0], [3, 1, 1]],
+            "doubled column": [[1, 2, 0], [2, 4, 0], [3, 1, 1]],
+            # Near 2**62 (1, 1, 0): the float Gram matrix is singular.
+            "near parallel": [[1 << 62, 1 << 62, 0],
+                              [(1 << 62) + 1, 1 << 62, 0], [0, 0, 1]],
+        }
+        for name, cols in cases.items():
+            assert altreduce._inverse_gram(gram_compute(Basis(cols))) \
+                is None, name
+        h = altreduce._inverse_gram(gram_compute(Basis([[2, 0], [1, 1]])))
+        assert np.allclose(h, [[0.5, -0.5], [-0.5, 1.0]])
+
+    def test_near_tie_takes_the_solve(self, monkeypatch):
+        # Column 1's coefficient onto column 0 is 2/4, a half-integer.
+        # Slightly off, H would give a coefficient just below 1/2, which
+        # rounds to 0; the solve gives 0.5, which rounds to 1.
+        basis = Basis([[2, 0], [1, 1]])
+        rows = basis_rows(basis)
+        gram = gram_compute(basis)
+        h = altreduce._inverse_gram(gram)
+        h[0, 1] *= 1 - 1e-12
+        solves = solve_spy(monkeypatch)
+        assert random_combination_step(rows, gram, 1, h)
+        assert solves == [1]
+        assert rows.tolist() == [[2, 0], [-1, 1]]
+        assert np.allclose(h, np.linalg.inv(gram.g.astype(float)))
+
+    def test_non_finite_coefficient_takes_the_solve(self, monkeypatch):
+        basis = Basis([[1, 0, 0], [0, 1, 0], [5, 7, 1]])
+        rows = basis_rows(basis)
+        gram = gram_compute(basis)
+        h = altreduce._inverse_gram(gram)
+        h[0, 2] = np.nan
+        solves = solve_spy(monkeypatch)
+        assert random_combination_step(rows, gram, 2, h)
+        assert solves == [2]
+        assert rows.tolist()[2] == [0, 0, 1]
+
+    def test_columns_are_drawn_one_block_at_a_time(self, monkeypatch):
+        steps = 3 * altreduce.COLUMN_BLOCK + 5
+        counts, columns = [], []
+        draw = SplitMix64.draw
+        monkeypatch.setattr(
+            SplitMix64, "draw",
+            lambda self, count, bound=None:
+                counts.append(count) or draw(self, count, bound))
+        step = altreduce.random_combination_step
+        monkeypatch.setattr(
+            altreduce, "random_combination_step",
+            lambda rows, gram, j, inverse: columns.append(j)
+            or step(rows, gram, j, inverse))
+        random_combination_reduce(Basis.identity(3),
+                                  AltConfig(iterations=steps, seed=4))
+        assert 0 < max(counts) <= altreduce.COLUMN_BLOCK
+        monkeypatch.undo()
+        assert columns == SplitMix64(4).draw(steps, 3).tolist()
 
 
 class TestMgsPivotReduce:

@@ -16,6 +16,7 @@ from latred.core import INT128_MAX, read_mat, write_mat, Basis
 from latred.genlat import ExampleSpec, gen_example, random_permutation
 from latred.greedy import ReduceConfig, reduce
 from latred.harness import CSV_HEADER
+from latred.lll import lll_reduce
 
 Q13 = 2**13 - 1
 # 2**65 + 1: odd, but past the 2**64 that the generator's draws reach.
@@ -131,6 +132,23 @@ class TestReduce:
         data = json.loads(report.read_text())
         assert data["transform_matches"] is True
         assert data["unimodular"] is True
+
+    def test_lll_plus_greedy_report_gives_each_stage(self, tmp_path):
+        src = tmp_path / "g.mat"
+        assert run_cli("gen", "--q", str(Q13), "--ell", "4", "--seed", "2",
+                       "--out", str(src)) == 0
+        report = tmp_path / "report.json"
+        assert run_cli("reduce", "--algo", "lll+greedy", "--in", str(src),
+                       "--out", str(tmp_path / "o.mat"),
+                       "--report", str(report)) == 0
+        data = json.loads(report.read_text())
+        lll, greedy = data["stages"]
+        swaps = lll_reduce(read_mat(src)).iterations_applied
+        assert swaps > 0
+        assert lll["iterations"] == swaps
+        # The top level counts the last stage and sums the seconds.
+        assert greedy["iterations"] == data["iterations"]
+        assert data["seconds"] == lll["seconds"] + greedy["seconds"]
 
     def test_wide_entries_take_the_python_int_routes(self, tmp_path):
         # q = 2**61 - 1: the Gram matrix (m * M**2 >= 2**63) and the
@@ -495,11 +513,14 @@ def test_tracked_polish_of_a_scrambled_n128_basis_is_pinned(tmp_path):
         "3e58c96b6927c200a984953bb7d9812b45e2dcc608097fe89a3a67542ab5f33e")
     got = json.loads(report.read_text())
     del got["seconds"]
+    for stage in got["stages"]:
+        del stage["seconds"]
     assert got == {
         "algo": "greedy",
         "before": {"frobenius_sq": 420327, "min_norm_sq": 434},
         "after": {"frobenius_sq": 65593, "min_norm_sq": 419},
         "iterations": 162,
+        "stages": [{"iterations": 162}],
         "transform_matches": True,
         "unimodular": None,
     }

@@ -126,6 +126,19 @@ class TestSplitMix64:
             one_by_one.draw(1, bound).item() for _ in range(300)]
         assert rng.state == one_by_one.state
 
+    @pytest.mark.parametrize("count,bound,split", [
+        (10, 3, 4), (64, 7, 0), (64, 7, 64), (300, 2**63 + 1, 1),
+        (300, 2**63 + 1, 151), (300, 3 * 2**62 + 1, 299), (257, 2**64, 100)])
+    def test_split_bounded_draws_equal_one_draw(self, count, bound, split):
+        # Rejection keeps order and the generator stops after the last
+        # output it reads, so rand-comb may draw its columns in blocks.
+        for seed in (TOP_SEED, 9):
+            one, two = SplitMix64(seed), SplitMix64(seed)
+            whole = one.draw(count, bound).tolist()
+            first = two.draw(split, bound).tolist()
+            assert first + two.draw(count - split, bound).tolist() == whole
+            assert two.state == one.state
+
     def test_bounded_draw_drops_a_rejected_first_draw(self):
         # TOP_SEED's first output, 2**64 - 1, is rejected below 3.
         rng = SplitMix64(TOP_SEED)

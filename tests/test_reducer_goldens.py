@@ -17,6 +17,7 @@ import math
 import random
 import warnings
 
+import numpy as np
 import pytest
 
 from latred.altreduce import AltConfig, mgs_pivot_reduce, random_combination_reduce
@@ -161,6 +162,20 @@ def test_tracking_never_changes_the_basis_path(reducer, name):
     assert untracked.transform is None
     assert untracked.basis == tracked.basis
     assert untracked.iterations_applied == tracked.iterations_applied
+
+
+@pytest.mark.parametrize("name", ["wide-6", "dependent-10"])
+def test_rand_comb_solves_every_step_of_the_golden_runs(monkeypatch, name):
+    # dependent-10 has a zero column, so rand-comb builds no inverse Gram
+    # matrix; wide-6's two columns near 2**63 e_0 make its float Gram
+    # matrix numerically singular.  Every step solves, and the outputs
+    # are the goldens.
+    calls = []
+    real = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: calls.append(len(a)) or real(a, b))
+    assert outcome("rand-comb", name) == GOLDEN["rand-comb", name]
+    assert len(calls) == 10 * INPUTS[name]().n
 
 
 def test_rand_comb_leaves_a_zero_column_out(caplog):

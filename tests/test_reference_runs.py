@@ -54,6 +54,20 @@ def test_rand_comb_at_n96_matches_the_per_move_reference():
             == rand_comb_per_move(basis.cols, 10 * basis.n, 1))
 
 
+def test_rand_comb_at_n192_matches_the_per_move_reference():
+    # The steps read their coefficients from the maintained inverse Gram
+    # matrix.  On this input ||G||_1 ||H||_1 n is about 1.5e14, the
+    # nearest to the 2**50 conditioning bound of any benchmark-family
+    # input, so the inverse's coefficients are the least accurate here.
+    # The test takes 5.6 s on a 2-core x86-64 machine, nearly all of it
+    # in the reference's one solve and per-move Gram rows per step.
+    basis = permuted_example(64, 0, 1)
+    res = random_combination_reduce(basis, AltConfig(seed=1),
+                                    track_transform=True)
+    assert ((res.iterations_applied, res.basis.cols, res.transform.cols)
+            == rand_comb_per_move(basis.cols, 10 * basis.n, 1))
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_lll_at_n48_matches_the_float_path_reference(monkeypatch, seed):
     # Swaps, basis, transform and the bytes of the final Gram-Schmidt
