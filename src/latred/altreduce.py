@@ -19,23 +19,32 @@ inv that raises (rank-deficient input); (b) a rebuilt H with
 ||G||_1 ||H||_1 n >= CONDITION_LIMIT (numerically singular); (c) a
 coefficient from H that is not finite; (d) a coefficient from H within
 TIE_WIDTH (1 + |x|) of a half-integer, a near tie where the two float
-paths can round apart.  Columns, transform and Gram matrix change only
-through apply_column_op with rounded integer coefficients, so no exact
-value depends on H.
+paths can round apart.  Columns and transform change only through
+apply_column_op with rounded integer coefficients, so no exact value
+depends on H.  The exact Gram matrix is kept in step only while steps
+solve: while H is live nothing reads it, so the steps leave it stale,
+and the next rebuild (or a step that falls back to the solve) builds it
+again from the rows with one gram_compute.  So, as in LLL, a squared
+norm past the signed 128-bit range raises OverflowError in that
+gram_compute or in run_reducer's summary of the output, not in the step
+that made it; one that a later step brings back inside the range before
+either is not seen.
 
 Both keep their exact state in the shared IntRows and GramMatrix and
 round only the coefficients that can round to a nonzero integer
 (ROUNDS_TO_ZERO).  A tracked transform rides along in the rows with no
 code here; the float reads (mgs's residual rows) take the basis part
-only.  mgs carries its orthogonal residuals Q from round to round and
-projects them off each new pivot once, so a round does no work for the
-earlier pivots.  An mgs round is one selection step over every candidate
-pivot at once: one matrix product over the residual columns gives every
-coefficient, the moved columns' exact new squared norms are computed as
-one Python-int array, and one left-to-right fold scores every
-candidate.  Its integer outputs matched the per-pair loop on every input
-checked, but the batched products may round differently in the last
-bit, so its intermediate floats are not promised bit for bit.
+only.  mgs carries the float rows F of its residual columns and their
+orthogonal residuals Q from round to round: only a moved column's row of
+F is cast again, and Q is projected off each new pivot once, so a round
+does no work for the earlier pivots.  An mgs round is one selection
+step over every candidate pivot at once: one matrix product over the
+residual columns gives every coefficient, the moved columns' exact new
+squared norms are computed as one Python-int array, and one
+left-to-right fold scores every candidate.  Its integer outputs matched
+the per-pair loop on every input checked, but the batched products may
+round differently in the last bit, so its intermediate floats are not
+promised bit for bit.
 """
 
 from __future__ import annotations
@@ -121,14 +130,16 @@ def _inverse_gram(gram: GramMatrix):
 
 def _inverse_coefficients(h, j: int):
     """Column j's coefficients from H, x_k = -H[k, j] / H[j, j] (x_j = 0),
-    or None when one is not finite or is a near tie (TIE_WIDTH)."""
+    and their magnitudes a = |x|, or None when one is not finite or is a
+    near tie (TIE_WIDTH)."""
     x = h[:, j] / -h[j, j]
     x[j] = 0.0
     a = np.abs(x)
-    if not np.isfinite(a).all() or (
-            np.abs(a % 1.0 - 0.5) < TIE_WIDTH * (1.0 + a)).any():
+    # The fraction of a, a % 1 for finite a; np.modf takes inf without a
+    # warning.  NaN and +-inf fail the one test, so it tests finiteness too.
+    if not (np.abs(np.modf(a)[0] - 0.5) >= TIE_WIDTH * (1.0 + a)).all():
         return None
-    return x
+    return x, a
 
 
 def _solved_coefficients(gram: GramMatrix, j: int):
@@ -157,7 +168,7 @@ def _solved_coefficients(gram: GramMatrix, j: int):
     return coeffs
 
 
-def random_combination_step(rows: IntRows, gram: GramMatrix, j: int,
+def random_combination_step(rows: IntRows, gram: GramMatrix | None, j: int,
                             inverse=None) -> bool:
     """Subtract from column j the rounded best combination of the others.
 
@@ -166,8 +177,9 @@ def random_combination_step(rows: IntRows, gram: GramMatrix, j: int,
     system singular and has nothing to contribute, so it is left out.
     Coefficients of magnitude under ROUNDS_TO_ZERO are dropped without
     rounding each one, and the rest, rounded, are one apply_column_op,
-    which writes column j and its Gram row once.  Returns whether
-    anything changed.
+    which writes column j and, when gram is given, its Gram row once, so
+    a Gram matrix handed in stays in step.  Returns whether anything
+    changed.
 
     inverse H, a float64 approximation of G^-1 from _inverse_gram, which
     random_combination_reduce builds again after every n useful steps:
@@ -185,13 +197,21 @@ def random_combination_step(rows: IntRows, gram: GramMatrix, j: int,
     two float paths can round apart.  Either way only the rounded integer
     coefficients reach the columns, the transform and the Gram matrix,
     through apply_column_op, so no exact value depends on H.
+
+    gram None, which random_combination_reduce passes while H is live,
+    leaves the exact Gram matrix to the caller to build again; a step
+    that solves then first builds one from the rows' basis part
+    (gram_compute), and drops it after the step.
     """
-    coeffs = None if inverse is None else _inverse_coefficients(inverse, j)
-    if coeffs is None:
-        coeffs = _solved_coefficients(gram, j)
+    found = None if inverse is None else _inverse_coefficients(inverse, j)
+    if found is None:
+        coeffs = _solved_coefficients(
+            gram_compute(rows.basis()) if gram is None else gram, j)
         if coeffs is None:
             return False
-    large = np.flatnonzero(np.abs(coeffs) >= ROUNDS_TO_ZERO)
+        found = coeffs, np.abs(coeffs)
+    coeffs, size = found
+    large = np.flatnonzero(size >= ROUNDS_TO_ZERO)
     if not len(large):
         return False
     cs = [nint_float(x) for x in coeffs[large].tolist()]
@@ -212,25 +232,34 @@ def random_combination_reduce(basis: Basis, config: AltConfig | None = None, *,
     time.  The steps share H (_inverse_gram), built before the first step
     and again after every n useful steps: a rebuild costs O(n^3), about
     one solve, which spread over n useful steps adds O(n^2) to each, and
-    it drops the rounding error the updates gathered.  Where
-    _inverse_gram gives None the steps solve until the next rebuild.
+    it drops the rounding error the updates gathered.  While H is live
+    the steps are handed no Gram matrix, so none is updated, and each
+    build of H first builds the exact one from the rows (gram_compute,
+    O(n^2 m), once per n useful steps).  Where _inverse_gram gives None
+    the steps solve until the next rebuild, keeping that Gram matrix in
+    step.
     Column norms can go up as well as down; there is no monotonicity
     here, which is exactly why this variant is only a baseline.
     """
     cfg = config if config is not None else AltConfig()
 
     def body(rows):
-        gram = gram_compute(basis)
         n = basis.n
         steps = 10 * n if cfg.iterations is None else cfg.iterations
         draws = SplitMix64(cfg.seed)
         useful = 0
-        # age counts the useful steps since H was built; n builds it first.
-        inverse, age = None, n
+        # age counts the useful steps since H was built; n builds it, and
+        # the exact Gram matrix, first.  gram is None, stale, while H is
+        # live.
+        gram, inverse, age = None, None, n
         for start in range(0, steps, COLUMN_BLOCK):
             for j in draws.draw(min(COLUMN_BLOCK, steps - start), n).tolist():
                 if age == n:
+                    if gram is None:
+                        gram = gram_compute(rows.basis())
                     inverse, age = _inverse_gram(gram), 0
+                    if inverse is not None:
+                        gram = None
                 moved = random_combination_step(rows, gram, j, inverse)
                 useful += moved
                 age += moved
@@ -265,20 +294,22 @@ def mgs_pivot_reduce(basis: Basis, p: float = 2.0, *,
     Gram matrix in one apply_moves call.
 
     A round is whole-array work on the R residual columns as float rows
-    F, rebuilt from the integer rows, and their orthogonal residuals Q,
-    carried across rounds: Q starts as the float basis, and after each
-    pivot its row is dropped and the rest are projected off it once.  In
-    exact arithmetic that is F orthogonalized against every chosen pivot,
-    since a move subtracts a multiple of the pivot's column, which the
-    projection removes; the float bits can differ from orthogonalizing F
-    again each round.  X = F Q^T / |Q|^2 holds every coefficient of a
-    column onto a candidate, so no temporary exceeds an R x m or R x R
-    float array.
+    F and their orthogonal residuals Q, both carried across rounds: both
+    start as the float basis, a round casts again only the rows of F
+    whose columns it moved, one boolean mask drops the pivot's row from
+    the residual indices, F and Q, and the rest of Q is projected off
+    the pivot once.  In exact arithmetic that is F orthogonalized against
+    every chosen pivot, since a move subtracts a multiple of the pivot's
+    column, which the projection removes; the float bits can differ from
+    orthogonalizing F again each round.  X = F Q^T / |Q|^2 holds every
+    coefficient of a column onto a candidate, so no temporary exceeds an
+    R x m or R x R float array.
     Only candidates that are neither zero nor dependent have their
     coefficients x rounded, and only where |x| >= ROUNDS_TO_ZERO; the
     squared norms g[s][s] + c^2 g[r][r] - 2c g[s][r] they give are
     computed exactly on Python ints (such a norm can pass int64 while
-    every Gram entry fits it), and every other column keeps g[s][s].  Only the p/2 powers and their sum are floating: one
+    every Gram entry fits it), and every other column keeps g[s][s].
+    Only the p/2 powers and their sum are floating: one
     candidates x columns array holds each candidate's terms, its own
     slot 0.0, and one np.add.accumulate folds every row left to right:
     chosen pivots, the candidate, then the other residual columns in
@@ -294,9 +325,11 @@ def mgs_pivot_reduce(basis: Basis, p: float = 2.0, *,
         gram = gram_compute(basis)
         m = basis.m
         residual = np.arange(basis.n)
-        # Row s of q: residual column s orthogonalized against every
-        # chosen pivot, carried from round to round.
-        q = basis.array.astype(float)
+        # Row s of f: residual column s as floats; row s of q: the same
+        # column orthogonalized against every chosen pivot.  Both are
+        # carried from round to round.
+        f = basis.array.astype(float)
+        q = f.copy()
         # The chosen pivots' terms added left to right in choice order; no
         # move ever targets a chosen column, so its term never changes.
         chosen_sum = 0.0
@@ -304,7 +337,6 @@ def mgs_pivot_reduce(basis: Basis, p: float = 2.0, *,
             # Read once per round: update_gram may widen gram.g.
             g = gram.g
             d = g.diagonal()[residual].astype(object)
-            f = np.array([rows.rows[s][:m] for s in residual], dtype=float)
             qq = np.einsum("ij,ij->i", q, q)
             # Zero rows are never candidates; 1.0 keeps the division quiet.
             x = (f @ q.T) / np.where(qq > 0.0, qq, 1.0)
@@ -339,13 +371,16 @@ def mgs_pivot_reduce(basis: Basis, p: float = 2.0, *,
             best = int(np.argmin(np.add.accumulate(terms, axis=1)[:, -1]))
             ri = int(cand[best])
             chosen = ci == best
+            targets = residual[i[chosen]].tolist()
             apply_moves(rows, gram, int(residual[ri]),
-                        list(zip(residual[i[chosen]].tolist(),
-                                 c[chosen].tolist())))
-            residual = np.delete(residual, ri)
+                        list(zip(targets, c[chosen].tolist())))
+            if targets:
+                f[i[chosen]] = np.array([rows.rows[s][:m] for s in targets],
+                                        dtype=float)
             chosen_sum += float(kept[ri])
             qp = q[ri]
-            q = np.delete(q, ri, axis=0)
+            keep = np.arange(len(residual)) != ri
+            residual, f, q = residual[keep], f[keep], q[keep]
             q -= np.outer((q @ qp) / float(qp @ qp), qp)
         return basis.n - len(residual)
 

@@ -591,6 +591,10 @@ class IntRows:
             bounds = self.bounds
             bounds[j], bounds[k] = bounds[k], bounds[j]
 
+    def basis(self) -> Basis:
+        """The basis part of the rows as a Basis, packed as _pack packs it."""
+        return Basis._trusted(*_pack(np.stack(self.rows)[:, :self.m]))
+
     def tolist(self) -> list[list[int]]:
         """The rows as lists of Python ints, transform entries included."""
         return [row.tolist() for row in self.rows]
@@ -766,11 +770,11 @@ def run_reducer(basis: Basis, track_transform: bool, body) -> ReductionResult:
                    np.eye(n, dtype=np.int64) if track_transform else None)
     before = summarize_columns(basis)
     iterations = body(rows)
-    stacked = np.stack(rows.rows)
-    out = basis._trusted(*_pack(stacked[:, :m]))
+    out = rows.basis()
     transform = None
     if track_transform:
-        transform = TransformRecord._trusted(*_pack(stacked[:, m:]))
+        transform = TransformRecord._trusted(
+            *_pack(np.stack(rows.rows)[:, m:]))
     return ReductionResult(
         basis=out,
         iterations_applied=iterations,

@@ -2,10 +2,12 @@ import logging
 import random
 import warnings
 
+import math
+
 import numpy as np
 import pytest
 
-from latred import altreduce
+from latred import altreduce, core
 from latred.altreduce import (
     AltConfig,
     mgs_pivot_reduce,
@@ -29,7 +31,7 @@ from latred.genlat import (ExampleSpec, SplitMix64, gen_example,
 from latred.greedy import GreedyState, apply_pivot, coefficients_for_pivot
 
 from oracles import inverse_oracle, mgs_per_pair, rand_comb_per_move
-from test_reducer_goldens import scrambled
+from test_reducer_goldens import dependent, scrambled
 
 
 def random_basis(rng, n, max_entry=40):
@@ -269,15 +271,22 @@ class TestInverseGram:
         assert np.allclose(h, np.linalg.inv(gram.g.astype(float)))
 
     def test_non_finite_coefficient_takes_the_solve(self, monkeypatch):
+        # One test covers all four entries: NaN and +-inf fail it as a
+        # near tie does.  With H[2, 2] = 1, H[0, 2] = -2.5 gives x_0 = 2.5,
+        # exactly a half-integer.
         basis = Basis([[1, 0, 0], [0, 1, 0], [5, 7, 1]])
-        rows = basis_rows(basis)
-        gram = gram_compute(basis)
-        h = altreduce._inverse_gram(gram)
-        h[0, 2] = np.nan
         solves = solve_spy(monkeypatch)
-        assert random_combination_step(rows, gram, 2, h)
-        assert solves == [2]
-        assert rows.tolist()[2] == [0, 0, 1]
+        for entry in (np.nan, np.inf, -np.inf, -2.5):
+            rows = basis_rows(basis)
+            gram = gram_compute(basis)
+            h = altreduce._inverse_gram(gram)
+            h[2, 2] = 1.0
+            h[0, 2] = entry
+            assert altreduce._inverse_coefficients(h, 2) is None, entry
+            solves.clear()
+            assert random_combination_step(rows, gram, 2, h)
+            assert solves == [2]
+            assert rows.tolist()[2] == [0, 0, 1]
 
     def test_columns_are_drawn_one_block_at_a_time(self, monkeypatch):
         steps = 3 * altreduce.COLUMN_BLOCK + 5
@@ -297,6 +306,101 @@ class TestInverseGram:
         assert 0 < max(counts) <= altreduce.COLUMN_BLOCK
         monkeypatch.undo()
         assert columns == SplitMix64(4).draw(steps, 3).tolist()
+
+
+class TestStaleGram:
+    """While H is live, rand-comb leaves its exact Gram matrix stale."""
+
+    def spies(self, monkeypatch):
+        """Counts of H rebuilds, solves and exact Gram builds, and for each
+        Gram column update whether H was live when it ran."""
+        seen = {"rebuilds": 0, "solves": 0, "builds": 0, "updates": []}
+        live = [False]
+        inverse_gram = altreduce._inverse_gram
+        solved = altreduce._solved_coefficients
+        build = altreduce.gram_compute
+        update = core.update_gram_column
+
+        def spy_inverse(gram):
+            h = inverse_gram(gram)
+            seen["rebuilds"] += 1
+            live[0] = h is not None
+            return h
+
+        def spy_solved(gram, j):
+            seen["solves"] += 1
+            return solved(gram, j)
+
+        def spy_build(basis):
+            seen["builds"] += 1
+            return build(basis)
+
+        def spy_update(gram, j, moves):
+            seen["updates"].append(live[0])
+            update(gram, j, moves)
+
+        monkeypatch.setattr(altreduce, "_inverse_gram", spy_inverse)
+        monkeypatch.setattr(altreduce, "_solved_coefficients", spy_solved)
+        monkeypatch.setattr(altreduce, "gram_compute", spy_build)
+        monkeypatch.setattr(core, "update_gram_column", spy_update)
+        return seen
+
+    def test_no_gram_update_while_the_inverse_is_live(self, monkeypatch):
+        basis = random_permutation(gen_example(ExampleSpec(8191, 8, 0)), 1)
+        seen = self.spies(monkeypatch)
+        check_per_move(basis, 10 * basis.n, 1)
+        assert basis.n == 24 and seen["rebuilds"] > 2
+        assert True not in seen["updates"]
+        assert seen["builds"] <= seen["rebuilds"] + seen["solves"] + 1
+
+    def test_gram_stays_in_step_where_no_inverse_is_built(self, monkeypatch):
+        # A zero column: _inverse_gram refuses at every rebuild, so every
+        # step solves from the Gram matrix, which must match the rows.
+        basis = dependent(3)
+        seen = self.spies(monkeypatch)
+        step = altreduce.random_combination_step
+        grams = []
+
+        def spy_step(rows, gram, j, inverse):
+            moved = step(rows, gram, j, inverse)
+            assert inverse is None
+            assert gram == gram_compute(rows.basis())
+            grams.append(gram)
+            return moved
+
+        monkeypatch.setattr(altreduce, "random_combination_step", spy_step)
+        res = random_combination_reduce(basis, AltConfig(iterations=100,
+                                                         seed=3))
+        assert res.iterations_applied > 0 and len(grams) == 100
+        assert len(seen["updates"]) == res.iterations_applied
+        assert not any(seen["updates"]) and seen["builds"] == 1
+
+    @pytest.mark.parametrize("seed, iterations, message", [
+        (1, 1, "column norm exceeds"),
+        (22, 30, r"Gram entry \(2,2\) exceeds"),
+    ], ids=["final-summary", "rebuild"])
+    def test_squared_norm_past_128_bits_raises(self, seed, iterations,
+                                               message):
+        # Columns s (10, 0, 0), s (10, 5, 0) and s (2, -2, 10): the best
+        # real combination for column 2 is 0.6 c_0 - 0.4 c_1, which rounds
+        # to c_0, so column 2 becomes s (-8, -2, 10), of squared norm
+        # 168 s**2, past 2**127, though every Gram entry of the input is
+        # at most 125 s**2 < 2**127 and every entry stays below 2**64.
+        # Both seeds draw column 2 first.  While H is live no Gram row is
+        # updated, so the step itself raises nothing: one step ends in
+        # run_reducer's summary of the output's norms.  Seed 22 then draws
+        # columns 0 and 1, both useful, so the third useful step's
+        # rebuild of the exact Gram matrix raises.  (A later step can
+        # bring the norm back inside the range before either check, as a
+        # step on column 2 does with seed 1 over 30 steps; such a run
+        # returns, as LLL's does, whose steps keep no Gram matrix.)
+        s = math.isqrt(((1 << 127) - 1) // 125)
+        basis = Basis([[10 * s, 0, 0], [10 * s, 5 * s, 0],
+                       [2 * s, -2 * s, 10 * s]])
+        with pytest.raises(OverflowError, match=message):
+            random_combination_reduce(basis, AltConfig(iterations=iterations,
+                                                       seed=seed),
+                                      track_transform=True)
 
 
 class TestMgsPivotReduce:
