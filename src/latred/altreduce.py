@@ -24,8 +24,9 @@ apply_column_op with rounded integer coefficients, so no exact value
 depends on H.  The exact Gram matrix is kept in step only while steps
 solve: while H is live nothing reads it, so the steps leave it stale,
 and the next rebuild (or a step that falls back to the solve) builds it
-again from the rows with one gram_compute.  So, as in LLL, a squared
-norm past the signed 128-bit range raises OverflowError in that
+again from the rows with one gram_compute.  So, unlike in LLL, which
+keeps its Gram matrix through every column operation, a squared norm
+past the signed 128-bit range raises OverflowError in that
 gram_compute or in run_reducer's summary of the output, not in the step
 that made it; one that a later step brings back inside the range before
 either is not seen.

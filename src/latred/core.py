@@ -15,8 +15,8 @@ read-only from then on, so the library moves no column lists between its
 parts: read_mat, gen_example, random_permutation, apply_transform and
 run_reducer's write-back each hand over an array, and gram_compute,
 column_norms_sq (and so run_reducer's summaries), apply_transform,
-IntRows, is_unimodular, pipeline's range check, write_mat, LLL's float
-mirror and mgs's residuals read one.  Basis.cols and to_rows() build
+IntRows, is_unimodular, pipeline's range check, write_mat and mgs's
+residuals read one.  Basis.cols and to_rows() build
 lists of Python ints for callers on each read.  One product, _product,
 serves gram_compute and apply_transform (and so pipeline's composition
 of transforms).  It takes one of three routes by the bound t * M_a * M_b
@@ -103,8 +103,8 @@ _FLOAT64_LIMIT = 1 << 53
 # Largest n for which det_small, and so is_unimodular, gives an answer.
 _DET_MAX_N = 16
 
-# Relative squared-norm floor under which a float residual counts as a
-# dependent column (LLL's Gram-Schmidt and mgs's projections).
+# Relative squared-norm floor under which mgs counts a float residual as a
+# dependent column.
 RANK_FLOOR = 1e-30
 
 
@@ -131,9 +131,9 @@ class Basis:
     int64 with bound its largest |entry|, a Python int, when every entry
     fits int64, and otherwise dtype=object (Python ints) with bound None,
     as _pack packs them.  gram_compute, column_norms_sq, apply_transform,
-    IntRows, is_unimodular, run_reducer, pipeline, write_mat, LLL's float
-    mirror and mgs read the array; cols and to_rows() build new lists of
-    Python ints on each call.  Columns are allowed to be linearly
+    IntRows, is_unimodular, run_reducer, pipeline, write_mat and mgs read
+    the array; cols and to_rows() build new lists of Python ints on each
+    call.  Columns are allowed to be linearly
     dependent (and even zero); reducers that cannot handle that reject it
     themselves.
     """
@@ -564,16 +564,16 @@ class IntRows:
         """[(j, rows[j] - sum of c * rows[k] over (k, c) in moves, bound)],
         for a nonempty moves.
 
-        Writes no row; put writes the result.  On Python ints only the
-        result is range-checked (_checked), so a column partway through
-        the sum may leave the 128-bit range.
+        Writes no row; put writes the result.  The sum is one product of
+        the coefficients with the stacked source rows, in the rows' dtype:
+        exact in int64 under _sum_bound's test, whatever its order.  On
+        Python ints only the result is range-checked (_checked), so a
+        partial sum may leave the 128-bit range.
         """
         b = None if self.bounds is None else self._sum_bound(j, moves)
         rows = self.rows
-        (k, c), *rest = moves
-        row = rows[j] - c * rows[k]
-        for k, c in rest:
-            row -= c * rows[k]
+        cs = np.array([c for _, c in moves], dtype=rows[j].dtype)
+        row = rows[j] - cs @ np.array([rows[k] for k, _ in moves])
         return self._checked([(j, row, b)])
 
     def put(self, new) -> None:

@@ -1,43 +1,48 @@
-"""LLL baseline with double-precision Gram-Schmidt.
+"""LLL baseline whose floating-point Gram-Schmidt data come from the exact
+Gram matrix (the L^2 algorithm: Nguyen & Stehle, "An LLL algorithm with
+quadratic complexity", SIAM J. Comput. 2009).
 
-The basis columns stay exact integers; only the orthogonalized vectors
-and their projection coefficients are floating point.  The integer
-columns are the numpy rows (core.IntRows) that core.run_reducer hands
-every reducer, int64 while a bound proves every size-reduction step exact
-and Python ints from then on; when a transform is tracked, each row also
-carries its transform column, so the steps below build it with no code of
-their own.  Size reduction writes each column it changes once
-(core.apply_column_op, with every coefficient it rounded), and a swap
-swaps two rows.  Most size reductions move nothing (80% at n = 24), so
-size_reduce reads the coefficients as one Python list and skips each
-one that rounds to zero without a rounding call; numpy runs only for a
-move.  The float side works on whole arrays: a float mirror of the
-basis (``GSState.fcols``) is cast from the basis's packed array once
-and then kept in step with the integer rows (columns swapped with
-every swap, a column cast again from the basis part of its integer row
-after size reduction changes it), and each Gram-Schmidt pass projects
-a column off all earlier b* at once with two matrix-vector products,
-reading the mirror's column in place.  These shortcuts change no float
-operation: every product and update runs on the same operands in the
-same order, so each b*, mu and norm comes out bit for bit as the plain
-loop in tests/oracles.py (lll_float_reference) computes it.  Accuracy
-comes from two measures: every orthogonalization runs exactly two such
-passes, classical Gram-Schmidt with one reorthogonalization (CGS2:
-"twice is enough", Kahan-Parlett; Giraud, Langou & Rozloznik 2005), and
-on every swap the two affected orthogonal vectors are recomputed from
-scratch instead of patched.  That is enough for the random bases of interest
-here, not for adversarial inputs built to break floating-point reducers.
+The basis columns stay exact integers in the numpy rows (core.IntRows)
+that core.run_reducer hands every reducer, int64 while a bound proves
+every step exact and Python ints from then on; when a transform is
+tracked, each row also carries its transform column, so the steps below
+build it with no code of their own.  Beside the rows the loop keeps the
+exact GramMatrix of the basis columns: a size reduction is one
+core.apply_column_op(rows, gram, k, moves), which writes column k and
+its Gram row once, and a swap exchanges two rows and two Gram rows and
+columns.  The Gram updates range-check every entry, so a squared norm
+past the signed 128-bit range raises OverflowError during the run.
 
-The Gram-Schmidt state exists only for linearly independent columns.
-_orthogonalize_column is the one place that decides rank deficiency: at
-the start or after a swap, it raises ValueError naming the first column
-whose orthogonal part falls under RANK_FLOOR.  So every b* norm that a
-division reads is nonzero.
+The only float state is n x n: r[i][j] = <b_i, b*_j> and mu[i][j] =
+r[i][j] / r[j][j] for j < i, with r[i][i] = |b*_i|**2.  Row k is derived
+from the exact Gram row k by the Cholesky recurrence
+r[k][j] = g[k][j] - sum over l < j of mu[j][l] * r[k][l], so the precision
+it needs depends on n and not on the size of the entries.  A row is
+recomputed only from its first stale entry: a size reduction of column k
+makes all of row k stale, and a swap at k stales entry k - 1 and above
+in rows k - 1 and up.  Every sum runs left to right in Python floats,
+never through BLAS or sum(), so each r and mu comes out bit for bit as
+the plain loop in tests/oracles.py (lll_l2_reference) computes it, on
+any CPU.
+
+Size reduction is lazy.  Its first pass rounds every coefficient from
+j = k - 1 down, halves away from zero, reading each from the row as the
+earlier moves of the pass left it; when it moved something, row k is
+recomputed from the exact Gram and further passes round only the
+coefficients past _LAZY_HALF, until one moves nothing.
+
+A column is dependent only when it is exactly zero (a zero Gram
+diagonal), which raises ValueError naming the first input column that
+depends on the earlier ones.  A squared norm r[k][k] <= 0 that
+cancellation leaves fails the Lovasz test, so the columns swap; every
+r[j][j] a division reads is therefore positive.
 
 The loop makes at most 100 * n**2 * max(1, bits) swaps, bits being the bit
 length of the input's largest |entry|.  The package's q-ary examples take
 about 7 * n**2 swaps; one more than the cap raises ArithmeticError naming
 it, so a float fault that keeps swapping fails instead of running forever.
+A size reduction that runs _PASS_CAP passes without settling raises
+ArithmeticError for the same reason.
 """
 
 from __future__ import annotations
@@ -48,18 +53,34 @@ import numpy as np
 
 from .core import (
     Basis,
+    GramMatrix,
     IntRows,
-    RANK_FLOOR,
     ROUNDS_TO_ZERO,
     ReductionResult,
     UsageError,
     apply_column_op,
+    gram_compute,
     nint_float,
     run_reducer,
 )
 
 # Swaps allowed per n**2 and per bit of the input's largest |entry|.
 _SWAP_CAP_FACTOR = 100
+
+# After a size-reduction pass that moved something, only a |mu| of at
+# least this is rounded.  An exact tie of +-1/2 computes as 1/2 plus or minus a few
+# ulps, so with a bound of exactly 1/2 its moves can flip the sign of the
+# tie on every pass and never settle (six +-1 moves on one column of a
+# q-ary basis at n = 24 did).  2**-20 is far above that noise and far
+# below any coefficient that is not a tie.
+_LAZY_HALF = 0.5 + 2.0 ** -20
+
+# Size-reduction passes allowed per call.  A pass after the first rounds
+# only what the float error of the one before left, so two settle every
+# input tried (128-bit entries would need a few); a call past the cap is
+# a float cycle, which raises ArithmeticError instead of running forever.
+_PASS_CAP = 100
+
 
 @dataclass(frozen=True)
 class LLLConfig:
@@ -72,171 +93,152 @@ class LLLConfig:
             raise UsageError(f"delta must lie in (1/4, 1], got {self.delta}")
 
 
-@dataclass
 class GSState:
-    """Floating Gram-Schmidt data for a full-rank basis: b*, mu, norms,
-    float columns.
+    """The exact Gram matrix of the current basis and the float rows
+    derived from it.
 
-    fcols mirrors the integer basis, column k being the exact integer
-    column k rounded to doubles; whoever changes a basis column updates
-    its mirror column.  The b* columns come from classical Gram-Schmidt
-    with one reorthogonalization (CGS2) in matrix form: each of the two
-    passes projects b_k off b*_0..b*_{k-1} together.  Every norms_sq entry
-    of an orthogonalized column is nonzero, since a dependent column
-    raises before it is stored.
+    r[i] and mu[i] are lists of Python floats holding the current entries
+    of row i, j <= i for r and j < i for mu; a stale entry is deleted, so
+    each list is the row's current prefix.
     """
 
-    bstar: np.ndarray            # (m, n), column k is b*_k
-    mu: np.ndarray               # (n, n) lower triangular, unit diagonal
-    norms_sq: np.ndarray         # (n,), squared norms of b*
-    fcols: np.ndarray            # (m, n), float mirror of the basis columns
+    __slots__ = ("gram", "r", "mu")
+
+    def __init__(self, gram: GramMatrix):
+        self.gram = gram
+        self.r = [[] for _ in range(gram.n)]
+        self.mu = [[] for _ in range(gram.n)]
 
 
-def _orthogonalize_column(state: GSState, k: int) -> None:
-    """Project column k off b*_0..b*_{k-1} in exactly two passes (CGS2).
-
-    Each pass takes two matrix-vector products, and mu[k][:k] is the sum
-    of the two passes' coefficients.  Column k of the mirror is read in
-    place, not copied: fcols is the transpose of a C-ordered array, so
-    the column is contiguous and the products see the same operands as
-    on a copy, and b is only rebound, never written.  The second pass
-    removes what rounding left of the first; for a column that is not
-    numerically dependent that gives orthogonality to working precision
-    ("twice is enough").  A column whose orthogonal part falls under
-    RANK_FLOOR times its own squared norm (a zero column included) raises
-    ValueError naming k, before anything of column k is stored: this is
-    the one place that decides rank deficiency.
-    """
-    b = state.fcols[:, k]
-    norm0 = float(b @ b)
-    bstar = state.bstar[:, :k]
-    denom = state.norms_sq[:k]
-    t = (b @ bstar) / denom
-    b = b - bstar @ t
-    t2 = (b @ bstar) / denom
-    b = b - bstar @ t2
-    nk = float(b @ b)
-    if norm0 == 0.0 or nk < RANK_FLOOR * norm0:
-        raise ValueError(f"rank deficiency detected at column {k}")
-    state.mu[k, :k] = t + t2
-    state.bstar[:, k] = b
-    state.norms_sq[k] = nk
-
-
-def orthogonalize(basis: Basis) -> GSState:
-    """Two-pass classical Gram-Schmidt (CGS2) over all columns.
-
-    Raises ValueError naming the first column that comes out
-    (numerically) dependent on the earlier ones, a zero column included.
-    """
-    m, n = basis.m, basis.n
-    state = GSState(
-        bstar=np.zeros((m, n)),
-        mu=np.eye(n),
-        norms_sq=np.zeros(n),
-        fcols=basis.array.astype(float).T,
-    )
-    for k in range(n):
-        _orthogonalize_column(state, k)
-    return state
+def orthogonalize(state: GSState, k: int) -> None:
+    """Complete row k of r and mu from the exact Gram row k, from its
+    first stale entry on; rows 0..k-1 must be complete."""
+    r, mu = state.r, state.mu
+    r_k, mu_k = r[k], mu[k]
+    start = len(r_k)
+    for j, x in enumerate(state.gram.g[k, start:k + 1].tolist(), start):
+        s = float(x)
+        for a, b in zip(mu[j], r_k):
+            s -= a * b
+        r_k.append(s)
+        if j < k:
+            mu_k.append(s / r[j][j])
 
 
 def size_reduce(state: GSState, rows: IntRows, k: int) -> None:
-    """Make |mu[k][j]| <= 1/2 for all j < k via integer column operations.
+    """Make |mu[k][j]| <= 1/2 (up to _LAZY_HALF) for all j < k by integer
+    column operations; row k must be current, and is current after.
 
-    The float loop rounds the coefficients from j = k - 1 down.  It reads
-    them from one list of mu[k][:k], taken once: until the first move no
-    entry changes, and from then on it reads the live entry, which each
-    move has updated.  A coefficient strictly inside +-ROUNDS_TO_ZERO
-    rounds to zero and is skipped without nint_float; a NaN or an
-    infinity fails that test and raises in nint_float (ValueError,
-    OverflowError) before any row is written.  With no move the call
-    returns having written nothing.  Otherwise column k is written once,
-    with every (j, c) it rounded, by one apply_column_op: no source
-    column j < k changes during the loop, so that equals one column
-    operation per coefficient.  Its float mirror is then cast again from
-    the basis part of its integer row.
+    Each pass rounds from j = k - 1 down, reading each coefficient from
+    the row as the pass's earlier moves left it.  A coefficient strictly
+    inside the pass's bound rounds to zero and is skipped without
+    nint_float; a NaN or an infinity fails that test and raises in
+    nint_float (ValueError, OverflowError) before the pass writes
+    anything.  A pass that moves something writes column k and its Gram
+    row once, with every (j, c) it rounded, by one apply_column_op: no
+    source column changes during the pass, so that equals one column
+    operation per coefficient.  Row k is then recomputed from the exact
+    Gram row for the next pass; a call past _PASS_CAP passes raises
+    ArithmeticError.
     """
-    mu_k = state.mu[k]
-    head = mu_k[:k].tolist()
-    # nint_float(x) == 0 exactly when lo < x < hi; locals, as the test
-    # runs once per coefficient.
-    lo, hi = -ROUNDS_TO_ZERO, ROUNDS_TO_ZERO
-    moves = []
-    for j in range(k - 1, -1, -1):
-        x = float(mu_k[j]) if moves else head[j]
-        if lo < x < hi:
-            continue
-        c = nint_float(x)
-        moves.append((j, c))
-        # b* is unchanged; only row k of mu moves.
-        mu_k[:j] -= c * state.mu[j, :j]
-        mu_k[j] -= c
-    if not moves:
-        return
-    apply_column_op(rows, None, k, moves)
-    state.fcols[:, k] = rows.rows[k][:rows.m]
+    mu = state.mu
+    mu_k = mu[k]
+    # nint_float(x) == 0 exactly when -bound < x < bound on the first pass.
+    bound = ROUNDS_TO_ZERO
+    for _ in range(_PASS_CAP):
+        moves = []
+        # reversed() reads the live row, which the moves below rewrite.
+        for j, x in zip(range(k - 1, -1, -1), reversed(mu_k)):
+            if -bound < x < bound:
+                continue
+            c = nint_float(x)
+            moves.append((j, c))
+            # float(c) * a is c * a: Python converts c the same way.
+            f = float(c)
+            mu_k[:j] = [y - f * a for y, a in zip(mu_k, mu[j])]
+        if not moves:
+            return
+        apply_column_op(rows, state.gram, k, moves)
+        state.r[k].clear()
+        mu_k.clear()
+        orthogonalize(state, k)
+        bound = _LAZY_HALF
+    raise ArithmeticError(f"size reduction of column {k} did not settle")
 
 
 def lovasz_ok(state: GSState, k: int, delta: float) -> bool:
-    """Swap condition between columns k-1 and k (k >= 1)."""
+    """Swap condition between columns k-1 and k (k >= 1); a squared norm
+    r[k][k] <= 0 fails it."""
     if k < 1:
         raise ValueError("lovasz_ok needs k >= 1")
-    prev = float(state.norms_sq[k - 1])
-    mu = float(state.mu[k, k - 1])
-    return delta * prev <= float(state.norms_sq[k]) + mu * mu * prev
+    prev, nk = state.r[k - 1][k - 1], state.r[k][k]
+    mu = state.mu[k][k - 1]
+    return nk > 0.0 and delta * prev <= nk + mu * mu * prev
 
 
-def _recompute_after_swap(state: GSState, k: int) -> None:
-    """Rebuild b*_{k-1}, b*_k from scratch and the mu entries that read them."""
-    for idx in (k - 1, k):
-        _orthogonalize_column(state, idx)
-    pair = slice(k - 1, k + 1)
-    state.mu[k + 1:, pair] = (
-        (state.fcols[:, k + 1:].T @ state.bstar[:, pair]) / state.norms_sq[pair]
-    )
+def _first_dependent(basis: Basis) -> int:
+    """The first input column that depends on the earlier ones: the first
+    zero leading principal minor of the exact Gram matrix, by
+    fraction-free elimination without pivoting."""
+    a = gram_compute(basis).g.astype(object)
+    prev = 1
+    for i in range(basis.n):
+        if not a[i, i]:
+            return i
+        a[i + 1:, i + 1:] = (a[i + 1:, i + 1:] * a[i, i]
+                             - np.outer(a[i + 1:, i], a[i, i + 1:])) // prev
+        prev = a[i, i]
 
 
 def lll_reduce(basis: Basis, config: LLLConfig | None = None, *,
                track_transform: bool = False) -> ReductionResult:
-    """Classical LLL with recompute-on-swap.
+    """LLL over the exact Gram matrix, with float r and mu derived from it.
 
-    Requires linearly independent columns; the first column whose
-    orthogonal part falls under the rank floor, at the start or after a
-    swap, raises ValueError naming it.  A basis or transform entry
-    leaving the signed 128-bit range raises OverflowError naming its
-    column, and a run past the swap cap (see the module docstring) raises
-    ArithmeticError.  iterations_applied counts swaps.
+    Requires linearly independent columns; a column that becomes zero
+    raises ValueError naming the first input column dependent on the
+    earlier ones.  A basis, transform or Gram entry leaving the signed
+    128-bit range raises OverflowError naming it, and a run past the swap
+    cap or a size reduction past the pass cap (see the module docstring)
+    raises ArithmeticError.
+    iterations_applied counts swaps.
     """
     cfg = config if config is not None else LLLConfig()
 
     def body(rows):
         n = basis.n
-        state = orthogonalize(basis)
+        state = GSState(gram_compute(basis))
+        gram, r, mu = state.gram, state.r, state.mu
         bound = basis.bound
         if bound is None:
             bound = max(map(abs, basis.array.flat))
-        bits = bound.bit_length()
-        cap = _SWAP_CAP_FACTOR * n * n * max(1, bits)
-        fcols = state.fcols
+        cap = _SWAP_CAP_FACTOR * n * n * max(1, bound.bit_length())
         swaps = 0
-        k = 1
+        k = 0
         while k < n:
+            orthogonalize(state, k)
             size_reduce(state, rows, k)
-            if lovasz_ok(state, k, cfg.delta):
+            if not gram.g[k, k]:
+                raise ValueError("rank deficiency detected at column "
+                                 f"{_first_dependent(basis)}")
+            if k == 0 or lovasz_ok(state, k, cfg.delta):
                 k += 1
                 continue
             if swaps == cap:
                 raise ArithmeticError(
                     f"LLL did not finish within its cap of {cap} swaps"
                 )
-            rows.swap(k - 1, k)
-            prev = fcols[:, k - 1].copy()
-            fcols[:, k - 1] = fcols[:, k]
-            fcols[:, k] = prev
-            _recompute_after_swap(state, k)
+            h = k - 1
+            rows.swap(h, k)
+            # gram.g is read each time: a Gram update may widen it.
+            g = gram.g
+            g[h:k + 1] = g[h:k + 1][::-1]
+            g[:, h:k + 1] = g[:, h:k + 1][:, ::-1]
+            r[h], r[k], mu[h], mu[k] = r[k], r[h], mu[k], mu[h]
+            # The swap leaves entries below h current in rows h and up.
+            for row in r[h:] + mu[h:]:
+                del row[h:]
             swaps += 1
-            k = max(k - 1, 1)
+            k = h
         return swaps
 
     return run_reducer(basis, track_transform, body)

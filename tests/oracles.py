@@ -263,79 +263,79 @@ def rand_comb_per_move(cols, iterations, seed):
     return applied, cols, u
 
 
-def lll_float_reference(cols, delta, track):
-    """LLL with double-precision Gram-Schmidt, its float path written out.
+def lll_l2_reference(cols, delta, track):
+    """LLL with floating-point Gram-Schmidt rows derived from the exact
+    Gram matrix (L^2), its float path written out.
 
     The loop that lll_reduce runs, with the integer columns (and the
     transform columns when track is true) as Python-int lists, one
     column operation per rounded coefficient: (swaps, final columns,
-    final transform columns or None, (bstar, mu, norms_sq, fcols)).
-    Every float operation is spelled out in the order lll_reduce must
-    keep: each orthogonalization copies its float column and runs two
-    classical Gram-Schmidt passes of two products each; size reduction
-    reads and rounds every coefficient from the live mu row, halves away
-    from zero; after a swap both orthogonal vectors are recomputed and
-    the mu entries below read them again.  For full-rank inputs only:
-    there is no rank test, swap cap or range check.
+    final transform columns or None, (r, mu)), where r[i] lists
+    r[i][0..i] and mu[i] lists mu[i][0..i-1].  Every row is recomputed
+    from index 0 whenever it is read after a change, from the exact
+    inner products of the current columns, each sum left to right:
+    r[k][j] = g[k][j] - mu[j][0] * r[k][0] - ... - mu[j][j-1] * r[k][j-1]
+    and mu[k][j] = r[k][j] / r[j][j].  Size reduction runs passes: the
+    first rounds every coefficient, halves away from zero, from the live
+    mu row; after a pass that moved something the row is recomputed and
+    the next pass rounds only |mu| >= 1/2 + 2**-20.  The Lovasz test
+    fails when r[k][k] <= 0.  For full-rank inputs only: there is no rank
+    test, swap cap or range check.
     """
     cols = [[int(x) for x in col] for col in cols]
-    n, m = len(cols), len(cols[0])
+    n = len(cols)
     u = [[int(i == j) for i in range(n)] for j in range(n)] if track else None
-    bstar = np.zeros((m, n))
-    mu = np.eye(n)
-    norms_sq = np.zeros(n)
-    fcols = np.array(cols, dtype=float).T
+    r, mu = [None] * n, [None] * n
 
-    def orthogonalize(k):
-        b = fcols[:, k].copy()
-        prev = bstar[:, :k]
-        denom = norms_sq[:k]
-        t = (b @ prev) / denom
-        b = b - prev @ t
-        t2 = (b @ prev) / denom
-        b = b - prev @ t2
-        mu[k, :k] = t + t2
-        bstar[:, k] = b
-        norms_sq[k] = float(b @ b)
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
 
-    for k in range(n):
-        orthogonalize(k)
+    def row(k):
+        r[k], mu[k] = r_k, mu_k = [], []
+        for j in range(k + 1):
+            s = float(dot(cols[k], cols[j]))
+            for l in range(j):
+                s -= mu[j][l] * r_k[l]
+            r_k.append(s)
+            if j < k:
+                mu_k.append(s / r[j][j])
+
+    row(0)
     swaps = 0
     k = 1
     while k < n:
-        mu_k = mu[k]
-        moved = False
-        for j in range(k - 1, -1, -1):
-            x = float(mu_k[j])
-            c = math.floor(x + 0.5) if x >= 0 else math.ceil(x - 0.5)
-            if c == 0:
-                continue
-            mu_k[:j] -= c * mu[j, :j]
-            mu_k[j] -= c
-            cols[k] = [a - c * b for a, b in zip(cols[k], cols[j])]
-            if track:
-                u[k] = [a - c * b for a, b in zip(u[k], u[j])]
-            moved = True
-        if moved:
-            fcols[:, k] = cols[k]
-        prev_sq = float(norms_sq[k - 1])
-        mu_kk = float(mu[k, k - 1])
-        if delta * prev_sq <= float(norms_sq[k]) + mu_kk * mu_kk * prev_sq:
+        row(k)
+        first = True
+        while True:
+            moved = False
+            for j in range(k - 1, -1, -1):
+                x = mu[k][j]
+                if not first and abs(x) < 0.5 + 2.0 ** -20:
+                    continue
+                c = math.floor(x + 0.5) if x >= 0 else math.ceil(x - 0.5)
+                if c == 0:
+                    continue
+                for l in range(j):
+                    mu[k][l] = mu[k][l] - c * mu[j][l]
+                cols[k] = [a - c * b for a, b in zip(cols[k], cols[j])]
+                if track:
+                    u[k] = [a - c * b for a, b in zip(u[k], u[j])]
+                moved = True
+            if not moved:
+                break
+            row(k)
+            first = False
+        prev, nk, mu_kk = r[k - 1][k - 1], r[k][k], mu[k][k - 1]
+        if nk > 0.0 and delta * prev <= nk + mu_kk * mu_kk * prev:
             k += 1
             continue
         cols[k - 1], cols[k] = cols[k], cols[k - 1]
         if track:
             u[k - 1], u[k] = u[k], u[k - 1]
-        fcols[:, [k - 1, k]] = fcols[:, [k, k - 1]]
-        orthogonalize(k - 1)
-        orthogonalize(k)
-        pair = slice(k - 1, k + 1)
-        mu[k + 1:, pair] = (
-            (fcols[:, k + 1:].T @ bstar[:, pair]) / norms_sq[pair]
-        )
+        row(k - 1)
         swaps += 1
         k = max(k - 1, 1)
-    return swaps, cols, u, (bstar, mu, norms_sq, fcols)
+    return swaps, cols, u, (r, mu)
 
 
 def read_mat_reference(path):

@@ -11,12 +11,15 @@ from latred.core import (
     IntRows,
     apply_transform,
     det_small,
+    gram_compute,
     is_unimodular,
     summarize_columns,
 )
 from latred.genlat import ExampleSpec, gen_example, random_permutation
+from latred.harness import ExperimentConfig, run_repeatedly
 import latred.lll as lll_module
 from latred.lll import (
+    GSState,
     LLLConfig,
     lll_reduce,
     lovasz_ok,
@@ -24,10 +27,12 @@ from latred.lll import (
     size_reduce,
 )
 
+from hard_families import HARD_FAMILIES
 from oracles import (
     exact_gram_schmidt,
     exact_lll,
-    lll_float_reference,
+    gram_oracle,
+    lll_l2_reference,
     shortest_vector_sq,
 )
 
@@ -40,38 +45,55 @@ def random_square_basis(rng, n, max_entry=20):
             return Basis(cols)
 
 
-def orthogonality_residual(state, n):
+def gram_schmidt(basis):
+    """r and mu of every column of basis, derived from its exact Gram."""
+    state = GSState(gram_compute(basis))
+    for k in range(basis.n):
+        orthogonalize(state, k)
+    return state
+
+
+def cholesky_residual(state, n):
+    """Largest |g[k][j] - sum of mu[k][l] * r[j][l] over l <= j|, relative
+    to sqrt(g[k][k] * g[j][j]): how far r and mu are from reproducing the
+    exact Gram matrix they came from."""
+    g = state.gram.tolist()
     worst = 0.0
-    for j in range(n):
-        for k in range(j + 1, n):
-            denom = math.sqrt(state.norms_sq[j] * state.norms_sq[k])
-            if denom == 0:
-                continue
-            dot = float(state.bstar[:, j] @ state.bstar[:, k])
-            worst = max(worst, abs(dot) / denom)
+    for k in range(n):
+        mu_k = state.mu[k] + [1.0]
+        for j in range(k + 1):
+            back = math.fsum(mu_k[l] * state.r[j][l] for l in range(j + 1))
+            denom = math.sqrt(g[k][k] * g[j][j])
+            worst = max(worst, abs(back - g[k][j]) / denom)
     return worst
 
 
 def loop_orthogonalize(cols):
-    """Reference Gram-Schmidt: one dot product per (k, j), applied in turn."""
-    a = np.array(cols, dtype=float).T
-    m, n = a.shape
-    bstar = np.zeros((m, n))
-    mu = np.eye(n)
+    """Reference rows: the recurrence over the exact Gram matrix, one
+    product per (k, j, l), applied in turn."""
+    g = gram_oracle(cols)
+    n = len(cols)
+    r = [[0.0] * (k + 1) for k in range(n)]
+    mu = [[0.0] * k for k in range(n)]
     for k in range(n):
-        b = a[:, k].copy()
-        for _ in range(2):
-            for j in range(k):
-                t = float(b @ bstar[:, j]) / float(bstar[:, j] @ bstar[:, j])
-                mu[k, j] += t
-                b -= t * bstar[:, j]
-        bstar[:, k] = b
-    return bstar, mu
+        for j in range(k + 1):
+            s = float(g[k][j])
+            for l in range(j):
+                s -= mu[j][l] * r[k][l]
+            r[k][j] = s
+            if j < k:
+                mu[k][j] = s / r[j][j]
+    return r, mu
 
 
-def mirror_matches(state, rows):
+def hexes(rows):
+    """Each float of each row as float.hex(), so signed zeros count."""
+    return [[x.hex() for x in row] for row in rows]
+
+
+def gram_matches(state, rows):
     basis_part = [row[:rows.m] for row in rows.tolist()]
-    return np.array_equal(state.fcols, np.array(basis_part, dtype=float).T)
+    return state.gram.tolist() == gram_oracle(basis_part)
 
 
 def crossing_inputs():
@@ -86,81 +108,115 @@ def crossing_inputs():
     return out
 
 
-def reduce_column(basis, k, mu_k=None):
-    """Size-reduce column k of basis; returns the state and the integer rows."""
-    state = orthogonalize(basis)
+def reduce_column(basis, k, mu_k=None, monkeypatch=None):
+    """Size-reduce column k of basis: (state, rows, the moves of each pass).
+
+    mu_k, when given, is planted in row k of mu first; it need not match
+    the basis, so only the first pass reads it.
+    """
+    state = gram_schmidt(basis)
     if mu_k is not None:
-        state.mu[k, :k] = mu_k
+        state.mu[k][:k] = [mu_k] if isinstance(mu_k, float) else mu_k
     rows = IntRows(basis.cols)
-    size_reduce(state, rows, k)
-    return state, rows
+    passes = []
+    real = lll_module.apply_column_op
+
+    def recording(rows, gram, j, moves):
+        passes.append(list(moves))
+        real(rows, gram, j, moves)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lll_module, "apply_column_op", recording)
+        size_reduce(state, rows, k)
+    return state, rows, passes
 
 
 def check_postconditions(basis, delta, mu_tol=1e-9):
-    """Size reduction and the swap condition, from a fresh orthogonalization."""
-    state = orthogonalize(basis)
+    """Size reduction and the swap condition, from fresh rows."""
+    state = gram_schmidt(basis)
     n = basis.n
     for k in range(n):
         for j in range(k):
-            assert abs(state.mu[k, j]) <= 0.5 + mu_tol
+            assert abs(state.mu[k][j]) <= 0.5 + mu_tol
     for k in range(1, n):
         assert lovasz_ok(state, k, delta - 1e-9)
 
 
+def exactly_lll_reduced(cols, delta):
+    """Largest exact |mu| of cols, after asserting every |mu| <= 1/2 and
+    every Lovasz condition at the exact value of delta."""
+    star, mu = exact_gram_schmidt(cols)
+    norms = [sum(x * x for x in v) for v in star]
+    d = Fraction(delta)
+    worst = max((abs(mu[k][j]) for k in range(len(cols)) for j in range(k)),
+                default=Fraction(0))
+    assert worst <= Fraction(1, 2)
+    for k in range(1, len(cols)):
+        assert d * norms[k - 1] <= norms[k] + mu[k][k - 1] ** 2 * norms[k - 1]
+    return worst
+
+
 class TestOrthogonalize:
     def test_identity(self):
-        state = orthogonalize(Basis.identity(3))
-        assert np.allclose(state.bstar, np.eye(3))
-        assert np.allclose(state.mu, np.eye(3))
+        state = gram_schmidt(Basis.identity(3))
+        assert state.r == [[1.0], [0.0, 1.0], [0.0, 0.0, 1.0]]
+        assert state.mu == [[], [0.0], [0.0, 0.0]]
 
     def test_skewed_pair(self):
-        state = orthogonalize(Basis([[1, 0], [10, 1]]))
-        assert np.allclose(state.bstar[:, 0], [1.0, 0.0])
-        assert state.mu[1, 0] == pytest.approx(10.0)
-        assert np.allclose(state.bstar[:, 1], [0.0, 1.0], atol=1e-12)
+        state = gram_schmidt(Basis([[1, 0], [10, 1]]))
+        assert state.r[0] == [1.0]
+        assert state.mu[1][0] == pytest.approx(10.0)
+        assert state.r[1][1] == pytest.approx(1.0, abs=1e-12)
 
     def test_residual_small_on_random_bases(self):
         rng = random.Random(50)
         for _ in range(10):
             basis = random_square_basis(rng, 8, max_entry=100)
-            state = orthogonalize(basis)
-            assert orthogonality_residual(state, 8) <= 1e-12
+            state = gram_schmidt(basis)
+            assert cholesky_residual(state, 8) <= 1e-12
 
     def test_residual_small_at_n64_large_entries(self):
         rng = random.Random(51)
         cols = [[rng.randint(-(2**13), 2**13) for _ in range(64)]
                 for _ in range(64)]
-        state = orthogonalize(Basis(cols))
-        assert orthogonality_residual(state, 64) <= 1e-12
-
-    def test_two_passes_accurate_on_nearly_parallel_columns(self):
-        # Every column is one vector with entries near 2**30 plus a
-        # perturbation of at most 1000 per entry, so all b*_j past the
-        # first are about 10**6 times shorter than the columns.
-        rng = random.Random(54)
-        for _ in range(5):
-            v = [rng.choice((1, -1)) * ((1 << 30) + rng.randint(-1000, 1000))
-                 for _ in range(8)]
-            cols = [[x + rng.randint(-1000, 1000) for x in v]
-                    for _ in range(8)]
-            state = orthogonalize(Basis(cols))
-            assert orthogonality_residual(state, 8) <= 1e-12
-            _, mu = exact_gram_schmidt(cols)
-            for k in range(8):
-                for j in range(k):
-                    err = abs(Fraction(float(state.mu[k, j])) - mu[k][j])
-                    # Relative to |mu|, or absolute for |mu| < 1.
-                    assert err <= 1e-8 * max(abs(mu[k][j]), 1)
+        state = gram_schmidt(Basis(cols))
+        assert cholesky_residual(state, 64) <= 1e-12
 
     def test_matches_loop_reference(self):
         rng = random.Random(52)
         for _ in range(10):
             basis = random_square_basis(rng, 8, max_entry=100)
-            state = orthogonalize(basis)
-            bstar, mu = loop_orthogonalize(basis.cols)
-            scale = np.abs(bstar).max()
-            assert np.allclose(state.bstar, bstar, rtol=0, atol=1e-12 * scale)
-            assert np.allclose(state.mu, mu, rtol=0, atol=1e-12)
+            state = gram_schmidt(basis)
+            r, mu = loop_orthogonalize(basis.cols)
+            assert (hexes(state.r), hexes(state.mu)) == (hexes(r), hexes(mu))
+
+    def test_recomputes_only_from_the_first_stale_entry(self):
+        # Entries before the first stale one are kept as they are, so a
+        # planted value there survives; the entries after it are
+        # recomputed from the exact Gram row and the rows above.
+        basis = random_square_basis(random.Random(55), 6, max_entry=100)
+        state = gram_schmidt(basis)
+        want = (hexes(state.r), hexes(state.mu))
+        del state.r[5][3:], state.mu[5][3:]
+        orthogonalize(state, 5)
+        assert (hexes(state.r), hexes(state.mu)) == want
+        state.r[5][0] = 7.0
+        del state.r[5][2:], state.mu[5][2:]
+        orthogonalize(state, 5)
+        assert state.r[5][0] == 7.0
+        assert hexes([state.mu[5][2:]]) != [want[1][5][2:]]
+
+    def test_gram_entries_past_2_53_round_like_float(self):
+        # Entries near 2**60 give inner products near 2**120, which doubles
+        # hold only rounded; r[k][0] is g[k][0] rounded as float() rounds it.
+        rng = random.Random(53)
+        cols = [[rng.choice((1, -1)) * ((1 << 60) + rng.randint(-999, 999))
+                 for _ in range(5)] for _ in range(4)]
+        g = gram_oracle(cols)
+        assert any(int(float(g[k][0])) != g[k][0] for k in range(4))
+        state = gram_schmidt(Basis(cols))
+        for k in range(4):
+            assert state.r[k][0] == float(g[k][0])
 
     @pytest.mark.parametrize("cols, k", [
         ([[1, 0], [0, 0]], 1),
@@ -172,74 +228,75 @@ class TestOrthogonalize:
           [2, 7, 1, -4]], 2),
     ], ids=["zero", "doubled", "zero-middle", "dependent-middle"])
     def test_rank_deficiency_names_the_first_dependent_column(self, cols, k):
+        # lll_reduce is the one place that decides rank deficiency: when a
+        # column becomes zero, it names the first input column that
+        # depends on the earlier ones.
         message = f"rank deficiency detected at column {k}$"
         with pytest.raises(ValueError, match=message):
-            orthogonalize(Basis(cols))
-        with pytest.raises(ValueError, match=message):
             lll_reduce(Basis(cols))
-
-    def test_mirror_rounds_entries_near_2_60_like_numpy(self):
-        rng = random.Random(53)
-        cols = [[rng.choice((1, -1)) * ((1 << 60) + rng.randint(-999, 999))
-                 for _ in range(5)] for _ in range(4)]
-        assert any(int(float(x)) != x for col in cols for x in col)
-        state = orthogonalize(Basis(cols))
-        for j, col in enumerate(cols):
-            assert np.array_equal(state.fcols[:, j], np.array(col, dtype=float))
 
 
 class TestSizeReduce:
     def test_clears_large_mu(self):
-        state, rows = reduce_column(Basis([[1, 0], [10, 1]]), 1)
+        state, rows, _ = reduce_column(Basis([[1, 0], [10, 1]]), 1)
         assert rows.tolist()[1] == [0, 1]
-        assert state.mu[1, 0] == pytest.approx(0.0)
+        assert state.mu[1][0] == pytest.approx(0.0)
 
     def test_noop_when_already_reduced(self):
         basis = Basis([[5, 1], [2, -3]])  # mu[1][0] = 7/26, inside [-1/2, 1/2]
-        _, rows = reduce_column(basis, 1)
+        _, rows, passes = reduce_column(basis, 1)
         assert rows.tolist() == basis.cols
+        assert passes == []
 
     def test_exact_half_rounds_away_from_zero(self):
         basis = Basis([[2, 0], [1, 1]])  # mu[1][0] == 1/2 exactly
-        assert orthogonalize(basis).mu[1, 0] == pytest.approx(0.5)
-        state, rows = reduce_column(basis, 1)
+        assert gram_schmidt(basis).mu[1][0] == 0.5
+        state, rows, passes = reduce_column(basis, 1)
+        # Only the first pass rounds a tie: the -1/2 it leaves stays.
+        assert passes == [[(0, 1)]]
         assert rows.tolist()[1] == [-1, 1]
-        assert state.mu[1, 0] == pytest.approx(-0.5)
+        assert state.mu[1][0] == -0.5
 
-    def test_mirror_follows_changed_column(self):
+    def test_gram_follows_changed_column(self):
         basis = Basis([[1, 0, 0], [7, 1, 0], [(1 << 60) + 1, 3, 1 << 60]])
-        state, rows = reduce_column(basis, 2)
+        state, rows, _ = reduce_column(basis, 2)
         assert rows.tolist()[2] != [(1 << 60) + 1, 3, 1 << 60]
-        assert mirror_matches(state, rows)
+        assert gram_matches(state, rows)
+        fresh = gram_schmidt(rows.basis())
+        assert hexes(state.r[:3]) == hexes(fresh.r)
+        assert hexes(state.mu[:3]) == hexes(fresh.mu)
 
     def test_just_below_half_still_rounds_like_the_loop(self):
         # nint_float(0.5 - 2**-54) == 1, so this coefficient is not skipped.
-        state, rows = reduce_column(Basis([[1, 0], [0, 1]]), 1,
-                                    mu_k=0.5 - 2.0 ** -54)
-        assert rows.tolist()[1] == [-1, 1]
-        assert mirror_matches(state, rows)
+        state, rows, passes = reduce_column(Basis([[1, 0], [0, 1]]), 1,
+                                            mu_k=0.5 - 2.0 ** -54)
+        assert passes[0] == [(0, 1)]
+        assert gram_matches(state, rows)
 
     @pytest.mark.parametrize("x", [-(0.5 - 2.0 ** -54), -0.5])
     def test_negative_half_and_just_above_round_to_minus_one(self, x):
-        state, rows = reduce_column(Basis.identity(2), 1, mu_k=x)
-        assert rows.tolist()[1] == [1, 1]
-        assert state.mu[1, 0] == x + 1
+        _, _, passes = reduce_column(Basis.identity(2), 1, mu_k=x)
+        assert passes[0] == [(0, -1)]
 
     def test_coefficient_beyond_2_53_rounds_exactly(self):
         x = 2.0 ** 53 + 2
-        state, rows = reduce_column(Basis.identity(2), 1, mu_k=x)
-        assert rows.tolist()[1] == [-(2 ** 53 + 2), 1]
-        assert math.copysign(1.0, state.mu[1, 0]) == 1.0  # +0.0, not -0.0
-        assert mirror_matches(state, rows)
+        state, rows, passes = reduce_column(Basis.identity(2), 1, mu_k=x)
+        assert passes[0] == [(0, 2 ** 53 + 2)]
+        # The planted mu does not match the basis: the second pass, from
+        # the exact Gram, takes the move back.
+        assert passes[1:] == [[(0, -(2 ** 53 + 2))]]
+        assert rows.tolist()[1] == [0, 1]
+        assert math.copysign(1.0, state.mu[1][0]) == 1.0  # +0.0, not -0.0
+        assert gram_matches(state, rows)
 
     def test_first_column_is_a_noop(self):
         basis = Basis([[3, 1], [7, 2]])
-        state = orthogonalize(basis)
-        before = state.mu.tobytes(), state.fcols.tobytes()
+        state = gram_schmidt(basis)
+        before = hexes(state.r), hexes(state.mu), state.gram.tolist()
         rows = IntRows(basis.cols)
         size_reduce(state, rows, 0)
         assert rows.tolist() == basis.cols
-        assert (state.mu.tobytes(), state.fcols.tobytes()) == before
+        assert (hexes(state.r), hexes(state.mu), state.gram.tolist()) == before
 
     @pytest.mark.parametrize("mu_k, error", [
         ([math.nan, 0.0], ValueError),
@@ -252,52 +309,87 @@ class TestSizeReduce:
     ])
     def test_non_finite_coefficient_raises_and_leaves_rows(self, mu_k, error):
         basis = Basis.identity(3)
-        state = orthogonalize(basis)
-        state.mu[2, :2] = mu_k
+        state = gram_schmidt(basis)
+        state.mu[2][:2] = mu_k
         rows = IntRows(basis.cols)
         with pytest.raises(error):
             size_reduce(state, rows, 2)
         assert rows.tolist() == basis.cols
-        assert mirror_matches(state, rows)
+        assert gram_matches(state, rows)
 
     def test_later_coefficient_is_rounded_from_the_live_row(self):
         # The move at j = 1 makes mu[2][0] = 0.3 + 0.4 = 0.7, which rounds
         # to 1; the value before the move, 0.3, would round to 0.
-        state = orthogonalize(Basis.identity(3))
-        state.mu[1, 0] = -0.4
-        state.mu[2, :2] = [0.3, 1.0]
-        rows = IntRows(Basis.identity(3).cols)
-        size_reduce(state, rows, 2)
-        assert rows.tolist()[2] == [-1, -1, 1]
-        assert state.mu[2, 0] == pytest.approx(-0.3)
-        assert state.mu[2, 1] == 0.0
-        assert mirror_matches(state, rows)
+        basis = Basis.identity(3)
+        state = gram_schmidt(basis)
+        state.mu[1][0] = -0.4
+        state.mu[2][:2] = [0.3, 1.0]
+        rows = IntRows(basis.cols)
+        passes = []
+        real = lll_module.apply_column_op
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lll_module, "apply_column_op",
+                          lambda *args: passes.append(args[3]) or real(*args))
+            size_reduce(state, rows, 2)
+        assert passes[0] == [(1, 1), (0, 1)]
+        assert gram_matches(state, rows)
+
+    def test_later_passes_leave_ties_and_round_the_rest(self, monkeypatch):
+        # After a pass that moved something, only |mu| >= 1/2 + 2**-20 is
+        # rounded: an exact tie of 1/2 is left as it is, while a value
+        # at the margin is rounded.
+        lazy = lll_module._LAZY_HALF
+        assert 0.5 < lazy < 0.5 + 2.0 ** -19
+        real = lll_module.orthogonalize
+        for x in (0.5, lazy):
+            def planting(state, k, x=x):
+                # Plants x in place of the first recomputed row.
+                fresh = not state.mu[k]
+                real(state, k)
+                if fresh and not planted:
+                    state.mu[k][0] = x
+                    planted.append(k)
+
+            planted = []
+            monkeypatch.setattr(lll_module, "orthogonalize", planting)
+            state, _, moves = reduce_column(Basis.identity(2), 1, mu_k=1.0)
+            assert planted == [1]
+            assert (len(moves) > 1) == (x == lazy)
 
 
 class TestLovasz:
     def test_orthogonal_equal_norms_pass(self):
-        state = orthogonalize(Basis([[3, 0], [0, 3]]))
+        state = gram_schmidt(Basis([[3, 0], [0, 3]]))
         assert lovasz_ok(state, 1, 1.0)
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_rejects_k_below_1(self, k):
-        state = orthogonalize(Basis.identity(2))
+        state = gram_schmidt(Basis.identity(2))
         with pytest.raises(ValueError, match="k >= 1"):
             lovasz_ok(state, k, LLLConfig().delta)
 
     def test_direct_failure_case(self):
-        state = orthogonalize(Basis.identity(2))
-        state.norms_sq[0] = 1.0
-        state.norms_sq[1] = 0.1
-        state.mu[1, 0] = 0.4
+        state = gram_schmidt(Basis.identity(2))
+        state.r[0][0] = 1.0
+        state.r[1][1] = 0.1
+        state.mu[1][0] = 0.4
         assert not lovasz_ok(state, 1, 0.99)  # 0.99 > 0.1 + 0.16
+
+    @pytest.mark.parametrize("nk", [0.0, -1e-30])
+    def test_norm_that_cancellation_leaves_at_or_below_zero_fails(self, nk):
+        # With delta near 1/4 and |mu| at its bound, the inequality alone
+        # would hold.
+        state = gram_schmidt(Basis.identity(2))
+        state.r[1][1] = nk
+        state.mu[1][0] = 0.5 + 2.0 ** -20
+        assert not lovasz_ok(state, 1, 0.25 + 1e-9)
 
     def test_quarter_delta_always_passes_when_size_reduced(self):
         rng = random.Random(60)
         for _ in range(20):
             basis = random_square_basis(rng, 4)
             res = lll_reduce(basis, LLLConfig(delta=0.75))
-            state = orthogonalize(res.basis)
+            state = gram_schmidt(res.basis)
             for k in range(1, 4):
                 assert lovasz_ok(state, k, 0.25)
 
@@ -388,28 +480,26 @@ class TestLLLReduce:
 
     @staticmethod
     def float_path_matches(cols, delta, track, monkeypatch):
-        """lll_reduce against lll_float_reference: swaps, basis, transform
-        and the bytes of the final Gram-Schmidt arrays (signed zeros
-        count)."""
+        """lll_reduce against lll_l2_reference: swaps, basis, transform
+        and every float of the final r and mu rows (signed zeros count)."""
         states = []
         real_orthogonalize = lll_module.orthogonalize
 
-        def keeping_orthogonalize(basis):
-            states.append(real_orthogonalize(basis))
-            return states[-1]
+        def keeping_orthogonalize(state, k):
+            states.append(state)
+            real_orthogonalize(state, k)
 
         with monkeypatch.context() as patch:
             patch.setattr(lll_module, "orthogonalize", keeping_orthogonalize)
             res = lll_reduce(Basis(cols), LLLConfig(delta=delta),
                              track_transform=track)
-        swaps, ref_cols, ref_u, arrays = lll_float_reference(cols, delta,
-                                                             track)
-        (state,) = states
+        swaps, ref_cols, ref_u, (r, mu) = lll_l2_reference(cols, delta, track)
+        state = states[-1]
+        assert all(s is state for s in states)
         assert res.iterations_applied == swaps
         assert res.basis.cols == ref_cols
         assert (res.transform.cols if track else res.transform) == ref_u
-        got = (state.bstar, state.mu, state.norms_sq, state.fcols)
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in arrays]
+        assert (hexes(state.r), hexes(state.mu)) == (hexes(r), hexes(mu))
         return swaps
 
     @pytest.mark.parametrize("track", [True, False])
@@ -425,24 +515,26 @@ class TestLLLReduce:
 
     @pytest.mark.parametrize("track", [True, False])
     def test_float_path_bit_for_bit_across_int64(self, track, monkeypatch):
-        # The chain's mu entries are integers, so size reduction leaves
-        # exact zeros whose sign the byte comparison sees; tracked, its
-        # transform leaves int64.
+        # Entries past 2**61 give Gram entries past 2**120, which doubles
+        # hold only rounded; tracked, the chain's transform leaves int64.
         x = 1 << 21
         chain = [[1, 0, 0, 0], [x, 1, 0, 0], [0, x, 1, 0], [0, 0, x, 1]]
         for cols in crossing_inputs() + [chain]:
             self.float_path_matches(cols, 0.75, track, monkeypatch)
 
-    def test_mirror_matches_basis_after_every_size_reduction_and_swap(
+    def test_gram_matches_basis_after_every_size_reduction_and_swap(
             self, monkeypatch):
+        # The exact Gram matrix is LLL's only copy of the basis: after
+        # every size reduction, and so after every swap before it, it
+        # must equal the Gram matrix of the integer rows.
         checked = []
         real_size_reduce = lll_module.size_reduce
 
         def checking_size_reduce(state, rows, k):
-            # Entered after the initial orthogonalization or after a swap.
-            assert mirror_matches(state, rows)
+            # Entered after the initial Gram matrix or after a swap.
+            assert gram_matches(state, rows)
             real_size_reduce(state, rows, k)
-            assert mirror_matches(state, rows)
+            assert gram_matches(state, rows)
             checked.append(k)
 
         monkeypatch.setattr(lll_module, "size_reduce", checking_size_reduce)
@@ -451,6 +543,38 @@ class TestLLLReduce:
         assert res.iterations_applied > 0
         assert len(checked) > res.iterations_applied
         assert apply_transform(basis, res.transform) == res.basis
+
+    def test_rows_accurate_after_reducing_nearly_parallel_columns(
+            self, monkeypatch):
+        # Every column is one vector with entries near 2**30 plus a
+        # perturbation of at most 1000 per entry, so all b*_j past the
+        # first are about 10**6 times shorter than the columns.  Rows
+        # derived from the Gram matrix of such a basis carry errors near
+        # 10**-2; the rows LLL ends with, of its reduced output, must be
+        # accurate to working precision.
+        states = []
+        real_orthogonalize = lll_module.orthogonalize
+
+        def keeping_orthogonalize(state, k):
+            states.append(state)
+            real_orthogonalize(state, k)
+
+        monkeypatch.setattr(lll_module, "orthogonalize", keeping_orthogonalize)
+        rng = random.Random(54)
+        for _ in range(5):
+            v = [rng.choice((1, -1)) * ((1 << 30) + rng.randint(-1000, 1000))
+                 for _ in range(8)]
+            cols = [[x + rng.randint(-1000, 1000) for x in v]
+                    for _ in range(8)]
+            out = lll_reduce(Basis(cols)).basis.cols
+            exactly_lll_reduced(out, LLLConfig().delta)
+            _, mu = exact_gram_schmidt(out)
+            state = states[-1]
+            for k in range(8):
+                for j in range(k):
+                    err = abs(Fraction(state.mu[k][j]) - mu[k][j])
+                    # Relative to |mu|, or absolute for |mu| < 1.
+                    assert err <= 1e-8 * max(abs(mu[k][j]), 1)
 
     def test_rows_cross_from_int64_to_python_ints_mid_run(self, monkeypatch):
         # Entries between 2**61 and 2**62 fit int64, but a size-reduction
@@ -528,17 +652,30 @@ class TestLLLReduce:
         with pytest.raises(ArithmeticError, match="cap of 900 swaps"):
             lll_reduce(Basis.identity(3))
 
+    def test_pass_cap_stops_a_size_reduction_that_never_settles(
+            self, monkeypatch):
+        # Every recomputed row says mu[1][0] = 1, so every pass moves.
+        real_orthogonalize = lll_module.orthogonalize
+
+        def planting(state, k):
+            real_orthogonalize(state, k)
+            if k == 1:
+                state.mu[1][0] = 1.0
+
+        monkeypatch.setattr(lll_module, "orthogonalize", planting)
+        with pytest.raises(ArithmeticError,
+                           match="column 1 did not settle"):
+            lll_reduce(Basis.identity(2))
+
     def test_rank_deficiency_raises_with_column(self):
         basis = Basis([[1, 0], [2, 0], [0, 1]])
         with pytest.raises(ValueError, match="column 1"):
             lll_reduce(basis)
 
-    @pytest.mark.xfail(strict=True, raises=ValueError,
-                       reason="the float rank test rejects this full-rank "
-                              "basis: a residual near 1 against a column "
-                              "norm near 2**120")
     def test_full_rank_knapsack_basis_reduces(self):
         # Unit columns over a weight row from [2**59, 2**60), row last.
+        # The exact residual of column 1 is about 1 against a squared
+        # norm near 2**120, so a rank test on floats can call it zero.
         rng = random.Random(1)
         n = 10
         weights = [rng.randrange(1 << 59, 1 << 60) for _ in range(n)]
@@ -547,16 +684,13 @@ class TestLLLReduce:
         res = lll_reduce(basis, track_transform=True)
         assert apply_transform(basis, res.transform) == res.basis
         assert is_unimodular(res.transform) is True
+        exactly_lll_reduced(res.basis.cols, LLLConfig().delta)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="the float mu that LLL carries for a column "
-                              "near 2**e drifts from the exact mu, so the "
-                              "output is not size-reduced")
     @pytest.mark.parametrize("e", [58, 62, 63])
     def test_output_with_a_column_near_2_e_is_lll_reduced(self, e):
-        # Nothing raises and Lovasz holds, but the largest exact |mu| of
-        # the output is 1.77 at e = 58, 25.7 at e = 62 (int64 input) and
-        # 51.3 at e = 63 (Python-int input); it is 0.46 at every e <= 53.
+        # A mu row updated move by move with coefficients near 2**e drifts
+        # from the exact mu; the row recomputed from the exact Gram does
+        # not.  The input is int64 up to e = 62 and Python ints at e = 63.
         basis = Basis([[2**e + 5, 3, 0], [7, 1, 2], [1, 0, 9]])
         star, mu = exact_gram_schmidt(lll_reduce(basis).basis.cols)
         norms = [sum(x * x for x in v) for v in star]
@@ -565,6 +699,36 @@ class TestLLLReduce:
             assert all(abs(mu[k][j]) <= Fraction(1, 2) for j in range(k))
             assert (delta * norms[k - 1]
                     <= norms[k] + mu[k][k - 1] ** 2 * norms[k - 1])
+
+    def test_tie_cycle_seed_returns_its_record(self):
+        # On this seed's n = 24 basis, rounding exact ties of +-1/2 on every
+        # pass of a size reduction flips six +-1 moves of one column back
+        # and forth forever; later passes leave ties alone.
+        records = run_repeatedly(ExperimentConfig(
+            q=8191, ell_list=(8,), trials=1, mode="repeat",
+            seed=640221214876016983))
+        assert len(records) == 1
+
+
+class TestHardFamilies:
+    """Inputs whose entries do not fit a double: LLL must reduce each of
+    them, with an output that passes the exact check at the default
+    delta (tests/test_reference_runs.py compares them with exact_lll)."""
+
+    @pytest.mark.parametrize("family, n, b", [
+        ("knapsack", 10, 20), ("knapsack", 10, 40), ("knapsack", 10, 51),
+        ("knapsack", 10, 55), ("knapsack", 10, 62), ("knapsack", 20, 60),
+        ("goldstein-mayer", 10, 20), ("goldstein-mayer", 10, 55),
+        ("goldstein-mayer", 10, 60), ("goldstein-mayer", 20, 60),
+        ("uniform", 10, 30), ("uniform", 10, 62), ("uniform", 20, 40),
+    ])
+    def test_output_passes_the_exact_check(self, family, n, b):
+        for seed in range(2):
+            cols = HARD_FAMILIES[family](random.Random(f"{family}-{n}-{b}-{seed}"),
+                                         n, b)
+            res = lll_reduce(Basis(cols), track_transform=True)
+            assert apply_transform(Basis(cols), res.transform) == res.basis
+            exactly_lll_reduced(res.basis.cols, LLLConfig().delta)
 
 
 class TestLLLConfig:
