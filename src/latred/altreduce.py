@@ -7,45 +7,42 @@ real-coefficient combination of all the others (rounded to integers, which
 is usually too coarse).  mgs_pivot is pivoted Gram-Schmidt with rounded
 projections and no swap condition.
 
-rand-comb keeps a float64 H, approximately G^-1, beside its exact Gram
-matrix: np.linalg.inv of the Gram matrix's float copy builds it before
-the first step and again after every n useful steps, and each useful
-step updates it in place by a rank-two update (Sherman-Morrison; Hager,
-SIAM Review 1989).  A step reads its coefficients from H in O(n) and
-updates it in O(|moves| n), where one solve of the (n - 1) x (n - 1)
-normal equations costs O(n^3).  A step solves instead, as chosen by the
-input and never by an option, in four cases: (a) a zero column, or an
-inv that raises (rank-deficient input); (b) a rebuilt H with
-||G||_1 ||H||_1 n >= CONDITION_LIMIT (numerically singular); (c) a
-coefficient from H that is not finite; (d) a coefficient from H within
-TIE_WIDTH (1 + |x|) of a half-integer, a near tie where the two float
-paths can round apart.  Columns and transform change only through
+rand-comb keeps a float64 H, approximately G^-1, and no exact Gram
+matrix: H is np.linalg.inv of the float copy of a Gram matrix built from
+the rows with one gram_compute, before the first step and again after
+every n useful steps, and each useful step updates it in place by a
+rank-two update (Sherman-Morrison; Hager, SIAM Review 1989).  A step
+reads its coefficients from H in O(n) and updates it in O(|moves| n),
+where one solve of the (n - 1) x (n - 1) normal equations costs O(n^3).
+A step solves instead, as chosen by the input and never by an option,
+in four cases: (a) a zero column, or an inv that raises (rank-deficient
+input); (b) a rebuilt H with ||G||_1 ||H||_1 n >= CONDITION_LIMIT
+(numerically singular); (c) a coefficient from H that is not finite;
+(d) a coefficient from H within TIE_WIDTH (1 + |x|) of a half-integer, a
+near tie where the two float paths can round apart.  A step that solves
+builds the exact Gram matrix from the rows with one gram_compute, solves
+from it and drops it.  Columns and transform change only through
 apply_column_op with rounded integer coefficients, so no exact value
-depends on H.  The exact Gram matrix is kept in step only while steps
-solve: while H is live nothing reads it, so the steps leave it stale,
-and the next rebuild (or a step that falls back to the solve) builds it
-again from the rows with one gram_compute.  So, unlike in LLL, which
-keeps its Gram matrix through every column operation, a squared norm
-past the signed 128-bit range raises OverflowError in that
-gram_compute or in run_reducer's summary of the output, not in the step
-that made it; one that a later step brings back inside the range before
-either is not seen.
+depends on H.  So rand-comb checks its squared norms against the signed
+128-bit range in each gram_compute and in run_reducer's summary of the
+output, not in the step that made them; a norm that a later step brings
+back inside the range before either is not seen.
 
-Both keep their exact state in the shared IntRows and GramMatrix and
-round only the coefficients that can round to a nonzero integer
-(ROUNDS_TO_ZERO).  A tracked transform rides along in the rows with no
-code here; the float reads (mgs's residual rows) take the basis part
-only.  mgs carries the float rows F of its residual columns and their
-orthogonal residuals Q from round to round: only a moved column's row of
-F is cast again, and Q is projected off each new pivot once, so a round
-does no work for the earlier pivots.  An mgs round is one selection
-step over every candidate pivot at once: one matrix product over the
-residual columns gives every coefficient, the moved columns' exact new
-squared norms are computed as one Python-int array, and one
-left-to-right fold scores every candidate.  Its integer outputs matched
-the per-pair loop on every input checked, but the batched products may
-round differently in the last bit, so its intermediate floats are not
-promised bit for bit.
+Both keep their exact columns in the shared IntRows, mgs its exact
+GramMatrix too, and round only the coefficients that can round to a
+nonzero integer (ROUNDS_TO_ZERO).  A tracked transform rides along in
+the rows with no code here; the float reads (mgs's residual rows) take
+the basis part only.  mgs carries the float rows F of its residual
+columns and their orthogonal residuals Q from round to round: only a
+moved column's row of F is cast again, and Q is projected off each new
+pivot once, so a round does no work for the earlier pivots.  An mgs
+round is one selection step over every candidate pivot at once: one
+matrix product over the residual columns gives every coefficient, the
+moved columns' exact new squared norms are computed as one Python-int
+array, and one left-to-right fold scores every candidate.  Its integer
+outputs matched the per-pair loop on every input checked, but the
+batched products may round differently in the last bit, so its
+intermediate floats are not promised bit for bit.
 """
 
 from __future__ import annotations
@@ -58,7 +55,6 @@ from .core import (
     Basis,
     GramMatrix,
     IntRows,
-    RANK_FLOOR,
     ROUNDS_TO_ZERO,
     ReductionResult,
     UsageError,
@@ -90,6 +86,10 @@ class AltConfig:
         if self.iterations is not None and self.iterations < 0:
             raise UsageError("iterations must be nonnegative")
 
+
+# Relative squared-norm floor under which mgs counts a float residual as a
+# dependent column.
+RANK_FLOOR = 1e-30
 
 # Steps draw their columns this many at a time, so memory does not grow
 # with the step budget.  Split bounded draws give the stream of one draw.
@@ -169,8 +169,7 @@ def _solved_coefficients(gram: GramMatrix, j: int):
     return coeffs
 
 
-def random_combination_step(rows: IntRows, gram: GramMatrix | None, j: int,
-                            inverse=None) -> bool:
+def random_combination_step(rows: IntRows, j: int, inverse=None) -> bool:
     """Subtract from column j the rounded best combination of the others.
 
     The real coefficients solve the normal equations over the Gram
@@ -178,9 +177,8 @@ def random_combination_step(rows: IntRows, gram: GramMatrix | None, j: int,
     system singular and has nothing to contribute, so it is left out.
     Coefficients of magnitude under ROUNDS_TO_ZERO are dropped without
     rounding each one, and the rest, rounded, are one apply_column_op,
-    which writes column j and, when gram is given, its Gram row once, so
-    a Gram matrix handed in stays in step.  Returns whether anything
-    changed.
+    which writes column j once and updates no Gram matrix.  Returns
+    whether anything changed.
 
     inverse H, a float64 approximation of G^-1 from _inverse_gram, which
     random_combination_reduce builds again after every n useful steps:
@@ -190,24 +188,21 @@ def random_combination_step(rows: IntRows, gram: GramMatrix | None, j: int,
     k += c_k H[j, :] then columns k += c_k H[:, j], in O(|moves| n).
     inverse None, which random_combination_reduce passes where
     _inverse_gram refuses (a zero column or an inv that raises, or
-    ||G||_1 ||H||_1 n >= CONDITION_LIMIT): one np.linalg.solve of the
-    (n - 1) x (n - 1) system, O(n^3); a singular system (dependent
+    ||G||_1 ||H||_1 n >= CONDITION_LIMIT), and a coefficient from H that
+    is not finite or lies within TIE_WIDTH (1 + |x|) of a half-integer,
+    where the two float paths can round apart, make the step solve: it
+    builds the exact Gram matrix from the rows' basis part with one
+    gram_compute, which raises OverflowError for an entry past the signed
+    128-bit range, makes one np.linalg.solve of the (n - 1) x (n - 1)
+    system from it, O(n^3), and drops it; a singular system (dependent
     nonzero columns) or a non-finite solution skips the step with a
-    warning.  A step given H solves too when a coefficient from H is not
-    finite or lies within TIE_WIDTH (1 + |x|) of a half-integer, where the
-    two float paths can round apart.  Either way only the rounded integer
-    coefficients reach the columns, the transform and the Gram matrix,
-    through apply_column_op, so no exact value depends on H.
-
-    gram None, which random_combination_reduce passes while H is live,
-    leaves the exact Gram matrix to the caller to build again; a step
-    that solves then first builds one from the rows' basis part
-    (gram_compute), and drops it after the step.
+    warning.  Either way only the rounded integer coefficients reach the
+    columns and the transform, through apply_column_op, so no exact value
+    depends on H.
     """
     found = None if inverse is None else _inverse_coefficients(inverse, j)
     if found is None:
-        coeffs = _solved_coefficients(
-            gram_compute(rows.basis()) if gram is None else gram, j)
+        coeffs = _solved_coefficients(gram_compute(rows.basis()), j)
         if coeffs is None:
             return False
         found = coeffs, np.abs(coeffs)
@@ -216,7 +211,7 @@ def random_combination_step(rows: IntRows, gram: GramMatrix | None, j: int,
     if not len(large):
         return False
     cs = [nint_float(x) for x in coeffs[large].tolist()]
-    apply_column_op(rows, gram, j, list(zip(large.tolist(), cs)))
+    apply_column_op(rows, None, j, list(zip(large.tolist(), cs)))
     if inverse is not None:
         fc = np.array(cs, dtype=float)
         inverse[large] += fc[:, None] * inverse[j]
@@ -230,15 +225,12 @@ def random_combination_reduce(basis: Basis, config: AltConfig | None = None, *,
 
     The budget is config.iterations, or 10 * n when that is None; the
     columns come from the seeded SplitMix64, COLUMN_BLOCK draws at a
-    time.  The steps share H (_inverse_gram), built before the first step
-    and again after every n useful steps: a rebuild costs O(n^3), about
-    one solve, which spread over n useful steps adds O(n^2) to each, and
-    it drops the rounding error the updates gathered.  While H is live
-    the steps are handed no Gram matrix, so none is updated, and each
-    build of H first builds the exact one from the rows (gram_compute,
-    O(n^2 m), once per n useful steps).  Where _inverse_gram gives None
-    the steps solve until the next rebuild, keeping that Gram matrix in
-    step.
+    time.  The steps share H, built before the first step and again after
+    every n useful steps, each time as _inverse_gram of a Gram matrix
+    built from the rows (gram_compute, O(n^2 m)): a rebuild costs O(n^3),
+    about one solve, which spread over n useful steps adds O(n^2) to
+    each, and it drops the rounding error the updates gathered.  Where
+    _inverse_gram gives None the steps solve until the next rebuild.
     Column norms can go up as well as down; there is no monotonicity
     here, which is exactly why this variant is only a baseline.
     """
@@ -249,19 +241,14 @@ def random_combination_reduce(basis: Basis, config: AltConfig | None = None, *,
         steps = 10 * n if cfg.iterations is None else cfg.iterations
         draws = SplitMix64(cfg.seed)
         useful = 0
-        # age counts the useful steps since H was built; n builds it, and
-        # the exact Gram matrix, first.  gram is None, stale, while H is
-        # live.
-        gram, inverse, age = None, None, n
+        # age counts the useful steps since H was built; n builds it first.
+        inverse, age = None, n
         for start in range(0, steps, COLUMN_BLOCK):
             for j in draws.draw(min(COLUMN_BLOCK, steps - start), n).tolist():
                 if age == n:
-                    if gram is None:
-                        gram = gram_compute(rows.basis())
-                    inverse, age = _inverse_gram(gram), 0
-                    if inverse is not None:
-                        gram = None
-                moved = random_combination_step(rows, gram, j, inverse)
+                    inverse = _inverse_gram(gram_compute(rows.basis()))
+                    age = 0
+                moved = random_combination_step(rows, j, inverse)
                 useful += moved
                 age += moved
         return useful

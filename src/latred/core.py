@@ -40,7 +40,9 @@ ints, range-checked by one check that names the column, from then on.
 GramMatrix is one n x n array under the same rule: int64 while its
 tracked bound B on every |entry| gives B * (1 + a)**2 < 2**63, a being
 max|c| over a pivot's coefficients c or sum|c| over a combination's (B
-is measured again once before the store widens), Python ints after that.
+is measured again once before the store widens, and a combination that
+still fails gets a second test on its measured values, a * B for G w,
+then a * max|(G w)_k| + (1 + 2a) * B), Python ints after that.
 Both dtypes run the same whole-array code, and both Gram updates end in
 one write, _write_gram.
 
@@ -102,10 +104,6 @@ _FLOAT64_LIMIT = 1 << 53
 
 # Largest n for which det_small, and so is_unimodular, gives an answer.
 _DET_MAX_N = 16
-
-# Relative squared-norm floor under which mgs counts a float residual as a
-# dependent column.
-RANK_FLOOR = 1e-30
 
 
 class MatFormatError(ValueError):
@@ -676,13 +674,30 @@ def update_gram_column(gram: GramMatrix, j: int, moves) -> None:
     g'[j][l] = g[j][l] - (G w)[l] for l != j, and
     g'[j][j] = g[j][j] - 2 (G w)[j] + w^T G w.
 
-    The int64 store is kept while bound * (1 + sum|c|)**2 < 2**63
-    (_gram_store), and the new row is written by _write_gram.
+    The int64 store is kept while bound * (1 + sum|c|)**2 < 2**63, as
+    in _gram_store.  Where that fails on the bound B measured again, G w
+    is computed on the int64 store, and the store is kept when the
+    update's measured values keep every partial sum below 2**63: a * B
+    for G w, then a * max|(G w)_k| + (1 + 2a) * B, k over the sources,
+    for the new row (both at most B * (1 + a)**2).  Otherwise it widens
+    and G w is computed again.  The new row is written by _write_gram.
     """
-    g = _gram_store(gram, sum(abs(c) for _, c in moves))
+    a = sum(abs(c) for _, c in moves)
     ks = np.array([k for k, _ in moves], dtype=np.intp)
-    cs = np.array([c for _, c in moves], dtype=g.dtype)
-    gw = cs @ g[ks]
+    cs = [c for _, c in moves]
+    gw = None
+    if gram.bound is not None and not _gram_fits_int64(gram, a):
+        gram.bound = b = _max_abs(gram.g)
+        # max(B, 1): c itself must fit int64, even against a zero matrix.
+        if a * max(b, 1) < _INT64_LIMIT:
+            gw = np.array(cs, dtype=np.int64) @ gram.g[ks]
+        if gw is None or (a * _max_abs(gw[ks]) + (1 + 2 * a) * b
+                          >= _INT64_LIMIT):
+            gram.g, gram.bound, gw = gram.g.astype(object), None, None
+    g = gram.g
+    cs = np.array(cs, dtype=g.dtype)
+    if gw is None:
+        gw = cs @ g[ks]
     new = g[j] - gw
     new[j] += cs @ gw[ks] - gw[j]
     _write_gram(gram, slice(j, j + 1), new[None])
@@ -770,11 +785,11 @@ def run_reducer(basis: Basis, track_transform: bool, body) -> ReductionResult:
                    np.eye(n, dtype=np.int64) if track_transform else None)
     before = summarize_columns(basis)
     iterations = body(rows)
-    out = rows.basis()
+    stacked = np.stack(rows.rows)
+    out = Basis._trusted(*_pack(stacked[:, :m]))
     transform = None
     if track_transform:
-        transform = TransformRecord._trusted(
-            *_pack(np.stack(rows.rows)[:, m:]))
+        transform = TransformRecord._trusted(*_pack(stacked[:, m:]))
     return ReductionResult(
         basis=out,
         iterations_applied=iterations,
@@ -825,31 +840,40 @@ def pipeline(basis: Basis, stages) -> ReductionResult:
     )
 
 
-def det_small(rows) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination, n <= 16.
+def bareiss(rows) -> tuple[int, int]:
+    """Fraction-free (Bareiss) elimination of a square integer matrix,
+    with row pivoting: (the first column with no pivot, the determinant).
 
-    rows is a square integer matrix, as lists or an array.  The
-    elimination runs on one dtype=object copy of it, each step one
-    whole-array update of the trailing block, whose division is exact.
+    rows is lists or an array.  The elimination runs on one dtype=object
+    copy of it, each step one whole-array update of the trailing block,
+    whose division is exact.  It stops at the first column i with no
+    nonzero entry on or below the diagonal, which is exactly the first
+    column that is a combination of the earlier ones, and gives (i, 0);
+    when every column has a pivot it gives (n, det).
     """
     n = len(rows)
-    if n > _DET_MAX_N:
-        raise ValueError(f"det_small is limited to n <= {_DET_MAX_N}")
     a = np.array(rows, dtype=object)
     if a.shape != (n, n):
         raise ValueError("matrix must be square")
     sign, prev = 1, 1
-    for i in range(n - 1):
+    for i in range(n):
         piv = i + np.flatnonzero(a[i:, i])
         if not len(piv):
-            return 0
+            return i, 0
         if piv[0] != i:
             a[[i, piv[0]]] = a[[piv[0], i]]
             sign = -sign
         a[i + 1:, i + 1:] = (a[i + 1:, i + 1:] * a[i, i]
                              - np.outer(a[i + 1:, i], a[i, i + 1:])) // prev
         prev = a[i, i]
-    return sign * a[n - 1, n - 1]
+    return n, sign * prev
+
+
+def det_small(rows) -> int:
+    """Exact determinant of a square integer matrix, n <= 16, by bareiss."""
+    if len(rows) > _DET_MAX_N:
+        raise ValueError(f"det_small is limited to n <= {_DET_MAX_N}")
+    return bareiss(rows)[1]
 
 
 def is_unimodular(transform: TransformRecord) -> bool | None:

@@ -49,8 +49,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     Basis,
     GramMatrix,
@@ -59,6 +57,7 @@ from .core import (
     ReductionResult,
     UsageError,
     apply_column_op,
+    bareiss,
     gram_compute,
     nint_float,
     run_reducer,
@@ -176,20 +175,6 @@ def lovasz_ok(state: GSState, k: int, delta: float) -> bool:
     return nk > 0.0 and delta * prev <= nk + mu * mu * prev
 
 
-def _first_dependent(basis: Basis) -> int:
-    """The first input column that depends on the earlier ones: the first
-    zero leading principal minor of the exact Gram matrix, by
-    fraction-free elimination without pivoting."""
-    a = gram_compute(basis).g.astype(object)
-    prev = 1
-    for i in range(basis.n):
-        if not a[i, i]:
-            return i
-        a[i + 1:, i + 1:] = (a[i + 1:, i + 1:] * a[i, i]
-                             - np.outer(a[i + 1:, i], a[i, i + 1:])) // prev
-        prev = a[i, i]
-
-
 def lll_reduce(basis: Basis, config: LLLConfig | None = None, *,
                track_transform: bool = False) -> ReductionResult:
     """LLL over the exact Gram matrix, with float r and mu derived from it.
@@ -218,8 +203,11 @@ def lll_reduce(basis: Basis, config: LLLConfig | None = None, *,
             orthogonalize(state, k)
             size_reduce(state, rows, k)
             if not gram.g[k, k]:
+                # The input's first dependent column is the first column
+                # of its exact Gram matrix with no pivot: G w = 0 exactly
+                # when B w = 0.
                 raise ValueError("rank deficiency detected at column "
-                                 f"{_first_dependent(basis)}")
+                                 f"{bareiss(gram_compute(basis).g)[0]}")
             if k == 0 or lovasz_ok(state, k, cfg.delta):
                 k += 1
                 continue

@@ -31,7 +31,7 @@ from latred.genlat import (ExampleSpec, SplitMix64, gen_example,
 from latred.greedy import GreedyState, apply_pivot, coefficients_for_pivot
 
 from oracles import inverse_oracle, mgs_per_pair, rand_comb_per_move
-from test_reducer_goldens import dependent, scrambled
+from test_reducer_goldens import dependent, scrambled, wide
 
 
 def random_basis(rng, n, max_entry=40):
@@ -70,7 +70,7 @@ class TestRandomCombinationStep:
             if gram.g[0][0] == 0:
                 continue
             via_step = basis_rows(basis)
-            random_combination_step(via_step, gram.copy(), 1)
+            random_combination_step(via_step, 1)
             via_greedy = basis_rows(basis)
             state = GreedyState(via_greedy, gram_compute(basis))
             apply_pivot(state, 0, coefficients_for_pivot(state.gram, 0))
@@ -80,25 +80,22 @@ class TestRandomCombinationStep:
     def test_orthogonal_column_unchanged(self):
         basis = Basis([[2, 0, 0], [0, 3, 0], [0, 0, 5]])
         rows = basis_rows(basis)
-        changed = random_combination_step(rows, gram_compute(basis), 2)
+        changed = random_combination_step(rows, 2)
         assert not changed
         assert rows.tolist()[2] == [0, 0, 5]
 
     def test_diagonal_normal_equations(self):
         basis = Basis([[1, 0, 0], [0, 1, 0], [5, 7, 1]])
         rows = basis_rows(basis)
-        gram = gram_compute(basis)
-        random_combination_step(rows, gram, 2)
+        random_combination_step(rows, 2)
         assert rows.tolist()[2] == [0, 0, 1]
-        assert gram == gram_compute(Basis(rows.tolist()))
 
     def test_singular_system_skipped(self, caplog):
         basis = Basis([[1, 0], [2, 0], [0, 1]])  # columns 0,1 dependent
         rows = basis_rows(basis)
-        gram = gram_compute(basis)
         before = [list(c) for c in basis.cols]
         with caplog.at_level(logging.WARNING):
-            changed = random_combination_step(rows, gram, 2)
+            changed = random_combination_step(rows, 2)
         assert not changed
         assert rows.tolist() == before
         assert any("skipped" in r.message for r in caplog.records)
@@ -111,14 +108,12 @@ class TestRandomCombinationStep:
         # solver return a non-finite solution, so the solver is replaced.
         basis = Basis([[1, 0, 0], [0, 1, 0], [5, 7, 1]])
         rows = basis_rows(basis)
-        gram = gram_compute(basis)
         monkeypatch.setattr(altreduce.np.linalg, "solve",
                             lambda a, b: np.array(solution))
         with caplog.at_level(logging.WARNING, logger="latred.altreduce"):
-            changed = random_combination_step(rows, gram, 2)
+            changed = random_combination_step(rows, 2)
         assert changed is False
         assert rows.tolist() == basis.cols
-        assert gram == gram_compute(basis)
         assert [r.getMessage() for r in caplog.records
                 if r.name == "latred.altreduce"] == [
             "non-finite coefficients for column 2; step skipped"]
@@ -224,13 +219,12 @@ class TestInverseGram:
     def test_tracks_the_inverse_through_column_operations(self):
         basis = random_permutation(gen_example(ExampleSpec(8191, 8, 0)), 1)
         rows = basis_rows(basis)
-        gram = gram_compute(basis)
-        h = altreduce._inverse_gram(gram)
+        h = altreduce._inverse_gram(gram_compute(basis))
         assert h is not None
-        moved = sum(random_combination_step(rows, gram, j, h)
+        moved = sum(random_combination_step(rows, j, h)
                     for j in (3, 17, 5, 23, 0, 11, 8, 20))
         assert moved >= 5
-        assert gram == gram_compute(Basis(rows.tolist()))
+        gram = gram_compute(rows.basis())
         # The Gram matrix's condition number is near 2e9, so a fresh float
         # inverse is itself off by about 1e-8; H must be no further from
         # the exact inverse than twice that.
@@ -261,13 +255,13 @@ class TestInverseGram:
         # rounds to 0; the solve gives 0.5, which rounds to 1.
         basis = Basis([[2, 0], [1, 1]])
         rows = basis_rows(basis)
-        gram = gram_compute(basis)
-        h = altreduce._inverse_gram(gram)
+        h = altreduce._inverse_gram(gram_compute(basis))
         h[0, 1] *= 1 - 1e-12
         solves = solve_spy(monkeypatch)
-        assert random_combination_step(rows, gram, 1, h)
+        assert random_combination_step(rows, 1, h)
         assert solves == [1]
         assert rows.tolist() == [[2, 0], [-1, 1]]
+        gram = gram_compute(rows.basis())
         assert np.allclose(h, np.linalg.inv(gram.g.astype(float)))
 
     def test_non_finite_coefficient_takes_the_solve(self, monkeypatch):
@@ -278,13 +272,12 @@ class TestInverseGram:
         solves = solve_spy(monkeypatch)
         for entry in (np.nan, np.inf, -np.inf, -2.5):
             rows = basis_rows(basis)
-            gram = gram_compute(basis)
-            h = altreduce._inverse_gram(gram)
+            h = altreduce._inverse_gram(gram_compute(basis))
             h[2, 2] = 1.0
             h[0, 2] = entry
             assert altreduce._inverse_coefficients(h, 2) is None, entry
             solves.clear()
-            assert random_combination_step(rows, gram, 2, h)
+            assert random_combination_step(rows, 2, h)
             assert solves == [2]
             assert rows.tolist()[2] == [0, 0, 1]
 
@@ -299,8 +292,8 @@ class TestInverseGram:
         step = altreduce.random_combination_step
         monkeypatch.setattr(
             altreduce, "random_combination_step",
-            lambda rows, gram, j, inverse: columns.append(j)
-            or step(rows, gram, j, inverse))
+            lambda rows, j, inverse: columns.append(j)
+            or step(rows, j, inverse))
         random_combination_reduce(Basis.identity(3),
                                   AltConfig(iterations=steps, seed=4))
         assert 0 < max(counts) <= altreduce.COLUMN_BLOCK
@@ -308,72 +301,60 @@ class TestInverseGram:
         assert columns == SplitMix64(4).draw(steps, 3).tolist()
 
 
-class TestStaleGram:
-    """While H is live, rand-comb leaves its exact Gram matrix stale."""
+class TestNoKeptGram:
+    """rand-comb keeps no exact Gram matrix: it builds one from the rows
+    for each rebuild of H and for each solve, and updates none."""
 
-    def spies(self, monkeypatch):
-        """Counts of H rebuilds, solves and exact Gram builds, and for each
-        Gram column update whether H was live when it ran."""
-        seen = {"rebuilds": 0, "solves": 0, "builds": 0, "updates": []}
-        live = [False]
+    @pytest.mark.parametrize("make, seed, every_step_solves", [
+        (lambda: random_permutation(gen_example(ExampleSpec(8191, 8, 0)), 1),
+         1, False),
+        # A zero column: _inverse_gram refuses at every rebuild.
+        (lambda: dependent(3), 3, True),
+        # Two columns near 2**63 e_0: the float Gram matrix is numerically
+        # singular, and the rows run on Python ints.
+        (lambda: wide(0), 9, True),
+    ], ids=["qary-24", "dependent-10", "wide-6"])
+    def test_every_gram_is_built_fresh_and_none_is_updated(
+            self, monkeypatch, make, seed, every_step_solves):
+        basis = make()
+        seen = {"rebuilds": 0, "solves": 0, "builds": 0, "updates": 0}
+        current = []
+        step = altreduce.random_combination_step
         inverse_gram = altreduce._inverse_gram
         solved = altreduce._solved_coefficients
         build = altreduce.gram_compute
         update = core.update_gram_column
 
+        def spy_step(rows, j, inverse):
+            current[:] = [rows]
+            return step(rows, j, inverse)
+
         def spy_inverse(gram):
-            h = inverse_gram(gram)
             seen["rebuilds"] += 1
-            live[0] = h is not None
-            return h
+            return inverse_gram(gram)
 
         def spy_solved(gram, j):
             seen["solves"] += 1
+            assert gram == gram_compute(current[0].basis())
             return solved(gram, j)
 
-        def spy_build(basis):
+        def spy_build(b):
             seen["builds"] += 1
-            return build(basis)
+            return build(b)
 
         def spy_update(gram, j, moves):
-            seen["updates"].append(live[0])
+            seen["updates"] += 1
             update(gram, j, moves)
 
+        monkeypatch.setattr(altreduce, "random_combination_step", spy_step)
         monkeypatch.setattr(altreduce, "_inverse_gram", spy_inverse)
         monkeypatch.setattr(altreduce, "_solved_coefficients", spy_solved)
         monkeypatch.setattr(altreduce, "gram_compute", spy_build)
         monkeypatch.setattr(core, "update_gram_column", spy_update)
-        return seen
-
-    def test_no_gram_update_while_the_inverse_is_live(self, monkeypatch):
-        basis = random_permutation(gen_example(ExampleSpec(8191, 8, 0)), 1)
-        seen = self.spies(monkeypatch)
-        check_per_move(basis, 10 * basis.n, 1)
-        assert basis.n == 24 and seen["rebuilds"] > 2
-        assert True not in seen["updates"]
-        assert seen["builds"] <= seen["rebuilds"] + seen["solves"] + 1
-
-    def test_gram_stays_in_step_where_no_inverse_is_built(self, monkeypatch):
-        # A zero column: _inverse_gram refuses at every rebuild, so every
-        # step solves from the Gram matrix, which must match the rows.
-        basis = dependent(3)
-        seen = self.spies(monkeypatch)
-        step = altreduce.random_combination_step
-        grams = []
-
-        def spy_step(rows, gram, j, inverse):
-            moved = step(rows, gram, j, inverse)
-            assert inverse is None
-            assert gram == gram_compute(rows.basis())
-            grams.append(gram)
-            return moved
-
-        monkeypatch.setattr(altreduce, "random_combination_step", spy_step)
-        res = random_combination_reduce(basis, AltConfig(iterations=100,
-                                                         seed=3))
-        assert res.iterations_applied > 0 and len(grams) == 100
-        assert len(seen["updates"]) == res.iterations_applied
-        assert not any(seen["updates"]) and seen["builds"] == 1
+        check_per_move(basis, 10 * basis.n, seed)
+        assert seen["updates"] == 0 and seen["rebuilds"] > 2
+        assert seen["builds"] == seen["rebuilds"] + seen["solves"]
+        assert (seen["solves"] == 10 * basis.n) == every_step_solves
 
     @pytest.mark.parametrize("seed, iterations, message", [
         (1, 1, "column norm exceeds"),
@@ -386,14 +367,14 @@ class TestStaleGram:
         # to c_0, so column 2 becomes s (-8, -2, 10), of squared norm
         # 168 s**2, past 2**127, though every Gram entry of the input is
         # at most 125 s**2 < 2**127 and every entry stays below 2**64.
-        # Both seeds draw column 2 first.  While H is live no Gram row is
-        # updated, so the step itself raises nothing: one step ends in
+        # Both seeds draw column 2 first.  rand-comb keeps no Gram matrix,
+        # so the step itself raises nothing: one step ends in
         # run_reducer's summary of the output's norms.  Seed 22 then draws
         # columns 0 and 1, both useful, so the third useful step's
         # rebuild of the exact Gram matrix raises.  (A later step can
         # bring the norm back inside the range before either check, as a
         # step on column 2 does with seed 1 over 30 steps; such a run
-        # returns, as LLL's does, whose steps keep no Gram matrix.)
+        # returns.)
         s = math.isqrt(((1 << 127) - 1) // 125)
         basis = Basis([[10 * s, 0, 0], [10 * s, 5 * s, 0],
                        [2 * s, -2 * s, 10 * s]])

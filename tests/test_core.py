@@ -671,6 +671,33 @@ class TestGramStore:
         assert gram.g.dtype == np.int64 and gram.bound == 5
         assert gram.tolist() == [[1, 1], [1, 2]]
 
+    @pytest.mark.parametrize("k, dtype", [
+        (30000, np.int64), (50000, object), (60000, object)])
+    def test_combination_is_kept_int64_by_its_measured_values(self, k,
+                                                              dtype):
+        # b_0 = e_0, b_1 = k e_0 + e_1, b_2 = k e_1 + e_2, b_3 = e_2 + e_3,
+        # and b_3 -= k**2 b_0 - k b_1 + b_2 leaves e_3.  With B = k**2 + 1
+        # and a = sum|c| = k**2 + k + 1, B (1 + a)**2 passes 2**63 for each
+        # k, but (G w)_i = b_i[2] is at most 1: at k = 30000 a B and
+        # a + (1 + 2a) B stay below 2**63, so the store stays int64; at
+        # k = 50000 the second passes it and at k = 60000 the first does,
+        # so the store widens.
+        cols = [[1, 0, 0, 0], [k, 1, 0, 0], [0, k, 1, 0], [0, 0, 1, 1]]
+        moves = [(0, k * k), (1, -k), (2, 1)]
+        gram = gram_compute(Basis(cols))
+        assert gram.g.dtype == np.int64
+        assert not core._gram_fits_int64(gram, k * k + k + 1)
+        wide = gram.copy()
+        wide.g, wide.bound = wide.g.astype(object), None
+        rows = IntRows(cols)
+        apply_column_op(rows, gram, 3, moves)
+        core.update_gram_column(wide, 3, moves)
+        assert rows.tolist()[3] == [0, 0, 0, 1]
+        assert gram.g.dtype == dtype
+        assert gram.tolist() == wide.tolist() == gram_oracle(rows.tolist())
+        if dtype is np.int64:
+            assert gram.bound >= max(map(abs, gram.g.flat))
+
     def test_coefficient_past_int64_widens(self):
         gram = gram_compute(Basis([[0, 0], [1, 1]]))
         update_gram(gram, 0, [(1, 1 << 64)])
@@ -1014,6 +1041,17 @@ class TestDeterminant:
     def test_rejects_large_n(self):
         with pytest.raises(ValueError):
             det_small([[0] * 17 for _ in range(17)])
+
+    @pytest.mark.parametrize("rows, free", [
+        ([[1, 2, 3], [2, 4, 5], [3, 6, 7]], 1),
+        # Column 0's pivot is found by a row swap; column 1 is 2 * column 0.
+        ([[0, 0, 1], [1, 2, 0], [0, 0, 3]], 1),
+        ([[0, 1], [0, 2]], 0),
+        ([[2, 1], [1, 1]], 2),
+    ])
+    def test_bareiss_names_the_first_dependent_column(self, rows, free):
+        det = det_cofactor(rows) if free == len(rows) else 0
+        assert core.bareiss(rows) == (free, det)
 
     def test_unimodular_answers_up_to_n16_and_none_above(self):
         assert is_unimodular(TransformRecord.identity(16)) is True
