@@ -23,7 +23,8 @@ from .core import (
 )
 from .greedy import ReduceConfig, reduce
 from .lll import LLLConfig, lll_reduce
-from .altreduce import AltConfig, mgs_pivot_reduce, random_combination_reduce
+from .altreduce import (AltConfig, MGSConfig, mgs_pivot_reduce,
+                        random_combination_reduce)
 from .genlat import ExampleSpec, SplitMix64, gen_example, random_permutation
 from .harness import ExperimentConfig
 

@@ -68,14 +68,15 @@ from .core import (
 )
 from .genlat import SplitMix64
 
-VARIANTS = ("random_combination", "mgs_pivot")
+VARIANTS = ("random_combination",)
 
 
 @dataclass(frozen=True)
 class AltConfig:
     """Options for random_combination_reduce; iterations None means 10 * n."""
 
-    # No reducer reads variant; it stays because the benchmark passes it.
+    # rand-comb is the one variant; the field stays because the benchmark
+    # passes it.
     variant: str = "random_combination"
     iterations: int | None = None
     seed: int = 0
@@ -85,6 +86,33 @@ class AltConfig:
             raise UsageError(f"variant must be one of {VARIANTS}")
         if self.iterations is not None and self.iterations < 0:
             raise UsageError("iterations must be nonnegative")
+
+    def run(self, basis: Basis, track_transform=False) -> ReductionResult:
+        """random_combination_reduce with this config: a stage of
+        core.pipeline."""
+        return random_combination_reduce(basis, self,
+                                         track_transform=track_transform)
+
+
+@dataclass(frozen=True)
+class MGSConfig:
+    """Options for mgs_pivot_reduce: p, the scoring exponent.
+
+    mgs adds float p/2 powers and has no max score, so p must be positive
+    and finite: at p = inf every candidate would score inf.
+    """
+
+    p: float = 2.0
+
+    def __post_init__(self):
+        if not self.p > 0:
+            raise UsageError(f"p must be positive, got {self.p}")
+        if self.p == np.inf:
+            raise UsageError("p must be finite for mgs, got inf")
+
+    def run(self, basis: Basis, track_transform=False) -> ReductionResult:
+        """mgs_pivot_reduce with this config: a stage of core.pipeline."""
+        return mgs_pivot_reduce(basis, self.p, track_transform=track_transform)
 
 
 # Relative squared-norm floor under which mgs counts a float residual as a
@@ -207,7 +235,7 @@ def random_combination_step(rows: IntRows, j: int, inverse=None) -> bool:
             return False
         found = coeffs, np.abs(coeffs)
     coeffs, size = found
-    large = np.flatnonzero(size >= ROUNDS_TO_ZERO)
+    large = (size >= ROUNDS_TO_ZERO).nonzero()[0]
     if not len(large):
         return False
     cs = [nint_float(x) for x in coeffs[large].tolist()]
@@ -256,21 +284,12 @@ def random_combination_reduce(basis: Basis, config: AltConfig | None = None, *,
     return run_reducer(basis, track_transform, body)
 
 
-def check_mgs_p(p: float) -> None:
-    """Raise UsageError unless mgs can score with exponent p.
-
-    mgs adds float p/2 powers and has no max score, so p must be positive
-    and finite: at p = inf every candidate would score inf.
-    """
-    if not p > 0:
-        raise UsageError(f"p must be positive, got {p}")
-    if p == np.inf:
-        raise UsageError("p must be finite for mgs, got inf")
-
-
 def mgs_pivot_reduce(basis: Basis, p: float = 2.0, *,
                      track_transform: bool = False) -> ReductionResult:
     """Pivoted Gram-Schmidt with rounded integer projections.
+
+    p is checked by MGSConfig(p): one that is not positive and finite
+    raises UsageError before any work.
 
     Each round scores every residual column by the sum of p-th powers of
     the norms the basis would have after projecting the others off it,
@@ -306,7 +325,7 @@ def mgs_pivot_reduce(basis: Basis, p: float = 2.0, *,
     outputs matched the per-pair loop on every input checked, but the
     floats are not promised bit for bit.
     """
-    check_mgs_p(p)
+    MGSConfig(p)
     half_p = p / 2.0
 
     def body(rows):
@@ -330,8 +349,8 @@ def mgs_pivot_reduce(basis: Basis, p: float = 2.0, *,
             x = (f @ q.T) / np.where(qq > 0.0, qq, 1.0)
             # Zero and dependent columns are not candidates, and their
             # coefficients, however large, are never rounded.
-            cand = np.flatnonzero((d != 0)
-                                  & (qq >= RANK_FLOOR * d.astype(float)))
+            cand = ((d != 0)
+                    & (qq >= RANK_FLOOR * d.astype(float))).nonzero()[0]
             if not len(cand):
                 break
             own = np.arange(len(cand))
@@ -344,7 +363,7 @@ def mgs_pivot_reduce(basis: Basis, p: float = 2.0, *,
                          dtype=object)
             gir = g[residual[i], residual[r]].astype(object)
             norms = d[i] + c * (c * d[r] - 2 * gir)
-            bad = np.flatnonzero(norms < 0)
+            bad = (norms < 0).nonzero()[0]
             if len(bad):
                 raise corrupt_gram(*residual[[i[bad[0]], r[bad[0]]]].tolist())
             # terms[k]: every residual column's term under candidate k, its

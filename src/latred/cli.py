@@ -4,16 +4,16 @@ All numerical work lives in the library modules; this file only parses
 flags, moves files, and maps failures to exit codes (0 ok, 1 input error,
 2 usage error, 3 numerical fault).  main returns every code, argparse's
 2 for a missing or malformed flag and 0 after --help included.  Flag
-values are checked by the config objects they build (mgs's --p, which
-has no config, by altreduce.check_mgs_p), whose UsageError maps to exit
-2; each command builds its configs before it touches a file.  --score
-max is greedy's exponent inf.  A flag left out takes its config's default, so each default is
-defined once, in the config.  A reduce flag that the chosen --algo never
-reads is a usage error too.  Every output path is checked before the
+values are checked by the config objects they build, whose UsageError
+maps to exit 2; each command builds its configs before it touches a
+file, from one table that gives each reducer's flags and config builder.
+--score max is greedy's exponent inf.  A flag left out takes its config's
+default, so each default is defined once, in the config.  A reduce flag
+that the chosen --algo never reads is a usage error too.  Every output path is checked before the
 work starts, without creating or truncating it, so an unwritable one
 exits 1 before any trial or stage runs; --out and --report naming one
-file is a usage error.  Every --algo is a list of stages run through
-core.pipeline.
+file is a usage error.  Every --algo is a list of stage configs run
+through core.pipeline.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ import sys
 from dataclasses import asdict
 from functools import cache
 
-from .altreduce import (AltConfig, check_mgs_p, mgs_pivot_reduce,
-                        random_combination_reduce)
+from .altreduce import AltConfig, MGSConfig
 from .core import (
     UsageError,
     apply_transform,
@@ -36,19 +35,15 @@ from .core import (
     write_mat,
 )
 from .genlat import ExampleSpec, gen_example
-from .greedy import ReduceConfig, reduce as greedy_reduce
+from .greedy import ReduceConfig
 from .harness import (CSV_HEADER, MODES, ExperimentConfig, emit_csv,
                       run_experiment)
-from .lll import LLLConfig, lll_reduce
+from .lll import LLLConfig
 
-# The reducers each --algo runs, in order, and the optional reduce flags
-# each reducer reads.  Each of those flags defaults to None, so a given
-# flag can be told apart.
+# The reducers each --algo runs, in order.
 _ALGOS = {"greedy": ("greedy",), "lll": ("lll",),
           "lll+greedy": ("lll", "greedy"), "rand-comb": ("rand-comb",),
           "mgs": ("mgs",)}
-_READS = {"greedy": ("--p", "--p-schedule", "--score"), "lll": ("--delta",),
-          "rand-comb": ("--iters", "--seed"), "mgs": ("--p",)}
 
 
 def _list_of(kind, noun):
@@ -76,6 +71,18 @@ def _polish_config(args) -> ReduceConfig:
     p = float("inf") if getattr(args, "score", None) == "max" else args.p
     schedule = args.p_schedule if p is None else (p,)
     return ReduceConfig(**_given(p_schedule=schedule))
+
+
+# Per reducer: the optional flags it reads and the builder of its config,
+# which reduce and bench share.  Each of those flags defaults to None, so
+# a given flag can be told apart.
+_REDUCERS = {
+    "greedy": (("--p", "--p-schedule", "--score"), _polish_config),
+    "lll": (("--delta",), lambda args: LLLConfig(**_given(delta=args.delta))),
+    "rand-comb": (("--iters", "--seed"), lambda args: AltConfig(
+        **_given(iterations=args.iters, seed=args.seed))),
+    "mgs": (("--p",), lambda args: MGSConfig(**_given(p=args.p))),
+}
 
 
 def _check_writable(*paths) -> None:
@@ -148,49 +155,27 @@ def cmd_gen(args) -> int:
 
 
 def _stages(args):
-    """The stages of --algo, built from configs that check every flag.
+    """The stage configs of --algo, whose builds check every flag.
 
     A bad flag, one that --algo never reads (--score max reads neither
     --p nor --p-schedule), or --p given with --p-schedule raises
     UsageError here, so cmd_reduce calls this before it reads any file.
-    A flag left out takes its config's default.  Reducers are looked up
-    when a stage runs, so a patched one is what runs.
+    greedy and mgs both read --p; each config checks it by its own rule.
     """
-    read = {flag for name in _ALGOS[args.algo] for flag in _READS[name]}
+    names = _ALGOS[args.algo]
+    read = {flag for name in names for flag in _REDUCERS[name][0]}
     max_mode = args.score == "max" and "--score" in read
     if max_mode:
         read -= {"--p", "--p-schedule"}
-    optional = dict.fromkeys(f for flags in _READS.values() for f in flags)
+    optional = dict.fromkeys(f for flags, _ in _REDUCERS.values()
+                             for f in flags)
     unread = [flag for flag in optional if flag not in read
               and getattr(args, flag[2:].replace("-", "_")) is not None]
     if unread:
         raise UsageError(f"--algo {args.algo} does not read "
                          + ", ".join(unread)
                          + (" with --score max" if max_mode else ""))
-    track = args.track_transform
-    lll_cfg = LLLConfig(**_given(delta=args.delta))
-    alt_cfg = AltConfig(**_given(iterations=args.iters, seed=args.seed))
-    # greedy and mgs both read --p; each stage checks it by its own rule.
-    greedy_cfg = _polish_config(args) if "greedy" in _ALGOS[args.algo] else None
-    if args.algo == "mgs" and args.p is not None:
-        check_mgs_p(args.p)
-
-    def lll(basis):
-        return lll_reduce(basis, lll_cfg, track_transform=track)
-
-    def greedy(basis):
-        return greedy_reduce(basis, greedy_cfg, track_transform=track)
-
-    def rand_comb(basis):
-        return random_combination_reduce(basis, alt_cfg, track_transform=track)
-
-    def mgs(basis):
-        return mgs_pivot_reduce(basis, **_given(p=args.p),
-                                track_transform=track)
-
-    reducers = {"greedy": greedy, "lll": lll, "rand-comb": rand_comb,
-                "mgs": mgs}
-    return tuple(reducers[name] for name in _ALGOS[args.algo])
+    return tuple(_REDUCERS[name][1](args) for name in names)
 
 
 def cmd_reduce(args) -> int:
@@ -200,7 +185,7 @@ def cmd_reduce(args) -> int:
         raise UsageError("--out and --report name the same file")
     basis = read_mat(args.in_path)
     _check_writable(args.out, args.report)
-    result = pipeline(basis, stages)
+    result = pipeline(basis, stages, track_transform=args.track_transform)
     write_mat(result.basis, args.out)
     if args.report:
         report = {
@@ -231,8 +216,8 @@ def cmd_bench(args) -> int:
     config = ExperimentConfig(
         q=args.q,
         ell_list=args.ell_list,
-        lll=LLLConfig(**_given(delta=args.delta)),
-        polish=_polish_config(args),
+        lll=_REDUCERS["lll"][1](args),
+        polish=_REDUCERS["greedy"][1](args),
         **_given(trials=args.trials, mode=args.mode, seed=args.seed),
     )
     _check_writable(args.csv)

@@ -800,32 +800,36 @@ def run_reducer(basis: Basis, track_transform: bool, body) -> ReductionResult:
     )
 
 
-def pipeline(basis: Basis, stages) -> ReductionResult:
+def pipeline(basis: Basis, stages, *,
+             track_transform: bool = False) -> ReductionResult:
     """Run reducers in order, each on the basis the previous one returned.
 
-    Every stage maps a basis to a ReductionResult.  The combined result
-    takes before from the first stage; basis, after and iterations_applied
-    from the last; seconds summed over all; and stages holds each stage's
-    own result.  Its transform is the product of the stage transforms when
-    every stage tracked one, else None; a single stage's transform is
-    passed through as is.  A product entry beyond the signed 128-bit range
-    raises OverflowError naming its column, and an empty stages raises
-    ValueError.
+    A stage is a reducer's config (LLLConfig, ReduceConfig, AltConfig,
+    MGSConfig): stage.run(basis, track_transform) calls its module's
+    public reducer with that config and returns its ReductionResult; it
+    names the reducer as a module global, looked up when it runs, so a
+    rebound one (a tracer's wrapper, a test's counter) is what runs.
+    Every stage gets the one track_transform.  The combined result takes
+    before from the first stage; basis, after and iterations_applied from
+    the last; seconds summed over all; and stages holds each stage's own
+    result.  With track_transform its transform is the product of the
+    stage transforms, a single stage's passed through as is; a product
+    entry beyond the signed 128-bit range raises OverflowError naming its
+    column.  An empty stages raises ValueError.
     """
     results = []
     current = basis
     for stage in stages:
-        res = stage(current)
+        res = stage.run(current, track_transform)
         results.append(res)
         current = res.basis
     if not results:
         raise ValueError("pipeline needs at least one stage")
-    transforms = [res.transform for res in results]
-    transform = None
-    if None not in transforms:
-        transform = transforms[0]
-        for u in transforms[1:]:
-            transform = apply_transform(transform, u)
+    # Untracked, every stage's transform is None.
+    transform = results[0].transform
+    if track_transform:
+        for res in results[1:]:
+            transform = apply_transform(transform, res.transform)
             _check_range(transform.array,
                          lambda j, _: f"transform column {j}")
     first, last = results[0], results[-1]

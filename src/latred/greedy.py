@@ -89,6 +89,10 @@ class ReduceConfig:
             if not p > 0:
                 raise UsageError(f"exponent must be positive, got {p}")
 
+    def run(self, basis: Basis, track_transform=False) -> ReductionResult:
+        """reduce with this config: a stage of core.pipeline."""
+        return reduce(basis, self, track_transform=track_transform)
+
 
 # The table arithmetic below is exact in int64 while every |g| < 2**30:
 # 2|x| + d < 2**32, c <= |x| + 1/2, c*d <= |x| + d/2, and so |c (c d - 2|x|)|
@@ -135,7 +139,7 @@ def coefficients_for_pivot(gram: GramMatrix, k: int) -> list[tuple[int, int]]:
     if d <= 0:
         return []
     # c != 0 exactly when 2|g[j][k]| >= d; the pivot itself is not a move.
-    js = np.flatnonzero(2 * np.abs(_exact(gram, gk)) >= d).tolist()
+    js = (2 * np.abs(_exact(gram, gk)) >= d).nonzero()[0].tolist()
     return [(j, nint_ratio(int(gk[j]), d)) for j in js if j != k]
 
 

@@ -1,12 +1,14 @@
 """Benchmark protocols and CSV reporting.
 
 Both protocols run the pipeline permute -> LLL -> greedy polish through
-core.pipeline.  "once" runs it independently per trial on the same
-generated example; "repeat" chains it, feeding each round's polished
-output into the next round's input.  ExperimentConfig holds the stage
-configs its trials run, lll and polish, each checked when it was built;
-it checks its own options and builds the example specs when it is
-constructed, so a bad option raises UsageError before any trial runs.
+core.pipeline, whose stages are ExperimentConfig's stage configs, lll and
+polish: each config's run calls its module's reducer (lll.lll_reduce,
+greedy.reduce) through the module, so a patched one is what runs.  "once"
+runs the pipeline independently per trial on the same generated example;
+"repeat" chains it, feeding each round's polished output into the next
+round's input.  ExperimentConfig's stage configs are checked when they
+are built; it checks its own options and builds the example specs when it
+is constructed, so a bad option raises UsageError before any trial runs.
 Squared norms are recorded as exact integers; fractions are left to
 whoever reads the CSV so nothing is lost to rounding.
 """
@@ -18,8 +20,8 @@ from functools import cached_property
 
 from .core import ReductionResult, UsageError, pipeline, warn
 from .genlat import ExampleSpec, derive_seed, gen_example, random_permutation
-from .greedy import ReduceConfig, reduce as greedy_reduce
-from .lll import LLLConfig, lll_reduce
+from .greedy import ReduceConfig
+from .lll import LLLConfig
 
 MODES = ("once", "repeat")
 
@@ -114,12 +116,6 @@ def _make_record(config: ExperimentConfig, mode: str, n: int, trial: int,
 
 def _run_trials(config: ExperimentConfig, mode: str) -> list[TrialRecord]:
     chained = mode == "repeat"
-    # Looked up at call time, so a patched lll_reduce or greedy_reduce
-    # (tests, tracing) is the one that runs.
-    stages = (
-        lambda basis: lll_reduce(basis, config.lll),
-        lambda basis: greedy_reduce(basis, config.polish),
-    )
     records = []
     for spec in config.example_specs:
         basis = gen_example(spec)
@@ -128,7 +124,7 @@ def _run_trials(config: ExperimentConfig, mode: str) -> list[TrialRecord]:
                 basis, derive_seed(config.seed, spec.ell, trial + 1)
             )
             try:
-                res = pipeline(permuted, stages)
+                res = pipeline(permuted, (config.lll, config.polish))
             except (ArithmeticError, ValueError) as exc:
                 if chained:
                     warn(__name__, "round %d at n=%d failed: %s; "

@@ -91,6 +91,10 @@ class LLLConfig:
         if not 0.25 < self.delta <= 1.0:
             raise UsageError(f"delta must lie in (1/4, 1], got {self.delta}")
 
+    def run(self, basis: Basis, track_transform=False) -> ReductionResult:
+        """lll_reduce with this config: a stage of core.pipeline."""
+        return lll_reduce(basis, self, track_transform=track_transform)
+
 
 class GSState:
     """The exact Gram matrix of the current basis and the float rows

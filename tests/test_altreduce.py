@@ -510,8 +510,11 @@ class TestMgsPivotReduce:
 
 class TestAltConfig:
     def test_rejects_unknown_variant(self):
-        with pytest.raises(ValueError):
-            AltConfig(variant="annealing")
+        # "mgs_pivot" names no rand-comb variant: random_combination_reduce
+        # would run rand-comb anyway.
+        for variant in ("annealing", "mgs_pivot"):
+            with pytest.raises(UsageError):
+                AltConfig(variant=variant)
 
     def test_rejects_negative_iterations(self):
         with pytest.raises(ValueError):

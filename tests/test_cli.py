@@ -343,18 +343,18 @@ class TestBench:
 
     def test_failed_trials_are_counted_in_stdout(self, tmp_path, capsys,
                                                  monkeypatch):
-        import latred.harness as harness_mod
+        import latred.lll as lll_mod
 
-        real = harness_mod.lll_reduce
+        real = lll_mod.lll_reduce
         calls = {"n": 0}
 
-        def flaky(basis, config):
+        def flaky(basis, config, **kwargs):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise ArithmeticError("forced failure")
-            return real(basis, config)
+            return real(basis, config, **kwargs)
 
-        monkeypatch.setattr(harness_mod, "lll_reduce", flaky)
+        monkeypatch.setattr(lll_mod, "lll_reduce", flaky)
         path = tmp_path / "f.csv"
         assert run_cli("bench", "--q", str(Q13), "--ell-list", "1,2",
                        "--trials", "2", "--csv", str(path)) == 0

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from latred import core
+from latred.altreduce import AltConfig, MGSConfig
 from latred.core import (
     Basis,
     INT128_MAX,
@@ -34,6 +35,9 @@ from latred.core import (
     update_gram,
     write_mat,
 )
+from latred.genlat import ExampleSpec, gen_example, random_permutation
+from latred.greedy import ReduceConfig
+from latred.lll import LLLConfig
 
 from oracles import det_cofactor, gram_oracle, product_oracle, read_mat_reference
 
@@ -817,12 +821,17 @@ class TestIntRows:
         assert (basis.tolist(), gram, u.tolist()) == before
 
 
-def fixed_stage(transform):
-    """A stage that returns its input with the given transform attached."""
-    def stage(basis):
+class FixedStage:
+    """A stub stage config: run returns its input, with the given
+    transform attached when one is tracked."""
+
+    def __init__(self, transform):
+        self.transform = transform
+
+    def run(self, basis, track_transform=False):
         summary = NormSummary(0, 0)
-        return ReductionResult(basis, 0, summary, summary, 0.0, transform)
-    return stage
+        u = self.transform if track_transform else None
+        return ReductionResult(basis, 0, summary, summary, 0.0, u)
 
 
 class TestPipeline:
@@ -831,28 +840,48 @@ class TestPipeline:
         # their product holds 2**128 + 1.
         first = TransformRecord([[1, 0], [1 << 64, 1]])
         second = TransformRecord([[1, 1 << 64], [0, 1]])
-        stages = (fixed_stage(first), fixed_stage(second))
+        stages = (FixedStage(first), FixedStage(second))
         with pytest.raises(OverflowError, match="transform column 0"):
-            pipeline(Basis.identity(2), stages)
+            pipeline(Basis.identity(2), stages, track_transform=True)
 
     def test_composed_int64_transforms_overflow_names_column(self):
         # Every entry fits int64, but entry 0 of the product's column 0 is
         # 2 * 2**126 = 2**127, one past the signed 128-bit range.
         first = TransformRecord([[-1 << 63, 0], [-1 << 63, 1]])
         second = TransformRecord([[-1 << 63, -1 << 63], [0, 1]])
-        stages = (fixed_stage(first), fixed_stage(second))
+        stages = (FixedStage(first), FixedStage(second))
         with pytest.raises(OverflowError, match="transform column 0"):
-            pipeline(Basis.identity(2), stages)
+            pipeline(Basis.identity(2), stages, track_transform=True)
 
     def test_single_stage_passes_its_transform_through(self):
         u = TransformRecord([[1, 0], [3, 1]])
-        res = pipeline(Basis.identity(2), (fixed_stage(u),))
+        res = pipeline(Basis.identity(2), (FixedStage(u),),
+                       track_transform=True)
         assert res.transform is u
         assert len(res.stages) == 1 and res.stages[0].transform is u
 
     def test_no_stages_is_a_value_error(self):
         with pytest.raises(ValueError, match="at least one stage"):
             pipeline(Basis.identity(2), ())
+
+    def test_real_configs_compose_their_transforms(self):
+        # Every reducer's config is a stage; at n = 24 each one moves the
+        # basis, so the product below has four nontrivial factors.
+        basis = random_permutation(gen_example(ExampleSpec(8191, 8, 3)), 1)
+        stages = (AltConfig(seed=1), MGSConfig(), LLLConfig(),
+                  ReduceConfig())
+        res = pipeline(basis, stages, track_transform=True)
+        assert apply_transform(basis, res.transform) == res.basis
+        product = np.identity(basis.n, dtype=object)
+        for stage in res.stages:
+            product = product @ np.array(stage.transform.to_rows(),
+                                         dtype=object)
+        assert res.transform.to_rows() == product.tolist()
+        assert all(stage.iterations_applied > 0 for stage in res.stages)
+        plain = pipeline(basis, stages)
+        assert plain.transform is None
+        assert [stage.transform for stage in plain.stages] == [None] * 4
+        assert plain.basis == res.basis
 
 
 class TestTransformRecord:

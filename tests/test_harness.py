@@ -48,18 +48,18 @@ class TestRunOnce:
             assert rec.frob_sq_ours <= rec.frob_sq_lll
 
     def test_failing_trial_is_dropped_not_fatal(self, monkeypatch):
-        import latred.harness as harness_mod
+        import latred.lll as lll_mod
 
-        real = harness_mod.lll_reduce
+        real = lll_mod.lll_reduce
         calls = {"n": 0}
 
-        def flaky(basis, config):
+        def flaky(basis, config, **kwargs):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise ArithmeticError("forced failure")
-            return real(basis, config)
+            return real(basis, config, **kwargs)
 
-        monkeypatch.setattr(harness_mod, "lll_reduce", flaky)
+        monkeypatch.setattr(lll_mod, "lll_reduce", flaky)
         records = run_once(small_config(trials=3))
         assert len(records) == 2
         assert [r.trial for r in records] == [0, 2]
@@ -105,22 +105,22 @@ class TestRunRepeatedly:
             assert nxt.frob_sq_0 == prev.frob_sq_ours
 
     def test_failing_round_stops_only_its_chain(self, monkeypatch, caplog):
-        import latred.harness as harness_mod
+        import latred.lll as lll_mod
 
         cfg = small_config(ell_list=(1, 2, 3), trials=4, seed=24,
                            mode="repeat")
         whole = run_repeatedly(cfg)
-        real = harness_mod.lll_reduce
+        real = lll_mod.lll_reduce
         rounds = {"n": 0}
 
-        def fails_round_2_at_n6(basis, config):
+        def fails_round_2_at_n6(basis, config, **kwargs):
             if basis.n == 6:
                 rounds["n"] += 1
                 if rounds["n"] == 3:
                     raise ArithmeticError("forced failure")
-            return real(basis, config)
+            return real(basis, config, **kwargs)
 
-        monkeypatch.setattr(harness_mod, "lll_reduce", fails_round_2_at_n6)
+        monkeypatch.setattr(lll_mod, "lll_reduce", fails_round_2_at_n6)
         with caplog.at_level("WARNING", logger="latred.harness"):
             records = run_repeatedly(cfg)
         assert [(r.n, r.trial) for r in records] == [
