@@ -71,7 +71,10 @@ transform is tracked, the one write-back into the result's basis and
 transform, the exact before/after norm summaries (read from the input's
 array and the output's), the timing and the ReductionResult.  It is the
 only code that knows whether a transform is tracked.  pipeline chains
-reducers.
+reducers.  is_unimodular certifies a tracked transform U at any n: V, U's
+float64 inverse rounded to integers, with U V = I exactly by _product,
+proves |det U| = 1, and every other case takes bareiss, the one exact
+determinant (LLL's rank message reads it too).
 
 read_mat and write_mat move a Basis through the .mat text format.
 read_mat hands a file made only of digits, signs, blanks and line
@@ -101,9 +104,6 @@ _INT64_LIMIT = 1 << 63
 # float64 holds every integer below this exactly, so a float64 product with
 # t * M_a * M_b < _FLOAT64_LIMIT forms only exact partial sums.
 _FLOAT64_LIMIT = 1 << 53
-
-# Largest n for which det_small, and so is_unimodular, gives an answer.
-_DET_MAX_N = 16
 
 
 class MatFormatError(ValueError):
@@ -187,9 +187,6 @@ class Basis:
 
     def to_rows(self) -> list[list[int]]:
         return self.array.T.tolist()
-
-    def copy(self) -> "Basis":
-        return self._trusted(self.array, self.bound)
 
     def __eq__(self, other):
         return (type(other) is type(self)
@@ -873,22 +870,28 @@ def bareiss(rows) -> tuple[int, int]:
     return n, sign * prev
 
 
-def det_small(rows) -> int:
-    """Exact determinant of a square integer matrix, n <= 16, by bareiss."""
-    if len(rows) > _DET_MAX_N:
-        raise ValueError(f"det_small is limited to n <= {_DET_MAX_N}")
-    return bareiss(rows)[1]
+def is_unimodular(transform: TransformRecord) -> bool:
+    """Exact |det U| == 1 check for a tracked transform U, at any n.
 
-
-def is_unimodular(transform: TransformRecord) -> bool | None:
-    """Exact |det| == 1 check for tracked transforms, read from the packed
-    array (det U^T = det U).
-
-    Returns None for n > 16, where det_small gives no certificate.
+    Read from the packed array A = U^T (det A = det U).  V, A's float64
+    inverse rounded to integers, is a certificate when _product gives
+    A V = I exactly: integer A and V with A V = I have det A * det V = 1.
+    Every other case (a singular or ill-conditioned A, a V with an entry
+    not below 2**62 or rounded wrong, an entry too large for float64)
+    takes bareiss's exact determinant.
     """
-    if transform.n > _DET_MAX_N:
-        return None
-    return abs(det_small(transform.array)) == 1
+    a = transform.array
+    try:
+        v = np.rint(np.linalg.inv(a.astype(np.float64)))
+    except (np.linalg.LinAlgError, OverflowError):
+        v = None
+    # V is cast to int64 only when its entries are below 2**62; a NaN or
+    # inf entry is not below it either.
+    if v is not None and (np.abs(v) < 2.0**62).all():
+        av, _ = _product((a, transform.bound), _pack(v.astype(np.int64)))
+        if np.array_equal(av, np.eye(transform.n, dtype=np.int64)):
+            return True
+    return abs(bareiss(a)[1]) == 1
 
 
 def write_mat(basis: Basis, path) -> None:

@@ -17,8 +17,9 @@ from latred.core import (
     Basis,
     IntRows,
     apply_transform,
-    det_small,
+    bareiss,
     gram_compute,
+    is_unimodular,
     nint_ratio,
     summarize_columns,
 )
@@ -66,7 +67,7 @@ def invertible_basis(rng, n, max_entry=30):
     while True:
         cols = [[rng.randint(-max_entry, max_entry) for _ in range(n)]
                 for _ in range(n)]
-        if det_small(cols) != 0:
+        if bareiss(cols)[0] == len(cols):
             return Basis(cols)
 
 
@@ -182,7 +183,7 @@ def test_criterion_4_every_reducer_preserves_lattice():
             for name, res in runs.items():
                 cases += 1
                 product_ok = apply_transform(basis, res.transform) == res.basis
-                unimodular = abs(det_small(res.transform.to_rows())) == 1
+                unimodular = is_unimodular(res.transform)
                 if not (product_ok and unimodular):
                     failures.append((name, n))
     report(4, "A0*U equals output with |det U| = 1", not failures,

@@ -23,8 +23,8 @@ from latred.core import (
     apply_moves,
     apply_transform,
     column_norms_sq,
-    det_small,
     gram_compute,
+    is_unimodular,
 )
 from latred.genlat import (ExampleSpec, SplitMix64, gen_example,
                            random_permutation)
@@ -141,7 +141,7 @@ class TestRandomCombinationReduce:
                 basis, AltConfig(iterations=15, seed=5), track_transform=True
             )
             assert apply_transform(basis, res.transform) == res.basis
-            assert abs(det_small(res.transform.to_rows())) == 1
+            assert is_unimodular(res.transform)
 
     def test_matches_per_move_reference(self, monkeypatch):
         rng = random.Random(76)
@@ -401,7 +401,7 @@ class TestMgsPivotReduce:
             basis = random_basis(rng, 5)
             res = mgs_pivot_reduce(basis, track_transform=True)
             assert apply_transform(basis, res.transform) == res.basis
-            assert abs(det_small(res.transform.to_rows())) == 1
+            assert is_unimodular(res.transform)
 
     def test_zero_column_skipped(self):
         basis = Basis([[1, 7], [0, 0], [0, 3]])

@@ -11,6 +11,7 @@ import pytest
 
 import latred
 import latred.cli as cli_mod
+from latred import core
 from latred.cli import main
 from latred.core import INT128_MAX, read_mat, write_mat, Basis
 from latred.genlat import ExampleSpec, gen_example, random_permutation
@@ -166,7 +167,7 @@ class TestReduce:
         assert data["unimodular"] is True
         assert data["after"]["frobenius_sq"] == 28263867835181854920923038
 
-    def test_report_leaves_unimodular_null_above_n16(self, tmp_path):
+    def test_report_certifies_unimodular_above_n16(self, tmp_path):
         cols = Basis.identity(18).cols
         cols[1][0] = 10
         src = tmp_path / "in.mat"
@@ -175,10 +176,9 @@ class TestReduce:
         assert run_cli("reduce", "--algo", "greedy", "--in", str(src),
                        "--out", str(tmp_path / "o.mat"), "--track-transform",
                        "--report", str(report)) == 0
-        text = report.read_text()
-        assert '  "unimodular": null\n' in text
-        data = json.loads(text)
+        data = json.loads(report.read_text())
         assert data["transform_matches"] is True
+        assert data["unimodular"] is True
         assert data["iterations"] == 1
 
     def test_all_algos_run(self, tmp_path):
@@ -498,9 +498,19 @@ def scrambled_n128(seed, n=128):
     return cols
 
 
-def test_tracked_polish_of_a_scrambled_n128_basis_is_pinned(tmp_path):
+def test_tracked_polish_of_a_scrambled_n128_basis_is_pinned(tmp_path,
+                                                            monkeypatch):
     # Greedy is exact integer work, so its output bytes and report are the
-    # same on every platform.
+    # same on every platform.  The transform is certified unimodular by
+    # its rounded inverse, with no call to bareiss.
+    bareiss_calls = []
+    real_bareiss = core.bareiss
+
+    def spying_bareiss(rows):
+        bareiss_calls.append(len(rows))
+        return real_bareiss(rows)
+
+    monkeypatch.setattr(core, "bareiss", spying_bareiss)
     cols = scrambled_n128(1)
     src = tmp_path / "in.mat"
     src.write_text("128 128\n" + "".join(
@@ -522,5 +532,6 @@ def test_tracked_polish_of_a_scrambled_n128_basis_is_pinned(tmp_path):
         "iterations": 162,
         "stages": [{"iterations": 162}],
         "transform_matches": True,
-        "unimodular": None,
+        "unimodular": True,
     }
+    assert bareiss_calls == []

@@ -22,8 +22,8 @@ from latred.core import (
     apply_column_op,
     apply_moves,
     apply_transform,
+    bareiss,
     column_norms_sq,
-    det_small,
     gram_compute,
     is_unimodular,
     nint_float,
@@ -448,7 +448,7 @@ class TestApplyColumnOp:
                                       TransformRecord.identity(2))
         apply_column_op(rows, None, 0, ((1, -1),))
         assert basis.tolist()[0] == [1, 1]
-        assert det_small(TransformRecord(u.tolist()).to_rows()) == 1
+        assert bareiss(u.tolist())[1] == 1
 
     def test_rejects_equal_indices(self):
         basis = basis_rows(Basis.identity(2))
@@ -491,7 +491,7 @@ class TestApplyColumnOp:
             assert gram == gram_compute(Basis(basis.tolist()))
             assert (apply_transform(original, TransformRecord(u.tolist()))
                     == Basis(basis.tolist()))
-            assert abs(det_small(TransformRecord(u.tolist()).to_rows())) == 1
+            assert is_unimodular(TransformRecord(u.tolist()))
 
     def test_transform_overflow_names_column(self):
         rows, _, _ = stacked_rows(Basis.identity(2),
@@ -892,16 +892,6 @@ class TestTransformRecord:
         with pytest.raises(ValueError, match="square"):
             TransformRecord([[1, 0, 0], [0, 1, 0]])
 
-    def test_copy_keeps_type_and_is_deep(self):
-        u = TransformRecord([[1, 0], [3, 1]])
-        dup = u.copy()
-        assert type(dup) is TransformRecord and dup == u
-        cols = dup.cols
-        cols[1][0] = 7
-        changed = TransformRecord(cols)
-        assert changed.cols[1][0] == 7 and dup == u
-        assert u.cols[1][0] == 3
-
     def test_equality_is_type_strict(self):
         assert TransformRecord.identity(2) != Basis.identity(2)
         assert Basis.identity(2) != TransformRecord.identity(2)
@@ -1032,18 +1022,18 @@ class TestSummariesFromRows:
 
 class TestDeterminant:
     def test_identity(self):
-        assert det_small([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 1
+        assert bareiss([[1, 0, 0], [0, 1, 0], [0, 0, 1]])[1] == 1
 
     def test_column_swap_flips_sign(self):
-        assert det_small([[0, 1, 0], [1, 0, 0], [0, 0, 1]]) == -1
+        assert bareiss([[0, 1, 0], [1, 0, 0], [0, 0, 1]])[1] == -1
 
     def test_magnitude_visible_to_caller(self):
         m = [[2, 0], [0, 2]]
-        assert det_small(m) == 4
+        assert bareiss(m)[1] == 4
         assert not is_unimodular(TransformRecord([[2, 0], [0, 2]]))
 
     def test_singular(self):
-        assert det_small([[1, 2], [2, 4]]) == 0
+        assert bareiss([[1, 2], [2, 4]])[1] == 0
 
     def test_matches_cofactor_expansion(self):
         # A zero pivot with no nonzero entry below it, in column 0 and
@@ -1058,18 +1048,14 @@ class TestDeterminant:
             cases.append([[rng.randint(-9, 9) for _ in range(n)]
                           for _ in range(n)])
         for rows in cases:
-            assert det_small(rows) == det_cofactor(rows)
-            assert det_small(np.array(rows, dtype=np.int64)) == (
+            assert bareiss(rows)[1] == det_cofactor(rows)
+            assert bareiss(np.array(rows, dtype=np.int64))[1] == (
                 det_cofactor(rows))
 
     @pytest.mark.parametrize("rows", [[[1, 2]], [[1, 2], [3]]])
     def test_rejects_a_matrix_that_is_not_square(self, rows):
         with pytest.raises(ValueError, match="square"):
-            det_small(rows)
-
-    def test_rejects_large_n(self):
-        with pytest.raises(ValueError):
-            det_small([[0] * 17 for _ in range(17)])
+            bareiss(rows)
 
     @pytest.mark.parametrize("rows, free", [
         ([[1, 2, 3], [2, 4, 5], [3, 6, 7]], 1),
@@ -1082,9 +1068,58 @@ class TestDeterminant:
         det = det_cofactor(rows) if free == len(rows) else 0
         assert core.bareiss(rows) == (free, det)
 
-    def test_unimodular_answers_up_to_n16_and_none_above(self):
+    def test_unimodular_answers_above_n16(self):
         assert is_unimodular(TransformRecord.identity(16)) is True
-        assert is_unimodular(TransformRecord.identity(17)) is None
+        assert is_unimodular(TransformRecord.identity(17)) is True
+
+
+def fibonacci(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+class TestIsUnimodular:
+    @pytest.fixture
+    def bareiss_calls(self, monkeypatch):
+        """The n of every matrix is_unimodular hands to bareiss."""
+        calls = []
+        real = core.bareiss
+
+        def spying(rows):
+            calls.append(len(rows))
+            return real(rows)
+
+        monkeypatch.setattr(core, "bareiss", spying)
+        return calls
+
+    def test_lll_polish_transform_at_n48_is_certified_by_its_inverse(
+            self, bareiss_calls):
+        basis = random_permutation(gen_example(ExampleSpec(8191, 16, 3)), 4)
+        res = pipeline(basis, [LLLConfig(), ReduceConfig()],
+                       track_transform=True)
+        assert res.transform.n == 48
+        assert is_unimodular(res.transform) is True
+        assert bareiss_calls == []
+
+    def test_wrong_answers_from_floats_fall_back_to_bareiss(
+            self, bareiss_calls):
+        # Fibonacci numbers near 2**62, det 1: the exact inverse has the
+        # entry F(91) > 2**62, so whatever float64 gives, no V passes.
+        f = fibonacci
+        assert is_unimodular(
+            TransformRecord([[f(91), f(90)], [f(90), f(89)]])) is True
+        # det 2: the inverse's entry 1/2 rounds to an integer V with
+        # U V != I.
+        twice = Basis.identity(20).cols
+        twice[0][0] = 2
+        assert is_unimodular(TransformRecord(twice)) is False
+        # Singular: numpy's inverse raises LinAlgError.
+        assert is_unimodular(TransformRecord([[1] * 20] * 20)) is False
+        # Python-int entries, whose inverse has an entry -2**100.
+        assert is_unimodular(TransformRecord([[1, 0], [1 << 100, 1]])) is True
+        assert bareiss_calls == [2, 20, 20, 2]
 
 
 INT64_MAX = 2**63 - 1
@@ -1260,15 +1295,6 @@ class TestBasisType:
         assert repr(TransformRecord.identity(2)) == "TransformRecord(m=2, n=2)"
         assert repr(gram_compute(basis)) == "GramMatrix(n=2)"
 
-    def test_copy_is_deep(self):
-        basis = Basis([[1, 2], [3, 4]])
-        dup = basis.copy()
-        cols = dup.cols
-        cols[0][0] = 99
-        changed = Basis(cols)
-        assert changed.cols[0][0] == 99 and dup == basis
-        assert basis.cols[0][0] == 1
-
     @pytest.mark.parametrize("cols, dtype, bound", [
         ([[1, -2], [3, 4]], np.int64, 4),
         ([[1 << 70, 0], [0, -1]], object, None),
@@ -1279,10 +1305,7 @@ class TestBasisType:
         assert not basis.array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             basis.array[0, 0] = 5
-        dup = basis.copy()
-        with pytest.raises(ValueError, match="read-only"):
-            dup.array[1, 1] = 5
-        assert basis.cols == dup.cols == cols
+        assert basis.cols == cols
 
     def test_returned_lists_are_new_on_each_read(self):
         basis = Basis([[1, 2], [3, 4]])

@@ -11,8 +11,8 @@ from latred.core import (
     IntRows,
     TransformRecord,
     apply_transform,
-    det_small,
     gram_compute,
+    is_unimodular,
     nint_ratio,
 )
 from latred.greedy import (
@@ -238,7 +238,7 @@ class TestReduce:
             basis = random_basis(rng, max_dim=6)
             res = reduce(basis, track_transform=True)
             assert apply_transform(basis, res.transform) == res.basis
-            assert abs(det_small(res.transform.to_rows())) == 1
+            assert is_unimodular(res.transform)
 
     def test_p_schedule_runs_each_exponent(self):
         rng = random.Random(35)

@@ -10,7 +10,7 @@ from latred.core import (
     Basis,
     IntRows,
     apply_transform,
-    det_small,
+    bareiss,
     gram_compute,
     is_unimodular,
     summarize_columns,
@@ -41,7 +41,7 @@ def random_square_basis(rng, n, max_entry=20):
     while True:
         cols = [[rng.randint(-max_entry, max_entry) for _ in range(n)]
                 for _ in range(n)]
-        if det_small(cols) != 0:
+        if bareiss(cols)[0] == len(cols):
             return Basis(cols)
 
 
@@ -433,7 +433,7 @@ class TestLLLReduce:
             basis = random_square_basis(rng, n)
             res = lll_reduce(basis, track_transform=True)
             assert apply_transform(basis, res.transform) == res.basis
-            assert abs(det_small(res.transform.to_rows())) == 1
+            assert is_unimodular(res.transform)
 
     def test_norm_quality_vs_enumeration(self):
         rng = random.Random(64)
@@ -651,6 +651,13 @@ class TestLLLReduce:
         monkeypatch.setattr(lll_module, "lovasz_ok", lambda *args: False)
         with pytest.raises(ArithmeticError, match="cap of 900 swaps"):
             lll_reduce(Basis.identity(3))
+
+    def test_swap_cap_of_an_input_past_int64(self, monkeypatch):
+        # A Python-int input has no packed bound, so its bit length 64 is
+        # measured from the entries: the cap is 100 * 4 * 64 swaps.
+        monkeypatch.setattr(lll_module, "lovasz_ok", lambda *args: False)
+        with pytest.raises(ArithmeticError, match="cap of 25600 swaps"):
+            lll_reduce(Basis([[1 << 63, 0], [0, 1]]))
 
     def test_pass_cap_stops_a_size_reduction_that_never_settles(
             self, monkeypatch):
