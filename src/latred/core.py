@@ -29,8 +29,9 @@ matmul forms, in any order, blocking or thread split, is an integer
 below 2**53, which float64 holds exactly.  Every result is packed again,
 so a result that fits is int64 with its measured bound.  One range
 check, _check_range, names the first entry of a Python-int array that
-leaves the signed 128-bit range; gram_compute, the squared norms, the
-Gram updates, IntRows and pipeline all go through it.  IntRows, the one
+leaves the signed 128-bit range; Basis and GramMatrix construction,
+gram_compute, the squared norms, the Gram updates, IntRows and pipeline
+all go through it.  IntRows, the one
 store every reducer changes columns in, applies the same rule to a run
 of column operations by one test: column j -= sum of c * column k is
 exact in int64 when M_j + sum of |c| * M_k < 2**63 for the per-row
@@ -59,7 +60,11 @@ apply_column_op applies a combination (update_gram_column, which
 rewrites only row and column j), both all or nothing: every new value
 is computed and range-checked before any is written, so nothing is ever
 undone.  A combination is written once, so only its result is
-range-checked, never the columns partway through its sum.  rand-comb's
+range-checked, never the columns partway through its sum; one Python
+loop over its moves checks the sources, drops zero coefficients and sums
+both int64 tests' inputs, one coefficient array serves the row and the
+Gram row when their dtypes agree, G w comes from the gathered source
+rows of G, and the new squared norm is summed on Python ints.  rand-comb's
 step and LLL's size reduction are combinations.  Scoring candidate
 pivots is the reducers' own whole-array work (greedy's pivot table,
 mgs's round); core holds no per-pair norm helper, only corrupt_gram,
@@ -131,7 +136,8 @@ class Basis:
     as _pack packs them.  gram_compute, column_norms_sq, apply_transform,
     IntRows, is_unimodular, run_reducer, pipeline, write_mat and mgs read
     the array; cols and to_rows() build new lists of Python ints on each
-    call.  Columns are allowed to be linearly
+    call.  An entry outside the signed 128-bit range raises
+    OverflowError naming its column.  Columns are allowed to be linearly
     dependent (and even zero); reducers that cannot handle that reject it
     themselves.
     """
@@ -146,7 +152,9 @@ class Basis:
             if len(col) != m:
                 raise ValueError("basis columns must all have the same length")
         _check_entries(cols)
-        self._hold(*_pack(cols))
+        a, bound = _pack(cols)
+        _check_range(a, lambda j, _: f"{type(self).__name__} column {j}")
+        self._hold(a, bound)
 
     def _hold(self, a, bound) -> None:
         a = np.ascontiguousarray(a)
@@ -203,8 +211,9 @@ class GramMatrix:
     least as large as every |entry|, proves each update_gram exact; after
     that it is dtype=object (Python ints, every update checked against the
     signed 128-bit range) for good, and bound is None.  Both dtypes run
-    the same code.  tolist() and diagonal() give the entries as Python
-    ints.
+    the same code.  An entry outside the signed 128-bit range raises
+    OverflowError naming it.  tolist() and diagonal() give the entries as
+    Python ints.
     """
 
     __slots__ = ("g", "bound")
@@ -224,6 +233,7 @@ class GramMatrix:
                 if g[j][k] != g[k][j]:
                     raise ValueError(f"Gram matrix not symmetric at ({j},{k})")
         self.g, self.bound = _pack(g)
+        _check_range(self.g, lambda j, k: f"Gram entry ({j},{k})")
 
     @property
     def n(self) -> int:
@@ -344,8 +354,8 @@ def _product(a, b):
 def _check_range(a, name) -> None:
     """Raise OverflowError if an entry of a leaves the signed 128-bit range.
 
-    a is a 2-D array; an int64 one always passes.  name(i, l) gives the
-    message's name for the first entry (i, l) outside, in row order.
+    An int64 array always passes.  name(*index) gives the message's name
+    for the first entry outside, in row order.
     """
     if a.dtype == object:
         bad = (a > INT128_MAX) | (a < INT128_MIN)
@@ -555,21 +565,30 @@ class IntRows:
         return self._checked([(j, rows[j] - c * rows[k], None)
                               for j, c in moves])
 
-    def combination(self, j: int, moves) -> list:
-        """[(j, rows[j] - sum of c * rows[k] over (k, c) in moves, bound)],
-        for a nonempty moves.
+    def combination(self, j: int, ks, cs, a: int, s: int):
+        """(new, w) for column j -= sum of c * column k over zip(ks, cs):
+        new is [(j, the new row, bound)], and w is cs as an array of the
+        rows' dtype.
 
-        Writes no row; put writes the result.  The sum is one product of
-        the coefficients with the stacked source rows, in the rows' dtype:
-        exact in int64 under _sum_bound's test, whatever its order.  On
-        Python ints only the result is range-checked (_checked), so a
+        ks and cs are nonempty.  a is sum|c| and s is the sum of
+        |c| * bounds[k] (0 on Python-int rows), both summed by
+        apply_column_op's one loop: a < 2**63 and bounds[j] + s < 2**63
+        pass _sum_bound's test, and anything else goes through it, to be
+        measured again or widen.  Writes no row; put writes the result.
+        The sum is one product of w with the stacked source rows, in the
+        rows' dtype: exact in int64 under that test, whatever its order.
+        On Python ints only the result is range-checked (_checked), so a
         partial sum may leave the 128-bit range.
         """
-        b = None if self.bounds is None else self._sum_bound(j, moves)
+        b = None
+        if self.bounds is not None:
+            b = self.bounds[j] + s
+            if a >= _INT64_LIMIT or b >= _INT64_LIMIT:
+                b = self._sum_bound(j, list(zip(ks, cs)))
         rows = self.rows
-        cs = np.array([c for _, c in moves], dtype=rows[j].dtype)
-        row = rows[j] - cs @ np.array([rows[k] for k, _ in moves])
-        return self._checked([(j, row, b)])
+        w = np.array(cs, dtype=rows[j].dtype)
+        row = rows[j] - w @ np.array([rows[k] for k in ks])
+        return self._checked([(j, row, b)]), w
 
     def put(self, new) -> None:
         """Write the rows, and their bounds, that moved or combination
@@ -622,16 +641,18 @@ def _gram_store(gram: GramMatrix, a: int):
 def _write_gram(gram: GramMatrix, at, new) -> None:
     """Write new as the rows at of gram, and mirror it into the columns at.
 
-    at is an index array, a pivot's moved columns, or a one-row slice, a
-    combination's column, which basic indexing writes faster.  new is
+    at is an index array, a pivot's moved columns, with new their rows,
+    or one column j, a combination's, with new its row.  new is
     range-checked first, naming its first bad entry, and gram.bound is
     raised over it, so on OverflowError nothing has changed.
     """
-    g = gram.g
-    _check_range(new, lambda i, l:
-                 f"Gram entry ({np.arange(len(g))[at][i]},{l})")
+    _check_range(new, lambda *i: "Gram entry "
+                 f"({at if new.ndim == 1 else at[i[0]]},{i[-1]})")
     if gram.bound is not None:
-        gram.bound = max(gram.bound, _max_abs(new))
+        # The int64 store's bound test keeps every new |entry| below
+        # 2**63, so np.abs cannot meet -2**63 here.
+        gram.bound = max(gram.bound, int(np.abs(new).max()))
+    g = gram.g
     g[at] = new
     g[:, at] = new.T
 
@@ -663,41 +684,43 @@ def update_gram(gram: GramMatrix, k: int, moves) -> None:
     _write_gram(gram, idx, new)
 
 
-def update_gram_column(gram: GramMatrix, j: int, moves) -> None:
+def update_gram_column(gram: GramMatrix, j: int, ks, cs, a: int, w) -> None:
     """Update the Gram matrix for column j -= sum of c * column k, in O(|w| n).
 
-    moves lists the (k, c) pairs, k != j, and w is the coefficient
-    vector they form.  Only row and column j change:
+    ks and cs are the sources and their nonzero coefficients, every
+    k != j, and a is sum|c|; w is cs as an array, used when its dtype is
+    the store's.  Only row and column j change:
     g'[j][l] = g[j][l] - (G w)[l] for l != j, and
-    g'[j][j] = g[j][j] - 2 (G w)[j] + w^T G w.
+    g'[j][j] = g[j][j] - 2 (G w)[j] + sum of c (G w)[k], the last summed
+    on Python ints.  G w is w times the gathered source rows of G.
 
-    The int64 store is kept while bound * (1 + sum|c|)**2 < 2**63, as
-    in _gram_store.  Where that fails on the bound B measured again, G w
+    The int64 store is kept while bound * (1 + a)**2 < 2**63, as in
+    _gram_store.  Where that fails on the bound B measured again, G w
     is computed on the int64 store, and the store is kept when the
     update's measured values keep every partial sum below 2**63: a * B
     for G w, then a * max|(G w)_k| + (1 + 2a) * B, k over the sources,
     for the new row (both at most B * (1 + a)**2).  Otherwise it widens
     and G w is computed again.  The new row is written by _write_gram.
     """
-    a = sum(abs(c) for _, c in moves)
-    ks = np.array([k for k, _ in moves], dtype=np.intp)
-    cs = [c for _, c in moves]
     gw = None
     if gram.bound is not None and not _gram_fits_int64(gram, a):
         gram.bound = b = _max_abs(gram.g)
         # max(B, 1): c itself must fit int64, even against a zero matrix.
         if a * max(b, 1) < _INT64_LIMIT:
-            gw = np.array(cs, dtype=np.int64) @ gram.g[ks]
-        if gw is None or (a * _max_abs(gw[ks]) + (1 + 2 * a) * b
+            gw = np.array(cs, dtype=np.int64) @ gram.g.take(ks, 0)
+        if gw is None or (a * _max_abs(gw.take(ks)) + (1 + 2 * a) * b
                           >= _INT64_LIMIT):
             gram.g, gram.bound, gw = gram.g.astype(object), None, None
     g = gram.g
-    cs = np.array(cs, dtype=g.dtype)
     if gw is None:
-        gw = cs @ g[ks]
+        if w.dtype != g.dtype:
+            w = np.array(cs, dtype=g.dtype)
+        gw = w @ g.take(ks, 0)
     new = g[j] - gw
-    new[j] += cs @ gw[ks] - gw[j]
-    _write_gram(gram, slice(j, j + 1), new[None])
+    gw = gw.tolist()
+    new[j] = (int(g[j, j]) - 2 * gw[j]
+              + sum(c * gw[k] for k, c in zip(ks, cs)))
+    _write_gram(gram, j, new)
 
 
 def apply_moves(rows: IntRows, gram, k: int, moves) -> None:
@@ -732,18 +755,32 @@ def apply_column_op(rows: IntRows, gram, j: int, moves) -> None:
     (update_gram_column, when a Gram matrix is given) are computed and
     range-checked in that order, and only then written.  So it is all or
     nothing, as apply_moves is, and only the result is range-checked, not
-    the column after each move.  A source equal to j raises ValueError;
-    moves with c == 0 are skipped.  It has unit determinant, so tracked
-    transforms stay unimodular.
+    the column after each move.  One loop over moves raises ValueError
+    for a source equal to j, drops moves with c == 0, and sums the
+    coefficient size sum|c| and the rows' int64 bound of the result for
+    IntRows.combination; the coefficient array that combination builds
+    is reused for the Gram row when the dtypes agree.  Int64 and
+    Python-int rows and Gram matrices run this same code.  It has unit
+    determinant, so tracked transforms stay unimodular.
     """
-    if any(k == j for k, _ in moves):
-        raise ValueError("column indices must differ")
-    moves = [(k, c) for k, c in moves if c]
-    if not moves:
+    bounds = rows.bounds
+    ks, cs = [], []
+    a = s = 0
+    for k, c in moves:
+        if k == j:
+            raise ValueError("column indices must differ")
+        if c:
+            ks.append(k)
+            cs.append(c)
+            c = abs(c)
+            a += c
+            if bounds is not None:
+                s += c * bounds[k]
+    if not ks:
         return
-    new = rows.combination(j, moves)
+    new, w = rows.combination(j, ks, cs, a, s)
     if gram is not None:
-        update_gram_column(gram, j, moves)
+        update_gram_column(gram, j, ks, cs, a, w)
     rows.put(new)
 
 

@@ -29,11 +29,22 @@ Size reduction is lazy.  Its first pass rounds every coefficient from
 j = k - 1 down, halves away from zero, reading each from the row as the
 earlier moves of the pass left it; when it moved something, row k is
 recomputed from the exact Gram and further passes round only the
-coefficients past _LAZY_HALF, until one moves nothing.
+coefficients past _LAZY_HALF, until one moves nothing.  As with the
+rows, work already done is not repeated: each row keeps the length of
+its prefix that a first pass moving nothing proved strictly inside
+ROUNDS_TO_ZERO, and a later first pass stops there while it has moved
+nothing, so a row proven whole is not size-reduced at all.  A pass that
+moves empties the row's proven prefix, a lazy pass proves nothing (an
+exact tie of +-1/2 may stay), and a swap moves each row's count with
+the row and cuts rows k - 1 and up to their current entries.  Each
+skipped coefficient would have rounded to zero, so the moves, and
+every float, are those of a scan of the whole row.
 
 A column is dependent only when it is exactly zero (a zero Gram
 diagonal), which raises ValueError naming the first input column that
-depends on the earlier ones.  A squared norm r[k][k] <= 0 that
+depends on the earlier ones.  The input's diagonal is read once, and
+after that g[k][k] only after a size reduction that moved column k, the
+one step that can make a column zero.  A squared norm r[k][k] <= 0 that
 cancellation leaves fails the Lovasz test, so the columns swap; every
 r[j][j] a division reads is therefore positive.
 
@@ -102,15 +113,19 @@ class GSState:
 
     r[i] and mu[i] are lists of Python floats holding the current entries
     of row i, j <= i for r and j < i for mu; a stale entry is deleted, so
-    each list is the row's current prefix.
+    each list is the row's current prefix.  proven[i] is the length of
+    the prefix of mu[i] that a first size-reduction pass which moved
+    nothing found strictly inside ROUNDS_TO_ZERO; it never exceeds
+    len(mu[i]), and those entries have not changed since.
     """
 
-    __slots__ = ("gram", "r", "mu")
+    __slots__ = ("gram", "r", "mu", "proven")
 
     def __init__(self, gram: GramMatrix):
         self.gram = gram
         self.r = [[] for _ in range(gram.n)]
         self.mu = [[] for _ in range(gram.n)]
+        self.proven = [0] * gram.n
 
 
 def orthogonalize(state: GSState, k: int) -> None:
@@ -128,30 +143,42 @@ def orthogonalize(state: GSState, k: int) -> None:
             mu_k.append(s / r[j][j])
 
 
-def size_reduce(state: GSState, rows: IntRows, k: int) -> None:
+def size_reduce(state: GSState, rows: IntRows, k: int) -> bool:
     """Make |mu[k][j]| <= 1/2 (up to _LAZY_HALF) for all j < k by integer
     column operations; row k must be current, and is current after.
+    Returns whether column k moved.
 
     Each pass rounds from j = k - 1 down, reading each coefficient from
     the row as the pass's earlier moves left it.  A coefficient strictly
     inside the pass's bound rounds to zero and is skipped without
     nint_float; a NaN or an infinity fails that test and raises in
     nint_float (ValueError, OverflowError) before the pass writes
-    anything.  A pass that moves something writes column k and its Gram
-    row once, with every (j, c) it rounded, by one apply_column_op: no
-    source column changes during the pass, so that equals one column
-    operation per coefficient.  Row k is then recomputed from the exact
-    Gram row for the next pass; a call past _PASS_CAP passes raises
-    ArithmeticError.
+    anything.  The first pass stops at the row's proven prefix while it
+    has moved nothing, since those coefficients round to zero; when it
+    moves nothing the whole row is proven.  A pass that moves something
+    writes column k and its Gram row once, with every (j, c) it rounded,
+    by one apply_column_op: no source column changes during the pass, so
+    that equals one column operation per coefficient.  The row's proven
+    prefix is then empty, and row k is recomputed from the exact Gram row
+    for the next pass; a later pass proves nothing, as its bound
+    _LAZY_HALF is above ROUNDS_TO_ZERO.  A call past _PASS_CAP passes
+    raises ArithmeticError.
     """
     mu = state.mu
     mu_k = mu[k]
-    # nint_float(x) == 0 exactly when -bound < x < bound on the first pass.
+    # The first pass's first coefficient that does not round to zero.
+    for top in range(k - 1, state.proven[k] - 1, -1):
+        if not -ROUNDS_TO_ZERO < mu_k[top] < ROUNDS_TO_ZERO:
+            break
+    else:
+        state.proven[k] = k
+        return False
+    state.proven[k] = 0
     bound = ROUNDS_TO_ZERO
     for _ in range(_PASS_CAP):
         moves = []
-        # reversed() reads the live row, which the moves below rewrite.
-        for j, x in zip(range(k - 1, -1, -1), reversed(mu_k)):
+        for j in range(top, -1, -1):
+            x = mu_k[j]
             if -bound < x < bound:
                 continue
             c = nint_float(x)
@@ -160,12 +187,12 @@ def size_reduce(state: GSState, rows: IntRows, k: int) -> None:
             f = float(c)
             mu_k[:j] = [y - f * a for y, a in zip(mu_k, mu[j])]
         if not moves:
-            return
+            return True
         apply_column_op(rows, state.gram, k, moves)
         state.r[k].clear()
         mu_k.clear()
         orthogonalize(state, k)
-        bound = _LAZY_HALF
+        bound, top = _LAZY_HALF, k - 1
     raise ArithmeticError(f"size reduction of column {k} did not settle")
 
 
@@ -177,6 +204,13 @@ def lovasz_ok(state: GSState, k: int, delta: float) -> bool:
     prev, nk = state.r[k - 1][k - 1], state.r[k][k]
     mu = state.mu[k][k - 1]
     return nk > 0.0 and delta * prev <= nk + mu * mu * prev
+
+
+def _rank_deficiency(basis: Basis) -> ValueError:
+    # The input's first dependent column is the first column of its exact
+    # Gram matrix with no pivot: G w = 0 exactly when B w = 0.
+    return ValueError("rank deficiency detected at column "
+                      f"{bareiss(gram_compute(basis).g)[0]}")
 
 
 def lll_reduce(basis: Basis, config: LLLConfig | None = None, *,
@@ -196,7 +230,10 @@ def lll_reduce(basis: Basis, config: LLLConfig | None = None, *,
     def body(rows):
         n = basis.n
         state = GSState(gram_compute(basis))
-        gram, r, mu = state.gram, state.r, state.mu
+        gram, r, mu, proven = state.gram, state.r, state.mu, state.proven
+        # Only a size reduction that moves a column can make it zero.
+        if not gram.g.diagonal().all():
+            raise _rank_deficiency(basis)
         bound = basis.bound
         if bound is None:
             bound = max(map(abs, basis.array.flat))
@@ -205,13 +242,10 @@ def lll_reduce(basis: Basis, config: LLLConfig | None = None, *,
         k = 0
         while k < n:
             orthogonalize(state, k)
-            size_reduce(state, rows, k)
-            if not gram.g[k, k]:
-                # The input's first dependent column is the first column
-                # of its exact Gram matrix with no pivot: G w = 0 exactly
-                # when B w = 0.
-                raise ValueError("rank deficiency detected at column "
-                                 f"{bareiss(gram_compute(basis).g)[0]}")
+            # A row proven whole needs no size reduction.
+            if (proven[k] < k and size_reduce(state, rows, k)
+                    and not gram.g[k, k]):
+                raise _rank_deficiency(basis)
             if k == 0 or lovasz_ok(state, k, cfg.delta):
                 k += 1
                 continue
@@ -226,9 +260,12 @@ def lll_reduce(basis: Basis, config: LLLConfig | None = None, *,
             g[h:k + 1] = g[h:k + 1][::-1]
             g[:, h:k + 1] = g[:, h:k + 1][:, ::-1]
             r[h], r[k], mu[h], mu[k] = r[k], r[h], mu[k], mu[h]
+            proven[h], proven[k] = proven[k], proven[h]
             # The swap leaves entries below h current in rows h and up.
-            for row in r[h:] + mu[h:]:
-                del row[h:]
+            for i in range(h, n):
+                del r[i][h:], mu[i][h:]
+                if proven[i] > h:
+                    proven[i] = h
             swaps += 1
             k = h
         return swaps

@@ -75,6 +75,37 @@ class TestGramCompute:
             gram_compute(basis)
 
 
+class TestEntryRange:
+    """Basis, TransformRecord and GramMatrix refuse an entry outside the
+    signed 128-bit range, as read_mat and every exact update do."""
+
+    @pytest.mark.parametrize("x", [INT128_MAX, INT128_MIN])
+    def test_edges_inside_are_accepted(self, x, tmp_path):
+        cols = [[1, 0], [x, 1]]
+        basis = Basis(cols)
+        assert basis.cols == TransformRecord(cols).cols == cols
+        assert GramMatrix([[1, x], [x, 1]]).tolist() == [[1, x], [x, 1]]
+        write_mat(basis, tmp_path / "edge.mat")
+        assert read_mat(tmp_path / "edge.mat") == basis
+
+    @pytest.mark.parametrize("x", [INT128_MAX + 1, INT128_MIN - 1])
+    def test_edges_outside_are_refused(self, x):
+        cols = [[1, 0], [x, 1]]
+        with pytest.raises(OverflowError, match="Basis column 1 exceeds "
+                           "the signed 128-bit range"):
+            Basis(cols)
+        with pytest.raises(OverflowError, match="TransformRecord column 1 "
+                           "exceeds the signed 128-bit range"):
+            TransformRecord(cols)
+        with pytest.raises(OverflowError, match=r"Gram entry \(0,1\) "
+                           "exceeds the signed 128-bit range"):
+            GramMatrix([[1, x], [x, 1]])
+
+    def test_first_bad_column_is_named(self):
+        with pytest.raises(OverflowError, match="Basis column 0"):
+            Basis([[2 ** 2000, 1], [0, -2 ** 2000]])
+
+
 class MatmulCounter:
     """Stands in for numpy inside core and counts its products by route.
 
@@ -695,7 +726,7 @@ class TestGramStore:
         wide.g, wide.bound = wide.g.astype(object), None
         rows = IntRows(cols)
         apply_column_op(rows, gram, 3, moves)
-        core.update_gram_column(wide, 3, moves)
+        apply_column_op(IntRows(cols), wide, 3, moves)
         assert rows.tolist()[3] == [0, 0, 0, 1]
         assert gram.g.dtype == dtype
         assert gram.tolist() == wide.tolist() == gram_oracle(rows.tolist())

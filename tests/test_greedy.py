@@ -390,8 +390,12 @@ class TestPivotTable:
                 assert updated == gram_compute(moved)
 
     def test_update_gram_overflow_names_entry_and_writes_nothing(self):
-        x = 1 << 64
-        gram = GramMatrix([[1, x, -x], [x, x * x + 1, 0], [-x, 0, x * x + 1]])
+        # Every entry fits the signed 128-bit range; the pivot's moves
+        # by x and -x leave g'[1][1] = INT128_MAX - x**2 inside it and
+        # g'[1][2] = x**2 outside.
+        x = (1 << 64) - 1
+        gram = GramMatrix([[1, x, -x], [x, INT128_MAX, 0],
+                           [-x, 0, INT128_MAX]])
         before = gram.copy()
         with pytest.raises(OverflowError, match=r"Gram entry \(1,2\)"):
             update_gram(gram, 0, coefficients_for_pivot(gram, 0))

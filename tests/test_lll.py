@@ -9,6 +9,7 @@ import pytest
 from latred.core import (
     Basis,
     IntRows,
+    ROUNDS_TO_ZERO,
     apply_transform,
     bareiss,
     gram_compute,
@@ -521,6 +522,39 @@ class TestLLLReduce:
         chain = [[1, 0, 0, 0], [x, 1, 0, 0], [0, x, 1, 0], [0, 0, x, 1]]
         for cols in crossing_inputs() + [chain]:
             self.float_path_matches(cols, 0.75, track, monkeypatch)
+
+    @pytest.mark.parametrize("track", [True, False])
+    def test_float_path_bit_for_bit_when_a_lazy_tie_comes_back(
+            self, track, monkeypatch):
+        # Column 2's first pass moves it by -b_0, which leaves
+        # mu[2][0] = 1/2 exactly, and its lazy pass leaves that tie.  The
+        # Lovasz test fails at k = 2, and the swap brings the row back as
+        # row 1, whose first pass must round the tie again, as
+        # lll_l2_reference's does: a lazy pass proves no prefix.
+        calls = []
+        real_size_reduce = lll_module.size_reduce
+
+        def spying_size_reduce(state, rows, k):
+            moved = real_size_reduce(state, rows, k)
+            ties = [x for x in state.mu[k] if abs(x) >= ROUNDS_TO_ZERO]
+            calls.append((k, moved, ties))
+            return moved
+
+        monkeypatch.setattr(lll_module, "size_reduce", spying_size_reduce)
+        cols = [[1, -1, 2], [0, -4, 1], [-2, 1, 0]]
+        assert self.float_path_matches(cols, 0.75, track, monkeypatch) == 1
+        assert calls == [(1, True, []), (2, True, [0.5]), (1, True, [-0.5]),
+                         (2, False, [])]
+
+    @pytest.mark.parametrize("track", [True, False])
+    def test_float_path_bit_for_bit_when_a_swap_moves_a_tie(self, track,
+                                                           monkeypatch):
+        # One of its 8 swaps, at k = 2, exchanges row 1, proven whole,
+        # with row 2, whose last pass was lazy and left mu = -1/2 at
+        # j = 0: the proven count moves with its row, so the tie is
+        # rounded again at k = 1.
+        cols = [[1, -3, 3, 4], [-3, -2, 4, 2], [1, 3, -4, 3], [-4, 0, 2, -2]]
+        assert self.float_path_matches(cols, 0.75, track, monkeypatch) == 8
 
     def test_gram_matches_basis_after_every_size_reduction_and_swap(
             self, monkeypatch):

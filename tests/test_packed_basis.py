@@ -102,9 +102,16 @@ def assert_consumers_match(basis, cols, tmp_path):
     for scale in (3, 2**63):
         u_cols = [[rng.randint(-scale, scale) for _ in cols] for _ in cols]
         out = apply_transform(basis, TransformRecord(u_cols))
+        ref = product_reference(cols, u_cols)
         assert type(out) is type(basis)
-        assert out.cols == product_reference(cols, u_cols)
-        assert out == Basis(product_reference(cols, u_cols))
+        assert out.cols == ref
+        # apply_transform does not range-check; Basis refuses an entry
+        # past the signed 128-bit range.
+        if all(-2**127 <= x < 2**127 for col in ref for x in col):
+            assert out == Basis(ref)
+        else:
+            with pytest.raises(OverflowError, match="Basis column"):
+                Basis(ref)
     path = tmp_path / "out.mat"
     write_mat(basis, path)
     assert path.read_bytes() == mat_text(cols).encode("ascii")
