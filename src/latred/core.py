@@ -53,8 +53,8 @@ moves one column j by a list of sources, column j -= sum of c * column k
 over its (k, c) pairs.  A tracked transform U (input . U = output) needs
 no store of its own: row j of IntRows holds basis column j followed by
 transform column j, so the same row operation that changes [b_j]
-changes [b_j; u_j], a swap swaps both, and one int64 bound covers the
-whole row.  apply_moves applies a pivot to the rows and the Gram matrix
+changes [b_j; u_j], a reorder moves both, and one int64 bound covers
+the whole row.  apply_moves applies a pivot to the rows and the Gram matrix
 (update_gram, which rewrites only the moved rows and columns), and
 apply_column_op applies a combination (update_gram_column, which
 rewrites only row and column j), both all or nothing: every new value
@@ -451,7 +451,7 @@ class IntRows:
 
     rows[j] is column j: its first m entries are basis column j, and when
     transform columns are given, transform column j follows them, so
-    every operation and every swap moves both at once.  The rows are
+    every operation and every reorder moves both at once.  The rows are
     int64 while bounds, one Python int per row at least as large as the
     row's largest |entry| over both parts, prove that every operation is
     exact.  One test, _sum_bound, decides: rows[j] - sum of c * rows[k]
@@ -475,7 +475,7 @@ class IntRows:
     on with one np.hstack; every row starts with the larger of the two
     packed bounds.  Untracked rows are views of the array handed in, the
     read-only Basis.array in run_reducer: no operation writes a row in
-    place (moved, combination and _widen build new rows, put and swap
+    place (moved, combination and _widen build new rows, put and reorder
     rebind them), so an in-place write would raise rather than change the
     input.
     """
@@ -598,12 +598,12 @@ class IntRows:
             if b is not None:
                 self.bounds[j] = b
 
-    def swap(self, j: int, k: int) -> None:
-        rows = self.rows
-        rows[j], rows[k] = rows[k], rows[j]
+    def reorder(self, order) -> None:
+        """Make row i the row now at order[i], a permutation of the row
+        indices, moving each row's bound with it."""
+        self.rows = [self.rows[i] for i in order]
         if self.bounds is not None:
-            bounds = self.bounds
-            bounds[j], bounds[k] = bounds[k], bounds[j]
+            self.bounds = [self.bounds[i] for i in order]
 
     def basis(self) -> Basis:
         """The basis part of the rows as a Basis, packed as _pack packs it."""

@@ -7,20 +7,34 @@ that core.run_reducer hands every reducer, int64 while a bound proves
 every step exact and Python ints from then on; when a transform is
 tracked, each row also carries its transform column, so the steps below
 build it with no code of their own.  Beside the rows the loop keeps the
-exact GramMatrix of the basis columns: a size reduction is one
-core.apply_column_op(rows, gram, k, moves), which writes column k and
-its Gram row once, and a swap exchanges two rows and two Gram rows and
-columns.  The Gram updates range-check every entry, so a squared norm
-past the signed 128-bit range raises OverflowError during the run.
+exact GramMatrix of the basis columns.  Neither moves on a swap: both
+stay in input column order, and GSState.col maps each position of the
+basis LLL works on to the input column now there, so a swap exchanges
+two entries of col and of the float state below, in O(1).  A size
+reduction of position k is one core.apply_column_op(rows, gram, col[k],
+moves), its sources named through col as well, which writes that column
+and its Gram row once; when the loop ends, IntRows.reorder puts the rows
+in position order once.  The Gram updates range-check every entry, so a
+squared norm past the signed 128-bit range raises OverflowError during
+the run.  Such an error ("basis column j", "transform column j", "Gram
+entry (j,l)"), like a size reduction that does not settle, names the
+column by its index in the input, not by the position it holds when it
+fails, as greedy, mgs and rand-comb name theirs.
 
 The only float state is n x n: r[i][j] = <b_i, b*_j> and mu[i][j] =
-r[i][j] / r[j][j] for j < i, with r[i][i] = |b*_i|**2.  Row k is derived
-from the exact Gram row k by the Cholesky recurrence
-r[k][j] = g[k][j] - sum over l < j of mu[j][l] * r[k][l], so the precision
-it needs depends on n and not on the size of the entries.  A row is
-recomputed only from its first stale entry: a size reduction of column k
-makes all of row k stale, and a swap at k stales entry k - 1 and above
-in rows k - 1 and up.  Every sum runs left to right in Python floats,
+r[i][j] / r[j][j] for j < i, with r[i][i] = |b*_i|**2, i and j being
+positions.  Row k is derived from the exact Gram matrix read under col
+by the Cholesky recurrence r[k][j] = g[col[k]][col[j]] - sum over l < j
+of mu[j][l] * r[k][l], so the precision it needs depends on n and not
+on the size of the entries.  A row is recomputed only from its first
+stale entry: a size reduction at k makes all of row k stale, and a swap
+at k stales entry k - 1 and above in rows k - 1 and up.  The swap cuts
+rows k - 1 and k at once; rows k + 1 and up owe the cut, which waits in
+GSState.cut until the loop reaches row k + 1, where it is applied and
+passed on to the row above, and so on up.  The loop's k moves up one row
+at a time, so no row is read before it has applied every cut it owes,
+and every float is the one a swap cutting all the rows at once would
+give.  Every sum runs left to right in Python floats,
 never through BLAS or sum(), so each r and mu comes out bit for bit as
 the plain loop in tests/oracles.py (lll_l2_reference) computes it, on
 any CPU.
@@ -36,17 +50,18 @@ ROUNDS_TO_ZERO, and a later first pass stops there while it has moved
 nothing, so a row proven whole is not size-reduced at all.  A pass that
 moves empties the row's proven prefix, a lazy pass proves nothing (an
 exact tie of +-1/2 may stay), and a swap moves each row's count with
-the row and cuts rows k - 1 and up to their current entries.  Each
+the row, which a cut lowers to the entries it leaves.  Each
 skipped coefficient would have rounded to zero, so the moves, and
 every float, are those of a scan of the whole row.
 
 A column is dependent only when it is exactly zero (a zero Gram
 diagonal), which raises ValueError naming the first input column that
 depends on the earlier ones.  The input's diagonal is read once, and
-after that g[k][k] only after a size reduction that moved column k, the
-one step that can make a column zero.  A squared norm r[k][k] <= 0 that
-cancellation leaves fails the Lovasz test, so the columns swap; every
-r[j][j] a division reads is therefore positive.
+after that the diagonal entry of the column at position k only after a
+size reduction that moved it, the one step that can make a column zero.
+A squared norm r[k][k] <= 0 that cancellation leaves fails the Lovasz
+test, so the columns swap; every r[j][j] a division reads is therefore
+positive.
 
 The loop makes at most 100 * n**2 * max(1, bits) swaps, bits being the bit
 length of the input's largest |entry|.  The package's q-ary examples take
@@ -108,34 +123,44 @@ class LLLConfig:
 
 
 class GSState:
-    """The exact Gram matrix of the current basis and the float rows
+    """The exact Gram matrix of the basis columns and the float rows
     derived from it.
 
+    gram stays in input column order; col[i] is the input column at
+    position i of the basis being reduced, a permutation of range(n).
     r[i] and mu[i] are lists of Python floats holding the current entries
-    of row i, j <= i for r and j < i for mu; a stale entry is deleted, so
-    each list is the row's current prefix.  proven[i] is the length of
-    the prefix of mu[i] that a first size-reduction pass which moved
-    nothing found strictly inside ROUNDS_TO_ZERO; it never exceeds
-    len(mu[i]), and those entries have not changed since.
+    of the row at position i, j <= i for r and j < i for mu; a stale entry
+    is deleted, so each list is the row's current prefix.  proven[i] is
+    the length of the prefix of mu[i] that a first size-reduction pass
+    which moved nothing found strictly inside ROUNDS_TO_ZERO; it never
+    exceeds len(mu[i]), and those entries have not changed since.
+    cut[i], for i <= n, is the lowest stale index still owed by rows i
+    and up, n when none is: lll_reduce applies it to row i when it
+    reaches that row, so rows above the current one may hold stale
+    entries until then.
     """
 
-    __slots__ = ("gram", "r", "mu", "proven")
+    __slots__ = ("gram", "r", "mu", "proven", "col", "cut")
 
     def __init__(self, gram: GramMatrix):
+        n = gram.n
         self.gram = gram
-        self.r = [[] for _ in range(gram.n)]
-        self.mu = [[] for _ in range(gram.n)]
-        self.proven = [0] * gram.n
+        self.r = [[] for _ in range(n)]
+        self.mu = [[] for _ in range(n)]
+        self.proven = [0] * n
+        self.col = list(range(n))
+        self.cut = [n] * (n + 1)
 
 
 def orthogonalize(state: GSState, k: int) -> None:
-    """Complete row k of r and mu from the exact Gram row k, from its
-    first stale entry on; rows 0..k-1 must be complete."""
-    r, mu = state.r, state.mu
+    """Complete row k of r and mu from the exact Gram row of the column at
+    position k, from its first stale entry on; rows 0..k-1 must be
+    complete."""
+    r, mu, col = state.r, state.mu, state.col
     r_k, mu_k = r[k], mu[k]
-    start = len(r_k)
-    for j, x in enumerate(state.gram.g[k, start:k + 1].tolist(), start):
-        s = float(x)
+    g_k = state.gram.g[col[k]]
+    for j in range(len(r_k), k + 1):
+        s = float(g_k.item(col[j]))
         for a, b in zip(mu[j], r_k):
             s -= a * b
         r_k.append(s)
@@ -146,7 +171,7 @@ def orthogonalize(state: GSState, k: int) -> None:
 def size_reduce(state: GSState, rows: IntRows, k: int) -> bool:
     """Make |mu[k][j]| <= 1/2 (up to _LAZY_HALF) for all j < k by integer
     column operations; row k must be current, and is current after.
-    Returns whether column k moved.
+    Returns whether the column at position k moved.
 
     Each pass rounds from j = k - 1 down, reading each coefficient from
     the row as the pass's earlier moves left it.  A coefficient strictly
@@ -156,15 +181,16 @@ def size_reduce(state: GSState, rows: IntRows, k: int) -> bool:
     anything.  The first pass stops at the row's proven prefix while it
     has moved nothing, since those coefficients round to zero; when it
     moves nothing the whole row is proven.  A pass that moves something
-    writes column k and its Gram row once, with every (j, c) it rounded,
-    by one apply_column_op: no source column changes during the pass, so
-    that equals one column operation per coefficient.  The row's proven
-    prefix is then empty, and row k is recomputed from the exact Gram row
-    for the next pass; a later pass proves nothing, as its bound
-    _LAZY_HALF is above ROUNDS_TO_ZERO.  A call past _PASS_CAP passes
-    raises ArithmeticError.
+    writes input column col[k] and its Gram row once, with every
+    (col[j], c) it rounded, by one apply_column_op: no source column
+    changes during the pass, so that equals one column operation per
+    coefficient.  The row's proven prefix is then empty, and row k is
+    recomputed from the exact Gram matrix for the next pass; a later pass
+    proves nothing, as its bound _LAZY_HALF is above ROUNDS_TO_ZERO.  A
+    call past _PASS_CAP passes raises ArithmeticError naming input column
+    col[k].
     """
-    mu = state.mu
+    mu, col = state.mu, state.col
     mu_k = mu[k]
     # The first pass's first coefficient that does not round to zero.
     for top in range(k - 1, state.proven[k] - 1, -1):
@@ -182,18 +208,19 @@ def size_reduce(state: GSState, rows: IntRows, k: int) -> bool:
             if -bound < x < bound:
                 continue
             c = nint_float(x)
-            moves.append((j, c))
+            moves.append((col[j], c))
             # float(c) * a is c * a: Python converts c the same way.
             f = float(c)
             mu_k[:j] = [y - f * a for y, a in zip(mu_k, mu[j])]
         if not moves:
             return True
-        apply_column_op(rows, state.gram, k, moves)
+        apply_column_op(rows, state.gram, col[k], moves)
         state.r[k].clear()
         mu_k.clear()
         orthogonalize(state, k)
         bound, top = _LAZY_HALF, k - 1
-    raise ArithmeticError(f"size reduction of column {k} did not settle")
+    raise ArithmeticError(f"size reduction of column {col[k]} did not "
+                          "settle")
 
 
 def lovasz_ok(state: GSState, k: int, delta: float) -> bool:
@@ -220,9 +247,9 @@ def lll_reduce(basis: Basis, config: LLLConfig | None = None, *,
     Requires linearly independent columns; a column that becomes zero
     raises ValueError naming the first input column dependent on the
     earlier ones.  A basis, transform or Gram entry leaving the signed
-    128-bit range raises OverflowError naming it, and a run past the swap
-    cap or a size reduction past the pass cap (see the module docstring)
-    raises ArithmeticError.
+    128-bit range raises OverflowError naming it by input column, and a
+    run past the swap cap or a size reduction past the pass cap (see the
+    module docstring) raises ArithmeticError.
     iterations_applied counts swaps.
     """
     cfg = config if config is not None else LLLConfig()
@@ -231,6 +258,7 @@ def lll_reduce(basis: Basis, config: LLLConfig | None = None, *,
         n = basis.n
         state = GSState(gram_compute(basis))
         gram, r, mu, proven = state.gram, state.r, state.mu, state.proven
+        col, cut = state.col, state.cut
         # Only a size reduction that moves a column can make it zero.
         if not gram.g.diagonal().all():
             raise _rank_deficiency(basis)
@@ -241,10 +269,18 @@ def lll_reduce(basis: Basis, config: LLLConfig | None = None, *,
         swaps = 0
         k = 0
         while k < n:
+            c = cut[k]
+            if c < n:
+                # Apply the cut that swaps further down left for row k
+                # and up, and pass it on.
+                del r[k][c:], mu[k][c:]
+                proven[k] = min(proven[k], c)
+                cut[k], cut[k + 1] = n, min(cut[k + 1], c)
             orthogonalize(state, k)
-            # A row proven whole needs no size reduction.
+            # A row proven whole needs no size reduction; gram.g is read
+            # each time, as a Gram update may widen it.
             if (proven[k] < k and size_reduce(state, rows, k)
-                    and not gram.g[k, k]):
+                    and not gram.g[col[k], col[k]]):
                 raise _rank_deficiency(basis)
             if k == 0 or lovasz_ok(state, k, cfg.delta):
                 k += 1
@@ -254,20 +290,17 @@ def lll_reduce(basis: Basis, config: LLLConfig | None = None, *,
                     f"LLL did not finish within its cap of {cap} swaps"
                 )
             h = k - 1
-            rows.swap(h, k)
-            # gram.g is read each time: a Gram update may widen it.
-            g = gram.g
-            g[h:k + 1] = g[h:k + 1][::-1]
-            g[:, h:k + 1] = g[:, h:k + 1][:, ::-1]
+            col[h], col[k] = col[k], col[h]
             r[h], r[k], mu[h], mu[k] = r[k], r[h], mu[k], mu[h]
-            proven[h], proven[k] = proven[k], proven[h]
-            # The swap leaves entries below h current in rows h and up.
-            for i in range(h, n):
-                del r[i][h:], mu[i][h:]
-                if proven[i] > h:
-                    proven[i] = h
+            # The swap leaves entries below h current in rows h and up:
+            # rows h and k are cut here, the rows above when LLL reaches
+            # them.
+            del r[h][h:], mu[h][h:], r[k][h:], mu[k][h:]
+            proven[h], proven[k] = min(proven[k], h), min(proven[h], h)
+            cut[k + 1] = min(cut[k + 1], h)
             swaps += 1
             k = h
+        rows.reorder(col)
         return swaps
 
     return run_reducer(basis, track_transform, body)

@@ -774,7 +774,10 @@ class TestIntRows:
                 sub_multiple(rows, k, j, c)
                 cols[k] = [a - c * b for a, b in zip(cols[k], cols[j])]
                 if rng.random() < 0.3:
-                    rows.swap(j, k)
+                    # A reorder that exchanges rows j and k.
+                    order = list(range(5))
+                    order[j], order[k] = k, j
+                    rows.reorder(order)
                     cols[j], cols[k] = cols[k], cols[j]
             assert rows.tolist() == cols
             assert_all_int(rows.tolist())

@@ -38,6 +38,16 @@ from oracles import (
 )
 
 
+# (family, n, bits) of the tests/hard_families.py inputs LLL runs on.
+HARD_CASES = [
+    ("knapsack", 10, 20), ("knapsack", 10, 40), ("knapsack", 10, 51),
+    ("knapsack", 10, 55), ("knapsack", 10, 62), ("knapsack", 20, 60),
+    ("goldstein-mayer", 10, 20), ("goldstein-mayer", 10, 55),
+    ("goldstein-mayer", 10, 60), ("goldstein-mayer", 20, 60),
+    ("uniform", 10, 30), ("uniform", 10, 62), ("uniform", 20, 40),
+]
+
+
 def random_square_basis(rng, n, max_entry=20):
     while True:
         cols = [[rng.randint(-max_entry, max_entry) for _ in range(n)]
@@ -69,11 +79,10 @@ def cholesky_residual(state, n):
     return worst
 
 
-def loop_orthogonalize(cols):
-    """Reference rows: the recurrence over the exact Gram matrix, one
+def loop_orthogonalize(g):
+    """Reference rows: the recurrence over the exact Gram matrix g, one
     product per (k, j, l), applied in turn."""
-    g = gram_oracle(cols)
-    n = len(cols)
+    n = len(g)
     r = [[0.0] * (k + 1) for k in range(n)]
     mu = [[0.0] * k for k in range(n)]
     for k in range(n):
@@ -188,7 +197,7 @@ class TestOrthogonalize:
         for _ in range(10):
             basis = random_square_basis(rng, 8, max_entry=100)
             state = gram_schmidt(basis)
-            r, mu = loop_orthogonalize(basis.cols)
+            r, mu = loop_orthogonalize(gram_oracle(basis.cols))
             assert (hexes(state.r), hexes(state.mu)) == (hexes(r), hexes(mu))
 
     def test_recomputes_only_from_the_first_stale_entry(self):
@@ -680,6 +689,93 @@ class TestLLLReduce:
             lll_reduce(Basis(cols), track_transform=True)
         assert lll_reduce(Basis(cols)).basis == Basis.identity(4)
 
+    def test_overflow_names_the_input_column_not_its_position(
+            self, monkeypatch):
+        # The chain above with its last two columns exchanged: input
+        # column 2 is the one whose transform column leaves the range,
+        # and it sits at position 3 when it does.
+        at = []
+        real_size_reduce = lll_module.size_reduce
+
+        def spying_size_reduce(state, rows, k):
+            at.append((k, state.col[k]))
+            return real_size_reduce(state, rows, k)
+
+        monkeypatch.setattr(lll_module, "size_reduce", spying_size_reduce)
+        x = 1 << 43
+        cols = [[1, 0, 0, 0], [x, 1, 0, 0], [0, 0, x, 1], [0, x, 1, 0]]
+        with pytest.raises(OverflowError, match="transform column 2 exceeds"):
+            lll_reduce(Basis(cols), track_transform=True)
+        assert at[-1] == (3, 2)
+
+    def check_rows_never_stale(self, cols, monkeypatch):
+        """lll_reduce on cols, tracked, checking before each orthogonalize
+        that rows 0..k-1 and every entry row k holds are bit for bit a
+        fresh derivation, and that the output is the rows taken in the
+        final order of state.col.  Returns the most rows a pending cut
+        was carried past the swapped pair before its last row applied
+        it."""
+        states, carried, reordered = [], [0], []
+        real_orthogonalize = lll_module.orthogonalize
+        real_reorder = IntRows.reorder
+
+        def checking_orthogonalize(state, k):
+            states.append(state)
+            # Rows 0..k derived afresh from the exact Gram matrix read
+            # under state.col.
+            g, col = state.gram.tolist(), state.col[:k + 1]
+            r, mu = loop_orthogonalize([[g[a][b] for b in col] for a in col])
+            held = len(state.r[k])
+            assert len(state.mu[k]) == min(held, k)
+            assert hexes(state.r[:k]) == hexes(r[:k])
+            assert hexes(state.mu[:k]) == hexes(mu[:k])
+            assert hexes([state.r[k]]) == hexes([r[k][:held]])
+            assert hexes([state.mu[k]]) == hexes([mu[k][:held]])
+            # A cut made by the swap at h waits at k + 1, applied by rows
+            # h + 2..k.
+            carried[0] = max(carried[0], k - 1 - state.cut[k + 1])
+            real_orthogonalize(state, k)
+
+        def recording_reorder(rows, order):
+            reordered.append((rows.tolist(), list(order)))
+            real_reorder(rows, order)
+
+        monkeypatch.setattr(lll_module, "orthogonalize",
+                            checking_orthogonalize)
+        monkeypatch.setattr(IntRows, "reorder", recording_reorder)
+        res = lll_reduce(Basis(cols), track_transform=True)
+        (before, order), = reordered
+        assert order == states[-1].col
+        assert sorted(order) == list(range(len(cols)))
+        m = len(cols[0])
+        assert res.basis.cols == [before[i][:m] for i in order]
+        assert res.transform.cols == [before[i][m:] for i in order]
+        return carried[0]
+
+    @pytest.mark.parametrize("ell,seed", sorted(GOLDEN))
+    def test_cut_never_leaves_a_stale_entry_on_qary_examples(
+            self, ell, seed, monkeypatch):
+        basis = random_permutation(gen_example(ExampleSpec(8191, ell, seed)),
+                                   100 + seed)
+        self.check_rows_never_stale(basis.cols, monkeypatch)
+
+    @pytest.mark.parametrize("family, n, b", HARD_CASES)
+    def test_cut_never_leaves_a_stale_entry_on_hard_families(
+            self, family, n, b, monkeypatch):
+        cols = HARD_FAMILIES[family](random.Random(f"{family}-{n}-{b}-0"),
+                                     n, b)
+        self.check_rows_never_stale(cols, monkeypatch)
+
+    def test_cut_carried_across_rows_before_it_is_applied(self, monkeypatch):
+        # Five long orthogonal columns and a short one last: the short
+        # column swaps down from position 5 to 0, each swap cutting the
+        # two rows it exchanges and leaving a cut for the rows above, so
+        # the swap at 0 leaves rows 2..5 owing a cut to 0, which each
+        # applies only when LLL climbs back to it.
+        cols = [[100 * (i == j) for i in range(6)] for j in range(5)]
+        cols.append([1] * 6)
+        assert self.check_rows_never_stale(cols, monkeypatch) >= 3
+
     def test_swap_cap_stops_a_run_that_never_ends(self, monkeypatch):
         # n = 3 and entries of bit length 1: the cap is 100 * 9 * 1 swaps.
         monkeypatch.setattr(lll_module, "lovasz_ok", lambda *args: False)
@@ -756,13 +852,7 @@ class TestHardFamilies:
     them, with an output that passes the exact check at the default
     delta (tests/test_reference_runs.py compares them with exact_lll)."""
 
-    @pytest.mark.parametrize("family, n, b", [
-        ("knapsack", 10, 20), ("knapsack", 10, 40), ("knapsack", 10, 51),
-        ("knapsack", 10, 55), ("knapsack", 10, 62), ("knapsack", 20, 60),
-        ("goldstein-mayer", 10, 20), ("goldstein-mayer", 10, 55),
-        ("goldstein-mayer", 10, 60), ("goldstein-mayer", 20, 60),
-        ("uniform", 10, 30), ("uniform", 10, 62), ("uniform", 20, 40),
-    ])
+    @pytest.mark.parametrize("family, n, b", HARD_CASES)
     def test_output_passes_the_exact_check(self, family, n, b):
         for seed in range(2):
             cols = HARD_FAMILIES[family](random.Random(f"{family}-{n}-{b}-{seed}"),
