@@ -247,7 +247,7 @@ def random_combination_step(rows: IntRows, j: int, inverse=None) -> bool:
     return True
 
 
-def random_combination_reduce(basis: Basis, config: AltConfig | None = None, *,
+def random_combination_reduce(basis: Basis, config: AltConfig = AltConfig(), *,
                               track_transform: bool = False) -> ReductionResult:
     """Run random_combination_step for a fixed budget of random columns.
 
@@ -262,12 +262,10 @@ def random_combination_reduce(basis: Basis, config: AltConfig | None = None, *,
     Column norms can go up as well as down; there is no monotonicity
     here, which is exactly why this variant is only a baseline.
     """
-    cfg = config if config is not None else AltConfig()
-
     def body(rows):
         n = basis.n
-        steps = 10 * n if cfg.iterations is None else cfg.iterations
-        draws = SplitMix64(cfg.seed)
+        steps = 10 * n if config.iterations is None else config.iterations
+        draws = SplitMix64(config.seed)
         useful = 0
         # age counts the useful steps since H was built; n builds it first.
         inverse, age = None, n

@@ -7,13 +7,14 @@ flags, moves files, and maps failures to exit codes (0 ok, 1 input error,
 values are checked by the config objects they build, whose UsageError
 maps to exit 2; each command builds its configs before it touches a
 file, from one table that gives each reducer's flags and config builder.
---score max is greedy's exponent inf.  A flag left out takes its config's
-default, so each default is defined once, in the config.  A reduce flag
-that the chosen --algo never reads is a usage error too.  Every output path is checked before the
-work starts, without creating or truncating it, so an unwritable one
-exits 1 before any trial or stage runs; --out and --report naming one
-file is a usage error.  Every --algo is a list of stage configs run
-through core.pipeline.
+--p inf (or an inf in --p-schedule) is greedy's max score, by the largest
+squared norm.  A flag left out takes its config's default, so each
+default is defined once, in the config.  A reduce flag that the chosen
+--algo never reads is a usage error too.  Every output path is checked
+before the work starts, without creating or truncating it, so an
+unwritable one exits 1 before any trial or stage runs; --out and
+--report naming one file is a usage error.  Every --algo is a list of
+stage configs run through core.pipeline.
 """
 
 from __future__ import annotations
@@ -63,13 +64,11 @@ def _given(**values):
 
 
 def _polish_config(args) -> ReduceConfig:
-    """greedy's config: the exponents of --p or --p-schedule, or inf for
-    --score max; giving both --p and --p-schedule raises UsageError."""
+    """greedy's config: the exponents of --p or --p-schedule; giving both
+    raises UsageError."""
     if args.p is not None and args.p_schedule is not None:
         raise UsageError("give --p or --p-schedule, not both")
-    # --score max scores by the largest squared norm: exponent inf.
-    p = float("inf") if getattr(args, "score", None) == "max" else args.p
-    schedule = args.p_schedule if p is None else (p,)
+    schedule = args.p_schedule if args.p is None else (args.p,)
     return ReduceConfig(**_given(p_schedule=schedule))
 
 
@@ -77,7 +76,7 @@ def _polish_config(args) -> ReduceConfig:
 # which reduce and bench share.  Each of those flags defaults to None, so
 # a given flag can be told apart.
 _REDUCERS = {
-    "greedy": (("--p", "--p-schedule", "--score"), _polish_config),
+    "greedy": (("--p", "--p-schedule"), _polish_config),
     "lll": (("--delta",), lambda args: LLLConfig(**_given(delta=args.delta))),
     "rand-comb": (("--iters", "--seed"), lambda args: AltConfig(
         **_given(iterations=args.iters, seed=args.seed))),
@@ -121,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     red.add_argument("--algo", required=True, choices=list(_ALGOS))
     red.add_argument("--in", dest="in_path", required=True)
     red.add_argument("--out", required=True)
-    red.add_argument("--score", choices=("sum", "max"))
     red.add_argument("--iters", type=int,
                      help="step budget for rand-comb (default 10*n)")
     red.add_argument("--track-transform", action="store_true")
@@ -157,24 +155,20 @@ def cmd_gen(args) -> int:
 def _stages(args):
     """The stage configs of --algo, whose builds check every flag.
 
-    A bad flag, one that --algo never reads (--score max reads neither
-    --p nor --p-schedule), or --p given with --p-schedule raises
-    UsageError here, so cmd_reduce calls this before it reads any file.
+    A bad flag, one that --algo never reads, or --p given with
+    --p-schedule raises UsageError here, so cmd_reduce calls this before
+    it reads any file.
     greedy and mgs both read --p; each config checks it by its own rule.
     """
     names = _ALGOS[args.algo]
     read = {flag for name in names for flag in _REDUCERS[name][0]}
-    max_mode = args.score == "max" and "--score" in read
-    if max_mode:
-        read -= {"--p", "--p-schedule"}
     optional = dict.fromkeys(f for flags, _ in _REDUCERS.values()
                              for f in flags)
     unread = [flag for flag in optional if flag not in read
               and getattr(args, flag[2:].replace("-", "_")) is not None]
     if unread:
         raise UsageError(f"--algo {args.algo} does not read "
-                         + ", ".join(unread)
-                         + (" with --score max" if max_mode else ""))
+                         + ", ".join(unread))
     return tuple(_REDUCERS[name][1](args) for name in names)
 
 

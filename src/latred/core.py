@@ -171,8 +171,6 @@ class Basis:
 
     @classmethod
     def from_rows(cls, rows) -> "Basis":
-        if not rows or not rows[0]:
-            raise ValueError("basis needs at least one row and one column")
         if any(len(row) != len(rows[0]) for row in rows):
             raise ValueError("basis rows must all have the same length")
         return cls(list(zip(*rows)))
@@ -974,10 +972,13 @@ def read_mat(path) -> Basis:
     A file of ASCII text: blank lines are skipped, the first line is
     ``m n`` and each of the next m lines holds n entries, each read as
     int() reads a token.  Entries beyond the signed 128-bit range are
-    rejected.  A file of digits, signs, blanks and line breaks whose
-    entries have at most 18 digits is read by numpy's C text reader; any
-    other file, and any file that reader refuses, by the Python parser,
-    which names the bad line or token.
+    rejected.  The header and the row count are checked once, first,
+    each failure naming what is wrong.  Then the rows of a file of
+    digits, signs, blanks and line breaks whose entries have at most 18
+    digits are read by numpy's C text reader, kept when it gives an
+    m x n array; the rows of any other file, and of any file that reader
+    refuses or gives another shape, by the Python parser _parse_mat,
+    which names the bad row or token.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -988,24 +989,9 @@ def read_mat(path) -> Basis:
             f"{path}: non-ASCII byte {data[exc.start]:#04x} at offset {exc.start}"
         ) from None
     lines = [line for line in text.splitlines() if line.strip()]
-    if lines and _int64_readable(data):
-        try:
-            m, n = map(int, lines[0].split())
-            if m == len(lines) - 1 and m > 0:
-                a = np.loadtxt(lines[1:], dtype=np.int64, comments=None, ndmin=2)
-                if a.shape == (m, n):
-                    return Basis._trusted(a.T, _max_abs(a))
-        except (ValueError, OverflowError):
-            pass
-    return _parse_mat(path, lines)
-
-
-def _parse_mat(path, lines: list[str]) -> Basis:
-    """read_mat's Python parser of the nonblank lines of a file."""
-    tokens_by_line = [line.split() for line in lines]
-    if not tokens_by_line:
+    if not lines:
         raise MatFormatError(f"{path}: empty matrix file")
-    header = tokens_by_line[0]
+    header = lines[0].split()
     if len(header) != 2:
         raise MatFormatError(f"{path}: header must be 'm n'")
     try:
@@ -1014,11 +1000,24 @@ def _parse_mat(path, lines: list[str]) -> Basis:
         raise MatFormatError(f"{path}: non-integer header") from exc
     if m < 1 or n < 1:
         raise MatFormatError(f"{path}: dimensions must be positive, got {m} {n}")
-    body = tokens_by_line[1:]
+    body = lines[1:]
     if len(body) != m:
         raise MatFormatError(f"{path}: expected {m} rows, found {len(body)}")
+    if _int64_readable(data):
+        try:
+            a = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2)
+            if a.shape == (m, n):
+                return Basis._trusted(a.T, _max_abs(a))
+        except (ValueError, OverflowError):
+            pass
+    return _parse_mat(path, body, n)
+
+
+def _parse_mat(path, body: list[str], n: int) -> Basis:
+    """read_mat's Python parser of the row lines of a file whose header
+    read_mat has checked: one line per row, n entries each."""
     rows = []
-    for r, line in enumerate(body):
+    for r, line in enumerate(map(str.split, body)):
         if len(line) != n:
             raise MatFormatError(
                 f"{path}: row {r} has {len(line)} entries, expected {n}"

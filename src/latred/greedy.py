@@ -313,7 +313,7 @@ def apply_pivot(state: GreedyState, k: int, moves) -> None:
     state.iteration += 1
 
 
-def reduce(basis: Basis, config: ReduceConfig | None = None, *,
+def reduce(basis: Basis, config: ReduceConfig = ReduceConfig(), *,
            track_transform: bool = False, on_iteration=None) -> ReductionResult:
     """Run the greedy polish to convergence.
 
@@ -327,11 +327,9 @@ def reduce(basis: Basis, config: ReduceConfig | None = None, *,
     on_iteration, when given, is called with the state after every applied
     pivot (used by the verification suites).
     """
-    cfg = config if config is not None else ReduceConfig()
-
     def body(rows):
         state = GreedyState(rows, gram_compute(basis))
-        for p in cfg.p_schedule:
+        for p in config.p_schedule:
             current = basis_score(state.gram, p)
             while True:
                 k, moves, score = select_pivot(state, p)

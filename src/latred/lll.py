@@ -28,16 +28,15 @@ by the Cholesky recurrence r[k][j] = g[col[k]][col[j]] - sum over l < j
 of mu[j][l] * r[k][l], so the precision it needs depends on n and not
 on the size of the entries.  A row is recomputed only from its first
 stale entry: a size reduction at k makes all of row k stale, and a swap
-at k stales entry k - 1 and above in rows k - 1 and up.  The swap cuts
-rows k - 1 and k at once; rows k + 1 and up owe the cut, which waits in
-GSState.cut until the loop reaches row k + 1, where it is applied and
-passed on to the row above, and so on up.  The loop's k moves up one row
-at a time, so no row is read before it has applied every cut it owes,
-and every float is the one a swap cutting all the rows at once would
-give.  Every sum runs left to right in Python floats,
-never through BLAS or sum(), so each r and mu comes out bit for bit as
-the plain loop in tests/oracles.py (lll_l2_reference) computes it, on
-any CPU.
+at k stales entry k - 1 and above in rows k - 1 and up.  The swap leaves
+that one cut in GSState.cut at row k - 1, where the loop goes next; the
+loop applies each row's cut when it reaches the row and passes it on to
+the row above.  The loop's k moves up one row at a time, so no row is
+read before it has applied every cut it owes, and every float is the one
+a swap cutting all the rows at once would give.  Every sum runs left to
+right in Python floats, never through BLAS or sum(), so each r and mu
+comes out bit for bit as the plain loop in tests/oracles.py
+(lll_l2_reference) computes it, on any CPU.
 
 Size reduction is lazy.  Its first pass rounds every coefficient from
 j = k - 1 down, halves away from zero, reading each from the row as the
@@ -135,9 +134,10 @@ class GSState:
     which moved nothing found strictly inside ROUNDS_TO_ZERO; it never
     exceeds len(mu[i]), and those entries have not changed since.
     cut[i], for i <= n, is the lowest stale index still owed by rows i
-    and up, n when none is: lll_reduce applies it to row i when it
-    reaches that row, so rows above the current one may hold stale
-    entries until then.
+    and up, n when none is.  A swap at k sets cut[k - 1] = k - 1, and
+    lll_reduce applies cut[i] to row i when it reaches that row and
+    passes it on to cut[i + 1], so rows above the current one may hold
+    stale entries until then.
     """
 
     __slots__ = ("gram", "r", "mu", "proven", "col", "cut")
@@ -240,7 +240,7 @@ def _rank_deficiency(basis: Basis) -> ValueError:
                       f"{bareiss(gram_compute(basis).g)[0]}")
 
 
-def lll_reduce(basis: Basis, config: LLLConfig | None = None, *,
+def lll_reduce(basis: Basis, config: LLLConfig = LLLConfig(), *,
                track_transform: bool = False) -> ReductionResult:
     """LLL over the exact Gram matrix, with float r and mu derived from it.
 
@@ -252,8 +252,6 @@ def lll_reduce(basis: Basis, config: LLLConfig | None = None, *,
     module docstring) raises ArithmeticError.
     iterations_applied counts swaps.
     """
-    cfg = config if config is not None else LLLConfig()
-
     def body(rows):
         n = basis.n
         state = GSState(gram_compute(basis))
@@ -271,8 +269,8 @@ def lll_reduce(basis: Basis, config: LLLConfig | None = None, *,
         while k < n:
             c = cut[k]
             if c < n:
-                # Apply the cut that swaps further down left for row k
-                # and up, and pass it on.
+                # Apply the cut a swap left for row k and up, and pass it
+                # on to the row above.
                 del r[k][c:], mu[k][c:]
                 proven[k] = min(proven[k], c)
                 cut[k], cut[k + 1] = n, min(cut[k + 1], c)
@@ -282,7 +280,7 @@ def lll_reduce(basis: Basis, config: LLLConfig | None = None, *,
             if (proven[k] < k and size_reduce(state, rows, k)
                     and not gram.g[col[k], col[k]]):
                 raise _rank_deficiency(basis)
-            if k == 0 or lovasz_ok(state, k, cfg.delta):
+            if k == 0 or lovasz_ok(state, k, config.delta):
                 k += 1
                 continue
             if swaps == cap:
@@ -292,12 +290,10 @@ def lll_reduce(basis: Basis, config: LLLConfig | None = None, *,
             h = k - 1
             col[h], col[k] = col[k], col[h]
             r[h], r[k], mu[h], mu[k] = r[k], r[h], mu[k], mu[h]
+            proven[h], proven[k] = proven[k], proven[h]
             # The swap leaves entries below h current in rows h and up:
-            # rows h and k are cut here, the rows above when LLL reaches
-            # them.
-            del r[h][h:], mu[h][h:], r[k][h:], mu[k][h:]
-            proven[h], proven[k] = min(proven[k], h), min(proven[h], h)
-            cut[k + 1] = min(cut[k + 1], h)
+            # its one cut waits at h, where the loop goes next.
+            cut[h] = h
             swaps += 1
             k = h
         rows.reorder(col)

@@ -104,7 +104,7 @@ class TestReduce:
     def test_score_max_dispatches(self, tmp_path):
         src = write_skewed(tmp_path / "in.mat")
         out = tmp_path / "out.mat"
-        assert run_cli("reduce", "--algo", "greedy", "--score", "max",
+        assert run_cli("reduce", "--algo", "greedy", "--p", "inf",
                        "--in", src, "--out", str(out)) == 0
         assert read_mat(out) == Basis.identity(2)
 
@@ -190,18 +190,14 @@ class TestReduce:
                            "--out", str(out), *seed) == 0
 
     @pytest.mark.parametrize("algo, flags, flag", [
-        ("mgs", ["--delta", "0.3", "--iters", "5", "--score", "max"],
-         "--score, --delta, --iters"),
+        ("mgs", ["--delta", "0.3", "--iters", "5"], "--delta, --iters"),
         ("mgs", ["--p-schedule", "1"], "--p-schedule"),
-        ("rand-comb", ["--score", "sum"], "--score"),
+        ("rand-comb", ["--p-schedule", "1"], "--p-schedule"),
         ("greedy", ["--delta", "0.75"], "--delta"),
         ("lll", ["--iters", "5"], "--iters"),
         ("lll+greedy", ["--seed", "1"], "--seed"),
         ("lll", ["--p", "7"], "--p"),
         ("rand-comb", ["--p", "7"], "--p"),
-        ("greedy", ["--score", "max", "--p", "3"], "--p"),
-        ("lll+greedy", ["--p-schedule", "2,1", "--score", "max"],
-         "--p-schedule"),
     ])
     def test_unread_flag_exits_2_before_reading_input(self, tmp_path, capsys,
                                                       algo, flags, flag):
@@ -216,6 +212,16 @@ class TestReduce:
                        "--in", str(tmp_path / "nope.mat"),
                        "--out", str(tmp_path / "o.mat")) == 2
         assert "not a comma list of numbers: '2,y'" in capsys.readouterr().err
+
+    def test_score_flag_is_gone(self, tmp_path, capsys):
+        # The max score is --p inf; --score is no flag of reduce, so a
+        # valid input is neither read nor reduced.
+        src = write_skewed(tmp_path / "in.mat")
+        out = tmp_path / "o.mat"
+        assert run_cli("reduce", "--algo", "greedy", "--score", "max",
+                       "--in", src, "--out", str(out)) == 2
+        assert "--score" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_input_exits_1(self, tmp_path):
         assert run_cli("reduce", "--algo", "greedy", "--in",
@@ -252,8 +258,7 @@ class TestReduce:
     @pytest.mark.parametrize("flags, schedule, ignored", [
         (["--p", "1"], (1.0,), (2.0,)),
         (["--p", "inf"], (math.inf,), (2.0,)),
-        (["--score", "max"], (math.inf,), (2.0,)),
-    ], ids=["p", "p-inf", "score-max"])
+    ], ids=["p", "p-inf"])
     def test_exponent_flags_set_the_schedule(self, tmp_path, flags, schedule,
                                              ignored):
         basis = random_permutation(gen_example(ExampleSpec(Q13, 2, 0)), 0)

@@ -1283,6 +1283,11 @@ class TestMatFormat:
         ("2 3\n1 2 3\n4 1_0 y\n", "bad integer 'y' in row 1"),
         ("2 2\n1 2\n", "expected 2 rows, found 1"),
         ("2 2\n1 2\n3 4 5\n", "row 1 has 3 entries, expected 2"),
+        # All digits, so each header check runs before the int64 reader.
+        ("", "empty matrix file"),
+        ("2 2 2\n1 2\n3 4\n", "header must be 'm n'"),
+        ("0 2\n", "dimensions must be positive, got 0 2"),
+        ("2 2\n1 2\n3 4\n5 6\n", "expected 2 rows, found 3"),
         (f"2 2\n1 2\n3 {INT128_MIN - 1}\n",
          "entry in row 1 exceeds the signed 128-bit range"),
     ])

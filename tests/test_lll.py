@@ -768,9 +768,9 @@ class TestLLLReduce:
 
     def test_cut_carried_across_rows_before_it_is_applied(self, monkeypatch):
         # Five long orthogonal columns and a short one last: the short
-        # column swaps down from position 5 to 0, each swap cutting the
-        # two rows it exchanges and leaving a cut for the rows above, so
-        # the swap at 0 leaves rows 2..5 owing a cut to 0, which each
+        # column swaps down from position 5 to 0, each swap leaving one
+        # cut at the lower row it exchanges, which the loop passes up, so
+        # the swap at 0 leaves rows 0..5 owing a cut to 0, which each
         # applies only when LLL climbs back to it.
         cols = [[100 * (i == j) for i in range(6)] for j in range(5)]
         cols.append([1] * 6)
